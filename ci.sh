@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repo CI gate: formatting, release build, full test suite, clippy with
-# warnings denied, rustdoc with warnings denied.
+# Repo CI gate: formatting, release build, every workspace crate's tests,
+# clippy over every target with warnings denied, rustdoc with warnings
+# denied.
 # Run from the repository root. Offline by design (deps are vendored).
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -14,16 +15,11 @@ FIRST_PARTY=(-p skipit -p skipit-core -p skipit-boom -p skipit-dcache -p skipit-
 
 cargo fmt --check "${FIRST_PARTY[@]}"
 cargo build --release
-cargo test -q
-cargo clippy -- -D warnings
+cargo test --workspace -q
+cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${FIRST_PARTY[@]}"
 
 # `ci.sh --quick` additionally:
-#  - runs the parallel-engine smoke: a fig09-shaped saturated run and a
-#    perturbed exploration scenario executed under the serial component
-#    wheel and again under the parallel wheel at 2 threads; fails on any
-#    divergence in cycles, statistics, durable memory, trace streams, or
-#    oracle verdicts (examples/parallel_smoke.rs).
 #  - runs the sharded-sweep smoke: a 4-point real-simulation sweep executed
 #    serially and at 2 worker threads; fails on any error row or if the two
 #    result tables are not bit-identical (examples/sweep_smoke.rs).
@@ -43,7 +39,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${FIRST_PARTY[@]}"
 #    (one snapshotted fill shared by all points) must export a result
 #    table bit-identical to the cold run (examples/snapshot_smoke.rs).
 #  - runs the trace-replay smoke: captures a quickstart-shaped run, replays
-#    the trace on fresh systems under all four engines asserting
+#    the trace on fresh systems under both engines asserting
 #    bit-identical cycles/stats/durable memory, replays the two committed
 #    traces under traces/, corrupts a trace byte to check the decoder
 #    fails with a typed error, and runs the replay_sweep perturbation grid
@@ -51,18 +47,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${FIRST_PARTY[@]}"
 #    (examples/replay_smoke.rs; traces regenerate deterministically via
 #    examples/capture_trace.rs).
 #  - runs the service-frontend smoke: one open-loop Zipfian/Poisson SLO
-#    workload executed under all four engines (parallel wheel at 1, 2 and
-#    8 host threads), plain and perturbed, plus both stress patterns
-#    (cache stampede, synchronized expiration storm); fails on any digest,
-#    cycle or stats divergence, or on an internally inconsistent SLO
-#    summary (examples/service_smoke.rs).
+#    workload executed under both engines, plain and perturbed, plus both
+#    stress patterns (cache stampede, synchronized expiration storm); fails
+#    on any digest, cycle or stats divergence, or on an internally
+#    inconsistent SLO summary (examples/service_smoke.rs).
 #  - smoke-runs the simspeed benchmark (reduced workloads) and fails if any
 #    workload's engine speedup regresses more than 20 % below the committed
 #    BENCH_simspeed.json — including the warm-started sweep's wall-clock
 #    ratio. The JSON written by the smoke run goes to a temp file so the
 #    committed full-size numbers are never clobbered.
 if [[ "${1:-}" == "--quick" ]]; then
-  cargo run --release --example parallel_smoke
   cargo run --release --example sweep_smoke
   cargo run --release --example explore_smoke
   cargo run --release --example telemetry_smoke

@@ -1,18 +1,14 @@
 //! Host-side simulation speed of the engines (not a paper figure).
 //!
 //! Runs a Fig. 9-shaped writeback microbenchmark and a Fig. 14-shaped
-//! persistent-set workload under naive cycle-by-cycle stepping, the
-//! global-gate fast-forward engine, and the component-wheel engine; reports
-//! kilo-simulated-cycles per host second for each, asserts all engines agree
-//! cycle-for-cycle, and writes the numbers to `BENCH_simspeed.json` at the
-//! repository root. A separate section compares the serial component wheel
-//! against the parallel wheel on a saturated fig09 shape (cycle-identity
-//! asserted); its wall-clock speedup is reported as `null` on single-CPU
-//! hosts, where the comparison measures only dispatch overhead. Every
-//! section records `host_cpus` so committed numbers are interpretable.
-//! A tracing section measures the overhead of event rings, Chrome-trace
-//! export, and telemetry sampling; a phase section records the wheel
-//! engines' wall-time breakdown and the serial fraction (Amdahl bound).
+//! persistent-set workload under naive cycle-by-cycle stepping and the
+//! component-wheel engine; reports kilo-simulated-cycles per host second
+//! for each, asserts the engines agree cycle-for-cycle, and writes the
+//! numbers to `BENCH_simspeed.json` at the repository root. Every section
+//! records `host_cpus` so committed numbers are interpretable. A tracing
+//! section measures the overhead of event rings, Chrome-trace export, and
+//! telemetry sampling; a phase section records the wheel's wall-time
+//! breakdown (L2+DRAM, core slots, frontends).
 //! Phase data needs `--features profile`, whose per-cycle timers deflate
 //! the throughput sections — so regeneration is two-step: run
 //! `cargo bench --bench simspeed --features profile` to record real phase
@@ -71,7 +67,6 @@ struct Row {
     /// engine never stepped (includes idle components inside busy cycles).
     skipped_pct: f64,
     naive_kcps: f64,
-    gate_kcps: f64,
     wheel_kcps: f64,
 }
 
@@ -79,11 +74,10 @@ impl Row {
     fn speedup(&self) -> f64 {
         self.wheel_kcps / self.naive_kcps.max(1e-9)
     }
-
-    fn gate_speedup(&self) -> f64 {
-        self.gate_kcps / self.naive_kcps.max(1e-9)
-    }
 }
+
+/// The two engines every throughput row times, reference first.
+const ENGINES: [EngineKind; 2] = [EngineKind::Naive, EngineKind::ComponentWheel];
 
 /// Fig. 9 shape: dirty a region, write it back sequentially, fence.
 /// `serialized` switches to the §7.2 per-op-fenced latency form of the
@@ -105,15 +99,10 @@ fn fig09_shaped(name: &'static str, threads: usize, size: u64, reps: u32, serial
         let secs = wall.elapsed().as_secs_f64();
         (samples, sys.stats().cycles, sys.engine_stats(), secs)
     };
-    const ENGINES: [EngineKind; 3] = [
-        EngineKind::Naive,
-        EngineKind::GlobalGate,
-        EngineKind::ComponentWheel,
-    ];
     for kind in ENGINES {
         exec(kind, 1); // warm-up, discarded
     }
-    let mut blocks: [Vec<f64>; 3] = Default::default();
+    let mut blocks: [Vec<f64>; 2] = Default::default();
     let mut runs = Vec::new();
     for block in 0..MEASURE_BLOCKS {
         // Round-robin over the engines so host drift cannot systematically
@@ -126,35 +115,23 @@ fn fig09_shaped(name: &'static str, threads: usize, size: u64, reps: u32, serial
             }
         }
     }
-    let [naive_b, gate_b, wheel_b] = blocks;
-    let (naive_kcps, gate_kcps, wheel_kcps) = (
-        median_kcps(naive_b),
-        median_kcps(gate_b),
-        median_kcps(wheel_b),
-    );
+    let [naive_b, wheel_b] = blocks;
     let (wheel_samples, wheel_cycles, wheel_engine) = runs.pop().expect("wheel block");
-    let (gate_samples, gate_cycles, _) = runs.pop().expect("gate block");
     let (naive_samples, naive_cycles, _) = runs.pop().expect("naive block");
-    for (engine, samples, cycles) in [
-        ("global-gate", &gate_samples, gate_cycles),
-        ("component-wheel", &wheel_samples, wheel_cycles),
-    ] {
-        assert_eq!(
-            &naive_samples, samples,
-            "{name}: per-sample cycle counts diverge between naive and {engine}"
-        );
-        assert_eq!(
-            naive_cycles, cycles,
-            "{name}: total cycle counts diverge between naive and {engine}"
-        );
-    }
+    assert_eq!(
+        naive_samples, wheel_samples,
+        "{name}: per-sample cycle counts diverge between naive and component-wheel"
+    );
+    assert_eq!(
+        naive_cycles, wheel_cycles,
+        "{name}: total cycle counts diverge between naive and component-wheel"
+    );
     Row {
         name,
         sim_cycles: wheel_cycles,
         skipped_pct: wheel_engine.component_skipped_pct().unwrap_or(f64::NAN),
-        naive_kcps,
-        gate_kcps,
-        wheel_kcps,
+        naive_kcps: median_kcps(naive_b),
+        wheel_kcps: median_kcps(wheel_b),
     }
 }
 
@@ -173,15 +150,10 @@ fn fig14_shaped(name: &'static str, ds: DsKind, budget: u64) -> Row {
         engine,
         ..WorkloadCfg::default()
     };
-    const ENGINES: [EngineKind; 3] = [
-        EngineKind::Naive,
-        EngineKind::GlobalGate,
-        EngineKind::ComponentWheel,
-    ];
     for kind in ENGINES {
         run_set_benchmark(&cfg(kind)); // warm-up, discarded
     }
-    let mut blocks: [Vec<f64>; 3] = Default::default();
+    let mut blocks: [Vec<f64>; 2] = Default::default();
     let mut results = Vec::new();
     for block in 0..MEASURE_BLOCKS {
         // Round-robin across engines; see `fig09_shaped`.
@@ -195,108 +167,27 @@ fn fig14_shaped(name: &'static str, ds: DsKind, budget: u64) -> Row {
             }
         }
     }
-    let [naive_b, gate_b, wheel_b] = blocks;
-    let (naive_kcps, gate_kcps, wheel_kcps) = (
-        median_kcps(naive_b),
-        median_kcps(gate_b),
-        median_kcps(wheel_b),
-    );
+    let [naive_b, wheel_b] = blocks;
     let wheel = results.pop().expect("wheel block");
-    let gate = results.pop().expect("gate block");
     let naive = results.pop().expect("naive block");
-    for (engine, r) in [("global-gate", &gate), ("component-wheel", &wheel)] {
-        assert_eq!(
-            naive.cycles, r.cycles,
-            "{name}: measured-phase cycles diverge between naive and {engine}"
-        );
-        assert_eq!(
-            naive.ops, r.ops,
-            "{name}: completed op counts diverge between naive and {engine}"
-        );
-        assert_eq!(
-            naive.stats, r.stats,
-            "{name}: system statistics diverge between naive and {engine}"
-        );
-    }
+    assert_eq!(
+        naive.cycles, wheel.cycles,
+        "{name}: measured-phase cycles diverge between naive and component-wheel"
+    );
+    assert_eq!(
+        naive.ops, wheel.ops,
+        "{name}: completed op counts diverge between naive and component-wheel"
+    );
+    assert_eq!(
+        naive.stats, wheel.stats,
+        "{name}: system statistics diverge between naive and component-wheel"
+    );
     Row {
         name,
         sim_cycles: wheel.stats.cycles,
         skipped_pct: wheel.engine.component_skipped_pct().unwrap_or(f64::NAN),
-        naive_kcps,
-        gate_kcps,
-        wheel_kcps,
-    }
-}
-
-/// Serial component wheel vs the parallel wheel on a saturated fig09
-/// shape — the busy-path wall the parallel engine exists to break.
-struct ParallelRow {
-    workload: &'static str,
-    sim_cycles: u64,
-    host_cpus: usize,
-    threads: usize,
-    wheel_kcps: f64,
-    parallel_kcps: f64,
-}
-
-impl ParallelRow {
-    /// Wall-clock speedup of the parallel wheel over the serial wheel.
-    /// `None` on a single-CPU host: the pool degenerates to one worker and
-    /// the ratio measures dispatch overhead, not the engine.
-    fn wall_speedup(&self) -> Option<f64> {
-        (self.host_cpus > 1).then(|| self.parallel_kcps / self.wheel_kcps.max(1e-9))
-    }
-}
-
-/// Interleaved wheel-vs-parallel timing on an all-cores-busy fig09 shape
-/// (`threads` simulated cores, every one due every cycle, so the slot pool
-/// genuinely engages). Asserts per-sample and total cycle identity — the
-/// parallel engine's speedup only counts because its results are
-/// bit-identical.
-fn parallel_shaped(name: &'static str, threads: usize, size: u64, reps: u32) -> ParallelRow {
-    let exec = |kind: EngineKind, reps: u32| {
-        let mut sys = SystemBuilder::new().cores(threads).engine(kind).build();
-        let wall = Instant::now();
-        let samples: Vec<u64> = (0..reps)
-            .map(|_| fig9_sample(&mut sys, threads as u64, size, true))
-            .collect();
-        let secs = wall.elapsed().as_secs_f64();
-        (samples, sys.stats().cycles, secs)
-    };
-    const ENGINES: [EngineKind; 2] = [EngineKind::ComponentWheel, EngineKind::ParallelWheel];
-    for kind in ENGINES {
-        exec(kind, 1); // warm-up, discarded
-    }
-    let mut blocks: [Vec<f64>; 2] = Default::default();
-    let mut runs = Vec::new();
-    for block in 0..MEASURE_BLOCKS {
-        // Round-robin wheel/parallel; see `fig09_shaped`.
-        for (e, kind) in ENGINES.into_iter().enumerate() {
-            let (samples, cycles, secs) = exec(kind, reps);
-            blocks[e].push(cycles as f64 / secs / 1e3);
-            if block == 0 {
-                runs.push((samples, cycles));
-            }
-        }
-    }
-    let [wheel_b, parallel_b] = blocks;
-    let (parallel_samples, parallel_cycles) = runs.pop().expect("parallel block");
-    let (wheel_samples, wheel_cycles) = runs.pop().expect("wheel block");
-    assert_eq!(
-        wheel_samples, parallel_samples,
-        "{name}: per-sample cycle counts diverge between wheel and parallel"
-    );
-    assert_eq!(
-        wheel_cycles, parallel_cycles,
-        "{name}: total cycle counts diverge between wheel and parallel"
-    );
-    ParallelRow {
-        workload: name,
-        sim_cycles: wheel_cycles,
-        host_cpus: host_cpus(),
-        threads,
+        naive_kcps: median_kcps(naive_b),
         wheel_kcps: median_kcps(wheel_b),
-        parallel_kcps: median_kcps(parallel_b),
     }
 }
 
@@ -360,55 +251,37 @@ fn tracing_overhead(workload: &'static str, threads: usize, size: u64, reps: u32
     }
 }
 
-/// Host wall-time phase breakdown of the wheel engines on a saturated
-/// fig09 shape — where host time goes inside a busy cycle, and the Amdahl
-/// bound it implies for parallel core stepping. All zeros unless built
-/// with `--features profile`.
-struct PhaseRow {
-    threads: usize,
-    wheel: skipit_core::PhaseProfile,
-    parallel: skipit_core::PhaseProfile,
-}
-
-fn phase_profile(threads: usize, size: u64) -> PhaseRow {
-    let run = |kind: EngineKind| {
-        let mut sys = SystemBuilder::new().cores(threads).engine(kind).build();
-        fig9_sample(&mut sys, threads as u64, size, true); // warm-up
-        let before = sys.engine_stats().phase;
-        fig9_sample(&mut sys, threads as u64, size, true);
-        let after = sys.engine_stats().phase;
-        skipit_core::PhaseProfile {
-            serial_ns: after.serial_ns - before.serial_ns,
-            core_ns: after.core_ns - before.core_ns,
-            frontend_ns: after.frontend_ns - before.frontend_ns,
-            barrier_ns: after.barrier_ns.saturating_sub(before.barrier_ns),
-            worker_wait_ns: after.worker_wait_ns.saturating_sub(before.worker_wait_ns),
-        }
-    };
-    PhaseRow {
-        threads,
-        wheel: run(EngineKind::ComponentWheel),
-        parallel: run(EngineKind::ParallelWheel),
+/// Host wall-time phase breakdown of the component wheel on a saturated
+/// fig09 shape (`cores` simulated cores) — where host time goes inside a
+/// busy cycle. All zeros unless built with `--features profile`.
+fn phase_profile(cores: usize, size: u64) -> skipit_core::PhaseProfile {
+    let mut sys = SystemBuilder::new()
+        .cores(cores)
+        .engine(EngineKind::ComponentWheel)
+        .build();
+    fig9_sample(&mut sys, cores as u64, size, true); // warm-up
+    let before = sys.engine_stats().phase;
+    fig9_sample(&mut sys, cores as u64, size, true);
+    let after = sys.engine_stats().phase;
+    skipit_core::PhaseProfile {
+        serial_ns: after.serial_ns - before.serial_ns,
+        core_ns: after.core_ns - before.core_ns,
+        frontend_ns: after.frontend_ns - before.frontend_ns,
     }
 }
 
-/// One phase sub-object of the `"phase"` JSON section. Keys deliberately
-/// avoid `"workload"`/`"speedup"`/`"parallel": {` so `baseline_speedups`
-/// and `baseline_parallel_wall` keep scanning correctly.
-fn phase_json(p: &skipit_core::PhaseProfile, threads: usize) -> String {
+/// The wheel sub-object of the `"phase"` JSON section. Keys deliberately
+/// avoid `"workload"`/`"speedup"` so `baseline_speedups` keeps scanning
+/// correctly.
+fn phase_json(p: &skipit_core::PhaseProfile) -> String {
     format!(
         "{{\"serial_ns\": {}, \"core_ns\": {}, \"frontend_ns\": {}, \
-         \"barrier_ns\": {}, \"worker_wait_ns\": {}, \"serial_fraction\": {}, \
-         \"amdahl_bound_{threads}t\": {}}}",
+         \"serial_fraction\": {}}}",
         p.serial_ns,
         p.core_ns,
         p.frontend_ns,
-        p.barrier_ns,
-        p.worker_wait_ns,
         p.serial_fraction()
             .map_or("null".into(), |f| format!("{f:.4}")),
-        p.predicted_speedup(threads)
-            .map_or("null".into(), |s| format!("{s:.2}")),
     )
 }
 
@@ -679,19 +552,6 @@ fn baseline_speedups(text: &str) -> Vec<(String, f64)> {
     out
 }
 
-/// Extracts the committed parallel-engine wall speedup from a previous
-/// `BENCH_simspeed.json`, if its host recorded one (`null` on 1-CPU hosts).
-fn baseline_parallel_wall(text: &str) -> Option<f64> {
-    let i = text.find("\"parallel\": {")?;
-    let rest = &text[i..];
-    let j = rest.find("\"wall_speedup\": ")?;
-    let num: String = rest[j + "\"wall_speedup\": ".len()..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-        .collect();
-    num.parse().ok()
-}
-
 /// Extracts the committed warm-start wall ratio from a previous
 /// `BENCH_simspeed.json`, if it has a `warm_sweep` section.
 fn baseline_warm_wall(text: &str) -> Option<f64> {
@@ -705,13 +565,11 @@ fn baseline_warm_wall(text: &str) -> Option<f64> {
     num.parse().ok()
 }
 
-/// The CI regression gate: fails the run if any workload's speedup dropped
-/// more than 20 % below the committed baseline. Wall-clock comparisons
-/// (the parallel-engine speedup) are skipped on single-CPU hosts, where
-/// the measured ratio reflects host topology rather than a regression.
-/// The warm-start ratio is host-parallelism-independent (both sides run
-/// serially), so it is gated on every host.
-fn check_against_baseline(rows: &[Row], parallel: &ParallelRow, warm: &WarmWall, path: &str) {
+/// The CI regression gate: fails the run if any workload's speedup, or the
+/// warm-start wall ratio, dropped more than 20 % below the committed
+/// baseline. The warm-start ratio is host-parallelism-independent (both
+/// sides run serially), so it is gated on every host.
+fn check_against_baseline(rows: &[Row], warm: &WarmWall, path: &str) {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("SKIPIT_BENCH_BASELINE {path}: {e}"));
     let baseline = baseline_speedups(&text);
@@ -732,29 +590,6 @@ fn check_against_baseline(rows: &[Row], parallel: &ParallelRow, warm: &WarmWall,
                 println!(
                     "# baseline ok {}: warm-start wall ratio {got:.2} vs committed {base:.2}",
                     warm.name
-                );
-            }
-        }
-    }
-    match (parallel.wall_speedup(), baseline_parallel_wall(&text)) {
-        (_, None) => println!("# baseline: no parallel wall speedup committed, skipping"),
-        (None, Some(_)) => println!(
-            "# baseline: host has {} CPU(s), skipping wall-clock speedup comparison",
-            parallel.host_cpus
-        ),
-        (Some(got), Some(base)) => {
-            let floor = base * 0.8;
-            if got < floor {
-                eprintln!(
-                    "FAIL {}: parallel wall speedup {got:.2} is below 0.8x the \
-                     baseline {base:.2} (floor {floor:.2})",
-                    parallel.workload
-                );
-                failed = true;
-            } else {
-                println!(
-                    "# baseline ok {}: parallel wall speedup {got:.2} vs committed {base:.2}",
-                    parallel.workload
                 );
             }
         }
@@ -800,64 +635,29 @@ fn main() {
     ];
 
     println!("# simspeed: host kilo-simulated-cycles per second, per engine");
-    println!(
-        "workload,sim_cycles,skipped_pct,naive_kcps,gate_kcps,wheel_kcps,gate_speedup,speedup"
-    );
+    println!("workload,sim_cycles,skipped_pct,naive_kcps,wheel_kcps,speedup");
     let mut entries = Vec::new();
     for r in &rows {
         println!(
-            "{},{},{:.1},{:.0},{:.0},{:.0},{:.2},{:.2}",
+            "{},{},{:.1},{:.0},{:.0},{:.2}",
             r.name,
             r.sim_cycles,
             r.skipped_pct,
             r.naive_kcps,
-            r.gate_kcps,
             r.wheel_kcps,
-            r.gate_speedup(),
             r.speedup()
         );
         entries.push(format!(
             "    {{\"workload\": \"{}\", \"sim_cycles\": {}, \"skipped_pct\": {}, \
-             \"naive_kcycles_per_sec\": {}, \"gate_kcycles_per_sec\": {}, \
-             \"fast_kcycles_per_sec\": {}, \"gate_speedup\": {}, \"speedup\": {}}}",
+             \"naive_kcycles_per_sec\": {}, \"fast_kcycles_per_sec\": {}, \"speedup\": {}}}",
             r.name,
             r.sim_cycles,
             json_num(r.skipped_pct),
             json_num(r.naive_kcps),
-            json_num(r.gate_kcps),
             json_num(r.wheel_kcps),
-            json_num(r.gate_speedup()),
             json_num(r.speedup())
         ));
     }
-
-    let pr = parallel_shaped("fig09_8t_parallel", 8, 32 * 1024, reps);
-    println!(
-        "# parallel wheel vs serial wheel on {} ({} simulated cores, host has {} CPUs)",
-        pr.workload, pr.threads, pr.host_cpus
-    );
-    println!("sim_cycles,wheel_kcps,parallel_kcps,wall_speedup");
-    println!(
-        "{},{:.0},{:.0},{}",
-        pr.sim_cycles,
-        pr.wheel_kcps,
-        pr.parallel_kcps,
-        pr.wall_speedup()
-            .map_or("skipped(1-cpu)".into(), |s| format!("{s:.2}"))
-    );
-    // Keys deliberately avoid "workload"/"speedup"; see the sweep section.
-    let parallel_json = format!(
-        "  \"parallel\": {{\"name\": \"{}\", \"sim_cycles\": {}, \"host_cpus\": {}, \
-         \"sim_cores\": {}, \"wheel_kcycles_per_sec\": {}, \
-         \"parallel_kcycles_per_sec\": {}, \"wall_speedup\": {}}},",
-        pr.workload,
-        pr.sim_cycles,
-        pr.host_cpus,
-        pr.threads,
-        json_num(pr.wheel_kcps),
-        json_num(pr.parallel_kcps),
-        pr.wall_speedup().map_or("null".into(), json_num)
-    );
 
     let tr = tracing_overhead("fig09_1t_32k", 1, 32 * 1024, reps);
     println!("# tracing overhead on {} (wheel engine)", tr.workload);
@@ -891,7 +691,8 @@ fn main() {
         host = host_cpus()
     );
 
-    let ph = phase_profile(8, 32 * 1024);
+    const PHASE_CORES: usize = 8;
+    let ph = phase_profile(PHASE_CORES, 32 * 1024);
     println!(
         "# engine phase profile on fig09_8t_32k (profile feature {})",
         if skipit_core::PROFILE_COMPILED {
@@ -900,29 +701,22 @@ fn main() {
             "off — all zeros"
         }
     );
-    println!("engine,serial_ns,core_ns,frontend_ns,barrier_ns,serial_fraction,amdahl_bound_8t");
-    for (name, p) in [("wheel", &ph.wheel), ("parallel", &ph.parallel)] {
-        println!(
-            "{name},{},{},{},{},{},{}",
-            p.serial_ns,
-            p.core_ns,
-            p.frontend_ns,
-            p.barrier_ns,
-            p.serial_fraction()
-                .map_or("-".into(), |f| format!("{f:.4}")),
-            p.predicted_speedup(ph.threads)
-                .map_or("-".into(), |s| format!("{s:.2}")),
-        );
-    }
+    println!("engine,serial_ns,core_ns,frontend_ns,serial_fraction");
+    println!(
+        "wheel,{},{},{},{}",
+        ph.serial_ns,
+        ph.core_ns,
+        ph.frontend_ns,
+        ph.serial_fraction()
+            .map_or("-".into(), |f| format!("{f:.4}")),
+    );
     let mut phase_json = format!(
         "  \"phase\": {{\"name\": \"fig09_8t_32k\", \"profile_compiled\": {}, \
-         \"host_cpus\": {}, \"sim_cores\": {}, \"serial_wheel\": {}, \
-         \"parallel_wheel\": {}}},",
+         \"host_cpus\": {}, \"sim_cores\": {}, \"wheel\": {}}},",
         skipit_core::PROFILE_COMPILED,
         host_cpus(),
-        ph.threads,
-        phase_json(&ph.wheel, ph.threads),
-        phase_json(&ph.parallel, ph.threads),
+        PHASE_CORES,
+        phase_json(&ph),
     );
     // A non-profile build measures all-zero phases; carry the committed
     // phase section forward instead of clobbering it, so the two-step
@@ -1036,10 +830,9 @@ fn main() {
 
     let json = format!(
         "{{\n  \"bench\": \"simspeed\",\n  \"unit\": \"kilo-simulated-cycles per host second\",\n  \
-         \"quick\": {},\n  \"host_cpus\": {},\n{}\n{}\n{}\n{}\n{}\n{}\n  \"workloads\": [\n{}\n  ]\n}}\n",
+         \"quick\": {},\n  \"host_cpus\": {},\n{}\n{}\n{}\n{}\n{}\n  \"workloads\": [\n{}\n  ]\n}}\n",
         quick,
         host_cpus(),
-        parallel_json,
         tracing_json,
         phase_json,
         sweep_json,
@@ -1048,7 +841,7 @@ fn main() {
         entries.join(",\n")
     );
     if let Ok(path) = std::env::var("SKIPIT_BENCH_BASELINE") {
-        check_against_baseline(&rows, &pr, &ww, &path);
+        check_against_baseline(&rows, &ww, &path);
     }
     let path = out_path();
     std::fs::write(&path, json).expect("write benchmark JSON");

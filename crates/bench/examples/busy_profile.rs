@@ -11,15 +11,15 @@
 //!
 //! ```text
 //! cargo run --release -p skipit-bench --example busy_profile -- \
-//!     [--engine naive|gate|wheel|parallel] [--reps N] [--cores N] \
+//!     [--engine naive|wheel] [--reps N] [--cores N] \
 //!     [--kib N] [--min-wall-ms N]
 //! ```
 //!
 //! `--min-wall-ms` keeps repeating (beyond `--reps`) until the measured
 //! phase has accumulated at least that much wall time, so short runs on
 //! fast hosts still produce stable rates. Compile with
-//! `--features profile` to populate the `"phase"` object with the wheel
-//! engines' wall-time breakdown (all zeros otherwise).
+//! `--features profile` to populate the `"phase"` object with the wheel's
+//! wall-time breakdown (all zeros otherwise).
 
 use skipit_bench::micro;
 use skipit_core::{EngineKind, SystemBuilder, PROFILE_COMPILED};
@@ -35,7 +35,7 @@ struct Cli {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: busy_profile [--engine naive|gate|wheel|parallel] [--reps N] \
+        "usage: busy_profile [--engine naive|wheel] [--reps N] \
          [--cores N] [--kib N] [--min-wall-ms N]"
     );
     std::process::exit(2);
@@ -56,9 +56,7 @@ fn parse_cli() -> Cli {
             "--engine" => {
                 cli.engine = match value().as_str() {
                     "naive" => EngineKind::Naive,
-                    "gate" => EngineKind::GlobalGate,
                     "wheel" => EngineKind::ComponentWheel,
-                    "parallel" => EngineKind::ParallelWheel,
                     other => {
                         eprintln!("unknown engine {other:?}");
                         usage()
@@ -113,7 +111,6 @@ fn main() {
     let serial_ns = p.serial_ns - phase_before.serial_ns;
     let core_ns = p.core_ns - phase_before.core_ns;
     let frontend_ns = p.frontend_ns - phase_before.frontend_ns;
-    let barrier_ns = p.barrier_ns.saturating_sub(phase_before.barrier_ns);
     let measured = serial_ns + core_ns + frontend_ns;
     let serial_fraction = if measured > 0 {
         format!("{:.4}", (serial_ns + frontend_ns) as f64 / measured as f64)
@@ -144,7 +141,6 @@ fn main() {
     println!("    \"serial_ns\": {serial_ns},");
     println!("    \"core_ns\": {core_ns},");
     println!("    \"frontend_ns\": {frontend_ns},");
-    println!("    \"barrier_ns\": {barrier_ns},");
     println!("    \"serial_fraction\": {serial_fraction}");
     println!("  }}");
     println!("}}");

@@ -26,7 +26,6 @@ pub mod export;
 pub mod handle;
 pub mod lsu;
 pub mod op;
-pub mod pool;
 pub mod prof;
 mod snap;
 pub mod snapshot;

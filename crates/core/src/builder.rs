@@ -11,7 +11,7 @@ use skipit_tilelink::PerturbConfig;
 /// Returned by [`SystemBuilder::try_build`]; [`SystemBuilder::build`]
 /// panics with the same rendering. Every variant corresponds to an
 /// invariant the simulation models rely on (index math on power-of-two set
-/// counts, nonzero resource pools, a fast engine for the lockstep oracle
+/// counts, nonzero resource pools, the component wheel for the lockstep oracle
 /// to check).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
@@ -34,7 +34,8 @@ pub enum ConfigError {
         what: &'static str,
     },
     /// `lockstep_oracle` was requested together with [`EngineKind::Naive`]:
-    /// the oracle re-executes fast-forward jumps with the naive engine, so
+    /// the oracle checks the [`EngineKind::ComponentWheel`]'s jumps and
+    /// skipped slots against the naive engine, so under the naive engine
     /// there is nothing for it to check — the combination is always a
     /// configuration mistake.
     OracleNeedsFastEngine,
@@ -52,8 +53,8 @@ impl std::fmt::Display for ConfigError {
             ConfigError::Zero { what } => write!(f, "{what} must be nonzero"),
             ConfigError::OracleNeedsFastEngine => write!(
                 f,
-                "lockstep_oracle requires a fast engine (GlobalGate or \
-                 ComponentWheel) to check; it does nothing under Naive"
+                "lockstep_oracle requires the ComponentWheel engine to \
+                 check; it does nothing under Naive"
             ),
         }
     }
@@ -185,23 +186,11 @@ impl SystemBuilder {
         self
     }
 
-    /// Selects the simulation engine explicitly (naive / global-gate /
-    /// component-wheel / parallel-wheel). All engines produce bit-identical
-    /// cycles, stats, durable images and trace-event streams. Default
-    /// [`EngineKind::ComponentWheel`].
+    /// Selects the simulation engine explicitly (naive / component-wheel).
+    /// Both engines produce bit-identical cycles, stats, durable images and
+    /// trace-event streams. Default [`EngineKind::ComponentWheel`].
     pub fn engine(mut self, kind: EngineKind) -> Self {
         self.cfg.engine = kind;
-        self
-    }
-
-    /// Host threads for [`EngineKind::ParallelWheel`]'s intra-cycle core
-    /// phase. `0` (the default) resolves at first use from
-    /// `SKIPIT_ENGINE_THREADS` — which panics on unparseable or zero
-    /// values, like `SKIPIT_SWEEP_THREADS` — falling back to the host's
-    /// available parallelism. The resolved count is clamped to the core
-    /// count. Other engines ignore this knob.
-    pub fn engine_threads(mut self, threads: usize) -> Self {
-        self.cfg.engine_threads = threads;
         self
     }
 
@@ -233,7 +222,7 @@ impl SystemBuilder {
     ///
     /// The fallible twin of [`SystemBuilder::build`]: every invariant the
     /// component constructors would assert (power-of-two set counts,
-    /// nonzero resource pools, the supported core range, a fast engine
+    /// nonzero resource pools, the supported core range, the component wheel
     /// under the lockstep oracle) is checked up front and reported as a
     /// typed [`ConfigError`] instead of a panic.
     ///
@@ -292,21 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_threads_knob_applies() {
-        let b = SystemBuilder::new()
-            .engine(EngineKind::ParallelWheel)
-            .engine_threads(4);
-        assert_eq!(b.config().engine, EngineKind::ParallelWheel);
-        assert_eq!(b.config().engine_threads, 4);
-        assert_eq!(
-            SystemBuilder::new().config().engine_threads,
-            0,
-            "default must be auto-resolve"
-        );
-        b.build();
-    }
-
-    #[test]
     fn default_matches_new() {
         assert_eq!(
             SystemBuilder::default().config().cores,
@@ -326,8 +300,10 @@ mod tests {
             SystemBuilder::new().cores(33).try_build().unwrap_err(),
             ConfigError::Cores { got: 33 }
         );
-        let mut l1 = L1Config::default();
-        l1.sets = 48;
+        let l1 = L1Config {
+            sets: 48,
+            ..L1Config::default()
+        };
         assert_eq!(
             SystemBuilder::new().l1(l1).try_build().unwrap_err(),
             ConfigError::NonPowerOfTwo {
@@ -335,8 +311,10 @@ mod tests {
                 got: 48
             }
         );
-        let mut l1 = L1Config::default();
-        l1.fshrs = 0;
+        let l1 = L1Config {
+            fshrs: 0,
+            ..L1Config::default()
+        };
         assert_eq!(
             SystemBuilder::new().l1(l1).try_build().unwrap_err(),
             ConfigError::Zero { what: "l1.fshrs" }
@@ -349,7 +327,7 @@ mod tests {
                 .unwrap_err(),
             ConfigError::OracleNeedsFastEngine
         );
-        // The same combination under a fast engine is the supported debug
+        // The same combination under the component wheel is the supported debug
         // mode.
         assert!(SystemBuilder::new()
             .engine(EngineKind::ComponentWheel)

@@ -60,9 +60,9 @@
 //! frontends, both cache levels with their MSHRs and flush units, the
 //! TileLink FIFOs, DRAM, clock and perturbation counters — into a
 //! versioned [`Snapshot`]; [`System::restore`] turns it back into a live
-//! system that is bit-identical going forward, on any engine at any
-//! thread count. The sweep layer builds warm-started parameter sweeps and
-//! resumable campaigns on top of this (see `skipit-sweep`).
+//! system that is bit-identical going forward, on either engine. The
+//! sweep layer builds warm-started parameter sweeps and resumable
+//! campaigns on top of this (see `skipit-sweep`).
 
 pub mod asm;
 pub mod builder;

@@ -137,10 +137,9 @@ enum ProbePhase {
 ///
 /// A `DataCache` communicates with its neighbors only through the
 /// [`L1Ports`] links passed into [`DataCache::step`] — it holds no shared
-/// references into other components. Parallel engines rely on that slot
-/// confinement (see `skipit_tilelink::staged`): an L1 is owned outright by
-/// whichever host thread steps its core slot, which the assertion below
-/// keeps honest at compile time.
+/// references into other components, so a whole system (L1s included)
+/// can move to another host thread, which the assertion below keeps
+/// honest at compile time.
 #[derive(Debug)]
 pub struct DataCache {
     cfg: L1Config,
@@ -1255,6 +1254,138 @@ impl DataCache {
     }
 }
 
+// --- snapshot codec (DESIGN.md §11) ---
+
+use skipit_snap::{Codec, SnapError, SnapReader, SnapWriter};
+
+impl Codec for MshrState {
+    fn encode(&self, w: &mut SnapWriter) {
+        w.put_u8(match self {
+            MshrState::Free => 0,
+            MshrState::EvictWait => 1,
+            MshrState::SendAcquire => 2,
+            MshrState::WaitGrant => 3,
+            MshrState::Replay => 4,
+            MshrState::SendGrantAck => 5,
+        });
+    }
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(match r.get_u8()? {
+            0 => MshrState::Free,
+            1 => MshrState::EvictWait,
+            2 => MshrState::SendAcquire,
+            3 => MshrState::WaitGrant,
+            4 => MshrState::Replay,
+            5 => MshrState::SendGrantAck,
+            _ => return Err(SnapError::Corrupt("l1 mshr state")),
+        })
+    }
+}
+
+impl Codec for Mshr {
+    fn encode(&self, w: &mut SnapWriter) {
+        self.state.encode(w);
+        self.addr.encode(w);
+        self.way.encode(w);
+        self.write.encode(w);
+        self.rpq.encode(w);
+    }
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(Mshr {
+            state: MshrState::decode(r)?,
+            addr: LineAddr::decode(r)?,
+            way: usize::decode(r)?,
+            write: bool::decode(r)?,
+            rpq: VecDeque::decode(r)?,
+        })
+    }
+}
+
+impl Codec for WbJob {
+    fn encode(&self, w: &mut SnapWriter) {
+        self.addr.encode(w);
+        self.data.encode(w);
+        self.shrink.encode(w);
+        self.sent.encode(w);
+    }
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(WbJob {
+            addr: LineAddr::decode(r)?,
+            data: Option::decode(r)?,
+            shrink: Shrink::decode(r)?,
+            sent: bool::decode(r)?,
+        })
+    }
+}
+
+impl Codec for ProbePhase {
+    fn encode(&self, w: &mut SnapWriter) {
+        match self {
+            ProbePhase::Idle => w.put_u8(0),
+            ProbePhase::Invalidate(b) => {
+                w.put_u8(1);
+                b.encode(w);
+            }
+            ProbePhase::Waiting(b) => {
+                w.put_u8(2);
+                b.encode(w);
+            }
+        }
+    }
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(match r.get_u8()? {
+            0 => ProbePhase::Idle,
+            1 => ProbePhase::Invalidate(ChannelB::decode(r)?),
+            2 => ProbePhase::Waiting(ChannelB::decode(r)?),
+            _ => return Err(SnapError::Corrupt("probe phase")),
+        })
+    }
+}
+
+impl DataCache {
+    /// Encodes the cache's complete simulated state: tag/data/LRU arrays,
+    /// every MSHR with its replay queue, the writeback unit, the probe FSM,
+    /// the flush unit (queue + FSHRs + perturbation bookkeeping), the
+    /// pending-response queue and the statistics counters. Configuration,
+    /// core identity, trace sinks and the perturbation installation are
+    /// host-side and excluded — they are re-created from the configuration
+    /// on restore.
+    pub fn encode_state(&self, w: &mut SnapWriter) {
+        w.tag(0x43);
+        self.arrays.encode_state(w);
+        w.put_u64(self.mshrs.len() as u64);
+        for m in &self.mshrs {
+            m.encode(w);
+        }
+        self.wbu.job.encode(w);
+        self.probe.encode(w);
+        self.flush.encode_state(w);
+        self.resp.encode(w);
+        self.stats.encode(w);
+    }
+
+    /// Overwrites the cache's simulated state from `r` (the inverse of
+    /// [`DataCache::encode_state`]); array geometry, MSHR count and flush
+    /// unit shape must match the configuration this cache was built with.
+    pub fn decode_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        r.expect_tag(0x43, "l1 section")?;
+        self.arrays.decode_state(r)?;
+        let n = r.get_count(skipit_snap::MAX_ELEMS, "l1 mshr count")?;
+        if n != self.mshrs.len() {
+            return Err(SnapError::ConfigMismatch);
+        }
+        for m in &mut self.mshrs {
+            *m = Mshr::decode(r)?;
+        }
+        self.wbu.job = Option::decode(r)?;
+        self.probe = ProbePhase::decode(r)?;
+        self.flush.decode_state(r)?;
+        self.resp = VecDeque::decode(r)?;
+        self.stats = L1Stats::decode(r)?;
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1845,137 +1976,5 @@ mod tests {
             },
         );
         assert_eq!(out, ReqOutcome::Nack, "§3.3: load MSHR cannot take a store");
-    }
-}
-
-// --- snapshot codec (DESIGN.md §11) ---
-
-use skipit_snap::{Codec, SnapError, SnapReader, SnapWriter};
-
-impl Codec for MshrState {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            MshrState::Free => 0,
-            MshrState::EvictWait => 1,
-            MshrState::SendAcquire => 2,
-            MshrState::WaitGrant => 3,
-            MshrState::Replay => 4,
-            MshrState::SendGrantAck => 5,
-        });
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => MshrState::Free,
-            1 => MshrState::EvictWait,
-            2 => MshrState::SendAcquire,
-            3 => MshrState::WaitGrant,
-            4 => MshrState::Replay,
-            5 => MshrState::SendGrantAck,
-            _ => return Err(SnapError::Corrupt("l1 mshr state")),
-        })
-    }
-}
-
-impl Codec for Mshr {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.state.encode(w);
-        self.addr.encode(w);
-        self.way.encode(w);
-        self.write.encode(w);
-        self.rpq.encode(w);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Mshr {
-            state: MshrState::decode(r)?,
-            addr: LineAddr::decode(r)?,
-            way: usize::decode(r)?,
-            write: bool::decode(r)?,
-            rpq: VecDeque::decode(r)?,
-        })
-    }
-}
-
-impl Codec for WbJob {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.addr.encode(w);
-        self.data.encode(w);
-        self.shrink.encode(w);
-        self.sent.encode(w);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(WbJob {
-            addr: LineAddr::decode(r)?,
-            data: Option::decode(r)?,
-            shrink: Shrink::decode(r)?,
-            sent: bool::decode(r)?,
-        })
-    }
-}
-
-impl Codec for ProbePhase {
-    fn encode(&self, w: &mut SnapWriter) {
-        match self {
-            ProbePhase::Idle => w.put_u8(0),
-            ProbePhase::Invalidate(b) => {
-                w.put_u8(1);
-                b.encode(w);
-            }
-            ProbePhase::Waiting(b) => {
-                w.put_u8(2);
-                b.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => ProbePhase::Idle,
-            1 => ProbePhase::Invalidate(ChannelB::decode(r)?),
-            2 => ProbePhase::Waiting(ChannelB::decode(r)?),
-            _ => return Err(SnapError::Corrupt("probe phase")),
-        })
-    }
-}
-
-impl DataCache {
-    /// Encodes the cache's complete simulated state: tag/data/LRU arrays,
-    /// every MSHR with its replay queue, the writeback unit, the probe FSM,
-    /// the flush unit (queue + FSHRs + perturbation bookkeeping), the
-    /// pending-response queue and the statistics counters. Configuration,
-    /// core identity, trace sinks and the perturbation installation are
-    /// host-side and excluded — they are re-created from the configuration
-    /// on restore.
-    pub fn encode_state(&self, w: &mut SnapWriter) {
-        w.tag(0x43);
-        self.arrays.encode_state(w);
-        w.put_u64(self.mshrs.len() as u64);
-        for m in &self.mshrs {
-            m.encode(w);
-        }
-        self.wbu.job.encode(w);
-        self.probe.encode(w);
-        self.flush.encode_state(w);
-        self.resp.encode(w);
-        self.stats.encode(w);
-    }
-
-    /// Overwrites the cache's simulated state from `r` (the inverse of
-    /// [`DataCache::encode_state`]); array geometry, MSHR count and flush
-    /// unit shape must match the configuration this cache was built with.
-    pub fn decode_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect_tag(0x43, "l1 section")?;
-        self.arrays.decode_state(r)?;
-        let n = r.get_count(skipit_snap::MAX_ELEMS, "l1 mshr count")?;
-        if n != self.mshrs.len() {
-            return Err(SnapError::ConfigMismatch);
-        }
-        for m in &mut self.mshrs {
-            *m = Mshr::decode(r)?;
-        }
-        self.wbu.job = Option::decode(r)?;
-        self.probe = ProbePhase::decode(r)?;
-        self.flush.decode_state(r)?;
-        self.resp = VecDeque::decode(r)?;
-        self.stats = L1Stats::decode(r)?;
-        Ok(())
     }
 }

@@ -185,6 +185,85 @@ impl CacheArrays {
     }
 }
 
+// --- snapshot codec (DESIGN.md §11) ---
+
+use skipit_snap::{Codec, SnapError, SnapReader, SnapWriter};
+
+impl Codec for MetaEntry {
+    fn encode(&self, w: &mut SnapWriter) {
+        self.tag.encode(w);
+        self.state.encode(w);
+        self.skip.encode(w);
+        self.reserved.encode(w);
+    }
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(MetaEntry {
+            tag: u64::decode(r)?,
+            state: ClientState::decode(r)?,
+            skip: bool::decode(r)?,
+            reserved: bool::decode(r)?,
+        })
+    }
+}
+
+impl CacheArrays {
+    /// Whether way slot `i` carries no information at all: pristine
+    /// metadata, zero data, zero LRU stamp. Such ways (the vast majority in
+    /// a warm-up-phase snapshot) collapse to one flag byte.
+    fn way_is_pristine(&self, i: usize) -> bool {
+        self.meta[i] == MetaEntry::default() && self.lru[i] == 0 && self.data[i].0 == [0u64; 8]
+    }
+
+    /// Encodes the arrays' simulated state: per-way metadata + line data +
+    /// LRU stamp (pristine ways collapse to a flag byte) and the LRU tick.
+    /// Geometry travels along and is validated on decode. Note the data of
+    /// *invalid but previously used* ways is preserved bit-for-bit: stale
+    /// array contents are microarchitecturally observable (victim fills,
+    /// state digests), so a round trip must not launder them.
+    pub fn encode_state(&self, w: &mut SnapWriter) {
+        w.tag(0x41);
+        self.sets.encode(w);
+        self.ways.encode(w);
+        for i in 0..self.meta.len() {
+            if self.way_is_pristine(i) {
+                w.put_u8(0);
+            } else {
+                w.put_u8(1);
+                self.meta[i].encode(w);
+                self.data[i].encode(w);
+                self.lru[i].encode(w);
+            }
+        }
+        self.tick.encode(w);
+    }
+
+    /// Overwrites the arrays' simulated state from `r` (the inverse of
+    /// [`CacheArrays::encode_state`]); geometry must match.
+    pub fn decode_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        r.expect_tag(0x41, "cache arrays section")?;
+        if usize::decode(r)? != self.sets || usize::decode(r)? != self.ways {
+            return Err(SnapError::ConfigMismatch);
+        }
+        for i in 0..self.meta.len() {
+            match r.get_u8()? {
+                0 => {
+                    self.meta[i] = MetaEntry::default();
+                    self.data[i] = LineData::zeroed();
+                    self.lru[i] = 0;
+                }
+                1 => {
+                    self.meta[i] = MetaEntry::decode(r)?;
+                    self.data[i] = LineData::decode(r)?;
+                    self.lru[i] = u64::decode(r)?;
+                }
+                _ => return Err(SnapError::Corrupt("cache way flag")),
+            }
+        }
+        self.tick = u64::decode(r)?;
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,84 +359,5 @@ mod tests {
         );
         assert_eq!(a.valid_lines(), 1);
         assert_eq!(a.iter_valid().count(), 1);
-    }
-}
-
-// --- snapshot codec (DESIGN.md §11) ---
-
-use skipit_snap::{Codec, SnapError, SnapReader, SnapWriter};
-
-impl Codec for MetaEntry {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.tag.encode(w);
-        self.state.encode(w);
-        self.skip.encode(w);
-        self.reserved.encode(w);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(MetaEntry {
-            tag: u64::decode(r)?,
-            state: ClientState::decode(r)?,
-            skip: bool::decode(r)?,
-            reserved: bool::decode(r)?,
-        })
-    }
-}
-
-impl CacheArrays {
-    /// Whether way slot `i` carries no information at all: pristine
-    /// metadata, zero data, zero LRU stamp. Such ways (the vast majority in
-    /// a warm-up-phase snapshot) collapse to one flag byte.
-    fn way_is_pristine(&self, i: usize) -> bool {
-        self.meta[i] == MetaEntry::default() && self.lru[i] == 0 && self.data[i].0 == [0u64; 8]
-    }
-
-    /// Encodes the arrays' simulated state: per-way metadata + line data +
-    /// LRU stamp (pristine ways collapse to a flag byte) and the LRU tick.
-    /// Geometry travels along and is validated on decode. Note the data of
-    /// *invalid but previously used* ways is preserved bit-for-bit: stale
-    /// array contents are microarchitecturally observable (victim fills,
-    /// state digests), so a round trip must not launder them.
-    pub fn encode_state(&self, w: &mut SnapWriter) {
-        w.tag(0x41);
-        self.sets.encode(w);
-        self.ways.encode(w);
-        for i in 0..self.meta.len() {
-            if self.way_is_pristine(i) {
-                w.put_u8(0);
-            } else {
-                w.put_u8(1);
-                self.meta[i].encode(w);
-                self.data[i].encode(w);
-                self.lru[i].encode(w);
-            }
-        }
-        self.tick.encode(w);
-    }
-
-    /// Overwrites the arrays' simulated state from `r` (the inverse of
-    /// [`CacheArrays::encode_state`]); geometry must match.
-    pub fn decode_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect_tag(0x41, "cache arrays section")?;
-        if usize::decode(r)? != self.sets || usize::decode(r)? != self.ways {
-            return Err(SnapError::ConfigMismatch);
-        }
-        for i in 0..self.meta.len() {
-            match r.get_u8()? {
-                0 => {
-                    self.meta[i] = MetaEntry::default();
-                    self.data[i] = LineData::zeroed();
-                    self.lru[i] = 0;
-                }
-                1 => {
-                    self.meta[i] = MetaEntry::decode(r)?;
-                    self.data[i] = LineData::decode(r)?;
-                    self.lru[i] = u64::decode(r)?;
-                }
-                _ => return Err(SnapError::Corrupt("cache way flag")),
-            }
-        }
-        self.tick = u64::decode(r)?;
-        Ok(())
     }
 }

@@ -140,35 +140,6 @@ impl DcResp {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn addr_and_needs_write() {
-        assert_eq!(DcReqKind::Load { addr: 8 }.addr(), 8);
-        assert!(!DcReqKind::Load { addr: 8 }.needs_write());
-        assert!(DcReqKind::Store { addr: 8, value: 1 }.needs_write());
-        assert!(DcReqKind::Amo {
-            addr: 8,
-            op: AmoOp::Add,
-            operand: 1
-        }
-        .needs_write());
-        assert!(!DcReqKind::Writeback {
-            addr: 8,
-            kind: WritebackKind::Clean
-        }
-        .needs_write());
-    }
-
-    #[test]
-    fn resp_id() {
-        assert_eq!(DcResp::LoadDone { id: 7, value: 0 }.id(), 7);
-        assert_eq!(DcResp::WritebackAccepted { id: 9 }.id(), 9);
-    }
-}
-
 // --- snapshot codec (DESIGN.md §11) ---
 
 use skipit_snap::{Codec, SnapError, SnapReader, SnapWriter};
@@ -298,5 +269,34 @@ impl Codec for DcResp {
             }),
             _ => Err(SnapError::Corrupt("dcache response kind")),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn addr_and_needs_write() {
+        assert_eq!(DcReqKind::Load { addr: 8 }.addr(), 8);
+        assert!(!DcReqKind::Load { addr: 8 }.needs_write());
+        assert!(DcReqKind::Store { addr: 8, value: 1 }.needs_write());
+        assert!(DcReqKind::Amo {
+            addr: 8,
+            op: AmoOp::Add,
+            operand: 1
+        }
+        .needs_write());
+        assert!(!DcReqKind::Writeback {
+            addr: 8,
+            kind: WritebackKind::Clean
+        }
+        .needs_write());
+    }
+
+    #[test]
+    fn resp_id() {
+        assert_eq!(DcResp::LoadDone { id: 7, value: 0 }.id(), 7);
+        assert_eq!(DcResp::WritebackAccepted { id: 9 }.id(), 9);
     }
 }

@@ -54,21 +54,6 @@ impl L1Stats {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn eliminated_sums_skips_and_coalesces() {
-        let s = L1Stats {
-            writebacks_skipped: 3,
-            writebacks_coalesced: 4,
-            ..L1Stats::default()
-        };
-        assert_eq!(s.writebacks_eliminated(), 7);
-    }
-}
-
 // --- snapshot codec (DESIGN.md §11) ---
 
 use skipit_snap::{Codec, SnapError, SnapReader, SnapWriter};
@@ -127,5 +112,20 @@ impl Codec for L1Stats {
             *f = r.get_u64()?;
         }
         Ok(s)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn eliminated_sums_skips_and_coalesces() {
+        let s = L1Stats {
+            writebacks_skipped: 3,
+            writebacks_coalesced: 4,
+            ..L1Stats::default()
+        };
+        assert_eq!(s.writebacks_eliminated(), 7);
     }
 }

@@ -195,58 +195,6 @@ impl L2Arrays {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn dir_entry_owner_tracking() {
-        let mut e = DirEntry::default();
-        e.add_owner(0, false);
-        e.add_owner(3, true);
-        assert!(e.owns(0) && e.owns(3) && !e.owns(1));
-        assert_eq!(e.trunk, Some(3));
-        assert_eq!(e.owner_count(), 2);
-        assert_eq!(e.owner_ids().collect::<Vec<_>>(), vec![0, 3]);
-        e.remove_owner(3);
-        assert_eq!(e.trunk, None);
-        assert!(!e.owns(3));
-    }
-
-    #[test]
-    fn install_lookup_roundtrip() {
-        let cfg = L2Config::default();
-        let mut a = L2Arrays::new(&cfg);
-        let addr = LineAddr::new(0x123 * 64);
-        let mut d = LineData::zeroed();
-        d.set_word(1, 5);
-        a.install(addr, 2, d);
-        let w = a.lookup(addr).unwrap();
-        assert_eq!(w, 2);
-        let set = a.set_index(addr);
-        assert_eq!(a.line(set, w).word(1), 5);
-        assert_eq!(a.addr_of(set, w), addr);
-        assert!(!a.dir(set, w).dirty);
-    }
-
-    #[test]
-    fn victim_selection_prefers_invalid_then_lru() {
-        let cfg = L2Config {
-            sets: 4,
-            ways: 2,
-            ..L2Config::default()
-        };
-        let mut a = L2Arrays::new(&cfg);
-        let addr = LineAddr::new(0);
-        a.install(addr, 0, LineData::zeroed());
-        assert_eq!(a.victim_way(addr), Some(1));
-        a.install(addr.offset_lines(4), 1, LineData::zeroed()); // same set
-        assert_eq!(a.victim_way(addr), Some(0));
-        a.touch(a.set_index(addr), 0);
-        assert_eq!(a.victim_way(addr), Some(1));
-    }
-}
-
 // --- snapshot codec (DESIGN.md §11) ---
 
 use skipit_snap::{Codec, SnapError, SnapReader, SnapWriter};
@@ -323,5 +271,57 @@ impl L2Arrays {
         }
         self.tick = u64::decode(r)?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn dir_entry_owner_tracking() {
+        let mut e = DirEntry::default();
+        e.add_owner(0, false);
+        e.add_owner(3, true);
+        assert!(e.owns(0) && e.owns(3) && !e.owns(1));
+        assert_eq!(e.trunk, Some(3));
+        assert_eq!(e.owner_count(), 2);
+        assert_eq!(e.owner_ids().collect::<Vec<_>>(), vec![0, 3]);
+        e.remove_owner(3);
+        assert_eq!(e.trunk, None);
+        assert!(!e.owns(3));
+    }
+
+    #[test]
+    fn install_lookup_roundtrip() {
+        let cfg = L2Config::default();
+        let mut a = L2Arrays::new(&cfg);
+        let addr = LineAddr::new(0x123 * 64);
+        let mut d = LineData::zeroed();
+        d.set_word(1, 5);
+        a.install(addr, 2, d);
+        let w = a.lookup(addr).unwrap();
+        assert_eq!(w, 2);
+        let set = a.set_index(addr);
+        assert_eq!(a.line(set, w).word(1), 5);
+        assert_eq!(a.addr_of(set, w), addr);
+        assert!(!a.dir(set, w).dirty);
+    }
+
+    #[test]
+    fn victim_selection_prefers_invalid_then_lru() {
+        let cfg = L2Config {
+            sets: 4,
+            ways: 2,
+            ..L2Config::default()
+        };
+        let mut a = L2Arrays::new(&cfg);
+        let addr = LineAddr::new(0);
+        a.install(addr, 0, LineData::zeroed());
+        assert_eq!(a.victim_way(addr), Some(1));
+        a.install(addr.offset_lines(4), 1, LineData::zeroed()); // same set
+        assert_eq!(a.victim_way(addr), Some(0));
+        a.touch(a.set_index(addr), 0);
+        assert_eq!(a.victim_way(addr), Some(1));
     }
 }

@@ -108,11 +108,9 @@ struct Deferred(ChannelC);
 /// The inclusive L2 cache. See [module docs](self).
 ///
 /// The L2 communicates with the L1s only through the [`L2Ports`] links —
-/// no shared references into other components. Under the parallel wheel
-/// engine the L2+DRAM slot steps serially *before* the parallel core phase
-/// (its same-cycle effects are observable by the cores, exactly as in
-/// serial engine order), so it is never stepped concurrently with anything;
-/// the assertion below keeps it movable across host threads all the same.
+/// no shared references into other components; the assertion below keeps
+/// it movable across host threads, so a whole system can move to another
+/// host thread.
 #[derive(Debug)]
 pub struct InclusiveCache {
     cfg: L2Config,
@@ -1074,6 +1072,165 @@ impl InclusiveCache {
     }
 }
 
+// --- snapshot codec (DESIGN.md §11) ---
+
+use skipit_snap::{Codec, SnapError, SnapReader, SnapWriter};
+
+impl Codec for L2Req {
+    fn encode(&self, w: &mut SnapWriter) {
+        match *self {
+            L2Req::Acquire { source, grow } => {
+                w.put_u8(0);
+                source.encode(w);
+                grow.encode(w);
+            }
+            L2Req::RootRelease { source, kind, data } => {
+                w.put_u8(1);
+                source.encode(w);
+                kind.encode(w);
+                data.encode(w);
+            }
+        }
+    }
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        match r.get_u8()? {
+            0 => Ok(L2Req::Acquire {
+                source: usize::decode(r)?,
+                grow: Grow::decode(r)?,
+            }),
+            1 => Ok(L2Req::RootRelease {
+                source: usize::decode(r)?,
+                kind: WritebackKind::decode(r)?,
+                data: Option::decode(r)?,
+            }),
+            _ => Err(SnapError::Corrupt("l2 request kind")),
+        }
+    }
+}
+
+impl Codec for L2MshrState {
+    fn encode(&self, w: &mut SnapWriter) {
+        match *self {
+            L2MshrState::Access { until } => {
+                w.put_u8(0);
+                until.encode(w);
+            }
+            L2MshrState::VictimProbe => w.put_u8(1),
+            L2MshrState::VictimWrite => w.put_u8(2),
+            L2MshrState::VictimWriteWait => w.put_u8(3),
+            L2MshrState::MemRead => w.put_u8(4),
+            L2MshrState::MemReadWait => w.put_u8(5),
+            L2MshrState::OwnerProbe => w.put_u8(6),
+            L2MshrState::DramWrite => w.put_u8(7),
+            L2MshrState::DramWriteWait => w.put_u8(8),
+            L2MshrState::SendResp => w.put_u8(9),
+            L2MshrState::WaitGrantAck => w.put_u8(10),
+        }
+    }
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(match r.get_u8()? {
+            0 => L2MshrState::Access {
+                until: u64::decode(r)?,
+            },
+            1 => L2MshrState::VictimProbe,
+            2 => L2MshrState::VictimWrite,
+            3 => L2MshrState::VictimWriteWait,
+            4 => L2MshrState::MemRead,
+            5 => L2MshrState::MemReadWait,
+            6 => L2MshrState::OwnerProbe,
+            7 => L2MshrState::DramWrite,
+            8 => L2MshrState::DramWriteWait,
+            9 => L2MshrState::SendResp,
+            10 => L2MshrState::WaitGrantAck,
+            _ => return Err(SnapError::Corrupt("l2 mshr state")),
+        })
+    }
+}
+
+impl Codec for L2Mshr {
+    fn encode(&self, w: &mut SnapWriter) {
+        self.addr.encode(w);
+        self.req.encode(w);
+        self.state.encode(w);
+        self.pending_acks.encode(w);
+        self.to_probe.encode(w);
+        self.probe_cap.encode(w);
+        self.way.encode(w);
+        self.victim.encode(w);
+        self.token.encode(w);
+        self.wrote.encode(w);
+    }
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(L2Mshr {
+            addr: LineAddr::decode(r)?,
+            req: L2Req::decode(r)?,
+            state: L2MshrState::decode(r)?,
+            pending_acks: usize::decode(r)?,
+            to_probe: u32::decode(r)?,
+            probe_cap: Cap::decode(r)?,
+            way: Option::decode(r)?,
+            victim: Option::decode(r)?,
+            token: u64::decode(r)?,
+            wrote: Option::decode(r)?,
+        })
+    }
+}
+
+impl Codec for Deferred {
+    fn encode(&self, w: &mut SnapWriter) {
+        self.0.encode(w);
+    }
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(Deferred(ChannelC::decode(r)?))
+    }
+}
+
+impl InclusiveCache {
+    /// Encodes the L2's complete simulated state: directory/data/LRU
+    /// arrays, every live MSHR (the occupancy bitmask is re-derived on
+    /// decode), the §3.4 list buffer, the memory-request token counter, the
+    /// statistics, and the MSHR-allocation stamp that keys adversarial
+    /// rotation draws. Configuration, trace sink and perturbation
+    /// installation are host-side and excluded.
+    pub fn encode_state(&self, w: &mut SnapWriter) {
+        w.tag(0x4d);
+        self.arrays.encode_state(w);
+        w.put_u64(self.mshrs.len() as u64);
+        for m in &self.mshrs {
+            m.encode(w);
+        }
+        self.list_buffer.encode(w);
+        self.next_token.encode(w);
+        self.stats.encode(w);
+        self.alloc_seq.encode(w);
+    }
+
+    /// Overwrites the L2's simulated state from `r` (the inverse of
+    /// [`InclusiveCache::encode_state`]); array geometry and MSHR count
+    /// must match the configuration this cache was built with.
+    pub fn decode_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        r.expect_tag(0x4d, "l2 section")?;
+        self.arrays.decode_state(r)?;
+        let n = r.get_count(64, "l2 mshr count")?;
+        if n != self.mshrs.len() {
+            return Err(SnapError::ConfigMismatch);
+        }
+        let mut occupied = 0u64;
+        for (i, slot) in self.mshrs.iter_mut().enumerate() {
+            *slot = Option::decode(r)?;
+            if slot.is_some() {
+                occupied |= 1 << i;
+            }
+        }
+        self.occupied = occupied;
+        self.list_buffer = VecDeque::decode(r)?;
+        self.next_token = u64::decode(r)?;
+        self.stats = L2Stats::decode(r)?;
+        self.alloc_seq = u64::decode(r)?;
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1465,164 +1622,5 @@ mod tests {
             }
         });
         assert!(matches!(ack, ChannelD::ReleaseAck { root: true, .. }));
-    }
-}
-
-// --- snapshot codec (DESIGN.md §11) ---
-
-use skipit_snap::{Codec, SnapError, SnapReader, SnapWriter};
-
-impl Codec for L2Req {
-    fn encode(&self, w: &mut SnapWriter) {
-        match *self {
-            L2Req::Acquire { source, grow } => {
-                w.put_u8(0);
-                source.encode(w);
-                grow.encode(w);
-            }
-            L2Req::RootRelease { source, kind, data } => {
-                w.put_u8(1);
-                source.encode(w);
-                kind.encode(w);
-                data.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(L2Req::Acquire {
-                source: usize::decode(r)?,
-                grow: Grow::decode(r)?,
-            }),
-            1 => Ok(L2Req::RootRelease {
-                source: usize::decode(r)?,
-                kind: WritebackKind::decode(r)?,
-                data: Option::decode(r)?,
-            }),
-            _ => Err(SnapError::Corrupt("l2 request kind")),
-        }
-    }
-}
-
-impl Codec for L2MshrState {
-    fn encode(&self, w: &mut SnapWriter) {
-        match *self {
-            L2MshrState::Access { until } => {
-                w.put_u8(0);
-                until.encode(w);
-            }
-            L2MshrState::VictimProbe => w.put_u8(1),
-            L2MshrState::VictimWrite => w.put_u8(2),
-            L2MshrState::VictimWriteWait => w.put_u8(3),
-            L2MshrState::MemRead => w.put_u8(4),
-            L2MshrState::MemReadWait => w.put_u8(5),
-            L2MshrState::OwnerProbe => w.put_u8(6),
-            L2MshrState::DramWrite => w.put_u8(7),
-            L2MshrState::DramWriteWait => w.put_u8(8),
-            L2MshrState::SendResp => w.put_u8(9),
-            L2MshrState::WaitGrantAck => w.put_u8(10),
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => L2MshrState::Access {
-                until: u64::decode(r)?,
-            },
-            1 => L2MshrState::VictimProbe,
-            2 => L2MshrState::VictimWrite,
-            3 => L2MshrState::VictimWriteWait,
-            4 => L2MshrState::MemRead,
-            5 => L2MshrState::MemReadWait,
-            6 => L2MshrState::OwnerProbe,
-            7 => L2MshrState::DramWrite,
-            8 => L2MshrState::DramWriteWait,
-            9 => L2MshrState::SendResp,
-            10 => L2MshrState::WaitGrantAck,
-            _ => return Err(SnapError::Corrupt("l2 mshr state")),
-        })
-    }
-}
-
-impl Codec for L2Mshr {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.addr.encode(w);
-        self.req.encode(w);
-        self.state.encode(w);
-        self.pending_acks.encode(w);
-        self.to_probe.encode(w);
-        self.probe_cap.encode(w);
-        self.way.encode(w);
-        self.victim.encode(w);
-        self.token.encode(w);
-        self.wrote.encode(w);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(L2Mshr {
-            addr: LineAddr::decode(r)?,
-            req: L2Req::decode(r)?,
-            state: L2MshrState::decode(r)?,
-            pending_acks: usize::decode(r)?,
-            to_probe: u32::decode(r)?,
-            probe_cap: Cap::decode(r)?,
-            way: Option::decode(r)?,
-            victim: Option::decode(r)?,
-            token: u64::decode(r)?,
-            wrote: Option::decode(r)?,
-        })
-    }
-}
-
-impl Codec for Deferred {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.0.encode(w);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Deferred(ChannelC::decode(r)?))
-    }
-}
-
-impl InclusiveCache {
-    /// Encodes the L2's complete simulated state: directory/data/LRU
-    /// arrays, every live MSHR (the occupancy bitmask is re-derived on
-    /// decode), the §3.4 list buffer, the memory-request token counter, the
-    /// statistics, and the MSHR-allocation stamp that keys adversarial
-    /// rotation draws. Configuration, trace sink and perturbation
-    /// installation are host-side and excluded.
-    pub fn encode_state(&self, w: &mut SnapWriter) {
-        w.tag(0x4d);
-        self.arrays.encode_state(w);
-        w.put_u64(self.mshrs.len() as u64);
-        for m in &self.mshrs {
-            m.encode(w);
-        }
-        self.list_buffer.encode(w);
-        self.next_token.encode(w);
-        self.stats.encode(w);
-        self.alloc_seq.encode(w);
-    }
-
-    /// Overwrites the L2's simulated state from `r` (the inverse of
-    /// [`InclusiveCache::encode_state`]); array geometry and MSHR count
-    /// must match the configuration this cache was built with.
-    pub fn decode_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect_tag(0x4d, "l2 section")?;
-        self.arrays.decode_state(r)?;
-        let n = r.get_count(64, "l2 mshr count")?;
-        if n != self.mshrs.len() {
-            return Err(SnapError::ConfigMismatch);
-        }
-        let mut occupied = 0u64;
-        for (i, slot) in self.mshrs.iter_mut().enumerate() {
-            *slot = Option::decode(r)?;
-            if slot.is_some() {
-                occupied |= 1 << i;
-            }
-        }
-        self.occupied = occupied;
-        self.list_buffer = VecDeque::decode(r)?;
-        self.next_token = u64::decode(r)?;
-        self.stats = L2Stats::decode(r)?;
-        self.alloc_seq = u64::decode(r)?;
-        Ok(())
     }
 }

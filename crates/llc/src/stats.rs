@@ -35,16 +35,6 @@ pub struct L2Stats {
     pub list_buffered: u64,
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_is_zeroed() {
-        assert_eq!(L2Stats::default().acquires, 0);
-    }
-}
-
 // --- snapshot codec (DESIGN.md §11) ---
 
 use skipit_snap::{Codec, SnapError, SnapReader, SnapWriter};
@@ -91,5 +81,15 @@ impl Codec for L2Stats {
             *f = r.get_u64()?;
         }
         Ok(s)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn default_is_zeroed() {
+        assert_eq!(L2Stats::default().acquires, 0);
     }
 }

@@ -33,6 +33,10 @@ pub struct TraceRecord {
 pub struct MemTrace {
     cores: u32,
     records: Vec<TraceRecord>,
+    /// Per-core cumulative gap (the stamp of the core's last record);
+    /// [`MemTrace::push`] keeps every entry free of overflow, so
+    /// [`MemTrace::schedule`] can sum without checks.
+    ends: Vec<u64>,
 }
 
 impl MemTrace {
@@ -46,6 +50,7 @@ impl MemTrace {
         MemTrace {
             cores,
             records: Vec::new(),
+            ends: vec![0; cores as usize],
         }
     }
 
@@ -74,7 +79,8 @@ impl MemTrace {
     /// # Errors
     ///
     /// [`TraceError::CoreOutOfRange`] if the record names a core the trace
-    /// does not declare.
+    /// does not declare; [`TraceError::GapOverflow`] if the core's gaps
+    /// would sum past `u64::MAX`.
     pub fn push(&mut self, record: TraceRecord) -> Result<(), TraceError> {
         if record.core >= self.cores {
             return Err(TraceError::CoreOutOfRange {
@@ -82,6 +88,10 @@ impl MemTrace {
                 cores: self.cores,
             });
         }
+        let end = &mut self.ends[record.core as usize];
+        *end = end
+            .checked_add(record.gap)
+            .ok_or(TraceError::GapOverflow { core: record.core })?;
         self.records.push(record);
         Ok(())
     }
@@ -104,11 +114,13 @@ impl MemTrace {
             assert!(c.core < cores, "captured op on undeclared core {}", c.core);
             let prev = &mut last[c.core as usize];
             assert!(c.cycle >= *prev, "captured op stream is not monotonic");
-            trace.records.push(TraceRecord {
-                core: c.core,
-                gap: c.cycle - *prev,
-                op: c.op,
-            });
+            trace
+                .push(TraceRecord {
+                    core: c.core,
+                    gap: c.cycle - *prev,
+                    op: c.op,
+                })
+                .expect("a core's captured gaps sum to a cycle difference");
             *prev = c.cycle;
         }
         trace
@@ -116,7 +128,8 @@ impl MemTrace {
 
     /// Lowers the trace to per-core cycle-stamped lanes — the
     /// [`ReplaySchedule`] workload the replay frontend executes. Each
-    /// core's stamps are the cumulative sum of its gaps.
+    /// core's stamps are the cumulative sum of its gaps, which
+    /// [`MemTrace::push`] guarantees fits in a `u64`.
     pub fn schedule(&self) -> ReplaySchedule {
         let mut lanes = vec![Vec::new(); self.cores as usize];
         let mut at = vec![0u64; self.cores as usize];
@@ -149,7 +162,8 @@ impl MemTrace {
     ///
     /// A typed [`TraceError`] for anything malformed: wrong magic, a
     /// version this build does not read, truncation anywhere, records
-    /// naming undeclared cores, or trailing bytes.
+    /// naming undeclared cores, per-core gaps summing past `u64::MAX`, or
+    /// trailing bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, TraceError> {
         let mut r = SnapReader::new(bytes);
         if r.get_raw(4).map_err(|_| TraceError::Truncated)? != TRACE_MAGIC {
@@ -171,12 +185,9 @@ impl MemTrace {
         trace.records.reserve(count.min(1 << 16));
         for _ in 0..count {
             let core = u32::decode(&mut r).map_err(|_| TraceError::Corrupt("record core"))?;
-            if core >= cores {
-                return Err(TraceError::CoreOutOfRange { core, cores });
-            }
             let gap = r.get_u64()?;
             let op = Op::decode(&mut r)?;
-            trace.records.push(TraceRecord { core, gap, op });
+            trace.push(TraceRecord { core, gap, op })?;
         }
         r.finish()?;
         Ok(trace)
@@ -318,6 +329,49 @@ mod tests {
         assert_eq!(
             MemTrace::from_bytes(&w.into_bytes()).unwrap_err(),
             TraceError::CoreOutOfRange { core: 7, cores: 1 }
+        );
+    }
+
+    /// Two records on one core whose gaps sum to `u64::MAX + 1`: the
+    /// second would be stamped past any representable cycle.
+    const HALF_PLUS_ONE: u64 = u64::MAX / 2 + 1;
+
+    #[test]
+    fn overflowing_gaps_are_rejected_in_binary_form() {
+        let mut w = SnapWriter::new();
+        w.put_raw(&TRACE_MAGIC);
+        w.put_u64(TRACE_VERSION);
+        w.put_u64(1); // cores
+        w.put_u64(2); // records
+        for _ in 0..2 {
+            w.put_u64(0); // core
+            w.put_u64(HALF_PLUS_ONE);
+            Op::Fence.encode(&mut w);
+        }
+        assert_eq!(
+            MemTrace::from_bytes(&w.into_bytes()).unwrap_err(),
+            TraceError::GapOverflow { core: 0 }
+        );
+        // The same gaps split across two cores are fine.
+        let mut t = MemTrace::new(2);
+        for core in 0..2 {
+            t.push(TraceRecord {
+                core,
+                gap: HALF_PLUS_ONE,
+                op: Op::Fence,
+            })
+            .unwrap();
+        }
+        assert_eq!(t.schedule().lanes[1][0].at, HALF_PLUS_ONE);
+    }
+
+    #[test]
+    fn overflowing_gaps_are_rejected_in_text_form() {
+        let text = format!("cores 1\n0 +{HALF_PLUS_ONE} fence\n0 +{HALF_PLUS_ONE} fence\n");
+        let err = MemTrace::from_text(&text).unwrap_err();
+        assert!(
+            matches!(err, TraceError::Text { line: 3, ref msg } if msg.contains("u64::MAX")),
+            "{err:?}"
         );
     }
 

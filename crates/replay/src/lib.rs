@@ -71,8 +71,9 @@ use std::fmt;
 
 /// Typed trace decode/validation failure. Everything the format layer can
 /// reject — truncated input, a foreign or future format, a malformed text
-/// line, a record naming a core the trace's header does not declare —
-/// reports as one of these variants, never as a panic.
+/// line, a record naming a core the trace's header does not declare, gaps
+/// whose per-core sum overflows the cycle counter — reports as one of
+/// these variants, never as a panic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TraceError {
     /// The input ended before the decoder was done.
@@ -100,6 +101,12 @@ pub enum TraceError {
         /// Cores the trace declares.
         cores: u32,
     },
+    /// A core's gaps sum past `u64::MAX`: its records would be stamped
+    /// beyond any representable cycle.
+    GapOverflow {
+        /// The core whose cumulative gap overflowed.
+        core: u32,
+    },
     /// A text-form parse failure, with the 1-based source line.
     Text {
         /// 1-based line number.
@@ -125,6 +132,9 @@ impl fmt::Display for TraceError {
             }
             TraceError::CoreOutOfRange { core, cores } => {
                 write!(f, "record names core {core}, but the trace has {cores}")
+            }
+            TraceError::GapOverflow { core } => {
+                write!(f, "core {core}'s record gaps sum past u64::MAX cycles")
             }
             TraceError::Text { line, msg } => write!(f, "trace text line {line}: {msg}"),
             TraceError::Io(msg) => write!(f, "trace file i/o: {msg}"),

@@ -135,7 +135,7 @@ impl SweepReport {
 
     /// A host-side wall-time phase breakdown, one line per row that
     /// captured engine stats: per-phase nanoseconds and the serial
-    /// fraction of the wheel engines (`skipit_core::PhaseProfile`).
+    /// fraction of the component wheel (`skipit_core::PhaseProfile`).
     ///
     /// All zeros unless the simulator was compiled with the `profile`
     /// feature. Like [`SweepReport::wall`], this is a property of the
@@ -143,8 +143,7 @@ impl SweepReport {
     /// [`SweepReport::to_json`], so the JSON export stays bit-identical
     /// at any worker-thread count and with profiling on or off.
     pub fn phase_table(&self) -> String {
-        let mut out =
-            String::from("label,serial_ns,core_ns,frontend_ns,barrier_ns,serial_fraction\n");
+        let mut out = String::from("label,serial_ns,core_ns,frontend_ns,serial_fraction\n");
         for r in &self.rows {
             let Some(engine) = &r.output.engine else {
                 continue;
@@ -155,8 +154,8 @@ impl SweepReport {
                 .map_or_else(|| "-".into(), |f| format!("{f:.3}"));
             let _ = writeln!(
                 out,
-                "{},{},{},{},{},{}",
-                r.label, p.serial_ns, p.core_ns, p.frontend_ns, p.barrier_ns, frac
+                "{},{},{},{},{}",
+                r.label, p.serial_ns, p.core_ns, p.frontend_ns, frac
             );
         }
         out
@@ -314,7 +313,7 @@ mod tests {
         engine.phase.frontend_ns = 10;
         r.rows[0].output.engine = Some(engine);
         let t = r.phase_table();
-        assert!(t.contains("a,30,60,10,0,0.400"), "table was:\n{t}");
+        assert!(t.contains("a,30,60,10,0.400"), "table was:\n{t}");
         // Row "b" captured no engine stats and is skipped.
         assert_eq!(t.lines().count(), 2);
         // Phase wall-times never leak into the deterministic JSON export.

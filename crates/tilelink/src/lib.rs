@@ -40,7 +40,6 @@ pub mod msg;
 pub mod perm;
 pub mod perturb;
 pub mod snap;
-pub mod staged;
 
 pub use line::{LineAddr, LineData, LINE_BYTES, WORDS_PER_LINE};
 pub use link::Link;

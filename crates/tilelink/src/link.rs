@@ -109,12 +109,11 @@ impl Beats for crate::msg::ChannelE {
 /// Messages pushed at cycle `t` become poppable at
 /// `max(t + latency, previous message end + 1) + beats - 1`.
 ///
-/// A link carries no interior synchronization: parallel engines rely on the
-/// [single-owner contract](crate::staged) — each link is touched by at most
-/// one host thread at a time, and the arrival-stamped queue itself stages
-/// cross-slot traffic across the cycle barrier. The compile-time assertion
-/// below keeps the links (with their thread-confined trace sinks and
-/// perturbation state) `Send`, which that contract depends on.
+/// A link carries no interior synchronization: it belongs to exactly one
+/// simulated system, which steps it from one host thread. The compile-time
+/// assertion below keeps the links (with their trace sinks and
+/// perturbation state) `Send`, so a whole system can move to another host
+/// thread (the sweep runner's workers).
 ///
 /// # Example
 ///
@@ -150,8 +149,7 @@ pub struct Link<T> {
     perturb: Option<(u64, crate::perturb::PerturbConfig)>,
 }
 
-/// Parallel-stepping audit (see [`crate::staged`]): a link must be movable
-/// to whichever host thread owns its slot this cycle.
+/// A link must be movable to whichever host thread owns its system.
 #[allow(dead_code)]
 fn _assert_links_send() {
     fn send<T: Send>() {}

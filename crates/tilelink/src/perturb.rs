@@ -18,7 +18,7 @@
 //! components at different per-cycle rates than the naive engine, and a
 //! call-count key would make the explored schedule engine-dependent. With
 //! this keying the whole run is bit-reproducible from `(seed, config)` and
-//! identical under `EngineKind::Naive`, `GlobalGate` and `ComponentWheel`.
+//! identical under `EngineKind::Naive` and `ComponentWheel`.
 //!
 //! A default (all-zero) config draws nothing at all: the simulation is
 //! bit-identical to an unperturbed one.

@@ -229,9 +229,8 @@ pub enum TraceEvent {
         token: u64,
     },
     /// The fast-forward engine jumped the clock over a provably idle
-    /// window. `l2` / `cores` / `frontend` attribute the gate(s) due at the
-    /// jump target (all clear when the jump came from the bare
-    /// `fast_forward_clock` path, which records no attribution).
+    /// window. `l2` / `cores` / `frontend` attribute the wheel slot(s) due
+    /// at the jump target.
     FastForwardJump {
         /// First skipped cycle.
         from: u64,

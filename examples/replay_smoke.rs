@@ -1,9 +1,8 @@
 //! CI smoke for the trace capture / replay subsystem (`ci.sh --quick`).
 //!
 //! 1. Captures a quickstart-shaped 2-core run and replays the trace on
-//!    fresh systems under all four engines (the parallel wheel at 1 and 2
-//!    threads), asserting bit-identical cycles, statistics and durable
-//!    memory.
+//!    fresh systems under both engines, asserting bit-identical cycles,
+//!    statistics and durable memory.
 //! 2. Replays the two committed traces under `traces/` — the captured
 //!    `persistent_kv.trace` and the hand-written `litmus_sb.txt` — and
 //!    checks their architectural outcomes.
@@ -15,37 +14,27 @@
 use skipit::prelude::*;
 use std::path::Path;
 
-const ENGINES: [(EngineKind, usize); 5] = [
-    (EngineKind::Naive, 0),
-    (EngineKind::GlobalGate, 0),
-    (EngineKind::ComponentWheel, 0),
-    (EngineKind::ParallelWheel, 1),
-    (EngineKind::ParallelWheel, 2),
-];
+const ENGINES: [EngineKind; 2] = [EngineKind::Naive, EngineKind::ComponentWheel];
 
-fn build(engine: EngineKind, threads: usize, skip_it: bool) -> skipit::System {
+fn build(engine: EngineKind, skip_it: bool) -> skipit::System {
     SystemBuilder::new()
         .cores(2)
         .skip_it(skip_it)
         .engine(engine)
-        .engine_threads(threads)
         .build()
 }
 
-/// Replays `trace` under every engine and asserts all runs agree on
+/// Replays `trace` under both engines and asserts all runs agree on
 /// cycles, stats and durable image. Returns the agreed (cycles, stats).
 fn replay_everywhere(trace: &MemTrace, skip_it: bool, what: &str) -> (u64, SystemStats) {
     let mut reference: Option<(u64, SystemStats, String)> = None;
-    for (engine, threads) in ENGINES {
-        let mut sys = build(engine, threads, skip_it);
+    for engine in ENGINES {
+        let mut sys = build(engine, skip_it);
         let cycles = sys.run(TraceReplay::new(trace.clone())).cycles;
         let got = (cycles, sys.stats(), format!("{:?}", sys.durable_image()));
         match &reference {
             None => reference = Some(got),
-            Some(r) => assert_eq!(
-                &got, r,
-                "{what}: replay diverged under {engine:?}/{threads}t"
-            ),
+            Some(r) => assert_eq!(&got, r, "{what}: replay diverged under {engine:?}"),
         }
     }
     let (cycles, stats, _) = reference.unwrap();
@@ -54,7 +43,7 @@ fn replay_everywhere(trace: &MemTrace, skip_it: bool, what: &str) -> (u64, Syste
 
 fn main() {
     // ---- 1. capture → replay round trip on a quickstart-shaped run ----
-    let mut sys = build(EngineKind::ComponentWheel, 0, true);
+    let mut sys = build(EngineKind::ComponentWheel, true);
     sys.start_capture();
     let ref_cycles = sys
         .run(Programs(vec![
@@ -84,19 +73,19 @@ fn main() {
     let ref_image = format!("{:?}", sys.durable_image());
     let trace = MemTrace::from_capture(2, 0, &sys.take_capture());
 
-    // Byte-level round trip, then replay under every engine.
+    // Byte-level round trip, then replay under both engines.
     let trace = MemTrace::from_bytes(&trace.to_bytes()).expect("fresh bytes decode");
     let (cycles, stats) = replay_everywhere(&trace, true, "captured run");
     assert_eq!(cycles, ref_cycles, "replay must reproduce the cycle count");
     assert_eq!(stats, ref_stats, "replay must reproduce the statistics");
-    let mut sys = build(EngineKind::ComponentWheel, 0, true);
+    let mut sys = build(EngineKind::ComponentWheel, true);
     sys.run(TraceReplay::new(trace.clone()));
     assert_eq!(
         format!("{:?}", sys.durable_image()),
         ref_image,
         "replay must reproduce the durable image"
     );
-    println!("capture/replay round trip: {cycles} cycles bit-identical on all engines");
+    println!("capture/replay round trip: {cycles} cycles bit-identical on both engines");
 
     // ---- 2. the committed traces ----
     let traces = Path::new(env!("CARGO_MANIFEST_DIR")).join("traces");
@@ -106,7 +95,7 @@ fn main() {
     let (kv_cycles, _) = replay_everywhere(&kv, true, "persistent_kv");
     // The workload's final installs (see examples/capture_trace.rs): the
     // last update of each key persisted value 100 + i.
-    let mut sys = build(EngineKind::ComponentWheel, 0, true);
+    let mut sys = build(EngineKind::ComponentWheel, true);
     sys.run(TraceReplay::new(kv.clone()));
     for key in 0..4u64 {
         assert_eq!(
@@ -123,7 +112,7 @@ fn main() {
     let text = std::fs::read_to_string(traces.join("litmus_sb.txt")).expect("read litmus");
     let litmus = MemTrace::from_text(&text).expect("committed litmus_sb.txt parses");
     let (sb_cycles, _) = replay_everywhere(&litmus, false, "litmus_sb");
-    let mut sys = build(EngineKind::ComponentWheel, 0, false);
+    let mut sys = build(EngineKind::ComponentWheel, false);
     sys.run(TraceReplay::new(litmus.clone()));
     assert_eq!(sys.dram().read_word_direct(0x40000), 1);
     assert_eq!(sys.dram().read_word_direct(0x40040), 1);

@@ -1,14 +1,13 @@
 //! Service-frontend smoke: the open-loop SLO workload must be bit-identical
-//! on every engine at every host thread count, perturbed or not, and its
-//! SLO report must be internally consistent.
+//! on both engines, perturbed or not, and its SLO report must be
+//! internally consistent.
 //!
 //! Run with `cargo run --release --example service_smoke` (part of
 //! `ci.sh --quick`). Exercises:
 //!
-//! 1. One Zipfian Poisson workload executed under the naive, global-gate,
-//!    component-wheel and parallel-wheel (1, 2 and 8 host threads)
-//!    engines: request digests, cycle counts and system stats must agree
-//!    exactly.
+//! 1. One Zipfian Poisson workload executed under the naive and
+//!    component-wheel engines: request digests, cycle counts and system
+//!    stats must agree exactly.
 //! 2. The same cross-engine identity under deterministic schedule
 //!    perturbation (`PerturbConfig::exploring`).
 //! 3. Both stress patterns (cache stampede, synchronized expiration
@@ -21,14 +20,7 @@ use skipit::service::{
     Arrivals, KeyDist, OpMix, ServiceCfg, ServiceReport, ServiceWorkload, Stress,
 };
 
-const ENGINES: [(EngineKind, usize); 6] = [
-    (EngineKind::Naive, 0),
-    (EngineKind::GlobalGate, 0),
-    (EngineKind::ComponentWheel, 0),
-    (EngineKind::ParallelWheel, 1),
-    (EngineKind::ParallelWheel, 2),
-    (EngineKind::ParallelWheel, 8),
-];
+const ENGINES: [EngineKind; 2] = [EngineKind::Naive, EngineKind::ComponentWheel];
 
 fn smoke_cfg(stress: Stress) -> ServiceCfg {
     ServiceCfg {
@@ -51,11 +43,8 @@ fn smoke_cfg(stress: Stress) -> ServiceCfg {
     }
 }
 
-fn run_with(cfg: &ServiceCfg, engine: EngineKind, threads: usize, perturb: bool) -> ServiceReport {
+fn run_with(cfg: &ServiceCfg, engine: EngineKind, perturb: bool) -> ServiceReport {
     let mut b = cfg.builder().engine(engine);
-    if threads > 0 {
-        b = b.engine_threads(threads);
-    }
     if perturb {
         b = b.perturb(PerturbConfig::exploring(9));
     }
@@ -63,20 +52,20 @@ fn run_with(cfg: &ServiceCfg, engine: EngineKind, threads: usize, perturb: bool)
 }
 
 fn assert_identical(cfg: &ServiceCfg, perturb: bool, what: &str) -> ServiceReport {
-    let reference = run_with(cfg, EngineKind::Naive, 0, perturb);
-    for (engine, threads) in &ENGINES[1..] {
-        let r = run_with(cfg, *engine, *threads, perturb);
+    let reference = run_with(cfg, ENGINES[0], perturb);
+    for engine in &ENGINES[1..] {
+        let r = run_with(cfg, *engine, perturb);
         assert_eq!(
             r.digest, reference.digest,
-            "{what}: request digest diverged under {engine:?}/{threads}t"
+            "{what}: request digest diverged under {engine:?}"
         );
         assert_eq!(
             r.cycles, reference.cycles,
-            "{what}: cycles diverged under {engine:?}/{threads}t"
+            "{what}: cycles diverged under {engine:?}"
         );
         assert_eq!(
             r.stats, reference.stats,
-            "{what}: stats diverged under {engine:?}/{threads}t"
+            "{what}: stats diverged under {engine:?}"
         );
     }
     reference
@@ -87,7 +76,7 @@ fn main() {
     let r = assert_identical(&base, false, "base");
     assert_eq!(r.requests, 600, "base request count");
     println!(
-        "service smoke: base workload bit-identical on {} engine configs \
+        "service smoke: base workload bit-identical on {} engines \
          ({} requests, {} cycles)",
         ENGINES.len(),
         r.requests,
@@ -99,7 +88,7 @@ fn main() {
         p.digest, r.digest,
         "perturbation should change the schedule (and therefore latencies)"
     );
-    println!("service smoke: perturbed workload bit-identical on all engines");
+    println!("service smoke: perturbed workload bit-identical on both engines");
 
     for (name, stress) in [
         ("stampede", Stress::Stampede { every: 30, herd: 8 }),

@@ -112,7 +112,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 64 })]
 
     /// disassemble ∘ assemble is the identity on every op sequence.
     #[test]

@@ -113,10 +113,7 @@ fn to_prog(ops: &[POp]) -> Vec<Op> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 24,
-        .. ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig { cases: 24 })]
 
     /// Single-core sequential consistency: every load sees the latest
     /// same-thread store, regardless of interleaved cleans/flushes/fences.
@@ -230,24 +227,22 @@ proptest! {
         prop_assert_eq!(&results[0], &results[1]);
     }
 
-    /// Engine equivalence (DESIGN.md §5): all four engines — naive,
-    /// global-gate, component-wheel and parallel-wheel (the latter at one,
-    /// two and core-count host threads) — produce bit-identical elapsed
-    /// cycles, statistics, durable memory *and* trace-event streams (modulo
-    /// the engines' own jump markers) for random contending four-core
-    /// programs, including the same-set conflict ops that force
-    /// probe/eviction/coalescing races.
+    /// Engine equivalence (DESIGN.md §5): both engines — naive and
+    /// component-wheel — produce bit-identical elapsed cycles, statistics,
+    /// durable memory *and* trace-event streams (modulo the wheel's own
+    /// jump markers) for random contending four-core programs, including
+    /// the same-set conflict ops that force probe/eviction/coalescing
+    /// races.
     #[test]
     fn all_engines_are_cycle_exact(ops0 in prop::collection::vec(pop_strategy(), 1..40),
                                    ops1 in prop::collection::vec(pop_strategy(), 1..40),
                                    skip_it in any::<bool>()) {
         const CORES: usize = 4;
-        let run = |engine: EngineKind, threads: usize| {
+        let run = |engine: EngineKind| {
             let mut sys = SystemBuilder::new()
                 .cores(CORES)
                 .skip_it(skip_it)
                 .engine(engine)
-                .engine_threads(threads)
                 .build();
             sys.set_trace(TraceConfig::new().events(1 << 15));
             // Four cores, two scripts: adjacent cores share a script so
@@ -270,35 +265,29 @@ proptest! {
                 .collect();
             (cycles, stats, image, events)
         };
-        let naive = run(EngineKind::Naive, 0);
-        prop_assert_eq!(&naive, &run(EngineKind::GlobalGate, 0), "global-gate diverges from naive");
-        prop_assert_eq!(&naive, &run(EngineKind::ComponentWheel, 0), "component-wheel diverges from naive");
-        for threads in [1, 2, CORES] {
-            prop_assert_eq!(
-                &naive,
-                &run(EngineKind::ParallelWheel, threads),
-                "parallel-wheel @ {} threads diverges from naive", threads
-            );
-        }
+        prop_assert_eq!(
+            &run(EngineKind::Naive),
+            &run(EngineKind::ComponentWheel),
+            "component-wheel diverges from naive"
+        );
     }
 
-    /// Perturbed runs stay bit-reproducible under the parallel engine: a
-    /// `(seed, config)` pair gives the same cycles/stats/events as the
-    /// serial wheel at every thread count, because perturbation counters
-    /// are keyed per site (per link, per component) and each site is
-    /// stepped by exactly one thread.
+    /// Perturbed runs are engine-invariant and bit-reproducible: a
+    /// `(seed, config)` pair gives the same cycles/stats/events under the
+    /// naive engine and the component wheel, and again on a second wheel
+    /// run, because perturbation counters are keyed per site (per link,
+    /// per component), never per step.
     #[test]
-    fn perturbed_runs_are_bit_reproducible_in_parallel(
+    fn perturbed_runs_are_engine_invariant_and_reproducible(
         ops in prop::collection::vec(pop_strategy(), 1..30),
         seed in any::<u64>()) {
         const CORES: usize = 4;
         let perturb = PerturbConfig::exploring(seed);
-        let run = |engine: EngineKind, threads: usize| {
+        let run = |engine: EngineKind| {
             let mut sys = SystemBuilder::new()
                 .cores(CORES)
                 .skip_it(true)
                 .engine(engine)
-                .engine_threads(threads)
                 .perturb(perturb)
                 .build();
             sys.set_trace(TraceConfig::new().events(1 << 14));
@@ -312,29 +301,27 @@ proptest! {
                 .collect();
             (cycles, stats, events)
         };
-        let serial = run(EngineKind::ComponentWheel, 0);
-        for threads in [1, 2, CORES] {
-            prop_assert_eq!(
-                &serial,
-                &run(EngineKind::ParallelWheel, threads),
-                "perturbed parallel-wheel @ {} threads diverges from serial wheel", threads
-            );
-        }
-        // Same (seed, config) twice under the parallel engine: identical.
+        let wheel = run(EngineKind::ComponentWheel);
         prop_assert_eq!(
-            &run(EngineKind::ParallelWheel, 2),
-            &run(EngineKind::ParallelWheel, 2),
-            "perturbed parallel-wheel run is not reproducible"
+            &run(EngineKind::Naive),
+            &wheel,
+            "perturbed component-wheel diverges from naive"
+        );
+        // Same (seed, config) twice under the wheel: identical.
+        prop_assert_eq!(
+            &wheel,
+            &run(EngineKind::ComponentWheel),
+            "perturbed component-wheel run is not reproducible"
         );
     }
 
     /// Telemetry sampling is observation-only: enabling it changes nothing
     /// the simulation can see — cycles, statistics, durable memory and the
     /// non-engine trace-event stream are bit-identical to a telemetry-off
-    /// run, on all four engines, with and without link perturbation. The
-    /// sample series itself is also engine-independent: every engine
-    /// (including the jump-taking ones, whose samplers materialize one
-    /// sample per crossed boundary on landing) reports the same samples.
+    /// run, on both engines, with and without link perturbation. The
+    /// sample series itself is also engine-independent: the jump-taking
+    /// wheel, whose sampler materializes one sample per crossed boundary on
+    /// landing, reports the same samples as the naive engine.
     #[test]
     fn telemetry_is_observation_only_on_all_engines(
         ops in prop::collection::vec(pop_strategy(), 1..30),
@@ -347,8 +334,7 @@ proptest! {
             let mut b = SystemBuilder::new()
                 .cores(CORES)
                 .skip_it(true)
-                .engine(engine)
-                .engine_threads(2);
+                .engine(engine);
             if let Some(seed) = perturb_seed {
                 b = b.perturb(PerturbConfig::exploring(seed));
             }
@@ -375,12 +361,7 @@ proptest! {
                 .collect();
             ((cycles, stats, image, events), samples)
         };
-        const ENGINES: [EngineKind; 4] = [
-            EngineKind::Naive,
-            EngineKind::GlobalGate,
-            EngineKind::ComponentWheel,
-            EngineKind::ParallelWheel,
-        ];
+        const ENGINES: [EngineKind; 2] = [EngineKind::Naive, EngineKind::ComponentWheel];
         let mut sampled = Vec::new();
         for engine in ENGINES {
             let (off, none) = run(engine, false);

@@ -4,32 +4,20 @@
 //! The load-bearing invariant: capturing the committed memory-op stream of
 //! any run and replaying it on a fresh system reproduces that run
 //! bit-identically — same cycles, same statistics, same durable image —
-//! under every engine at any thread count, with or without adversarial
+//! under both engines, with or without adversarial
 //! perturbation. Corrupt or truncated trace bytes decode to typed errors,
 //! never panics, and the text format round-trips through the binary one.
 
 use proptest::prelude::*;
-use skipit::core::PerturbConfig;
+use skipit::core::{L1Config, L2Config, PerturbConfig};
 use skipit::prelude::*;
 
-const ENGINES: [(EngineKind, usize); 5] = [
-    (EngineKind::Naive, 0),
-    (EngineKind::GlobalGate, 0),
-    (EngineKind::ComponentWheel, 0),
-    (EngineKind::ParallelWheel, 1),
-    (EngineKind::ParallelWheel, 2),
-];
+const ENGINES: [EngineKind; 2] = [EngineKind::Naive, EngineKind::ComponentWheel];
 
-fn build(
-    cores: usize,
-    engine: EngineKind,
-    threads: usize,
-    perturb: PerturbConfig,
-) -> skipit::System {
+fn build(cores: usize, engine: EngineKind, perturb: PerturbConfig) -> skipit::System {
     SystemBuilder::new()
         .cores(cores)
         .engine(engine)
-        .engine_threads(threads)
         .perturb(perturb)
         .build()
 }
@@ -50,7 +38,7 @@ fn capture(
     programs: Vec<Vec<Op>>,
     perturb: PerturbConfig,
 ) -> ((u64, SystemStats, String, u64), MemTrace) {
-    let mut sys = build(2, EngineKind::ComponentWheel, 0, perturb);
+    let mut sys = build(2, EngineKind::ComponentWheel, perturb);
     sys.start_capture();
     let cycles = sys.run(Programs(programs)).cycles;
     let trace = MemTrace::from_capture(2, 0, &sys.take_capture());
@@ -86,14 +74,11 @@ fn arb_programs() -> impl Strategy<Value = Vec<Vec<Op>>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 12,
-        .. ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig { cases: 12 })]
 
     /// The round-trip invariant: `capture(run(W))` replayed on a fresh
-    /// system reproduces the run bit-identically under every engine at
-    /// every thread count, unperturbed and under adversarial jitter.
+    /// system reproduces the run bit-identically under both engines,
+    /// unperturbed and under adversarial jitter.
     #[test]
     fn capture_replay_is_bit_identical_on_every_engine(
         programs in arb_programs(),
@@ -106,26 +91,26 @@ proptest! {
         };
         let (reference, trace) = capture(programs, perturb);
 
-        for (engine, threads) in ENGINES {
-            let mut sys = build(2, engine, threads, perturb);
+        for engine in ENGINES {
+            let mut sys = build(2, engine, perturb);
             let report = sys.run(TraceReplay::new(trace.clone()));
             let replayed = fingerprint(report.cycles, &sys);
             prop_assert_eq!(
                 &replayed.0, &reference.0,
-                "cycles diverged under {:?}/{}t", engine, threads
+                "cycles diverged under {:?}", engine
             );
             prop_assert_eq!(
                 &replayed.1, &reference.1,
-                "stats diverged under {:?}/{}t", engine, threads
+                "stats diverged under {:?}", engine
             );
             prop_assert_eq!(
                 &replayed.2, &reference.2,
-                "durable image diverged under {:?}/{}t", engine, threads
+                "durable image diverged under {:?}", engine
             );
         }
 
         // Same engine as the capture run: the full state digest matches too.
-        let mut sys = build(2, EngineKind::ComponentWheel, 0, perturb);
+        let mut sys = build(2, EngineKind::ComponentWheel, perturb);
         let report = sys.run(TraceReplay::new(trace));
         prop_assert_eq!(fingerprint(report.cycles, &sys), reference);
     }
@@ -169,12 +154,12 @@ fn thread_mode_capture_replays_bit_identically() {
     let reference = sys.stats();
     let image = format!("{:?}", sys.durable_image());
 
-    for (engine, threads) in ENGINES {
-        let mut replayed = build(2, engine, threads, PerturbConfig::default());
+    for engine in ENGINES {
+        let mut replayed = build(2, engine, PerturbConfig::default());
         let rcycles = replayed.run(TraceReplay::new(trace.clone())).cycles;
         assert_eq!(
             rcycles, cycles,
-            "end-of-run cycle diverged under {engine:?}/{threads}t"
+            "end-of-run cycle diverged under {engine:?}"
         );
         let rstats = replayed.stats();
         assert_eq!(rstats.l1, reference.l1, "L1 traffic diverged");
@@ -204,7 +189,7 @@ fn budgeted_thread_capture_replays_to_exact_cycles() {
                     h.store(a, i + 1);
                     h.flush(a);
                     h.load(a);
-                    if i % 3 == 0 {
+                    if i.is_multiple_of(3) {
                         h.work(3 + tid);
                     }
                     i += 1;
@@ -353,4 +338,38 @@ fn recapturing_a_replay_reproduces_the_trace() {
     sys.run(TraceReplay::new(trace.clone()));
     let recaptured = MemTrace::from_capture(2, 0, &sys.take_capture());
     assert_eq!(recaptured.records(), trace.records());
+}
+
+/// The lockstep oracle on the replay frontend: replaying the committed
+/// `traces/persistent_kv.trace` with every wheel jump re-executed naively
+/// and every skipped slot's bound recomputed each executed cycle (a missed
+/// wake edge panics) takes real jumps and ends exactly where the
+/// oracle-off replay does. The oracle digests the whole machine on every
+/// skipped cycle, so small caches (4 KiB L1s, 16 KiB L2) keep it cheap.
+#[test]
+fn lockstep_oracle_accepts_committed_trace_replay() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("traces/persistent_kv.trace");
+    let trace = MemTrace::from_file(path).expect("committed persistent_kv.trace decodes");
+    let run = |oracle: bool| {
+        let mut sys = SystemBuilder::new()
+            .cores(2)
+            .skip_it(true)
+            .l1(L1Config {
+                sets: 8,
+                ..L1Config::default()
+            })
+            .l2(L2Config {
+                sets: 32,
+                ..L2Config::default()
+            })
+            .lockstep_oracle(oracle)
+            .build();
+        let cycles = sys.run(TraceReplay::new(trace.clone())).cycles;
+        (cycles, sys.stats(), sys.engine_stats())
+    };
+    let (cycles, stats, engine) = run(true);
+    assert!(engine.jumps > 0, "oracle run took no jumps: {engine:?}");
+    let (ref_cycles, ref_stats, _) = run(false);
+    assert_eq!(cycles, ref_cycles, "oracle changed the replay's cycles");
+    assert_eq!(stats, ref_stats, "oracle changed the replay's statistics");
 }

@@ -201,10 +201,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 10,
-        .. ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig { cases: 10 })]
 
     /// The headline invariant: on random multicore programs the emitted
     /// event stream (modulo fast-forward jump markers) is identical between
