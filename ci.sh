@@ -51,6 +51,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${FIRST_PARTY[@]}"
 #    stress patterns (cache stampede, synchronized expiration storm); fails
 #    on any digest, cycle or stats divergence, or on an internally
 #    inconsistent SLO summary (examples/service_smoke.rs).
+#  - runs the worker-mode examples, each of which asserts what it prints:
+#    the §4 litmus shapes and Fig. 5 scenarios (examples/litmus.rs), the
+#    context-switch flush closing a timing channel
+#    (examples/security_flush.rs), crash recovery of an append-only log
+#    (examples/persistent_log.rs), and cleaned DMA buffers reaching memory
+#    (examples/dma_buffer.rs).
 #  - smoke-runs the simspeed benchmark (reduced workloads) and fails if any
 #    workload's engine speedup regresses more than 20 % below the committed
 #    BENCH_simspeed.json — including the warm-started sweep's wall-clock
@@ -63,6 +69,10 @@ if [[ "${1:-}" == "--quick" ]]; then
   cargo run --release --example snapshot_smoke
   cargo run --release --example replay_smoke
   cargo run --release --example service_smoke
+  cargo run --release --example litmus
+  cargo run --release --example security_flush
+  cargo run --release --example persistent_log
+  cargo run --release --example dma_buffer
   SKIPIT_BENCH_QUICK=1 \
   SKIPIT_BENCH_BASELINE="$PWD/BENCH_simspeed.json" \
   SKIPIT_BENCH_OUT="$(mktemp)" \

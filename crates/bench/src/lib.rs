@@ -12,6 +12,7 @@
 pub mod commercial;
 pub mod micro;
 pub mod sweeps;
+pub mod traces;
 
 /// Whether quick mode is requested (`SKIPIT_BENCH_QUICK=1`).
 pub fn quick() -> bool {

@@ -295,7 +295,7 @@ pub fn fig16_sweep(quick: bool) -> Sweep {
 /// Seed `0` replays unperturbed (the reference timing); every other seed
 /// replays under [`PerturbConfig::exploring`] jitter, which answers "how
 /// sensitive is this recorded workload's cycle count to arbitration
-/// order?" without re-running the original (possibly thread-mode, possibly
+/// order?" without re-running the original (possibly worker-mode, possibly
 /// expensive) workload. Like every other grid here the points are
 /// independent and relocatable across [`skipit_sweep::SweepRunner`] worker
 /// threads, so the table is bit-identical at any thread count.

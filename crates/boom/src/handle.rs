@@ -1,24 +1,28 @@
-//! Thread-mode core handle: the blocking API workload threads use to drive a
+//! Worker-mode core handle: the `async` API worker futures use to drive a
 //! simulated core.
 //!
-//! Each handle owns one side of a strict rendezvous with the simulator: the
-//! thread sends one command, then blocks for its result; the simulator, after
-//! completing an op, blocks for the thread's next command. At every simulated
-//! cycle each core is therefore in a well-defined state, making simulated
-//! time independent of host scheduling.
+//! A worker is an ordinary Rust future that the frontend phase polls in
+//! place, on the simulator's own thread. Each op posts one command into the
+//! core's mailbox and suspends; the frontend phase takes the command,
+//! executes it, writes the response back and polls the worker again at the
+//! cycle the op completes. At every simulated cycle each core is therefore
+//! in a well-defined state, and simulated time is independent of how long
+//! the worker's own host computation takes.
 //!
-//! Workload threads must not synchronize with each other through host-side
-//! primitives — all shared state belongs in simulated memory.
+//! Workers must only await [`CoreHandle`] ops, and must not synchronize
+//! with each other through host-side primitives — all shared state belongs
+//! in simulated memory. A worker that suspends on anything else panics the
+//! run (nothing would ever wake it).
 
 use crate::op::Op;
-use crossbeam::channel::{Receiver, Sender};
 use std::cell::Cell;
+use std::rc::Rc;
+use std::task::Poll;
 
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Cmd {
     Op(Op),
     RdCycle,
-    Done,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -28,26 +32,42 @@ pub(crate) struct Resp {
     pub halted: bool,
 }
 
-/// Blocking driver for one simulated core (thread mode).
+/// One core's exchange between its worker future and the frontend phase:
+/// at most one command in flight, and its response.
+#[derive(Debug, Default)]
+pub(crate) struct Mailbox {
+    cmd: Cell<Option<Cmd>>,
+    resp: Cell<Option<Resp>>,
+}
+
+impl Mailbox {
+    /// Takes the command the worker posted since the last call, if any.
+    pub(crate) fn take_cmd(&self) -> Option<Cmd> {
+        self.cmd.take()
+    }
+
+    /// Delivers the response to the worker's pending command.
+    pub(crate) fn respond(&self, resp: Resp) {
+        self.resp.set(Some(resp));
+    }
+}
+
+/// Async driver for one simulated core (worker mode).
 ///
-/// Dropping the handle tells the simulator the workload is done.
+/// The core's workload is done when its worker's future completes.
 #[derive(Debug)]
 pub struct CoreHandle {
-    pub(crate) cmd: Sender<Cmd>,
-    pub(crate) res: Receiver<Resp>,
-    pub(crate) core: usize,
+    mailbox: Rc<Mailbox>,
+    core: usize,
     halted: Cell<bool>,
-    done_sent: Cell<bool>,
 }
 
 impl CoreHandle {
-    pub(crate) fn new(cmd: Sender<Cmd>, res: Receiver<Resp>, core: usize) -> Self {
+    pub(crate) fn new(mailbox: Rc<Mailbox>, core: usize) -> Self {
         CoreHandle {
-            cmd,
-            res,
+            mailbox,
             core,
             halted: Cell::new(false),
-            done_sent: Cell::new(false),
         }
     }
 
@@ -56,85 +76,90 @@ impl CoreHandle {
         self.core
     }
 
-    fn exec(&self, op: Op) -> u64 {
-        self.cmd.send(Cmd::Op(op)).expect("simulator alive");
-        let resp = self.res.recv().expect("simulator alive");
+    /// Posts `cmd` and suspends until the frontend phase responds.
+    async fn exchange(&self, cmd: Cmd) -> u64 {
+        self.mailbox.cmd.set(Some(cmd));
+        let resp = std::future::poll_fn(|_| match self.mailbox.resp.take() {
+            Some(resp) => Poll::Ready(resp),
+            None => Poll::Pending,
+        })
+        .await;
         if resp.halted {
             self.halted.set(true);
         }
         resp.value
     }
 
-    /// Performs a 64-bit load; blocks until the value is available.
-    pub fn load(&self, addr: u64) -> u64 {
-        self.exec(Op::Load { addr })
+    async fn exec(&self, op: Op) -> u64 {
+        self.exchange(Cmd::Op(op)).await
     }
 
-    /// Performs a 64-bit store; blocks until the store is accepted by the
-    /// memory system (BOOM commit semantics, §3.3).
-    pub fn store(&self, addr: u64, value: u64) {
-        self.exec(Op::Store { addr, value });
+    /// Performs a 64-bit load; completes when the value is available.
+    pub async fn load(&self, addr: u64) -> u64 {
+        self.exec(Op::Load { addr }).await
+    }
+
+    /// Performs a 64-bit store; completes when the store is accepted by
+    /// the memory system (BOOM commit semantics, §3.3).
+    pub async fn store(&self, addr: u64, value: u64) {
+        self.exec(Op::Store { addr, value }).await;
     }
 
     /// Compare-and-swap; returns the old value (success iff it equals
     /// `expected`).
-    pub fn cas(&self, addr: u64, expected: u64, new: u64) -> u64 {
+    pub async fn cas(&self, addr: u64, expected: u64, new: u64) -> u64 {
         self.exec(Op::Cas {
             addr,
             expected,
             new,
         })
+        .await
     }
 
     /// Atomic fetch-and-add; returns the old value.
-    pub fn fetch_add(&self, addr: u64, operand: u64) -> u64 {
-        self.exec(Op::FetchAdd { addr, operand })
+    pub async fn fetch_add(&self, addr: u64, operand: u64) -> u64 {
+        self.exec(Op::FetchAdd { addr, operand }).await
     }
 
     /// Atomic swap; returns the old value.
-    pub fn swap(&self, addr: u64, operand: u64) -> u64 {
-        self.exec(Op::Swap { addr, operand })
+    pub async fn swap(&self, addr: u64, operand: u64) -> u64 {
+        self.exec(Op::Swap { addr, operand }).await
     }
 
-    /// Issues `CBO.CLEAN`; blocks only until the flush unit buffers it
+    /// Issues `CBO.CLEAN`; completes once the flush unit buffers it
     /// (§5.2) — the writeback itself proceeds asynchronously.
-    pub fn clean(&self, addr: u64) {
-        self.exec(Op::Clean { addr });
+    pub async fn clean(&self, addr: u64) {
+        self.exec(Op::Clean { addr }).await;
     }
 
-    /// Issues `CBO.FLUSH`; blocks only until the flush unit buffers it.
-    pub fn flush(&self, addr: u64) {
-        self.exec(Op::Flush { addr });
+    /// Issues `CBO.FLUSH`; completes once the flush unit buffers it.
+    pub async fn flush(&self, addr: u64) {
+        self.exec(Op::Flush { addr }).await;
     }
 
     /// Issues `CBO.INVAL` — discards every cached copy without writing
     /// dirty data back (dangerous; exposes whatever main memory holds).
-    pub fn inval(&self, addr: u64) {
-        self.exec(Op::Inval { addr });
+    pub async fn inval(&self, addr: u64) {
+        self.exec(Op::Inval { addr }).await;
     }
 
-    /// `FENCE RW, RW` extended with writeback completion (§5.3): blocks
-    /// until every older memory op *and every pending writeback* is done.
-    pub fn fence(&self) {
-        self.exec(Op::Fence);
+    /// `FENCE RW, RW` extended with writeback completion (§5.3): completes
+    /// once every older memory op *and every pending writeback* is done.
+    pub async fn fence(&self) {
+        self.exec(Op::Fence).await;
     }
 
     /// Occupies the core for `cycles` of non-memory work (think time).
-    pub fn work(&self, cycles: u64) {
+    pub async fn work(&self, cycles: u64) {
         if cycles > 0 {
-            self.exec(Op::Nop { cycles });
+            self.exec(Op::Nop { cycles }).await;
         }
     }
 
     /// Reads the cycle CSR (`RDCYCLE`, §7.1) without consuming simulated
     /// time.
-    pub fn rdcycle(&self) -> u64 {
-        self.cmd.send(Cmd::RdCycle).expect("simulator alive");
-        let resp = self.res.recv().expect("simulator alive");
-        if resp.halted {
-            self.halted.set(true);
-        }
-        resp.value
+    pub async fn rdcycle(&self) -> u64 {
+        self.exchange(Cmd::RdCycle).await
     }
 
     /// Whether the run's cycle budget has been exhausted — workload loops
@@ -143,17 +168,8 @@ impl CoreHandle {
         self.halted.get()
     }
 
-    /// Explicitly ends the workload (also done automatically on drop).
-    pub fn finish(self) {
-        // Drop runs and sends Done.
-    }
-}
-
-impl Drop for CoreHandle {
-    fn drop(&mut self) {
-        if !self.done_sent.get() {
-            self.done_sent.set(true);
-            let _ = self.cmd.send(Cmd::Done);
-        }
-    }
+    /// Gives up the handle, ending the workload explicitly: with no handle
+    /// left the worker can issue no further op, so the core finishes on
+    /// the cycle the worker's future then completes — the same cycle.
+    pub fn finish(self) {}
 }

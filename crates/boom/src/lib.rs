@@ -13,11 +13,11 @@
 //! * **Program mode** ([`Programs`]): each core executes a fixed [`Op`]
 //!   sequence; loads fire out of order, stores/writebacks in order — ideal
 //!   for the paper's microbenchmarks (Figs. 9–13).
-//! * **Thread mode** ([`Threads`]): each core is driven by a host thread
-//!   through a [`CoreHandle`] under a strict rendezvous protocol, so
-//!   value-dependent workloads (the persistent lock-free data structures of
-//!   §7.4) run as ordinary Rust code while simulated time stays
-//!   deterministic.
+//! * **Worker mode** ([`Workers`]): each core is driven by a host future
+//!   that awaits [`CoreHandle`] ops, polled in place by the frontend phase
+//!   on the simulator's own thread, so value-dependent workloads (the
+//!   persistent lock-free data structures of §7.4) run as ordinary `async`
+//!   Rust code while simulated time stays deterministic.
 //! * **Replay mode** ([`ReplaySchedule`]): each core issues a cycle-stamped
 //!   op lane — the replay half of the trace capture/replay subsystem (see
 //!   [`System::start_capture`] and the `skipit-replay` crate).
@@ -40,4 +40,4 @@ pub use prof::PROFILE_COMPILED;
 pub use snapshot::{Snapshot, SnapshotError};
 pub use system::{EngineKind, EngineStats, PhaseProfile, System, SystemConfig, SystemStats};
 pub use trace::{LatencyHistogram, TraceLog, TraceRecord};
-pub use workload::{CapturedOp, Programs, ReplaySchedule, RunReport, Threads, TimedOp, Workload};
+pub use workload::{CapturedOp, Programs, ReplaySchedule, RunReport, TimedOp, Workers, Workload};

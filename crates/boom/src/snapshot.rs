@@ -8,10 +8,10 @@
 //! live system by [`System::restore`](crate::System::restore). A restored
 //! system is bit-identical to the original going forward: same cycles,
 //! same statistics, same durable image, same merged trace streams, on
-//! every engine at any thread count.
+//! either engine.
 //!
 //! Host-side observation machinery (trace sinks, telemetry, the wheel
-//! scheduler, worker-thread pools) is *not* state: restore rebuilds it
+//! scheduler) is *not* state: restore rebuilds it
 //! from the offered [`SystemConfig`](crate::SystemConfig).
 //!
 //! # Format

@@ -1,11 +1,10 @@
 //! The cycle-stepped multicore system: N BOOM-style cores with private L1
 //! data caches, a shared inclusive L2, and DRAM (the §7.1 platform).
 
-use crate::handle::{Cmd, CoreHandle, Resp};
+use crate::handle::{Cmd, CoreHandle, Mailbox, Resp};
 use crate::lsu::{Lsu, LsuConfig};
 use crate::op::{Op, OpToken};
 use crate::workload::{CapturedOp, RunReport, TimedOp, Workload};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use skipit_dcache::{DataCache, L1Config, L1Stats};
 use skipit_llc::{InclusiveCache, L2Config, L2Ports, L2Stats};
 use skipit_mem::{Dram, DramConfig, MemStats};
@@ -15,6 +14,10 @@ use skipit_trace::{
     CoreCounters, StreamEvent, Telemetry, TelemetryCounters, TraceConfig, TraceEvent, TraceFilter,
     TraceSink,
 };
+use std::future::Future;
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
 /// Which simulation engine advances the clock. Both engines produce
 /// bit-identical elapsed cycles, statistics, durable memory images and
@@ -213,7 +216,7 @@ struct Wheel {
     /// Due cycle of each core's L1 + LSU slot.
     due_comp: Vec<u64>,
     /// Due cycle of each core's frontend (tracked separately so a
-    /// rendezvous-paced frontend does not force its whole core slot — and
+    /// worker-paced frontend does not force its whole core slot — and
     /// the L1 `next_event` walk that re-arms it — every executed cycle).
     due_fe: Vec<u64>,
     /// Reusable per-core scratch for the L2 phase's link-condition
@@ -332,9 +335,10 @@ enum Frontend {
         next: usize,
         nop_until: u64,
     },
-    Thread {
-        rx: Receiver<Cmd>,
-        tx: Sender<Resp>,
+    /// Worker mode (see [`crate::workload::Workers`]): the core follows
+    /// the commands of a worker future the frontend phase polls. The
+    /// future itself lives in the run loop's frame as a [`WorkerLane`].
+    Worker {
         busy: Option<OpToken>,
         nop_until: Option<u64>,
         finished: bool,
@@ -349,6 +353,39 @@ enum Frontend {
         /// Absolute cycle the run started at; stamps are relative to it.
         base: u64,
     },
+}
+
+/// One live worker of a [`crate::workload::Workers`] run: the future the
+/// frontend phase polls and the mailbox its [`CoreHandle`] posts into.
+/// Owned by the run loop's frame, never by the [`System`] (which must stay
+/// `Send`), and handed down to the frontend phase each step.
+pub(crate) struct WorkerLane<'a> {
+    mailbox: Rc<Mailbox>,
+    fut: Pin<Box<dyn Future<Output = ()> + 'a>>,
+}
+
+impl WorkerLane<'_> {
+    /// Polls the worker on core `core` once, at the point where the
+    /// frontend phase needs its next command; `None` once the worker has
+    /// completed.
+    ///
+    /// # Panics
+    ///
+    /// A panicking worker's panic propagates. Panics, naming the core, if
+    /// the worker suspends without posting a command (it awaited something
+    /// that is not a [`CoreHandle`] op, which nothing would ever wake).
+    fn next_cmd(&mut self, core: usize) -> Option<Cmd> {
+        let mut cx = Context::from_waker(Waker::noop());
+        match self.fut.as_mut().poll(&mut cx) {
+            Poll::Ready(()) => None,
+            Poll::Pending => Some(self.mailbox.take_cmd().unwrap_or_else(|| {
+                panic!(
+                    "worker on core {core} suspended without awaiting a CoreHandle op \
+                     (workers may only await their handle's operations)"
+                )
+            })),
+        }
+    }
 }
 
 /// The simulated SoC. See the [crate docs](crate) for the two drive modes.
@@ -367,7 +404,7 @@ pub struct System {
     c: Vec<Link<ChannelC>>,
     d: Vec<Link<ChannelD>>,
     e: Vec<Link<ChannelE>>,
-    /// Absolute cycle after which thread-mode responses carry `halted`.
+    /// Absolute cycle after which worker responses carry `halted`.
     deadline: u64,
     /// Fast-forward engine bookkeeping.
     engine: EngineStats,
@@ -511,7 +548,7 @@ impl System {
     }
 
     /// Starts capture mode: from now on every committed memory operation —
-    /// from any frontend (program, thread or replay mode), on any engine —
+    /// from any frontend (program, worker or replay mode), on any engine —
     /// is recorded as a [`CapturedOp`] with its issuing core and the exact
     /// cycle it entered the LSU ([`Op::Nop`] think time included, so a
     /// replay reproduces trailing idle cycles too). This is the capture
@@ -912,6 +949,11 @@ impl System {
 
     /// Advances the system by one cycle.
     pub fn tick(&mut self) {
+        self.tick_workers(&mut []);
+    }
+
+    /// [`System::tick`] with the live workers of a worker-mode run.
+    fn tick_workers(&mut self, workers: &mut [WorkerLane<'_>]) {
         self.poll_telemetry();
         // A full sweep may step components the wheel believed idle, so its
         // due bounds are stale afterwards.
@@ -939,7 +981,7 @@ impl System {
             self.l1s[i].step(now, &mut ports);
             self.lsus[i].step(now, &mut self.l1s[i]);
         }
-        self.step_frontends();
+        self.step_frontends(workers);
         self.now += 1;
     }
 
@@ -950,26 +992,30 @@ impl System {
     /// trailing Nop's expiry are conditions on `now` (the naive engine
     /// observes every cycle; the wheel must observe the jump target before
     /// executing it).
-    fn step_engine<F: Fn(&Self) -> bool>(&mut self, done: F) -> bool {
+    fn step_engine<F: Fn(&Self) -> bool>(
+        &mut self,
+        done: F,
+        workers: &mut [WorkerLane<'_>],
+    ) -> bool {
         if done(self) {
             return true;
         }
         match self.cfg.engine {
             EngineKind::Naive => {
-                self.tick();
+                self.tick_workers(workers);
                 false
             }
-            EngineKind::ComponentWheel => self.step_wheel(done),
+            EngineKind::ComponentWheel => self.step_wheel(done, workers),
         }
     }
 
     /// Accounts a full-sweep [`System::tick`] executed by the wheel's
     /// fallback path (every slot burned, nothing skipped), then runs it.
-    fn tick_full_accounted(&mut self) {
+    fn tick_full_accounted(&mut self, workers: &mut [WorkerLane<'_>]) {
         let slots = 1 + self.cfg.cores as u64;
         self.engine.component_slots += slots;
         self.engine.component_steps += slots;
-        self.tick();
+        self.tick_workers(workers);
     }
 
     /// (Re)computes every wheel slot's due cycle from scratch. Needed on
@@ -1087,8 +1133,8 @@ impl System {
     /// arrival and its B/D pop at the next cycle (the L2 steps first, so it
     /// cannot observe either before then); a frontend enqueue arms its core
     /// for the next cycle. Frontends run every executed cycle: they are
-    /// cheap, and a worker rendezvous must not be deferred.
-    fn tick_wheel(&mut self) {
+    /// cheap, and a worker's next command must not be deferred.
+    fn tick_wheel(&mut self, workers: &mut [WorkerLane<'_>]) {
         self.poll_telemetry();
         let mut lap = crate::prof::Timer::start();
         let now = self.now;
@@ -1203,7 +1249,7 @@ impl System {
             }
         }
         lap.lap(&mut self.engine.phase.core_ns);
-        let (enqueued, active) = self.step_frontends();
+        let (enqueued, active) = self.step_frontends(workers);
         let mut m = active;
         while m != 0 {
             let i = m.trailing_zeros() as usize;
@@ -1285,16 +1331,20 @@ impl System {
     /// jumped window is naively re-verified *and* every skipped slot's due
     /// bound is recomputed from scratch each executed cycle — a component
     /// that would have acted while its slot claimed idle panics.
-    fn step_wheel<F: Fn(&Self) -> bool>(&mut self, done: F) -> bool {
+    fn step_wheel<F: Fn(&Self) -> bool>(
+        &mut self,
+        done: F,
+        workers: &mut [WorkerLane<'_>],
+    ) -> bool {
         if !self.wheel.valid {
             self.wheel_rebuild();
         }
         let target = self.wheel.next_due();
         if target == NEVER {
-            // Every slot is blocked on an external command (worker
-            // rendezvous): full sweep so rendezvous and watchdogs still
-            // run. `tick` invalidates the wheel; the next step rebuilds.
-            self.tick_full_accounted();
+            // Every slot is blocked on an external command (a worker's
+            // next op): full sweep so workers and watchdogs still run.
+            // `tick` invalidates the wheel; the next step rebuilds.
+            self.tick_full_accounted(workers);
             return false;
         }
         if target > self.now {
@@ -1324,7 +1374,7 @@ impl System {
                 );
             }
             if self.cfg.lockstep_oracle {
-                self.verify_window(target);
+                self.verify_window(target, workers);
                 // `verify_window` ticks naively, invalidating the wheel —
                 // but it also proved no state changed, so a rebuild
                 // reproduces (at worst tightens) the due values.
@@ -1343,7 +1393,7 @@ impl System {
         if self.cfg.lockstep_oracle {
             self.oracle_check_wheel();
         }
-        self.tick_wheel();
+        self.tick_wheel(workers);
         false
     }
 
@@ -1383,10 +1433,10 @@ impl System {
     /// `[self.now, target)`, run it with the naive engine and panic on the
     /// first cycle whose state — components, links, statistics, frontends,
     /// everything but the clock — differs from the window start.
-    fn verify_window(&mut self, target: u64) {
+    fn verify_window(&mut self, target: u64, workers: &mut [WorkerLane<'_>]) {
         let reference = self.state_digest();
         while self.now < target {
-            self.tick();
+            self.tick_workers(workers);
             assert_eq!(
                 self.state_digest(),
                 reference,
@@ -1402,7 +1452,7 @@ impl System {
     /// lockstep oracle to detect work inside a claimed-idle window and by
     /// engine-equivalence tests to compare whole machines. Debug
     /// formatting covers the deep state (queues, arrays, MSHRs, stats);
-    /// frontends are summarized by hand (channel endpoints carry no
+    /// frontends are summarized by hand (a worker's future carries no
     /// simulated state).
     pub fn state_digest(&self) -> u64 {
         use std::fmt::Write as _;
@@ -1418,13 +1468,12 @@ impl System {
                 } => {
                     let _ = write!(s, "[{i} prog {next} {nop_until}]");
                 }
-                Frontend::Thread {
+                Frontend::Worker {
                     busy,
                     nop_until,
                     finished,
-                    ..
                 } => {
-                    let _ = write!(s, "[{i} thr {busy:?} {nop_until:?} {finished}]");
+                    let _ = write!(s, "[{i} wkr {busy:?} {nop_until:?} {finished}]");
                 }
                 Frontend::Replay {
                     next,
@@ -1475,11 +1524,10 @@ impl System {
                     op => self.lsus[i].has_room(op).then_some(now),
                 }
             }
-            Frontend::Thread {
+            Frontend::Worker {
                 busy,
                 nop_until,
                 finished,
-                ..
             } => {
                 if *finished {
                     return None;
@@ -1490,8 +1538,9 @@ impl System {
                 if let Some(until) = *nop_until {
                     return Some(until.max(now));
                 }
-                // About to rendezvous: the blocking `recv` takes zero
-                // simulated time and must run this cycle.
+                // About to poll the worker for its next command: its host
+                // computation takes zero simulated time and must run this
+                // cycle.
                 Some(now)
             }
             Frontend::Replay {
@@ -1523,8 +1572,9 @@ impl System {
     /// edges: `enqueued` — cores whose LSU received an op this cycle (the
     /// core slot must run next cycle); `active` — cores whose frontend
     /// changed state at all (its due bound must be recomputed). The naive
-    /// engine ignores both.
-    fn step_frontends(&mut self) -> (u64, u64) {
+    /// engine ignores both. `workers` holds the live worker futures of a
+    /// worker-mode run (empty otherwise).
+    fn step_frontends(&mut self, workers: &mut [WorkerLane<'_>]) -> (u64, u64) {
         let now = self.now;
         let issue_width = self.cfg.issue_width;
         let deadline = self.deadline;
@@ -1625,9 +1675,7 @@ impl System {
                         active |= bit;
                     }
                 }
-                Frontend::Thread {
-                    rx,
-                    tx,
+                Frontend::Worker {
                     busy,
                     nop_until,
                     finished,
@@ -1635,28 +1683,22 @@ impl System {
                     if *finished {
                         continue;
                     }
-                    // Deliver a completed op's result. A failed send means
-                    // the worker is gone (panicked or leaked its handle):
-                    // mark the frontend finished so the tick loop can drain
-                    // and the thread-mode run loop surfaces the panic on
-                    // join instead
-                    // of wedging.
+                    // A worker lane is missing only after a worker-mode run
+                    // unwound; its frontend reads as finished.
+                    let Some(lane) = workers.get_mut(i) else {
+                        *finished = true;
+                        continue;
+                    };
+                    // Deliver a completed op's or think time's result.
                     if let Some(tok) = *busy {
                         match lsus[i].take_finished(tok) {
                             Some(value) => {
                                 *busy = None;
                                 active |= bit;
-                                if tx
-                                    .send(Resp {
-                                        value,
-                                        halted: now >= deadline,
-                                    })
-                                    .is_err()
-                                {
-                                    *finished = true;
-                                    record(i, Op::Nop { cycles: 0 });
-                                    continue;
-                                }
+                                lane.mailbox.respond(Resp {
+                                    value,
+                                    halted: now >= deadline,
+                                });
                             }
                             None => continue,
                         }
@@ -1667,57 +1709,39 @@ impl System {
                         }
                         *nop_until = None;
                         active |= bit;
-                        if tx
-                            .send(Resp {
-                                value: 0,
-                                halted: now >= deadline,
-                            })
-                            .is_err()
-                        {
-                            *finished = true;
-                            record(i, Op::Nop { cycles: 0 });
-                            continue;
-                        }
+                        lane.mailbox.respond(Resp {
+                            value: 0,
+                            halted: now >= deadline,
+                        });
                     }
-                    // Rendezvous: block until the workload's next command
-                    // (its host-side computation takes zero simulated
-                    // time). A disconnected channel is treated exactly like
-                    // `Cmd::Done`.
+                    // Poll the worker for its next command (its host-side
+                    // computation takes zero simulated time).
                     loop {
                         active |= bit;
-                        match rx.recv() {
-                            Ok(Cmd::RdCycle) => {
-                                if tx
-                                    .send(Resp {
-                                        value: now,
-                                        halted: now >= deadline,
-                                    })
-                                    .is_err()
-                                {
-                                    *finished = true;
-                                    record(i, Op::Nop { cycles: 0 });
-                                    break;
-                                }
-                            }
-                            Ok(Cmd::Op(Op::Nop { cycles })) => {
+                        match lane.next_cmd(i) {
+                            Some(Cmd::RdCycle) => lane.mailbox.respond(Resp {
+                                value: now,
+                                halted: now >= deadline,
+                            }),
+                            Some(Cmd::Op(Op::Nop { cycles })) => {
                                 *nop_until = Some(now + cycles);
                                 record(i, Op::Nop { cycles });
                                 break;
                             }
-                            Ok(Cmd::Op(op)) => {
+                            Some(Cmd::Op(op)) => {
                                 let tok = *next_token + 1;
                                 *next_token = tok;
-                                // Thread mode has at most one op in
-                                // flight; room is guaranteed.
+                                // A worker has at most one op in flight;
+                                // room is guaranteed.
                                 lsus[i].enqueue(tok, op, now);
                                 *busy = Some(tok);
                                 enqueued |= bit;
                                 record(i, op);
                                 break;
                             }
-                            Ok(Cmd::Done) | Err(_) => {
-                                // Capture the end-of-run handshake as a
-                                // zero-cycle think time: the thread run
+                            None => {
+                                // Capture the end of the worker as a
+                                // zero-cycle think time: the worker run
                                 // executes this cycle to retire the worker,
                                 // so a replay must execute it too for the
                                 // final cycle count to match (a trailing
@@ -1802,7 +1826,7 @@ impl System {
                 next,
                 nop_until,
             } => *next >= ops.len() && self.now >= *nop_until && self.lsus[core].is_empty(),
-            Frontend::Thread { finished, .. } => *finished && self.lsus[core].is_empty(),
+            Frontend::Worker { finished, .. } => *finished && self.lsus[core].is_empty(),
             Frontend::Replay {
                 ops,
                 next,
@@ -1815,7 +1839,7 @@ impl System {
     /// Runs any [`Workload`] to completion — the single entry point for
     /// every drive mode. See [`crate::workload`] for the first-party
     /// workloads ([`crate::workload::Programs`],
-    /// [`crate::workload::Threads`], [`crate::workload::ReplaySchedule`])
+    /// [`crate::workload::Workers`], [`crate::workload::ReplaySchedule`])
     /// and the [`RunReport`] contract. Callable repeatedly — cache and
     /// memory state persists between runs, which is how benchmarks separate
     /// warm-up from the measured phase.
@@ -1881,7 +1905,7 @@ impl System {
         }
         let watchdog = self.now + 2_000_000_000;
         loop {
-            if self.step_engine(|s| (0..s.cfg.cores).all(|i| s.program_done(i))) {
+            if self.step_engine(|s| (0..s.cfg.cores).all(|i| s.program_done(i)), &mut []) {
                 break;
             }
             assert!(self.now < watchdog, "replay run exceeded watchdog budget");
@@ -1936,7 +1960,7 @@ impl System {
             if let Err(e) = observe(self) {
                 break Err((self.now, e));
             }
-            if self.step_engine(|s| (0..s.cfg.cores).all(|i| s.program_done(i))) {
+            if self.step_engine(|s| (0..s.cfg.cores).all(|i| s.program_done(i)), &mut []) {
                 break Ok(self.now - start);
             }
             assert!(self.now < watchdog, "program run exceeded watchdog budget");
@@ -1969,16 +1993,20 @@ impl System {
             if let Err(e) = observe(self) {
                 return Err((self.now, e));
             }
-            if self.step_engine(|s| s.l1s.iter().all(|c| c.is_quiescent()) && s.l2.is_quiescent()) {
+            if self.step_engine(
+                |s| s.l1s.iter().all(|c| c.is_quiescent()) && s.l2.is_quiescent(),
+                &mut [],
+            ) {
                 return Ok(());
             }
             assert!(self.now < watchdog, "quiesce exceeded watchdog budget");
         }
     }
 
-    /// Thread mode's engine loop ([`crate::workload::Threads`]): runs one
-    /// closure per core (missing cores idle), each driving its core through
-    /// a [`CoreHandle`]; returns `(elapsed_cycles, results, budget_expired)`.
+    /// Worker mode's engine loop ([`crate::workload::Workers`]): runs one
+    /// worker future per core (missing cores idle), each driving its core
+    /// through a [`CoreHandle`], and polls them in place from the frontend
+    /// phase; returns `(elapsed_cycles, results, budget_expired)`.
     ///
     /// **Budget semantics** (preserved by [`RunReport`]): `budget` is a
     /// *soft* stop measured from the call. Once `budget` cycles have
@@ -1990,15 +2018,16 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if more workers than cores are supplied or a worker panics.
-    pub(crate) fn run_threads_inner<R, F>(
+    /// Panics if more workers than cores are supplied, or if a worker
+    /// panics or suspends on anything but a [`CoreHandle`] op.
+    pub(crate) fn run_workers_inner<R, F, Fut>(
         &mut self,
         workers: Vec<F>,
         budget: Option<u64>,
     ) -> (u64, Vec<R>, bool)
     where
-        R: Send,
-        F: FnOnce(CoreHandle) -> R + Send,
+        F: FnOnce(CoreHandle) -> Fut,
+        Fut: Future<Output = R>,
     {
         assert!(
             workers.len() <= self.cfg.cores,
@@ -2009,38 +2038,34 @@ impl System {
         let start = self.now;
         self.wheel.valid = false;
         self.deadline = budget.map_or(u64::MAX, |b| start + b);
-        let n = workers.len();
-        let mut handles = Vec::with_capacity(n);
-        for (i, fe) in self.frontends.iter_mut().enumerate().take(n) {
-            let (cmd_tx, cmd_rx) = unbounded();
-            let (res_tx, res_rx) = unbounded();
-            *fe = Frontend::Thread {
-                rx: cmd_rx,
-                tx: res_tx,
-                busy: None,
-                nop_until: None,
-                finished: false,
-            };
-            handles.push(CoreHandle::new(cmd_tx, res_rx, i));
+        let mut results: Vec<Option<R>> = workers.iter().map(|_| None).collect();
+        {
+            let mut lanes = Vec::with_capacity(workers.len());
+            for (i, (worker, slot)) in workers.into_iter().zip(&mut results).enumerate() {
+                let mailbox = Rc::new(Mailbox::default());
+                let fut = worker(CoreHandle::new(Rc::clone(&mailbox), i));
+                self.frontends[i] = Frontend::Worker {
+                    busy: None,
+                    nop_until: None,
+                    finished: false,
+                };
+                lanes.push(WorkerLane {
+                    mailbox,
+                    fut: Box::pin(async move { *slot = Some(fut.await) }),
+                });
+            }
+            while !self.step_engine(|s| (0..s.cfg.cores).all(|i| s.program_done(i)), &mut lanes) {}
         }
-        let results = std::thread::scope(|scope| {
-            let joins: Vec<_> = workers
-                .into_iter()
-                .zip(handles)
-                .map(|(w, h)| scope.spawn(move || w(h)))
-                .collect();
-            while !self.step_engine(|s| (0..s.cfg.cores).all(|i| s.program_done(i))) {}
-            joins
-                .into_iter()
-                .map(|j| j.join().expect("workload thread panicked"))
-                .collect()
-        });
         let expired = self.deadline != u64::MAX && self.now >= self.deadline;
         for fe in &mut self.frontends {
             *fe = Frontend::Idle;
         }
         self.wheel.valid = false;
         self.deadline = u64::MAX;
+        let results = results
+            .into_iter()
+            .map(|r| r.expect("a finished worker has produced its result"))
+            .collect();
         (self.now - start, results, expired)
     }
 }
@@ -2051,8 +2076,8 @@ use crate::snapshot::Snapshot;
 use skipit_snap::{Codec, SnapError, SnapReader, SnapWriter};
 
 impl Frontend {
-    /// Thread-mode frontends hold host channel endpoints that no byte
-    /// encoding can capture; snapshotting them is a typed error.
+    /// A worker frontend follows a live host future that no byte encoding
+    /// can capture; snapshotting it is a typed error.
     fn encode(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
         match self {
             Frontend::Idle => w.put_u8(0),
@@ -2066,7 +2091,7 @@ impl Frontend {
                 next.encode(w);
                 nop_until.encode(w);
             }
-            Frontend::Thread { .. } => return Err(SnapError::LiveThreads),
+            Frontend::Worker { .. } => return Err(SnapError::LiveThreads),
             Frontend::Replay {
                 ops,
                 next,
@@ -2155,8 +2180,8 @@ impl System {
     ///
     /// # Errors
     ///
-    /// [`SnapError::LiveThreads`] if any core is in thread mode (inside a
-    /// [`crate::workload::Threads`] run): host channel endpoints cannot be
+    /// [`SnapError::LiveThreads`] if any core is in worker mode (inside a
+    /// [`crate::workload::Workers`] run): a live worker future cannot be
     /// encoded. Snapshot between runs, or from program mode's observer hook.
     pub fn snapshot(&self) -> Result<Snapshot, SnapError> {
         let mut w = SnapWriter::new();
@@ -2256,7 +2281,7 @@ impl System {
         self.wheel.valid = false;
         let watchdog = self.now + 2_000_000_000;
         let elapsed = loop {
-            if self.step_engine(|s| (0..s.cfg.cores).all(|i| s.program_done(i))) {
+            if self.step_engine(|s| (0..s.cfg.cores).all(|i| s.program_done(i)), &mut []) {
                 break self.now - start;
             }
             assert!(self.now < watchdog, "program run exceeded watchdog budget");
@@ -2272,7 +2297,7 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::{Programs, Threads};
+    use crate::workload::{Programs, Workers};
 
     fn sys(cores: usize, skip_it: bool) -> System {
         System::new(SystemConfig {
@@ -2421,7 +2446,7 @@ mod tests {
             let l2_ns = t0.elapsed().as_nanos() as f64 / N as f64;
             let t0 = Instant::now();
             for _ in 0..N {
-                s.step_frontends();
+                s.step_frontends(&mut []);
             }
             let fe_ns = t0.elapsed().as_nanos() as f64 / N as f64;
             eprintln!(
@@ -2510,42 +2535,43 @@ mod tests {
             vec![],
         ]));
         let (_, vals) = s
-            .run(Threads::new(vec![|h: CoreHandle| {
-                let v = h.load(0x4000);
+            .run(Workers::new(vec![|h: CoreHandle| async move {
+                let v = h.load(0x4000).await;
                 h.finish();
                 v
             }]))
             .into_parts();
         // Core 0 wrote; core 1 must read 11 through coherence... but note
-        // the thread ran on core 0 here (workers map to cores in order), so
+        // the worker ran on core 0 here (workers map to cores in order), so
         // run a proper 2-core variant below. This checks basic re-read.
         assert_eq!(vals[0], 11);
     }
 
     #[test]
-    fn two_threads_communicate_through_simulated_memory() {
+    fn two_workers_communicate_through_simulated_memory() {
         let mut s = sys(2, false);
         let (_, results) = s
             .run(
-                Threads::new(vec![
-                    Box::new(|h: CoreHandle| {
-                        h.store(0x5000, 21);
-                        // Signal readiness through another line.
-                        h.store(0x5040, 1);
-                        h.finish();
-                        0u64
-                    }) as Box<dyn FnOnce(CoreHandle) -> u64 + Send>,
-                    Box::new(|h: CoreHandle| {
+                Workers::new(vec![
+                    |h: CoreHandle| async move {
+                        if h.core_id() == 0 {
+                            h.store(0x5000, 21).await;
+                            // Signal readiness through another line.
+                            h.store(0x5040, 1).await;
+                            h.finish();
+                            return 0u64;
+                        }
                         // Spin on the flag (coherent read).
-                        while h.load(0x5040) == 0 {
+                        while h.load(0x5040).await == 0 {
                             if h.halted() {
                                 return u64::MAX;
                             }
                         }
-                        let v = h.load(0x5000);
+                        let v = h.load(0x5000).await;
                         h.finish();
                         v
-                    }),
+                    };
+                    2
                 ])
                 .budget(2_000_000),
             )
@@ -2643,10 +2669,10 @@ mod tests {
     fn rdcycle_advances() {
         let mut s = sys(1, false);
         let (_, vals) = s
-            .run(Threads::new(vec![|h: CoreHandle| {
-                let t0 = h.rdcycle();
-                h.store(0x100, 1);
-                let t1 = h.rdcycle();
+            .run(Workers::new(vec![|h: CoreHandle| async move {
+                let t0 = h.rdcycle().await;
+                h.store(0x100, 1).await;
+                let t1 = h.rdcycle().await;
                 h.finish();
                 (t0, t1)
             }]))
@@ -2658,10 +2684,10 @@ mod tests {
     fn work_occupies_cycles() {
         let mut s = sys(1, false);
         let (_, vals) = s
-            .run(Threads::new(vec![|h: CoreHandle| {
-                let t0 = h.rdcycle();
-                h.work(100);
-                let t1 = h.rdcycle();
+            .run(Workers::new(vec![|h: CoreHandle| async move {
+                let t0 = h.rdcycle().await;
+                h.work(100).await;
+                let t1 = h.rdcycle().await;
                 h.finish();
                 t1 - t0
             }]))
@@ -2670,14 +2696,14 @@ mod tests {
     }
 
     #[test]
-    fn budget_halts_threads() {
+    fn budget_halts_workers() {
         let mut s = sys(1, false);
         let (_, ops) = s
             .run(
-                Threads::new(vec![|h: CoreHandle| {
+                Workers::new(vec![|h: CoreHandle| async move {
                     let mut n = 0u64;
                     while !h.halted() {
-                        h.store(0x100, n);
+                        h.store(0x100, n).await;
                         n += 1;
                     }
                     h.finish();
@@ -2800,32 +2826,33 @@ mod tests {
     }
 
     #[test]
-    fn thread_mode_matches_naive_engine() {
+    fn worker_mode_matches_naive_engine() {
         let run = |kind: EngineKind| {
             let mut s = System::new(SystemConfig {
                 cores: 2,
                 engine: kind,
                 ..SystemConfig::default()
             });
-            s.run(Threads::new(vec![
-                Box::new(|h: CoreHandle| {
-                    for i in 0..6u64 {
-                        h.store(0x7000 + i * 64, i + 1);
+            s.run(Workers::new(vec![
+                |h: CoreHandle| async move {
+                    if h.core_id() == 1 {
+                        h.work(50).await;
+                        let v = h.fetch_add(0x7000, 10).await;
+                        h.fence().await;
+                        h.finish();
+                        return v;
                     }
-                    h.work(200);
-                    let v = h.load(0x7000);
-                    h.flush(0x7000);
-                    h.fence();
+                    for i in 0..6u64 {
+                        h.store(0x7000 + i * 64, i + 1).await;
+                    }
+                    h.work(200).await;
+                    let v = h.load(0x7000).await;
+                    h.flush(0x7000).await;
+                    h.fence().await;
                     h.finish();
                     v
-                }) as Box<dyn FnOnce(CoreHandle) -> u64 + Send>,
-                Box::new(|h: CoreHandle| {
-                    h.work(50);
-                    let v = h.fetch_add(0x7000, 10);
-                    h.fence();
-                    h.finish();
-                    v
-                }),
+                };
+                2
             ]))
             .into_parts()
         };
@@ -2833,25 +2860,44 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "workload thread panicked")]
+    #[should_panic(expected = "injected workload failure")]
     fn worker_panic_propagates_instead_of_wedging() {
         let mut s = sys(2, false);
         let _ = s
             .run(
-                Threads::new(vec![
-                    Box::new(|h: CoreHandle| -> u64 {
-                        h.store(0x100, 1);
-                        panic!("injected workload failure");
-                    }) as Box<dyn FnOnce(CoreHandle) -> u64 + Send>,
-                    Box::new(|h: CoreHandle| {
-                        h.store(0x140, 2);
+                Workers::new(vec![
+                    |h: CoreHandle| async move {
+                        if h.core_id() == 0 {
+                            h.store(0x100, 1).await;
+                            panic!("injected workload failure");
+                        }
+                        h.store(0x140, 2).await;
                         h.finish();
-                        0
-                    }),
+                        0u64
+                    };
+                    2
                 ])
                 .budget(1_000_000),
             )
             .into_parts();
+    }
+
+    /// A worker that suspends on something other than a `CoreHandle` op
+    /// would never be woken; the frontend phase must fail loudly, naming
+    /// the core, instead of spinning on it forever.
+    #[test]
+    #[should_panic(expected = "worker on core 1 suspended without awaiting a CoreHandle op")]
+    fn worker_awaiting_foreign_future_panics_naming_the_core() {
+        let mut s = sys(2, false);
+        let _ = s.run(Workers::new(vec![
+            |h: CoreHandle| async move {
+                h.store(0x100 + 64 * h.core_id() as u64, 1).await;
+                if h.core_id() == 1 {
+                    std::future::pending::<()>().await;
+                }
+            };
+            2
+        ]));
     }
 
     /// Snapshots the contended 2-core run at the first observed cycle
@@ -2988,13 +3034,9 @@ mod tests {
     }
 
     #[test]
-    fn live_thread_frontends_refuse_to_snapshot() {
+    fn live_worker_frontends_refuse_to_snapshot() {
         let mut s = sys(1, false);
-        let (_cmd_tx, cmd_rx) = unbounded();
-        let (res_tx, _res_rx) = unbounded();
-        s.frontends[0] = Frontend::Thread {
-            rx: cmd_rx,
-            tx: res_tx,
+        s.frontends[0] = Frontend::Worker {
             busy: None,
             nop_until: None,
             finished: false,

@@ -2,9 +2,9 @@
 //! every way of driving the simulated SoC.
 //!
 //! Historically the simulator grew one `run_*` method per drive mode —
-//! `run_programs` for fixed op scripts, `run_threads` for host-thread
-//! rendezvous workloads (both removed) — and each new frontend would have
-//! added another. A [`Workload`] is the value-level unification: anything
+//! `run_programs` for fixed op scripts, `run_threads` for value-dependent
+//! host code (both removed) — and each new frontend would have added
+//! another. A [`Workload`] is the value-level unification: anything
 //! that knows how to drive a [`System`] to completion implements the trait,
 //! and `System::run(workload)` returns a [`RunReport`] carrying the elapsed
 //! cycles, the workload's own output, and whether a cycle budget expired.
@@ -12,9 +12,10 @@
 //! Three first-party workloads:
 //!
 //! * [`Programs`] — one fixed [`Op`] script per core (program mode);
-//! * [`Threads`] — one host closure per core, driving its core through a
-//!   [`CoreHandle`] under the deterministic rendezvous protocol (thread
-//!   mode), with an optional soft cycle budget;
+//! * [`Workers`] — one host future per core, driving its core by awaiting
+//!   [`CoreHandle`] ops; the frontend phase polls it in place at the
+//!   cycle each op completes (worker mode), with an optional soft cycle
+//!   budget;
 //! * [`ReplaySchedule`] — one cycle-stamped [`TimedOp`] lane per core (the
 //!   replay frontend; `skipit-replay`'s `TraceReplay` lowers a decoded
 //!   trace to this).
@@ -35,6 +36,7 @@
 use crate::handle::CoreHandle;
 use crate::op::Op;
 use crate::system::System;
+use std::future::Future;
 
 /// Anything that can drive a [`System`] to completion.
 ///
@@ -45,7 +47,7 @@ use crate::system::System;
 /// keeps determinism questions out of the trait).
 pub trait Workload {
     /// What the workload hands back besides timing: per-worker results for
-    /// thread mode, `()` for the script-driven modes.
+    /// worker mode, `()` for the script-driven modes.
     type Output;
 
     /// Runs `self` on `sys` to completion. Prefer calling
@@ -57,7 +59,7 @@ pub trait Workload {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunReport<T = ()> {
     /// Simulated cycles elapsed from the call to completion. When a
-    /// [`Threads`] budget expired mid-run this *includes* the post-deadline
+    /// [`Workers`] budget expired mid-run this *includes* the post-deadline
     /// drain: the budget is a soft stop (workers are told to wind down via
     /// `halted` responses, and the run lasts until they do), not a hard
     /// clock halt.
@@ -72,8 +74,7 @@ pub struct RunReport<T = ()> {
 }
 
 impl<T> RunReport<T> {
-    /// Splits the report into `(cycles, output)` — the tuple shape the
-    /// pre-[`Workload`] `run_threads` returned, for call sites that want
+    /// Splits the report into `(cycles, output)`, for call sites that want
     /// to destructure both in one binding.
     pub fn into_parts(self) -> (u64, T) {
         (self.cycles, self.output)
@@ -103,12 +104,25 @@ impl Workload for Programs {
     }
 }
 
-/// Thread mode as a [`Workload`]: one host closure per core (missing cores
-/// idle), each driving its core through a [`CoreHandle`] under the
-/// deterministic rendezvous protocol. Output is the per-worker results, in
-/// worker order.
+/// Worker mode as a [`Workload`]: one host worker per core (missing cores
+/// idle). Each worker is a closure that receives its core's [`CoreHandle`]
+/// and returns a future — typically an `async move` block — that drives
+/// the core by awaiting the handle's ops. The frontend phase polls every
+/// worker in place on the simulator's thread, so workers need not be
+/// `Send`. Output is the per-worker results, in worker order.
 ///
-/// An optional [`Threads::budget`] (cycles, measured from the call)
+/// ```
+/// use skipit_boom::{CoreHandle, System, SystemConfig, Workers};
+///
+/// let mut sys = System::new(SystemConfig::default());
+/// let report = sys.run(Workers::new(vec![|h: CoreHandle| async move {
+///     h.store(0x1000, 7).await;
+///     h.load(0x1000).await
+/// }]));
+/// assert_eq!(report.output, vec![7]);
+/// ```
+///
+/// An optional [`Workers::budget`] (cycles, measured from the call)
 /// soft-stops the run: once `budget` cycles have elapsed, every response a
 /// worker receives carries `halted = true` and well-behaved workloads
 /// return. The run itself continues until every worker has finished — see
@@ -116,18 +130,20 @@ impl Workload for Programs {
 ///
 /// # Panics
 ///
-/// Running panics if more workers than cores are supplied or a worker
-/// panics.
+/// Running panics if more workers than cores are supplied, if a worker
+/// panics (with the worker's own panic), or if a worker suspends on
+/// anything but a [`CoreHandle`] op — nothing would ever wake it — with a
+/// message naming the core.
 #[derive(Debug)]
-pub struct Threads<F> {
+pub struct Workers<F> {
     workers: Vec<F>,
     budget: Option<u64>,
 }
 
-impl<F> Threads<F> {
-    /// A thread-mode workload with no cycle budget.
+impl<F> Workers<F> {
+    /// A worker-mode workload with no cycle budget.
     pub fn new(workers: Vec<F>) -> Self {
-        Threads {
+        Workers {
             workers,
             budget: None,
         }
@@ -139,23 +155,22 @@ impl<F> Threads<F> {
         self
     }
 
-    /// Sets or clears the soft cycle budget from an `Option` (the shape the
-    /// pre-[`Workload`] `run_threads` signature used).
+    /// Sets or clears the soft cycle budget from an `Option`.
     pub fn budget_opt(mut self, cycles: Option<u64>) -> Self {
         self.budget = cycles;
         self
     }
 }
 
-impl<R, F> Workload for Threads<F>
+impl<R, F, Fut> Workload for Workers<F>
 where
-    R: Send,
-    F: FnOnce(CoreHandle) -> R + Send,
+    F: FnOnce(CoreHandle) -> Fut,
+    Fut: Future<Output = R>,
 {
     type Output = Vec<R>;
 
     fn run(self, sys: &mut System) -> RunReport<Vec<R>> {
-        let (cycles, output, budget_expired) = sys.run_threads_inner(self.workers, self.budget);
+        let (cycles, output, budget_expired) = sys.run_workers_inner(self.workers, self.budget);
         RunReport {
             cycles,
             output,

@@ -24,7 +24,7 @@
 //! assert!(report.is_consistent(), "{report}");
 //! ```
 
-use skipit_boom::{CoreHandle, Op, System, Threads};
+use skipit_boom::{CoreHandle, Op, System, Workers};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -213,40 +213,40 @@ impl ModelChecker {
         let start = self.sys.now();
         let (_, loads) = self
             .sys
-            .run(Threads::new(vec![move |h: CoreHandle| {
+            .run(Workers::new(vec![move |h: CoreHandle| async move {
                 let mut out = Vec::new();
                 for op in &prog {
                     let v = match *op {
-                        Op::Load { addr } => Some(h.load(addr)),
+                        Op::Load { addr } => Some(h.load(addr).await),
                         Op::Store { addr, value } => {
-                            h.store(addr, value);
+                            h.store(addr, value).await;
                             None
                         }
                         Op::Cas {
                             addr,
                             expected,
                             new,
-                        } => Some(h.cas(addr, expected, new)),
-                        Op::FetchAdd { addr, operand } => Some(h.fetch_add(addr, operand)),
-                        Op::Swap { addr, operand } => Some(h.swap(addr, operand)),
+                        } => Some(h.cas(addr, expected, new).await),
+                        Op::FetchAdd { addr, operand } => Some(h.fetch_add(addr, operand).await),
+                        Op::Swap { addr, operand } => Some(h.swap(addr, operand).await),
                         Op::Clean { addr } => {
-                            h.clean(addr);
+                            h.clean(addr).await;
                             None
                         }
                         Op::Flush { addr } => {
-                            h.flush(addr);
+                            h.flush(addr).await;
                             None
                         }
                         Op::Inval { addr } => {
-                            h.inval(addr);
+                            h.inval(addr).await;
                             None
                         }
                         Op::Fence => {
-                            h.fence();
+                            h.fence().await;
                             None
                         }
                         Op::Nop { cycles } => {
-                            h.work(cycles);
+                            h.work(cycles).await;
                             None
                         }
                     };

@@ -6,7 +6,7 @@
 //! for tags ([`crate::ptr`]) and so nodes do not share lines (as the
 //! cache-line-granular persistence reasoning of the paper assumes).
 //!
-//! The allocator is shared between workload threads through an atomic bump
+//! The allocator is shared between a run's workers through an atomic bump
 //! pointer; allocation itself costs no simulated time (it is not the object
 //! of any reproduced figure — see DESIGN.md §5.7).
 

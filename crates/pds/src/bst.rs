@@ -83,8 +83,8 @@ impl Bst {
     }
 
     /// Child-field address of `node` on the side `key` routes to.
-    fn child_field(&self, ph: &PHandle<'_>, node: u64, key: u64) -> u64 {
-        let nk = ph.read_traverse(self.f(node, KEY));
+    async fn child_field(&self, ph: &PHandle<'_>, node: u64, key: u64) -> u64 {
+        let nk = ph.read_traverse(self.f(node, KEY)).await;
         if key < nk {
             self.f(node, LEFT)
         } else {
@@ -92,11 +92,11 @@ impl Bst {
         }
     }
 
-    fn seek(&self, ph: &PHandle<'_>, key: u64) -> Seek {
+    async fn seek(&self, ph: &PHandle<'_>, key: u64) -> Seek {
         let mut ancestor = self.root;
-        let mut successor = addr(ph.read_traverse(self.f(self.root, LEFT)));
+        let mut successor = addr(ph.read_traverse(self.f(self.root, LEFT)).await);
         let mut parent = successor; // = S
-        let mut cur_w = ph.read_traverse(self.f(parent, LEFT));
+        let mut cur_w = ph.read_traverse(self.f(parent, LEFT)).await;
         // Invariant: ancestor→successor is the deepest untagged edge above
         // parent on the search path.
         while !is_leaf(cur_w) {
@@ -106,10 +106,10 @@ impl Bst {
                 successor = cur;
             }
             parent = cur;
-            cur_w = ph.read_traverse(self.child_field(ph, cur, key));
+            cur_w = ph.read_traverse(self.child_field(ph, cur, key).await).await;
         }
         let leaf = addr(cur_w);
-        let leaf_key = ph.read(self.f(leaf, KEY));
+        let leaf_key = ph.read(self.f(leaf, KEY)).await;
         Seek {
             ancestor,
             successor,
@@ -121,46 +121,46 @@ impl Bst {
 
     /// NM cleanup: tags the sibling edge and splices the parent out via the
     /// ancestor. Returns `true` when the splice CAS succeeds.
-    fn cleanup(&self, ph: &PHandle<'_>, key: u64, s: &Seek) -> bool {
+    async fn cleanup(&self, ph: &PHandle<'_>, key: u64, s: &Seek) -> bool {
         // Which of parent's children the search key routes to.
-        let pk = ph.read_traverse(self.f(s.parent, KEY));
+        let pk = ph.read_traverse(self.f(s.parent, KEY)).await;
         let (mut child_f, mut sibling_f) = if key < pk {
             (self.f(s.parent, LEFT), self.f(s.parent, RIGHT))
         } else {
             (self.f(s.parent, RIGHT), self.f(s.parent, LEFT))
         };
-        if !is_del(ph.read_traverse(child_f)) {
+        if !is_del(ph.read_traverse(child_f).await) {
             // The flag sits on the other side (we are helping a delete of
             // the sibling leaf).
             std::mem::swap(&mut child_f, &mut sibling_f);
         }
         // Tag the sibling edge so it cannot change under the splice.
         loop {
-            let sw = ph.read_traverse(sibling_f);
+            let sw = ph.read_traverse(sibling_f).await;
             if is_tag(sw) {
                 break;
             }
-            if ph.cas(sibling_f, sw, sw | TAG) {
+            if ph.cas(sibling_f, sw, sw | TAG).await {
                 break;
             }
         }
-        let sw = ph.read_traverse(sibling_f);
+        let sw = ph.read_traverse(sibling_f).await;
         // Splice: ancestor's edge toward key moves from successor to the
         // sibling subtree (tag cleared, leaf bit preserved). The NM *flag*
         // of the sibling edge must survive the splice: it is a concurrent
         // delete's injection on the sibling leaf, and dropping it strands
         // that delete in its cleanup loop forever (no edge left flagged).
-        let anc_f = self.child_field(ph, s.ancestor, key);
+        let anc_f = self.child_field(ph, s.ancestor, key).await;
         let new_w = (addr(sw)) | (sw & (LEAF | DEL));
-        ph.cas(anc_f, s.successor, new_w)
+        ph.cas(anc_f, s.successor, new_w).await
     }
 }
 
 impl ConcurrentSet for Bst {
-    fn insert(&self, ph: &PHandle<'_>, key: u64) -> bool {
+    async fn insert(&self, ph: &PHandle<'_>, key: u64) -> bool {
         assert!((1..INF1).contains(&key), "key out of range");
         loop {
-            let s = self.seek(ph, key);
+            let s = self.seek(ph, key).await;
             if s.leaf_key == key {
                 return false;
             }
@@ -168,51 +168,52 @@ impl ConcurrentSet for Bst {
             // the existing leaf and the new leaf.
             let new_leaf = self.alloc.alloc(1);
             let internal = self.alloc.alloc(3);
-            ph.init_write(self.f(new_leaf, KEY), key);
+            ph.init_write(self.f(new_leaf, KEY), key).await;
             let (ik, lw, rw) = if key < s.leaf_key {
                 (s.leaf_key, new_leaf | LEAF, s.leaf | LEAF)
             } else {
                 (key, s.leaf | LEAF, new_leaf | LEAF)
             };
-            ph.init_write(self.f(internal, KEY), ik);
-            ph.init_write(self.f(internal, LEFT), lw);
-            ph.init_write(self.f(internal, RIGHT), rw);
-            ph.persist_node(new_leaf, self.alloc.stride().bytes());
-            ph.persist_node(internal, 3 * self.alloc.stride().bytes());
-            let parent_f = self.child_field(ph, s.parent, key);
-            if ph.cas(parent_f, s.leaf | LEAF, internal) {
+            ph.init_write(self.f(internal, KEY), ik).await;
+            ph.init_write(self.f(internal, LEFT), lw).await;
+            ph.init_write(self.f(internal, RIGHT), rw).await;
+            ph.persist_node(new_leaf, self.alloc.stride().bytes()).await;
+            ph.persist_node(internal, 3 * self.alloc.stride().bytes())
+                .await;
+            let parent_f = self.child_field(ph, s.parent, key).await;
+            if ph.cas(parent_f, s.leaf | LEAF, internal).await {
                 return true;
             }
             // Failed: if the edge is flagged/tagged for this leaf, help the
             // pending delete before retrying.
-            let w = ph.read_traverse(parent_f);
+            let w = ph.read_traverse(parent_f).await;
             if addr(w) == s.leaf && (is_del(w) || is_tag(w)) {
-                self.cleanup(ph, key, &s);
+                self.cleanup(ph, key, &s).await;
             }
         }
     }
 
-    fn remove(&self, ph: &PHandle<'_>, key: u64) -> bool {
+    async fn remove(&self, ph: &PHandle<'_>, key: u64) -> bool {
         let mut injected: Option<u64> = None; // flagged leaf
         loop {
-            let s = self.seek(ph, key);
+            let s = self.seek(ph, key).await;
             match injected {
                 None => {
                     if s.leaf_key != key {
                         return false;
                     }
-                    let parent_f = self.child_field(ph, s.parent, key);
+                    let parent_f = self.child_field(ph, s.parent, key).await;
                     // Injection: flag the parent→leaf edge (linearization).
-                    if ph.cas(parent_f, s.leaf | LEAF, s.leaf | LEAF | DEL) {
+                    if ph.cas(parent_f, s.leaf | LEAF, s.leaf | LEAF | DEL).await {
                         injected = Some(s.leaf);
-                        if self.cleanup(ph, key, &s) {
+                        if self.cleanup(ph, key, &s).await {
                             return true;
                         }
                     } else {
                         // Help whatever operation owns the edge.
-                        let w = ph.read_traverse(parent_f);
+                        let w = ph.read_traverse(parent_f).await;
                         if addr(w) == s.leaf && (is_del(w) || is_tag(w)) {
-                            self.cleanup(ph, key, &s);
+                            self.cleanup(ph, key, &s).await;
                         }
                     }
                 }
@@ -221,7 +222,7 @@ impl ConcurrentSet for Bst {
                         // Someone else finished our cleanup.
                         return true;
                     }
-                    if self.cleanup(ph, key, &s) {
+                    if self.cleanup(ph, key, &s).await {
                         return true;
                     }
                 }
@@ -229,8 +230,8 @@ impl ConcurrentSet for Bst {
         }
     }
 
-    fn contains(&self, ph: &PHandle<'_>, key: u64) -> bool {
-        let s = self.seek(ph, key);
+    async fn contains(&self, ph: &PHandle<'_>, key: u64) -> bool {
+        let s = self.seek(ph, key).await;
         s.leaf_key == key
     }
 }

@@ -61,15 +61,15 @@ impl HashTable {
 }
 
 impl ConcurrentSet for HashTable {
-    fn insert(&self, ph: &PHandle<'_>, key: u64) -> bool {
-        self.bucket(key).insert(ph, key)
+    async fn insert(&self, ph: &PHandle<'_>, key: u64) -> bool {
+        self.bucket(key).insert(ph, key).await
     }
 
-    fn remove(&self, ph: &PHandle<'_>, key: u64) -> bool {
-        self.bucket(key).remove(ph, key)
+    async fn remove(&self, ph: &PHandle<'_>, key: u64) -> bool {
+        self.bucket(key).remove(ph, key).await
     }
 
-    fn contains(&self, ph: &PHandle<'_>, key: u64) -> bool {
-        self.bucket(key).contains(ph, key)
+    async fn contains(&self, ph: &PHandle<'_>, key: u64) -> bool {
+        self.bucket(key).contains(ph, key).await
     }
 }

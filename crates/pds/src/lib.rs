@@ -42,23 +42,26 @@ pub use list::HarrisList;
 pub use persist::{OptKind, PHandle, PersistMode};
 pub use skiplist::SkipList;
 pub use workload::{
-    prefill_snapshot, run_set_benchmark, run_set_benchmark_warm, warm_key, BenchResult, DsKind,
-    WarmSet, WorkloadCfg,
+    prefill_snapshot, run_set_benchmark, run_set_benchmark_warm, warm_key, AnySet, BenchResult,
+    DsKind, WarmSet, WorkloadCfg,
 };
 
 use skipit_core::CoreHandle;
+use std::future::Future;
 
 /// A concurrent set keyed by `u64`, driven through a persistence handle.
 ///
 /// All three operations are linearizable and lock-free; keys must be below
-/// [`ptr::MAX_KEY`].
-pub trait ConcurrentSet: Sync {
+/// [`ptr::MAX_KEY`]. They are `async`: each simulated memory access awaits
+/// the worker's [`CoreHandle`], so call them from a worker future (see
+/// `skipit_core::Workers`). Implementations write them as `async fn`.
+pub trait ConcurrentSet {
     /// Inserts `key`; returns `false` if already present.
-    fn insert(&self, ph: &PHandle<'_>, key: u64) -> bool;
+    fn insert(&self, ph: &PHandle<'_>, key: u64) -> impl Future<Output = bool>;
     /// Removes `key`; returns `false` if absent.
-    fn remove(&self, ph: &PHandle<'_>, key: u64) -> bool;
+    fn remove(&self, ph: &PHandle<'_>, key: u64) -> impl Future<Output = bool>;
     /// Membership test.
-    fn contains(&self, ph: &PHandle<'_>, key: u64) -> bool;
+    fn contains(&self, ph: &PHandle<'_>, key: u64) -> impl Future<Output = bool>;
 }
 
 /// Convenience: wraps a raw [`CoreHandle`] in a non-persistent [`PHandle`]

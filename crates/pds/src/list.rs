@@ -65,22 +65,22 @@ impl HarrisList {
 
     /// Finds `(pred, curr, curr_key)` with `curr` the first unmarked node
     /// with `curr_key >= key`, unlinking marked nodes on the way.
-    fn search(&self, ph: &PHandle<'_>, key: u64) -> (u64, u64, u64) {
+    async fn search(&self, ph: &PHandle<'_>, key: u64) -> (u64, u64, u64) {
         'retry: loop {
             let mut pred = self.head;
-            let mut curr = addr(ph.read_traverse(self.f(pred, NEXT)));
+            let mut curr = addr(ph.read_traverse(self.f(pred, NEXT)).await);
             loop {
                 debug_assert_ne!(curr, 0, "ran past the tail sentinel");
-                let curr_next = ph.read_traverse(self.f(curr, NEXT));
+                let curr_next = ph.read_traverse(self.f(curr, NEXT)).await;
                 if is_del(curr_next) {
                     // Unlink the logically deleted node.
-                    if !ph.cas(self.f(pred, NEXT), curr, addr(curr_next)) {
+                    if !ph.cas(self.f(pred, NEXT), curr, addr(curr_next)).await {
                         continue 'retry;
                     }
                     curr = addr(curr_next);
                     continue;
                 }
-                let curr_key = ph.read_traverse(self.f(curr, KEY));
+                let curr_key = ph.read_traverse(self.f(curr, KEY)).await;
                 if curr_key >= key {
                     return (pred, curr, curr_key);
                 }
@@ -92,59 +92,62 @@ impl HarrisList {
 }
 
 impl ConcurrentSet for HarrisList {
-    fn insert(&self, ph: &PHandle<'_>, key: u64) -> bool {
+    async fn insert(&self, ph: &PHandle<'_>, key: u64) -> bool {
         assert!((1..TAIL_KEY).contains(&key), "key out of range");
         loop {
-            let (pred, curr, curr_key) = self.search(ph, key);
+            let (pred, curr, curr_key) = self.search(ph, key).await;
             if curr_key == key {
                 return false;
             }
             let node = self.alloc.alloc(2);
-            ph.init_write(self.f(node, KEY), key);
-            ph.init_write(self.f(node, NEXT), curr);
+            ph.init_write(self.f(node, KEY), key).await;
+            ph.init_write(self.f(node, NEXT), curr).await;
             // The node must be durable before it becomes reachable.
-            ph.persist_node(node, 2 * self.alloc.stride().bytes());
-            if ph.cas(self.f(pred, NEXT), curr, node) {
+            ph.persist_node(node, 2 * self.alloc.stride().bytes()).await;
+            if ph.cas(self.f(pred, NEXT), curr, node).await {
                 return true;
             }
         }
     }
 
-    fn remove(&self, ph: &PHandle<'_>, key: u64) -> bool {
+    async fn remove(&self, ph: &PHandle<'_>, key: u64) -> bool {
         loop {
-            let (pred, curr, curr_key) = self.search(ph, key);
+            let (pred, curr, curr_key) = self.search(ph, key).await;
             if curr_key != key {
                 return false;
             }
             // Critical read of the victim's next pointer.
-            let next = ph.read(self.f(curr, NEXT));
+            let next = ph.read(self.f(curr, NEXT)).await;
             if is_del(next) {
                 continue;
             }
             // Logical deletion is the linearization (and persist) point.
-            if !ph.cas(self.f(curr, NEXT), addr(next), addr(next) | DEL) {
+            if !ph
+                .cas(self.f(curr, NEXT), addr(next), addr(next) | DEL)
+                .await
+            {
                 continue;
             }
             // Physical unlink, best effort.
-            ph.cas(self.f(pred, NEXT), curr, addr(next));
+            ph.cas(self.f(pred, NEXT), curr, addr(next)).await;
             return true;
         }
     }
 
-    fn contains(&self, ph: &PHandle<'_>, key: u64) -> bool {
-        let mut curr = addr(ph.read_traverse(self.f(self.head, NEXT)));
+    async fn contains(&self, ph: &PHandle<'_>, key: u64) -> bool {
+        let mut curr = addr(ph.read_traverse(self.f(self.head, NEXT)).await);
         loop {
-            let curr_key = ph.read_traverse(self.f(curr, KEY));
+            let curr_key = ph.read_traverse(self.f(curr, KEY)).await;
             if curr_key >= key {
                 if curr_key != key {
                     return false;
                 }
                 // Critical read: the result must reflect persisted state in
                 // NVTraverse/Automatic modes.
-                let next = ph.read(self.f(curr, NEXT));
+                let next = ph.read(self.f(curr, NEXT)).await;
                 return !is_del(next);
             }
-            curr = addr(ph.read_traverse(self.f(curr, NEXT)));
+            curr = addr(ph.read_traverse(self.f(curr, NEXT)).await);
         }
     }
 }

@@ -68,7 +68,7 @@ impl OptKind {
     }
 }
 
-/// Per-thread persistence handle: a [`CoreHandle`] plus the instrumentation
+/// Per-worker persistence handle: a [`CoreHandle`] plus the instrumentation
 /// policy. See the [module docs](self).
 #[derive(Debug)]
 pub struct PHandle<'a> {
@@ -104,8 +104,8 @@ impl<'a> PHandle<'a> {
     }
 
     /// Non-memory software work (mask/test instructions etc.).
-    pub fn work(&self, cycles: u64) {
-        self.h.work(cycles);
+    pub async fn work(&self, cycles: u64) {
+        self.h.work(cycles).await;
     }
 
     fn counter_addr(&self, addr: u64) -> Option<u64> {
@@ -121,9 +121,9 @@ impl<'a> PHandle<'a> {
 
     /// Issues the writeback + fence for `addr` unconditionally
     /// (policy-independent primitive).
-    fn raw_persist(&self, addr: u64) {
-        self.h.flush(addr);
-        self.h.fence();
+    async fn raw_persist(&self, addr: u64) {
+        self.h.flush(addr).await;
+        self.h.fence().await;
     }
 
     // ------------------------------------------------------------------
@@ -132,62 +132,62 @@ impl<'a> PHandle<'a> {
 
     /// Plain load with the strategy's per-access software overhead:
     /// Link-and-Persist must mask/test its bit on *every* access (§7.4).
-    fn plain_load(&self, addr: u64) -> u64 {
-        let v = self.h.load(addr);
+    async fn plain_load(&self, addr: u64) -> u64 {
+        let v = self.h.load(addr).await;
         if matches!(self.opt, OptKind::LinkAndPersist) && self.mode != PersistMode::None {
-            self.h.work(1);
+            self.h.work(1).await;
         }
         val(v)
     }
 
     /// Traversal read: unflushed except under
     /// [`PersistMode::Automatic`]. Strips the Link-and-Persist mark.
-    pub fn read_traverse(&self, addr: u64) -> u64 {
+    pub async fn read_traverse(&self, addr: u64) -> u64 {
         match self.mode {
-            PersistMode::Automatic => self.read_persist(addr),
-            _ => self.plain_load(addr),
+            PersistMode::Automatic => self.read_persist(addr).await,
+            _ => self.plain_load(addr).await,
         }
     }
 
     /// Critical read (near the linearization point): persisted under
     /// `Automatic` and `NvTraverse`.
-    pub fn read(&self, addr: u64) -> u64 {
+    pub async fn read(&self, addr: u64) -> u64 {
         match self.mode {
-            PersistMode::Automatic | PersistMode::NvTraverse => self.read_persist(addr),
-            _ => self.plain_load(addr),
+            PersistMode::Automatic | PersistMode::NvTraverse => self.read_persist(addr).await,
+            _ => self.plain_load(addr).await,
         }
     }
 
     /// A read that guarantees the observed value is persisted before use,
     /// applying the elision strategy.
-    fn read_persist(&self, addr: u64) -> u64 {
+    async fn read_persist(&self, addr: u64) -> u64 {
         match self.opt {
             OptKind::Plain | OptKind::SkipIt => {
-                let v = self.h.load(addr);
+                let v = self.h.load(addr).await;
                 // With Skip It hardware, a persisted line's flush is dropped
                 // at the L1 (§6.1); the software is identical.
-                self.raw_persist(addr);
+                self.raw_persist(addr).await;
                 val(v)
             }
             OptKind::FlitAdjacent | OptKind::FlitHash { .. } => {
-                let v = self.h.load(addr);
+                let v = self.h.load(addr).await;
                 let ctr = self.counter_addr(addr).expect("flit has counters");
-                if self.h.load(ctr) != 0 {
-                    self.raw_persist(addr);
+                if self.h.load(ctr).await != 0 {
+                    self.raw_persist(addr).await;
                 }
                 val(v)
             }
             OptKind::LinkAndPersist => {
-                let v = self.h.load(addr);
+                let v = self.h.load(addr).await;
                 // "All accesses to this address must first mask this
                 // occupied bit before it performs a memory operation"
                 // (§7.4): a cycle of mask/test ALU work per access.
-                self.h.work(1);
+                self.h.work(1).await;
                 if v & LP_MARK != 0 {
-                    self.raw_persist(addr);
+                    self.raw_persist(addr).await;
                     // Clear the mark so later readers skip the flush; a lost
                     // race just leaves the mark for the next reader.
-                    self.h.cas(addr, v, v & !LP_MARK);
+                    self.h.cas(addr, v, v & !LP_MARK).await;
                 }
                 val(v)
             }
@@ -199,63 +199,65 @@ impl<'a> PHandle<'a> {
     // ------------------------------------------------------------------
 
     /// Persistent store.
-    pub fn write(&self, addr: u64, value: u64) {
+    pub async fn write(&self, addr: u64, value: u64) {
         if self.mode == PersistMode::None {
-            self.h.store(addr, value);
+            self.h.store(addr, value).await;
             return;
         }
         match self.opt {
             OptKind::Plain | OptKind::SkipIt => {
-                self.h.store(addr, value);
-                self.raw_persist(addr);
+                self.h.store(addr, value).await;
+                self.raw_persist(addr).await;
             }
             OptKind::FlitAdjacent | OptKind::FlitHash { .. } => {
                 let ctr = self.counter_addr(addr).expect("flit has counters");
-                self.h.fetch_add(ctr, 1);
-                self.h.store(addr, value);
-                self.raw_persist(addr);
-                self.h.fetch_add(ctr, u64::MAX); // -1
+                self.h.fetch_add(ctr, 1).await;
+                self.h.store(addr, value).await;
+                self.raw_persist(addr).await;
+                self.h.fetch_add(ctr, u64::MAX).await; // -1
             }
             OptKind::LinkAndPersist => {
-                self.h.store(addr, value | LP_MARK);
-                self.raw_persist(addr);
+                self.h.store(addr, value | LP_MARK).await;
+                self.raw_persist(addr).await;
                 // Leave the mark set-cleared lazily by readers? The writer
                 // clears it eagerly: the line was just persisted.
-                self.h.store(addr, value);
+                self.h.store(addr, value).await;
             }
         }
     }
 
     /// Persistent compare-and-swap on the value bits (the Link-and-Persist
     /// mark is transparent). Returns `true` on success.
-    pub fn cas(&self, addr: u64, expected: u64, new: u64) -> bool {
+    pub async fn cas(&self, addr: u64, expected: u64, new: u64) -> bool {
         if self.mode == PersistMode::None {
-            return self.cas_raw_transparent(addr, expected, new);
+            return self.cas_raw_transparent(addr, expected, new).await;
         }
         match self.opt {
             OptKind::Plain | OptKind::SkipIt => {
-                let ok = self.cas_raw_transparent(addr, expected, new);
+                let ok = self.cas_raw_transparent(addr, expected, new).await;
                 if ok {
-                    self.raw_persist(addr);
+                    self.raw_persist(addr).await;
                 }
                 ok
             }
             OptKind::FlitAdjacent | OptKind::FlitHash { .. } => {
                 let ctr = self.counter_addr(addr).expect("flit has counters");
-                self.h.fetch_add(ctr, 1);
-                let ok = self.cas_raw_transparent(addr, expected, new);
+                self.h.fetch_add(ctr, 1).await;
+                let ok = self.cas_raw_transparent(addr, expected, new).await;
                 if ok {
-                    self.raw_persist(addr);
+                    self.raw_persist(addr).await;
                 }
-                self.h.fetch_add(ctr, u64::MAX);
+                self.h.fetch_add(ctr, u64::MAX).await;
                 ok
             }
             OptKind::LinkAndPersist => {
-                let ok = self.cas_transparent_store(addr, expected, new | LP_MARK);
+                let ok = self
+                    .cas_transparent_store(addr, expected, new | LP_MARK)
+                    .await;
                 if ok {
-                    self.raw_persist(addr);
+                    self.raw_persist(addr).await;
                     // Eagerly clear the mark (already persisted).
-                    self.h.cas(addr, new | LP_MARK, new);
+                    self.h.cas(addr, new | LP_MARK, new).await;
                 }
                 ok
             }
@@ -264,14 +266,14 @@ impl<'a> PHandle<'a> {
 
     /// CAS whose *comparison* ignores the LP mark but whose stored value is
     /// exactly `new`.
-    fn cas_raw_transparent(&self, addr: u64, expected: u64, new: u64) -> bool {
-        self.cas_transparent_store(addr, expected, new)
+    async fn cas_raw_transparent(&self, addr: u64, expected: u64, new: u64) -> bool {
+        self.cas_transparent_store(addr, expected, new).await
     }
 
-    fn cas_transparent_store(&self, addr: u64, expected: u64, new: u64) -> bool {
+    async fn cas_transparent_store(&self, addr: u64, expected: u64, new: u64) -> bool {
         let mut attempt = expected;
         for _ in 0..4 {
-            let old = self.h.cas(addr, attempt, new);
+            let old = self.h.cas(addr, attempt, new).await;
             if old == attempt {
                 return true;
             }
@@ -291,24 +293,24 @@ impl<'a> PHandle<'a> {
     // ------------------------------------------------------------------
 
     /// Store into a not-yet-published node: no instrumentation.
-    pub fn init_write(&self, addr: u64, value: u64) {
-        self.h.store(addr, value);
+    pub async fn init_write(&self, addr: u64, value: u64) {
+        self.h.store(addr, value).await;
     }
 
     /// Persists a freshly initialized node (every cache line the byte range
     /// `[node, node + bytes)` touches) before it is published, so a crash
     /// after the publishing CAS finds the node contents durable. No-op for
     /// [`PersistMode::None`].
-    pub fn persist_node(&self, node: u64, bytes: u64) {
+    pub async fn persist_node(&self, node: u64, bytes: u64) {
         if self.mode == PersistMode::None {
             return;
         }
         let first = node / 64;
         let last = (node + bytes.max(1) - 1) / 64;
         for l in first..=last {
-            self.h.flush(l * 64);
+            self.h.flush(l * 64).await;
         }
-        self.h.fence();
+        self.h.fence().await;
     }
 }
 

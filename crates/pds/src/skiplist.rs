@@ -79,7 +79,7 @@ impl SkipList {
 
     /// Finds per-level predecessors/successors of `key`, unlinking marked
     /// nodes encountered on the way (Harris-style per level).
-    fn find(
+    async fn find(
         &self,
         ph: &PHandle<'_>,
         key: u64,
@@ -90,17 +90,20 @@ impl SkipList {
             let mut pred = self.head;
             let mut found = None;
             for lvl in (0..MAX_LEVEL).rev() {
-                let mut curr = addr(ph.read_traverse(self.f(pred, NEXT0 + lvl)));
+                let mut curr = addr(ph.read_traverse(self.f(pred, NEXT0 + lvl)).await);
                 loop {
-                    let curr_next = ph.read_traverse(self.f(curr, NEXT0 + lvl));
+                    let curr_next = ph.read_traverse(self.f(curr, NEXT0 + lvl)).await;
                     if is_del(curr_next) {
-                        if !ph.cas(self.f(pred, NEXT0 + lvl), curr, addr(curr_next)) {
+                        if !ph
+                            .cas(self.f(pred, NEXT0 + lvl), curr, addr(curr_next))
+                            .await
+                        {
                             continue 'retry;
                         }
                         curr = addr(curr_next);
                         continue;
                     }
-                    let curr_key = ph.read_traverse(self.f(curr, KEY));
+                    let curr_key = ph.read_traverse(self.f(curr, KEY)).await;
                     if curr_key < key {
                         pred = curr;
                         curr = addr(curr_next);
@@ -120,23 +123,24 @@ impl SkipList {
 }
 
 impl ConcurrentSet for SkipList {
-    fn insert(&self, ph: &PHandle<'_>, key: u64) -> bool {
+    async fn insert(&self, ph: &PHandle<'_>, key: u64) -> bool {
         assert!((1..TAIL_KEY).contains(&key), "key out of range");
         let height = level_of(key);
         loop {
-            let (preds, succs, found) = self.find(ph, key);
+            let (preds, succs, found) = self.find(ph, key).await;
             if found.is_some() {
                 return false;
             }
             let node = self.alloc.alloc(NEXT0 + height);
-            ph.init_write(self.f(node, KEY), key);
-            ph.init_write(self.f(node, LVL), height as u64);
+            ph.init_write(self.f(node, KEY), key).await;
+            ph.init_write(self.f(node, LVL), height as u64).await;
             for (l, succ) in succs.iter().enumerate().take(height) {
-                ph.init_write(self.f(node, NEXT0 + l), *succ);
+                ph.init_write(self.f(node, NEXT0 + l), *succ).await;
             }
-            ph.persist_node(node, (NEXT0 + height) as u64 * self.alloc.stride().bytes());
+            ph.persist_node(node, (NEXT0 + height) as u64 * self.alloc.stride().bytes())
+                .await;
             // Level-0 link is the linearization point.
-            if !ph.cas(self.f(preds[0], NEXT0), succs[0], node) {
+            if !ph.cas(self.f(preds[0], NEXT0), succs[0], node).await {
                 continue;
             }
             // Upper levels: link in bottom-up; abandon on concurrent delete.
@@ -144,17 +148,19 @@ impl ConcurrentSet for SkipList {
                 let mut pred = preds[l];
                 let mut succ = succs[l];
                 loop {
-                    let cur_w = ph.read_traverse(self.f(node, NEXT0 + l));
+                    let cur_w = ph.read_traverse(self.f(node, NEXT0 + l)).await;
                     if is_del(cur_w) {
                         return true; // node is being deleted; stop indexing
                     }
-                    if addr(cur_w) != succ && !ph.cas(self.f(node, NEXT0 + l), addr(cur_w), succ) {
+                    if addr(cur_w) != succ
+                        && !ph.cas(self.f(node, NEXT0 + l), addr(cur_w), succ).await
+                    {
                         continue; // marked concurrently; re-check
                     }
-                    if ph.cas(self.f(pred, NEXT0 + l), succ, node) {
+                    if ph.cas(self.f(pred, NEXT0 + l), succ, node).await {
                         break;
                     }
-                    let (np, ns, still_there) = self.find(ph, key);
+                    let (np, ns, still_there) = self.find(ph, key).await;
                     if still_there != Some(node) {
                         return true; // removed (and maybe re-inserted) already
                     }
@@ -166,19 +172,22 @@ impl ConcurrentSet for SkipList {
         }
     }
 
-    fn remove(&self, ph: &PHandle<'_>, key: u64) -> bool {
+    async fn remove(&self, ph: &PHandle<'_>, key: u64) -> bool {
         loop {
-            let (_, _, found) = self.find(ph, key);
+            let (_, _, found) = self.find(ph, key).await;
             let Some(node) = found else { return false };
-            let height = ph.read_traverse(self.f(node, LVL)) as usize;
+            let height = ph.read_traverse(self.f(node, LVL)).await as usize;
             // Mark upper levels (idempotent, helping-friendly).
             for l in (1..height).rev() {
                 loop {
-                    let w = ph.read_traverse(self.f(node, NEXT0 + l));
+                    let w = ph.read_traverse(self.f(node, NEXT0 + l)).await;
                     if is_del(w) {
                         break;
                     }
-                    if ph.cas(self.f(node, NEXT0 + l), addr(w), addr(w) | DEL) {
+                    if ph
+                        .cas(self.f(node, NEXT0 + l), addr(w), addr(w) | DEL)
+                        .await
+                    {
                         break;
                     }
                 }
@@ -186,35 +195,35 @@ impl ConcurrentSet for SkipList {
             // Level 0 mark is the linearization point; only the thread whose
             // CAS succeeds returns true.
             loop {
-                let w = ph.read(self.f(node, NEXT0));
+                let w = ph.read(self.f(node, NEXT0)).await;
                 if is_del(w) {
                     break; // someone else deleted it; retry the outer find
                 }
-                if ph.cas(self.f(node, NEXT0), addr(w), addr(w) | DEL) {
+                if ph.cas(self.f(node, NEXT0), addr(w), addr(w) | DEL).await {
                     // Physical unlink via a fresh traversal.
-                    let _ = self.find(ph, key);
+                    let _ = self.find(ph, key).await;
                     return true;
                 }
             }
         }
     }
 
-    fn contains(&self, ph: &PHandle<'_>, key: u64) -> bool {
+    async fn contains(&self, ph: &PHandle<'_>, key: u64) -> bool {
         let mut pred = self.head;
         for lvl in (0..MAX_LEVEL).rev() {
             loop {
-                let w = ph.read_traverse(self.f(pred, NEXT0 + lvl));
+                let w = ph.read_traverse(self.f(pred, NEXT0 + lvl)).await;
                 let curr = addr(w);
                 if curr == 0 {
                     break;
                 }
-                let curr_key = ph.read_traverse(self.f(curr, KEY));
+                let curr_key = ph.read_traverse(self.f(curr, KEY)).await;
                 if curr_key < key {
                     pred = curr;
                     continue;
                 }
                 if lvl == 0 && curr_key == key {
-                    let next = ph.read(self.f(curr, NEXT0));
+                    let next = ph.read(self.f(curr, NEXT0)).await;
                     return !is_del(next);
                 }
                 break;

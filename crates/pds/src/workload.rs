@@ -4,7 +4,7 @@
 //! One call to [`run_set_benchmark`] reproduces one bar of Figs. 14/15/16:
 //! it builds a system (Skip It hardware iff the optimization is
 //! [`OptKind::SkipIt`]), constructs and prefills the chosen structure,
-//! runs one workload thread per core for a cycle budget, and reports
+//! runs one worker per core for a cycle budget, and reports
 //! throughput.
 //!
 //! The fill phase dominates the wall-clock of figure grids whose points
@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use skipit_core::{
     CoreHandle, EngineKind, EngineStats, LineAddr, Snapshot, System, SystemBuilder, SystemStats,
-    Threads,
+    Workers,
 };
 use std::sync::Arc;
 
@@ -69,7 +69,7 @@ pub struct WorkloadCfg {
     pub mode: PersistMode,
     /// Flush-elimination strategy.
     pub opt: OptKind,
-    /// Worker threads (= cores). The paper uses 2 (§7.4).
+    /// Workers (= cores). The paper uses 2 (§7.4).
     pub threads: usize,
     /// Keys are drawn uniformly from `1..=key_range`.
     pub key_range: u64,
@@ -111,7 +111,7 @@ impl Default for WorkloadCfg {
 /// Result of one benchmark run.
 #[derive(Clone, Debug)]
 pub struct BenchResult {
-    /// Completed set operations across all threads.
+    /// Completed set operations across all workers.
     pub ops: u64,
     /// Measured-phase cycles.
     pub cycles: u64,
@@ -146,20 +146,46 @@ fn poke(sys: &mut System, addr: u64, value: u64) {
     sys.dram_mut().write_direct(line, data);
 }
 
-enum AnySet {
+/// Any of the four §7.4 structures behind one [`ConcurrentSet`] — the
+/// static-dispatch stand-in for a trait object, which `ConcurrentSet`'s
+/// `async` methods rule out.
+#[derive(Clone, Debug)]
+pub enum AnySet {
+    /// A Harris list.
     List(HarrisList),
+    /// A hash table.
     Hash(HashTable),
+    /// An external BST.
     Bst(Bst),
+    /// A skiplist.
     Skip(SkipList),
 }
 
-impl AnySet {
-    fn as_set(&self) -> &dyn ConcurrentSet {
+impl ConcurrentSet for AnySet {
+    async fn insert(&self, ph: &PHandle<'_>, key: u64) -> bool {
         match self {
-            AnySet::List(s) => s,
-            AnySet::Hash(s) => s,
-            AnySet::Bst(s) => s,
-            AnySet::Skip(s) => s,
+            AnySet::List(s) => s.insert(ph, key).await,
+            AnySet::Hash(s) => s.insert(ph, key).await,
+            AnySet::Bst(s) => s.insert(ph, key).await,
+            AnySet::Skip(s) => s.insert(ph, key).await,
+        }
+    }
+
+    async fn remove(&self, ph: &PHandle<'_>, key: u64) -> bool {
+        match self {
+            AnySet::List(s) => s.remove(ph, key).await,
+            AnySet::Hash(s) => s.remove(ph, key).await,
+            AnySet::Bst(s) => s.remove(ph, key).await,
+            AnySet::Skip(s) => s.remove(ph, key).await,
+        }
+    }
+
+    async fn contains(&self, ph: &PHandle<'_>, key: u64) -> bool {
+        match self {
+            AnySet::List(s) => s.contains(ph, key).await,
+            AnySet::Hash(s) => s.contains(ph, key).await,
+            AnySet::Bst(s) => s.contains(ph, key).await,
+            AnySet::Skip(s) => s.contains(ph, key).await,
         }
     }
 }
@@ -214,17 +240,16 @@ fn build(cfg: &WorkloadCfg) -> (System, AnySet, Arc<SimAlloc>) {
 /// fully persisted structure, as the paper's runs do. (An unpersisted
 /// prefill would leave every line dirty in the hierarchy and charge the
 /// measured phase for cleaning it up.)
-fn prefill(sys: &mut System, ds: &AnySet, cfg: &WorkloadCfg) {
-    let set = ds.as_set();
+fn prefill(sys: &mut System, set: &AnySet, cfg: &WorkloadCfg) {
     let prefill_cfg = *cfg;
     let opt = cfg.opt;
-    sys.run(Threads::new(vec![move |h: CoreHandle| {
+    sys.run(Workers::new(vec![move |h: CoreHandle| async move {
         let ph = PHandle::new(&h, PersistMode::Manual, opt);
         let mut rng = StdRng::seed_from_u64(prefill_cfg.seed);
         let mut inserted = 0;
         while inserted < prefill_cfg.prefill {
             let k = rng.gen_range(1..=prefill_cfg.key_range);
-            if set.insert(&ph, k) {
+            if set.insert(&ph, k).await {
                 inserted += 1;
             }
         }
@@ -234,8 +259,7 @@ fn prefill(sys: &mut System, ds: &AnySet, cfg: &WorkloadCfg) {
 /// The measured phase: one worker per core for `cfg.budget_cycles`,
 /// reporting the phase's own cycle/engine deltas. Identical whether `sys`
 /// just ran the fill phase or was restored from a [`WarmSet`].
-fn measure(sys: &mut System, ds: &AnySet, cfg: &WorkloadCfg) -> BenchResult {
-    let set = ds.as_set();
+fn measure(sys: &mut System, set: &AnySet, cfg: &WorkloadCfg) -> BenchResult {
     let mode = cfg.mode;
     let opt = cfg.opt;
     let engine_before = sys.engine_stats();
@@ -245,7 +269,7 @@ fn measure(sys: &mut System, ds: &AnySet, cfg: &WorkloadCfg) -> BenchResult {
                 let seed = cfg.seed ^ (0x5851_F42D_4C95_7F2D * (tid as u64 + 1));
                 let key_range = cfg.key_range;
                 let update_pct = cfg.update_pct as u64;
-                move |h: CoreHandle| {
+                move |h: CoreHandle| async move {
                     let ph = PHandle::new(&h, mode, opt);
                     let mut rng = StdRng::seed_from_u64(seed);
                     let mut ops = 0u64;
@@ -256,12 +280,12 @@ fn measure(sys: &mut System, ds: &AnySet, cfg: &WorkloadCfg) -> BenchResult {
                             // Updates split evenly between inserts and
                             // deletes (§7.4).
                             if dice % 2 == 0 {
-                                set.insert(&ph, k);
+                                set.insert(&ph, k).await;
                             } else {
-                                set.remove(&ph, k);
+                                set.remove(&ph, k).await;
                             }
                         } else {
-                            set.contains(&ph, k);
+                            set.contains(&ph, k).await;
                         }
                         ops += 1;
                     }
@@ -269,7 +293,7 @@ fn measure(sys: &mut System, ds: &AnySet, cfg: &WorkloadCfg) -> BenchResult {
                 }
             })
             .collect();
-        sys.run(Threads::new(workers).budget(cfg.budget_cycles))
+        sys.run(Workers::new(workers).budget(cfg.budget_cycles))
             .into_parts()
     };
     let after = sys.engine_stats();

@@ -8,6 +8,7 @@
 //! streams are bit-identical on every engine at any host thread count.
 
 use crate::rng::{splitmix64, SplitMix64};
+use crate::workload::ServiceCfgError;
 
 /// How keys are drawn within a tenant's shard of the key space.
 ///
@@ -233,12 +234,21 @@ impl Default for OpMix {
 }
 
 impl OpMix {
-    pub(crate) fn validate(&self) {
-        assert!(
-            self.read_pct + self.update_pct + self.scan_pct == 100,
-            "op mix must sum to 100%: {self:?}"
-        );
-        assert!(self.scan_pct == 0 || self.scan_len > 0, "zero-length scans");
+    /// Checks the mix: the percentages sum to 100 and scans, if any, touch
+    /// at least one key.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceCfgError::MixNotHundred`] or
+    /// [`ServiceCfgError::ZeroLengthScans`].
+    pub fn validate(&self) -> Result<(), ServiceCfgError> {
+        if self.read_pct + self.update_pct + self.scan_pct != 100 {
+            return Err(ServiceCfgError::MixNotHundred(*self));
+        }
+        if self.scan_pct > 0 && self.scan_len == 0 {
+            return Err(ServiceCfgError::ZeroLengthScans);
+        }
+        Ok(())
     }
 }
 
@@ -398,7 +408,9 @@ pub fn build_lanes(
     stress: Stress,
     seed: u64,
 ) -> Vec<Vec<Request>> {
-    mix.validate();
+    if let Err(e) = mix.validate() {
+        panic!("{e}");
+    }
     assert!(cores > 0, "at least one lane");
     assert!(key_range > 0, "empty key space");
     let shard_table = shards(key_range, tenants);

@@ -14,10 +14,10 @@
 //!   and synchronized [`Stress::ExpirationStorm`]s. Every lane is a pure
 //!   function of the seed ([`SplitMix64`]-derived), generated host-side
 //!   before the simulation starts, so the same seed yields a bit-identical
-//!   stream on all four engines at any host thread count.
+//!   stream on both engines at any host thread count.
 //! * **Execution** ([`workload`]): [`ServiceWorkload`] implements the
 //!   unified [`Workload`](skipit_core::Workload) trait, driving the PDS
-//!   [`HashTable`](skipit_pds::HashTable) in thread mode. Workers pace
+//!   [`HashTable`](skipit_pds::HashTable) in worker mode. Workers pace
 //!   open-loop against scheduled arrival cycles, so queueing delay lands in
 //!   the recorded latency; per-request latencies go into the simulator's
 //!   [`LatencyHistogram`](skipit_core::LatencyHistogram).
@@ -49,5 +49,6 @@ pub use gen::{build_lanes, Arrivals, KeyDist, OpMix, ReqKind, Request, Stress};
 pub use rng::{splitmix64, SplitMix64};
 pub use slo::{GoodputPoint, SloSummary};
 pub use workload::{
-    run_service, LaneReport, ServiceCfg, ServiceReport, ServiceWorkload, CACHE_BASE,
+    run_service, LaneReport, ServiceCfg, ServiceCfgError, ServiceReport, ServiceWorkload,
+    CACHE_BASE,
 };

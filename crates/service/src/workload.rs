@@ -4,7 +4,7 @@
 //! A [`ServiceWorkload`] lowers a [`ServiceCfg`] to pre-generated request
 //! lanes ([`build_lanes`]), builds and prefills a [`HashTable`] in the
 //! target system's simulated memory, then executes the lanes open-loop in
-//! thread mode: each worker paces itself against the *scheduled* arrival
+//! worker mode: each worker paces itself against the *scheduled* arrival
 //! cycle of every request (`RDCYCLE` + think time), so a request that finds
 //! the server behind schedule is charged its queueing delay — the latency
 //! distribution degrades the way a real overloaded service's does, instead
@@ -14,14 +14,14 @@
 //! with everything `System::run` composes with: capture/replay, snapshots,
 //! schedule perturbation, and both simulation engines — and the report
 //! is bit-identical across engines and runs because the streams are
-//! pre-generated and thread mode's rendezvous protocol decouples simulated
-//! time from host scheduling.
+//! pre-generated and worker mode's command/response protocol decouples
+//! simulated time from host computation.
 
 use crate::gen::{build_lanes, shard_table, Arrivals, KeyDist, OpMix, ReqKind, Request, Stress};
 use crate::rng::{splitmix64, SplitMix64};
 use crate::slo::SloSummary;
 use skipit_core::{
-    CoreHandle, LatencyHistogram, LineAddr, RunReport, System, SystemBuilder, SystemStats, Threads,
+    CoreHandle, LatencyHistogram, LineAddr, RunReport, System, SystemBuilder, SystemStats, Workers,
     Workload,
 };
 use skipit_pds::alloc::{FieldStride, SimAlloc};
@@ -100,20 +100,97 @@ impl ServiceCfg {
             .skip_it(self.opt.wants_skip_it_hardware())
     }
 
-    fn validate(&self) {
-        assert!(self.cores > 0, "at least one lane");
-        assert!(!self.tenants.is_empty(), "at least one tenant");
-        assert!(
-            self.key_range >= self.tenants.len() as u64,
-            "fewer keys than tenants"
-        );
-        assert!(self.prefill <= self.key_range, "prefill exceeds key range");
-        assert!(
-            self.key_range <= 1 << 20,
-            "key range too large for the cache region"
-        );
+    /// Checks every rule a runnable configuration obeys, the op mix's
+    /// included ([`OpMix::validate`]).
+    ///
+    /// # Errors
+    ///
+    /// The first broken rule, as a [`ServiceCfgError`].
+    pub fn validate(&self) -> Result<(), ServiceCfgError> {
+        if self.cores == 0 {
+            return Err(ServiceCfgError::NoLanes);
+        }
+        if self.tenants.is_empty() {
+            return Err(ServiceCfgError::NoTenants);
+        }
+        if self.key_range < self.tenants.len() as u64 {
+            return Err(ServiceCfgError::FewerKeysThanTenants {
+                key_range: self.key_range,
+                tenants: self.tenants.len(),
+            });
+        }
+        if self.prefill > self.key_range {
+            return Err(ServiceCfgError::PrefillExceedsKeyRange {
+                prefill: self.prefill,
+                key_range: self.key_range,
+            });
+        }
+        if self.key_range > MAX_KEY_RANGE {
+            return Err(ServiceCfgError::KeyRangeTooLarge {
+                key_range: self.key_range,
+            });
+        }
+        self.mix.validate()
     }
 }
+
+/// Largest key range whose cache slots fit the cache region.
+const MAX_KEY_RANGE: u64 = 1 << 20;
+
+/// Why a [`ServiceCfg`] is not runnable ([`ServiceCfg::validate`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ServiceCfgError {
+    /// `cores` is zero.
+    NoLanes,
+    /// `tenants` is empty.
+    NoTenants,
+    /// Some tenant shard would be empty.
+    FewerKeysThanTenants {
+        /// The configured key range.
+        key_range: u64,
+        /// The number of tenants.
+        tenants: usize,
+    },
+    /// More distinct prefill keys than keys.
+    PrefillExceedsKeyRange {
+        /// The configured prefill.
+        prefill: u64,
+        /// The configured key range.
+        key_range: u64,
+    },
+    /// The keys' cache slots would run past the cache region.
+    KeyRangeTooLarge {
+        /// The configured key range.
+        key_range: u64,
+    },
+    /// The op mix's percentages do not sum to 100.
+    MixNotHundred(OpMix),
+    /// The mix has scans, but each touches zero keys.
+    ZeroLengthScans,
+}
+
+impl std::fmt::Display for ServiceCfgError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ServiceCfgError::NoLanes => write!(f, "at least one lane"),
+            ServiceCfgError::NoTenants => write!(f, "at least one tenant"),
+            ServiceCfgError::FewerKeysThanTenants { key_range, tenants } => {
+                write!(f, "fewer keys than tenants ({key_range} < {tenants})")
+            }
+            ServiceCfgError::PrefillExceedsKeyRange { prefill, key_range } => {
+                write!(f, "prefill exceeds key range ({prefill} > {key_range})")
+            }
+            ServiceCfgError::KeyRangeTooLarge { key_range } => write!(
+                f,
+                "key range too large for the cache region ({key_range} > {MAX_KEY_RANGE})"
+            ),
+            ServiceCfgError::MixNotHundred(mix) => write!(f, "op mix must sum to 100%: {mix:?}"),
+            ServiceCfgError::ZeroLengthScans => write!(f, "zero-length scans"),
+        }
+    }
+}
+
+impl std::error::Error for ServiceCfgError {}
 
 /// Per-lane execution result.
 #[derive(Clone, Debug)]
@@ -183,12 +260,21 @@ impl ServiceWorkload {
     ///
     /// # Panics
     ///
-    /// Constructing validates the configuration; running panics if the
-    /// system has fewer cores than `cfg.cores`.
+    /// Panics with the error's text if `cfg` is invalid (see
+    /// [`ServiceWorkload::try_new`]); running panics if the system has
+    /// fewer cores than `cfg.cores`.
     pub fn new(cfg: ServiceCfg) -> Self {
-        cfg.validate();
-        cfg.mix.validate();
-        ServiceWorkload { cfg }
+        Self::try_new(cfg).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Wraps `cfg` for [`System::run`] after validating it.
+    ///
+    /// # Errors
+    ///
+    /// The first rule `cfg` breaks ([`ServiceCfg::validate`]).
+    pub fn try_new(cfg: ServiceCfg) -> Result<Self, ServiceCfgError> {
+        cfg.validate()?;
+        Ok(ServiceWorkload { cfg })
     }
 
     /// The wrapped configuration.
@@ -218,9 +304,9 @@ fn fold(digest: u64, value: u64) -> u64 {
 }
 
 /// Executes one lane against the shared set. Returns the lane report.
-fn run_lane(
+async fn run_lane(
     h: &CoreHandle,
-    set: &dyn ConcurrentSet,
+    set: &HashTable,
     lane: &[Request],
     shards: &[(u64, u64)],
     mode: PersistMode,
@@ -230,39 +316,39 @@ fn run_lane(
     let mut hist = LatencyHistogram::new();
     let mut reads = LatencyHistogram::new();
     let mut digest = 0u64;
-    let base = h.rdcycle();
+    let base = h.rdcycle().await;
     for (idx, req) in lane.iter().enumerate() {
         let due = base + req.at;
-        let now = h.rdcycle();
+        let now = h.rdcycle().await;
         if now < due {
-            h.work(due - now);
+            h.work(due - now).await;
         }
         match req.kind {
             ReqKind::Read => {
-                set.contains(&ph, req.key);
-                h.load(cache_slot(req.key));
+                set.contains(&ph, req.key).await;
+                h.load(cache_slot(req.key)).await;
             }
             ReqKind::Insert => {
-                set.insert(&ph, req.key);
-                h.store(cache_slot(req.key), req.at);
+                set.insert(&ph, req.key).await;
+                h.store(cache_slot(req.key), req.at).await;
             }
             ReqKind::Remove => {
-                set.remove(&ph, req.key);
-                h.store(cache_slot(req.key), req.at);
+                set.remove(&ph, req.key).await;
+                h.store(cache_slot(req.key), req.at).await;
             }
             ReqKind::Scan { len } => {
                 let (lo, span) = shards[req.tenant as usize];
                 for i in 0..len as u64 {
                     let k = lo + (req.key - lo + i) % span;
-                    set.contains(&ph, k);
-                    h.load(cache_slot(k));
+                    set.contains(&ph, k).await;
+                    h.load(cache_slot(k)).await;
                 }
             }
             ReqKind::Expire => {
-                h.flush(cache_slot(req.key));
+                h.flush(cache_slot(req.key)).await;
             }
         }
-        let done = h.rdcycle();
+        let done = h.rdcycle().await;
         // Latency is measured from the *scheduled* arrival, so time spent
         // behind schedule (queueing delay) is charged to the request.
         let lat = done - due;
@@ -311,15 +397,15 @@ impl Workload for ServiceWorkload {
             poke(sys, cache_slot(key), key);
         }
         let fill_cycles = {
-            let set: &dyn ConcurrentSet = &table;
+            let set = &table;
             let (seed, prefill, key_range, opt) = (cfg.seed, cfg.prefill, cfg.key_range, cfg.opt);
-            sys.run(Threads::new(vec![move |h: CoreHandle| {
+            sys.run(Workers::new(vec![move |h: CoreHandle| async move {
                 let ph = PHandle::new(&h, PersistMode::Manual, opt);
                 let mut rng = SplitMix64::new(splitmix64(seed ^ 0xF111_F111));
                 let mut inserted = 0;
                 while inserted < prefill {
                     let k = 1 + rng.gen_range(key_range);
-                    if set.insert(&ph, k) {
+                    if set.insert(&ph, k).await {
                         inserted += 1;
                     }
                 }
@@ -328,17 +414,20 @@ impl Workload for ServiceWorkload {
         };
 
         let (cycles, lane_reports): (u64, Vec<LaneReport>) = {
-            let set: &dyn ConcurrentSet = &table;
-            let workers: Vec<_> = lanes
-                .iter()
-                .map(|lane| {
-                    let lane = lane.as_slice();
-                    let shards = shards.as_slice();
-                    let (mode, opt) = (cfg.mode, cfg.opt);
-                    move |h: CoreHandle| run_lane(&h, set, lane, shards, mode, opt)
-                })
-                .collect();
-            sys.run(Threads::new(workers)).into_parts()
+            let set = &table;
+            let workers: Vec<_> =
+                lanes
+                    .iter()
+                    .map(|lane| {
+                        let lane = lane.as_slice();
+                        let shards = shards.as_slice();
+                        let (mode, opt) = (cfg.mode, cfg.opt);
+                        move |h: CoreHandle| async move {
+                            run_lane(&h, set, lane, shards, mode, opt).await
+                        }
+                    })
+                    .collect();
+            sys.run(Workers::new(workers)).into_parts()
         };
 
         let mut hist = LatencyHistogram::new();
@@ -450,6 +539,106 @@ mod tests {
         let r = run_service(&cfg);
         assert_eq!(r.requests, 160);
         assert!(r.reads.count() > 0);
+    }
+
+    fn rejected(cfg: ServiceCfg) -> ServiceCfgError {
+        ServiceWorkload::try_new(cfg).expect_err("invalid configuration accepted")
+    }
+
+    #[test]
+    fn zero_lanes_rejected() {
+        let cfg = ServiceCfg {
+            cores: 0,
+            ..ServiceCfg::default()
+        };
+        assert_eq!(rejected(cfg), ServiceCfgError::NoLanes);
+    }
+
+    #[test]
+    fn no_tenants_rejected() {
+        let cfg = ServiceCfg {
+            tenants: vec![],
+            ..ServiceCfg::default()
+        };
+        assert_eq!(rejected(cfg), ServiceCfgError::NoTenants);
+    }
+
+    #[test]
+    fn fewer_keys_than_tenants_rejected() {
+        let cfg = ServiceCfg {
+            key_range: 2,
+            prefill: 1,
+            tenants: vec![1, 1, 1],
+            ..ServiceCfg::default()
+        };
+        assert_eq!(
+            rejected(cfg),
+            ServiceCfgError::FewerKeysThanTenants {
+                key_range: 2,
+                tenants: 3
+            }
+        );
+    }
+
+    #[test]
+    fn prefill_beyond_key_range_rejected() {
+        let cfg = ServiceCfg {
+            prefill: 11,
+            key_range: 10,
+            ..ServiceCfg::default()
+        };
+        assert_eq!(
+            rejected(cfg),
+            ServiceCfgError::PrefillExceedsKeyRange {
+                prefill: 11,
+                key_range: 10
+            }
+        );
+    }
+
+    #[test]
+    fn key_range_past_cache_region_rejected() {
+        let cfg = ServiceCfg {
+            key_range: MAX_KEY_RANGE + 1,
+            ..ServiceCfg::default()
+        };
+        assert_eq!(
+            rejected(cfg),
+            ServiceCfgError::KeyRangeTooLarge {
+                key_range: MAX_KEY_RANGE + 1
+            }
+        );
+    }
+
+    #[test]
+    fn mix_not_summing_to_100_rejected() {
+        let mix = OpMix {
+            read_pct: 50,
+            update_pct: 0,
+            scan_pct: 0,
+            scan_len: 1,
+        };
+        let cfg = ServiceCfg {
+            mix,
+            ..ServiceCfg::default()
+        };
+        let err = rejected(cfg);
+        assert_eq!(err, ServiceCfgError::MixNotHundred(mix));
+        assert!(err.to_string().contains("sum to 100"), "{err}");
+    }
+
+    #[test]
+    fn zero_length_scans_rejected() {
+        let cfg = ServiceCfg {
+            mix: OpMix {
+                read_pct: 50,
+                update_pct: 0,
+                scan_pct: 50,
+                scan_len: 0,
+            },
+            ..ServiceCfg::default()
+        };
+        assert_eq!(rejected(cfg), ServiceCfgError::ZeroLengthScans);
     }
 
     #[test]

@@ -57,8 +57,9 @@ pub enum SnapError {
     /// The snapshot was taken under a different configuration than the one
     /// offered for restore (geometry, latencies, perturbation, …).
     ConfigMismatch,
-    /// The state cannot be snapshotted — live worker-thread frontends have
-    /// host-side channel endpoints that no byte encoding can capture.
+    /// The state cannot be snapshotted — a live worker-mode frontend
+    /// follows a host-side future that no byte encoding can capture.
+    /// Snapshot between runs instead.
     LiveThreads,
     /// Trailing bytes after a complete decode (foreign or corrupt input).
     TrailingBytes {
@@ -88,7 +89,7 @@ impl fmt::Display for SnapError {
             SnapError::LiveThreads => {
                 write!(
                     f,
-                    "cannot snapshot a system with live thread-mode frontends"
+                    "cannot snapshot a system with live worker-mode frontends"
                 )
             }
             SnapError::TrailingBytes { remaining } => {

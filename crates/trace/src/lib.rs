@@ -240,7 +240,7 @@ pub enum TraceEvent {
         l2: bool,
         /// Bitmask of cores whose gate is due at the target.
         cores: u64,
-        /// A frontend issue/rendezvous event is due at the target.
+        /// A frontend issue or worker-poll event is due at the target.
         frontend: bool,
     },
 }

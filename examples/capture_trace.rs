@@ -2,9 +2,9 @@
 //!
 //! `traces/persistent_kv.trace` is *captured*: a small persistent
 //! key-value-store workload (log-then-install updates on one core,
-//! concurrent readers/CAS traffic on the other) runs in thread mode on the
+//! concurrent readers/CAS traffic on the other) runs in worker mode on the
 //! paper platform with capture on, and the committed memory-op stream is
-//! written out in the versioned binary format. Thread mode is
+//! written out in the versioned binary format. Worker mode is
 //! deterministic, so re-running this example reproduces the committed
 //! bytes exactly.
 //!
@@ -18,58 +18,14 @@
 //! ```
 
 use skipit::prelude::*;
+use skipit_bench::traces::kv_workload;
 use std::path::Path;
-
-/// Key-value slots: key `k` lives at `KV_BASE + k * 64` (one line per key).
-const KV_BASE: u64 = 0x8_0000;
-/// The redo-log region the writer appends to before installing.
-const LOG_BASE: u64 = 0x9_0000;
-
-fn kv_workload(sys: &mut skipit::System) -> Vec<u64> {
-    let report = sys.run(Threads::new(vec![
-        // Writer: log-then-install. Each update appends (key, value) to the
-        // log, persists the log entry, installs the value in place, and
-        // persists the install — the classic redo-log persistence pattern
-        // the paper's §4 semantics are built for.
-        |h: CoreHandle| {
-            let mut installed = 0;
-            for i in 0..12u64 {
-                let key = i % 4;
-                let value = 100 + i;
-                let entry = LOG_BASE + i * 64;
-                h.store(entry, (key << 32) | value);
-                h.flush(entry);
-                h.fence();
-                h.store(KV_BASE + key * 64, value);
-                h.flush(KV_BASE + key * 64);
-                h.fence();
-                installed += 1;
-            }
-            installed
-        },
-        // Reader: scans the live slots and bumps a shared version counter,
-        // contending with the writer for line ownership.
-        |h: CoreHandle| {
-            let mut sum = 0u64;
-            for round in 0..6u64 {
-                for key in 0..4u64 {
-                    sum = sum.wrapping_add(h.load(KV_BASE + key * 64));
-                }
-                h.fetch_add(KV_BASE + 4 * 64, 1);
-                h.work(10 + round);
-            }
-            h.fence();
-            sum
-        },
-    ]));
-    report.output
-}
 
 fn main() {
     let traces = Path::new(env!("CARGO_MANIFEST_DIR")).join("traces");
     std::fs::create_dir_all(&traces).expect("create traces/");
 
-    // ---- persistent_kv.trace: captured from a live thread-mode run ----
+    // ---- persistent_kv.trace: captured from a live worker-mode run ----
     let mut sys = skipit::paper_platform(true);
     sys.start_capture();
     let results = kv_workload(&mut sys);

@@ -19,10 +19,10 @@ const BUF_LINES: u64 = 16; // 1 KiB buffer
 
 fn run(with_clean: bool) -> (u64, u64) {
     let mut sys = SystemBuilder::new().cores(1).skip_it(true).build();
-    sys.run(Threads::new(vec![move |h: CoreHandle| {
+    sys.run(Workers::new(vec![move |h: CoreHandle| async move {
         // Fill the buffer (word per slot, recognisable pattern).
         for i in 0..BUF_LINES * 8 {
-            h.store(BUF + i * 8, 0xD0_0000 + i);
+            h.store(BUF + i * 8, 0xD0_0000 + i).await;
         }
         if with_clean {
             // Make the buffer visible to the device: clean every line
@@ -30,9 +30,9 @@ fn run(with_clean: bool) -> (u64, u64) {
             // then fence so the doorbell write below cannot pass the
             // writebacks (§4).
             for l in 0..BUF_LINES {
-                h.clean(BUF + l * 64);
+                h.clean(BUF + l * 64).await;
             }
-            h.fence();
+            h.fence().await;
         }
     }]));
     sys.quiesce();

@@ -1,5 +1,5 @@
 //! Litmus-test suite for the §4 memory semantics: runs the classic
-//! two-thread shapes plus the paper's three writeback scenarios (Fig. 5)
+//! two-worker shapes plus the paper's three writeback scenarios (Fig. 5)
 //! and prints observed outcomes against the model's guarantees.
 //!
 //! ```text
@@ -24,21 +24,22 @@ fn main() {
             let flag = 0x2000 + round * 128;
             let (_, r) = sys
                 .run(
-                    Threads::new(vec![
-                        Box::new(move |h: CoreHandle| {
-                            h.store(data, 1);
-                            h.fence();
-                            h.store(flag, 1);
-                            0u64
-                        }) as Box<dyn FnOnce(CoreHandle) -> u64 + Send>,
-                        Box::new(move |h: CoreHandle| {
-                            while h.load(flag) == 0 {
+                    Workers::new(vec![
+                        move |h: CoreHandle| async move {
+                            if h.core_id() == 0 {
+                                h.store(data, 1).await;
+                                h.fence().await;
+                                h.store(flag, 1).await;
+                                return 0u64;
+                            }
+                            while h.load(flag).await == 0 {
                                 if h.halted() {
                                     return 1;
                                 }
                             }
-                            h.load(data)
-                        }),
+                            h.load(data).await
+                        };
+                        2
                     ])
                     .budget(500_000),
                 )
@@ -62,17 +63,14 @@ fn main() {
             let x = 0x3000 + round * 128;
             let y = 0x4000 + round * 128;
             let (_, r) = sys
-                .run(Threads::new(vec![
-                    Box::new(move |h: CoreHandle| {
-                        h.store(x, 1);
-                        h.fence();
-                        h.load(y)
-                    }) as Box<dyn FnOnce(CoreHandle) -> u64 + Send>,
-                    Box::new(move |h: CoreHandle| {
-                        h.store(y, 1);
-                        h.fence();
-                        h.load(x)
-                    }),
+                .run(Workers::new(vec![
+                    move |h: CoreHandle| async move {
+                        let (mine, theirs) = if h.core_id() == 0 { (x, y) } else { (y, x) };
+                        h.store(mine, 1).await;
+                        h.fence().await;
+                        h.load(theirs).await
+                    };
+                    2
                 ]))
                 .into_parts();
             if r[0] == 0 && r[1] == 0 {
@@ -87,29 +85,30 @@ fn main() {
     }
 
     // CoRR: coherence read-read — two reads of the same location by the
-    // same thread never go backwards.
+    // same worker never go backwards.
     {
         let mut sys = SystemBuilder::new().cores(2).build();
         let (_, r) = sys
-            .run(Threads::new(vec![
-                Box::new(|h: CoreHandle| {
-                    for v in 1..100u64 {
-                        h.store(0x5000, v);
+            .run(Workers::new(vec![
+                |h: CoreHandle| async move {
+                    if h.core_id() == 0 {
+                        for v in 1..100u64 {
+                            h.store(0x5000, v).await;
+                        }
+                        return 0u64;
                     }
-                    0u64
-                }) as Box<dyn FnOnce(CoreHandle) -> u64 + Send>,
-                Box::new(|h: CoreHandle| {
                     let mut last = 0;
                     let mut violations = 0u64;
                     for _ in 0..200 {
-                        let v = h.load(0x5000);
+                        let v = h.load(0x5000).await;
                         if v < last {
                             violations += 1;
                         }
                         last = v;
                     }
                     violations
-                }),
+                };
+                2
             ]))
             .into_parts();
         check(

@@ -33,23 +33,23 @@ fn main() {
 
         // Writer: append entries until the budget "crashes" us mid-stream.
         let (_, appended) = sys
-            .run(Threads::new(vec![move |h: CoreHandle| {
+            .run(Workers::new(vec![move |h: CoreHandle| async move {
                 let mut committed = 0u64;
                 for i in 0..40u64 {
                     // 1. Write and persist the entry payload.
                     let payload = 0xAB00_0000 + i;
-                    h.store(entry_addr(i), payload);
-                    h.flush(entry_addr(i));
-                    h.fence();
+                    h.store(entry_addr(i), payload).await;
+                    h.flush(entry_addr(i)).await;
+                    h.fence().await;
                     // Simulated crash point: stop *between* entry persist
                     // and header update for odd trials (worst case).
                     if i == crash_after {
                         return committed;
                     }
                     // 2. Commit: bump the header count and persist it.
-                    h.store(HEADER, i + 1);
-                    h.flush(HEADER);
-                    h.fence();
+                    h.store(HEADER, i + 1).await;
+                    h.flush(HEADER).await;
+                    h.fence().await;
                     committed = i + 1;
                 }
                 committed

@@ -18,23 +18,23 @@ use skipit::prelude::*;
 const DOMAIN: u64 = 0x10_0000;
 const LINES: u64 = 64; // 4 KiB secret-dependent footprint
 
-fn probe_latencies(h: &CoreHandle) -> Vec<u64> {
-    (0..LINES)
-        .map(|l| {
-            let t0 = h.rdcycle();
-            h.load(DOMAIN + l * 64);
-            h.rdcycle() - t0
-        })
-        .collect()
+async fn probe_latencies(h: &CoreHandle) -> Vec<u64> {
+    let mut lat = Vec::with_capacity(LINES as usize);
+    for l in 0..LINES {
+        let t0 = h.rdcycle().await;
+        h.load(DOMAIN + l * 64).await;
+        lat.push(h.rdcycle().await - t0);
+    }
+    lat
 }
 
 fn main() {
     for flush_on_switch in [false, true] {
         let mut sys = SystemBuilder::new().cores(1).build();
         // Victim: touch every even line (the "secret" = parity).
-        sys.run(Threads::new(vec![move |h: CoreHandle| {
+        sys.run(Workers::new(vec![move |h: CoreHandle| async move {
             for l in (0..LINES).step_by(2) {
-                h.store(DOMAIN + l * 64, l);
+                h.store(DOMAIN + l * 64, l).await;
             }
         }]))
         .into_parts();
@@ -52,12 +52,9 @@ fn main() {
         };
         // Attacker probe: time every line.
         let (_, lat) = sys
-            .run(Threads::new(
-                vec![probe_latencies as fn(&CoreHandle) -> Vec<u64>]
-                    .into_iter()
-                    .map(|f| move |h: CoreHandle| f(&h))
-                    .collect(),
-            ))
+            .run(Workers::new(vec![|h: CoreHandle| async move {
+                probe_latencies(&h).await
+            }]))
             .into_parts();
         let lat = &lat[0];
         let threshold = 20; // hit/miss discriminator (hits ≈ 5-8 cycles)

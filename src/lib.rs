@@ -17,7 +17,7 @@ pub use skipit_sweep as sweep;
 
 pub use skipit_core::{
     paper_platform, CoreHandle, Op, Programs, RunReport, System, SystemBuilder, SystemConfig,
-    SystemStats, Threads, Workload,
+    SystemStats, Workers, Workload,
 };
 pub use skipit_pds::{
     prefill_snapshot, run_set_benchmark, run_set_benchmark_warm, warm_key, ConcurrentSet, DsKind,
@@ -30,7 +30,7 @@ pub use skipit_service::{run_service, ServiceCfg, ServiceReport, ServiceWorkload
 /// Brings in the system construction surface ([`SystemBuilder`],
 /// [`System`], [`SystemConfig`], typed [`ConfigError`]), the simulation
 /// vocabulary ([`Op`], [`CoreHandle`], [`EngineKind`], [`TraceConfig`]),
-/// the unified workload surface ([`Workload`], [`Programs`], [`Threads`],
+/// the unified workload surface ([`Workload`], [`Programs`], [`Workers`],
 /// [`RunReport`], the trace-replay types [`MemTrace`] / [`TraceReplay`]),
 /// and the sweep-execution types ([`Sweep`], [`SweepRunner`], …):
 ///
@@ -57,7 +57,7 @@ pub mod prelude {
         paper_platform, CapturedOp, ConfigError, CoreHandle, EngineKind, EngineStats,
         MetricsSnapshot, Op, PhaseProfile, Programs, ReplaySchedule, RunReport, Snapshot,
         SnapshotError, System, SystemBuilder, SystemConfig, SystemStats, Telemetry,
-        TelemetrySample, Threads, TimedOp, TraceConfig, TraceFilter, Workload,
+        TelemetrySample, TimedOp, TraceConfig, TraceFilter, Workers, Workload,
     };
     pub use skipit_explore::{
         explore_one, minimize, scan_crash_points, CrashPoint, ExploreConfig, InvariantOracle,
@@ -65,8 +65,8 @@ pub mod prelude {
     };
     pub use skipit_replay::{MemTrace, TraceError, TraceReplay};
     pub use skipit_service::{
-        run_service, Arrivals, KeyDist, OpMix, ServiceCfg, ServiceReport, ServiceWorkload,
-        SloSummary, Stress,
+        run_service, Arrivals, KeyDist, OpMix, ServiceCfg, ServiceCfgError, ServiceReport,
+        ServiceWorkload, SloSummary, Stress,
     };
     pub use skipit_sweep::{
         Point, PointCtx, PointOutput, PointStatus, Sweep, SweepReport, SweepRow, SweepRunner,

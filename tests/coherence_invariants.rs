@@ -68,8 +68,8 @@ fn inclusion_and_single_writer_hold_under_random_traffic() {
 }
 
 /// Message-passing litmus: data written before a fence must be visible to
-/// another thread that observes the flag (thread-mode sequential reads give
-/// the per-thread ordering; coherence gives the cross-thread edge).
+/// another worker that observes the flag (worker-mode sequential reads give
+/// the per-worker ordering; coherence gives the cross-worker edge).
 #[test]
 fn message_passing_litmus() {
     for round in 0..10u64 {
@@ -78,21 +78,22 @@ fn message_passing_litmus() {
         let flag = 0x30_400; // different line
         let (_, got) = s
             .run(
-                Threads::new(vec![
-                    Box::new(move |h: CoreHandle| {
-                        h.store(data, 1000 + round);
-                        h.fence();
-                        h.store(flag, 1);
-                        0u64
-                    }) as Box<dyn FnOnce(CoreHandle) -> u64 + Send>,
-                    Box::new(move |h: CoreHandle| {
-                        while h.load(flag) == 0 {
+                Workers::new(vec![
+                    move |h: CoreHandle| async move {
+                        if h.core_id() == 0 {
+                            h.store(data, 1000 + round).await;
+                            h.fence().await;
+                            h.store(flag, 1).await;
+                            return 0u64;
+                        }
+                        while h.load(flag).await == 0 {
                             if h.halted() {
                                 return 0;
                             }
                         }
-                        h.load(data)
-                    }),
+                        h.load(data).await
+                    };
+                    2
                 ])
                 .budget(1_000_000),
             )
@@ -101,7 +102,7 @@ fn message_passing_litmus() {
     }
 }
 
-/// Store buffering litmus with fences: both threads store then read the
+/// Store buffering litmus with fences: both workers store then read the
 /// other's location; with fences between, at least one must see the other's
 /// store (no "both read 0" outcome).
 #[test]
@@ -111,17 +112,14 @@ fn store_buffer_litmus_with_fences() {
         let x = 0x40_000 + round * 128;
         let y = 0x41_000 + round * 128;
         let (_, got) = s
-            .run(Threads::new(vec![
-                Box::new(move |h: CoreHandle| {
-                    h.store(x, 1);
-                    h.fence();
-                    h.load(y)
-                }) as Box<dyn FnOnce(CoreHandle) -> u64 + Send>,
-                Box::new(move |h: CoreHandle| {
-                    h.store(y, 1);
-                    h.fence();
-                    h.load(x)
-                }),
+            .run(Workers::new(vec![
+                move |h: CoreHandle| async move {
+                    let (mine, theirs) = if h.core_id() == 0 { (x, y) } else { (y, x) };
+                    h.store(mine, 1).await;
+                    h.fence().await;
+                    h.load(theirs).await
+                };
+                2
             ]))
             .into_parts();
         assert!(

@@ -7,7 +7,7 @@ use rand::{Rng, SeedableRng};
 use skipit::core::LineAddr;
 use skipit::pds::alloc::{FieldStride, SimAlloc};
 use skipit::pds::{
-    Bst, ConcurrentSet, HarrisList, HashTable, OptKind, PHandle, PersistMode, SkipList,
+    AnySet, Bst, ConcurrentSet, HarrisList, HashTable, OptKind, PHandle, PersistMode, SkipList,
 };
 use skipit::prelude::*;
 use std::collections::BTreeSet;
@@ -29,19 +29,15 @@ enum Ds {
     Skip,
 }
 
-fn build(
-    sys: &mut System,
-    ds: &Ds,
-    stride: FieldStride,
-) -> (Arc<SimAlloc>, Box<dyn ConcurrentSet>) {
+fn build(sys: &mut System, ds: &Ds, stride: FieldStride) -> (Arc<SimAlloc>, AnySet) {
     let alloc = Arc::new(SimAlloc::new(HEAP, 1 << 26, stride));
-    let set: Box<dyn ConcurrentSet> = {
+    let set = {
         let mut w = |a, v| poke(sys, a, v);
         match ds {
-            Ds::List => Box::new(HarrisList::new(Arc::clone(&alloc), &mut w)),
-            Ds::Hash => Box::new(HashTable::new(16, Arc::clone(&alloc), &mut w)),
-            Ds::Bst => Box::new(Bst::new(Arc::clone(&alloc), &mut w)),
-            Ds::Skip => Box::new(SkipList::new(Arc::clone(&alloc), &mut w)),
+            Ds::List => AnySet::List(HarrisList::new(Arc::clone(&alloc), &mut w)),
+            Ds::Hash => AnySet::Hash(HashTable::new(16, Arc::clone(&alloc), &mut w)),
+            Ds::Bst => AnySet::Bst(Bst::new(Arc::clone(&alloc), &mut w)),
+            Ds::Skip => AnySet::Skip(SkipList::new(Arc::clone(&alloc), &mut w)),
         }
     };
     (alloc, set)
@@ -58,22 +54,30 @@ fn model_check(ds: Ds, mode: PersistMode, opt: OptKind, seed: u64, steps: usize)
         FieldStride::Word
     };
     let (_alloc, set) = build(&mut sys, &ds, stride);
-    let set_ref: &dyn ConcurrentSet = &*set;
-    sys.run(Threads::new(vec![move |h: CoreHandle| {
+    let set_ref = &set;
+    sys.run(Workers::new(vec![move |h: CoreHandle| async move {
         let ph = PHandle::new(&h, mode, opt);
         let mut model = BTreeSet::new();
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..steps {
             let k = rng.gen_range(1..40u64);
             match rng.gen_range(0..3) {
-                0 => assert_eq!(set_ref.insert(&ph, k), model.insert(k), "insert {k}"),
-                1 => assert_eq!(set_ref.remove(&ph, k), model.remove(&k), "remove {k}"),
-                _ => assert_eq!(set_ref.contains(&ph, k), model.contains(&k), "contains {k}"),
+                0 => assert_eq!(set_ref.insert(&ph, k).await, model.insert(k), "insert {k}"),
+                1 => assert_eq!(set_ref.remove(&ph, k).await, model.remove(&k), "remove {k}"),
+                _ => assert_eq!(
+                    set_ref.contains(&ph, k).await,
+                    model.contains(&k),
+                    "contains {k}"
+                ),
             }
         }
         // Final sweep: membership must match exactly.
         for k in 1..40u64 {
-            assert_eq!(set_ref.contains(&ph, k), model.contains(&k), "final {k}");
+            assert_eq!(
+                set_ref.contains(&ph, k).await,
+                model.contains(&k),
+                "final {k}"
+            );
         }
     }]));
 }
@@ -166,25 +170,25 @@ fn skiplist_model_check_manual_plain() {
 fn disjoint_ranges(ds: Ds) {
     let mut sys = SystemBuilder::new().cores(2).build();
     let (_alloc, set) = build(&mut sys, &ds, FieldStride::Word);
-    let set_ref: &dyn ConcurrentSet = &*set;
+    let set_ref = &set;
     let worker = |range: std::ops::Range<u64>| {
-        move |h: CoreHandle| {
+        move |h: CoreHandle| async move {
             let ph = PHandle::new(&h, PersistMode::Manual, OptKind::Plain);
             for k in range.clone() {
-                assert!(set_ref.insert(&ph, k));
+                assert!(set_ref.insert(&ph, k).await);
             }
             // Delete the even keys again.
             for k in range.clone().filter(|k| k % 2 == 0) {
-                assert!(set_ref.remove(&ph, k), "remove {k}");
+                assert!(set_ref.remove(&ph, k).await, "remove {k}");
             }
         }
     };
-    sys.run(Threads::new(vec![worker(1..30), worker(100..130)]));
+    sys.run(Workers::new(vec![worker(1..30), worker(100..130)]));
     // Verify on core 0.
-    sys.run(Threads::new(vec![move |h: CoreHandle| {
+    sys.run(Workers::new(vec![move |h: CoreHandle| async move {
         let ph = PHandle::new(&h, PersistMode::None, OptKind::Plain);
         for k in (1..30u64).chain(100..130) {
-            assert_eq!(set_ref.contains(&ph, k), k % 2 == 1, "key {k}");
+            assert_eq!(set_ref.contains(&ph, k).await, k % 2 == 1, "key {k}");
         }
     }]))
     .into_parts();
@@ -215,15 +219,15 @@ fn skiplist_disjoint_two_cores() {
 fn contended_inserts(ds: Ds) {
     let mut sys = SystemBuilder::new().cores(2).build();
     let (_alloc, set) = build(&mut sys, &ds, FieldStride::Word);
-    let set_ref: &dyn ConcurrentSet = &*set;
+    let set_ref = &set;
     let worker = |seed: u64| {
-        move |h: CoreHandle| {
+        move |h: CoreHandle| async move {
             let ph = PHandle::new(&h, PersistMode::Manual, OptKind::Plain);
             let mut rng = StdRng::seed_from_u64(seed);
             let mut wins = 0u64;
             for _ in 0..60 {
                 let k = rng.gen_range(1..20u64);
-                if set_ref.insert(&ph, k) {
+                if set_ref.insert(&ph, k).await {
                     wins += 1;
                 }
             }
@@ -231,16 +235,16 @@ fn contended_inserts(ds: Ds) {
         }
     };
     let (_, _wins) = sys
-        .run(Threads::new(vec![worker(1), worker(2)]))
+        .run(Workers::new(vec![worker(1), worker(2)]))
         .into_parts();
-    sys.run(Threads::new(vec![move |h: CoreHandle| {
+    sys.run(Workers::new(vec![move |h: CoreHandle| async move {
         let ph = PHandle::new(&h, PersistMode::None, OptKind::Plain);
         // Every key 1..20 was inserted by someone with high probability;
         // at minimum, no key may be "half-present": a contains followed
         // by a failing insert must agree.
         for k in 1..20u64 {
-            let present = set_ref.contains(&ph, k);
-            let inserted = set_ref.insert(&ph, k);
+            let present = set_ref.contains(&ph, k).await;
+            let inserted = set_ref.insert(&ph, k).await;
             assert_eq!(present, !inserted, "key {k} inconsistent");
         }
     }]));
@@ -271,19 +275,19 @@ fn skiplist_contended_inserts() {
 fn contended_mixed(ds: Ds, seed: u64) {
     let mut sys = SystemBuilder::new().cores(2).build();
     let (_alloc, set) = build(&mut sys, &ds, FieldStride::Word);
-    let set_ref: &dyn ConcurrentSet = &*set;
+    let set_ref = &set;
     let worker = |seed: u64| {
-        move |h: CoreHandle| {
+        move |h: CoreHandle| async move {
             let ph = PHandle::new(&h, PersistMode::Manual, OptKind::Plain);
             let mut rng = StdRng::seed_from_u64(seed);
             let mut balance = 0i64; // our net inserts
             for _ in 0..80 {
                 let k = rng.gen_range(1..8u64);
                 if rng.gen_bool(0.5) {
-                    if set_ref.insert(&ph, k) {
+                    if set_ref.insert(&ph, k).await {
                         balance += 1;
                     }
-                } else if set_ref.remove(&ph, k) {
+                } else if set_ref.remove(&ph, k).await {
                     balance -= 1;
                 }
             }
@@ -291,13 +295,16 @@ fn contended_mixed(ds: Ds, seed: u64) {
         }
     };
     let (_, balances) = sys
-        .run(Threads::new(vec![worker(seed), worker(seed + 77)]))
+        .run(Workers::new(vec![worker(seed), worker(seed + 77)]))
         .into_parts();
     let net: i64 = balances.iter().sum();
     // The number of present keys must equal the net insertions.
-    sys.run(Threads::new(vec![move |h: CoreHandle| {
+    sys.run(Workers::new(vec![move |h: CoreHandle| async move {
         let ph = PHandle::new(&h, PersistMode::None, OptKind::Plain);
-        let present = (1..8u64).filter(|&k| set_ref.contains(&ph, k)).count() as i64;
+        let mut present = 0i64;
+        for k in 1..8u64 {
+            present += i64::from(set_ref.contains(&ph, k).await);
+        }
         assert_eq!(present, net, "net inserts vs present keys");
     }]))
     .into_parts();

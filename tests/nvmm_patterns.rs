@@ -24,49 +24,49 @@ fn undo_log_transaction_recovers_at_every_crash_point() {
     let mut images = Vec::new();
 
     // Initial durable state: field i = 100 + i.
-    sys.run(Threads::new(vec![move |h: CoreHandle| {
+    sys.run(Workers::new(vec![move |h: CoreHandle| async move {
         for i in 0..n {
-            h.store(DATA_BASE + i * 64, 100 + i);
-            h.clean(DATA_BASE + i * 64);
+            h.store(DATA_BASE + i * 64, 100 + i).await;
+            h.clean(DATA_BASE + i * 64).await;
         }
-        h.fence();
+        h.fence().await;
     }]))
     .into_parts();
     images.push(sys.durable_image()); // crash before phase 1
 
     // Phase 1: write + persist the undo log (old values, addresses).
-    sys.run(Threads::new(vec![move |h: CoreHandle| {
+    sys.run(Workers::new(vec![move |h: CoreHandle| async move {
         for i in 0..n {
             let e = LOG_BASE + i * 64;
-            h.store(e, DATA_BASE + i * 64); // address
-            h.store(e + 8, 100 + i); // old value
-            h.clean(e);
+            h.store(e, DATA_BASE + i * 64).await; // address
+            h.store(e + 8, 100 + i).await; // old value
+            h.clean(e).await;
         }
-        h.fence();
+        h.fence().await;
         // Log valid marker.
-        h.store(LOG_BASE + n * 64, n);
-        h.clean(LOG_BASE + n * 64);
-        h.fence();
+        h.store(LOG_BASE + n * 64, n).await;
+        h.clean(LOG_BASE + n * 64).await;
+        h.fence().await;
     }]))
     .into_parts();
     images.push(sys.durable_image()); // crash after log write
 
     // Phase 2: in-place updates, persisted.
-    sys.run(Threads::new(vec![move |h: CoreHandle| {
+    sys.run(Workers::new(vec![move |h: CoreHandle| async move {
         for i in 0..n {
-            h.store(DATA_BASE + i * 64, 200 + i);
-            h.clean(DATA_BASE + i * 64);
+            h.store(DATA_BASE + i * 64, 200 + i).await;
+            h.clean(DATA_BASE + i * 64).await;
         }
-        h.fence();
+        h.fence().await;
     }]))
     .into_parts();
     images.push(sys.durable_image()); // crash after updates, before commit
 
     // Phase 3: commit record.
-    sys.run(Threads::new(vec![move |h: CoreHandle| {
-        h.store(COMMIT, 1);
-        h.clean(COMMIT);
-        h.fence();
+    sys.run(Workers::new(vec![move |h: CoreHandle| async move {
+        h.store(COMMIT, 1).await;
+        h.clean(COMMIT).await;
+        h.fence().await;
     }]))
     .into_parts();
     images.push(sys.durable_image()); // crash after commit
@@ -109,17 +109,17 @@ fn epoch_persistence_is_atomic_per_epoch() {
     let mut sys = SystemBuilder::new().cores(1).skip_it(true).build();
     let mut images = vec![sys.durable_image()]; // 0 completed epochs
     for epoch in 1..=3u64 {
-        sys.run(Threads::new(vec![move |h: CoreHandle| {
+        sys.run(Workers::new(vec![move |h: CoreHandle| async move {
             for l in 0..lines {
-                h.store(0x5_0000 + l * 64, epoch * 1000 + l);
+                h.store(0x5_0000 + l * 64, epoch * 1000 + l).await;
             }
             for l in 0..lines {
-                h.clean(0x5_0000 + l * 64);
+                h.clean(0x5_0000 + l * 64).await;
             }
-            h.fence(); // epoch boundary: everything above durable
-                       // A torn, unfenced epoch on top (must not be trusted).
+            h.fence().await; // epoch boundary: everything above durable
+                             // A torn, unfenced epoch on top (must not be trusted).
             for l in 0..lines / 2 {
-                h.store(0x5_0000 + l * 64, 9_999_000 + l);
+                h.store(0x5_0000 + l * 64, 9_999_000 + l).await;
             }
         }]));
         images.push(sys.durable_image());

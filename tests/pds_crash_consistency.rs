@@ -60,17 +60,17 @@ fn run_crash_trial(mode: PersistMode, opt: OptKind, skip_hw: bool, seed: u64) {
     // Two threads mutate; every op that RETURNED is durable under Manual+
     // (each update ends with a persisted CAS + fence).
     let worker = |tid: u64| {
-        move |h: CoreHandle| {
+        move |h: CoreHandle| async move {
             let ph = PHandle::new(&h, mode, opt);
             let mut rng = StdRng::seed_from_u64(seed * 1000 + tid);
             let mut acc: Vec<(u64, bool, bool)> = Vec::new(); // (key, was_insert, succeeded)
             for _ in 0..40 {
                 let k = rng.gen_range(1..48u64);
                 if rng.gen_bool(0.6) {
-                    let ok = lref.insert(&ph, k);
+                    let ok = lref.insert(&ph, k).await;
                     acc.push((k, true, ok));
                 } else {
-                    let ok = lref.remove(&ph, k);
+                    let ok = lref.remove(&ph, k).await;
                     acc.push((k, false, ok));
                 }
             }
@@ -78,7 +78,7 @@ fn run_crash_trial(mode: PersistMode, opt: OptKind, skip_hw: bool, seed: u64) {
         }
     };
     let (_, logs) = sys
-        .run(Threads::new(vec![worker(0), worker(1)]))
+        .run(Workers::new(vec![worker(0), worker(1)]))
         .into_parts();
 
     // Reconstruct the expected final set from the interleaved logs: since
@@ -151,11 +151,11 @@ fn automatic_flit_adjacent_list_survives_crash() {
     let head = list.head_addr();
     let lref = &list;
     let (_, committed) = sys
-        .run(Threads::new(vec![move |h: CoreHandle| {
+        .run(Workers::new(vec![move |h: CoreHandle| async move {
             let ph = PHandle::new(&h, PersistMode::Automatic, OptKind::FlitAdjacent);
             let mut done = Vec::new();
             for k in [5u64, 9, 2, 30, 17] {
-                assert!(lref.insert(&ph, k));
+                assert!(lref.insert(&ph, k).await);
                 done.push(k);
             }
             done
@@ -206,10 +206,10 @@ fn non_persistent_list_loses_data_on_crash() {
     };
     let head = list.head_addr();
     let lref = &list;
-    sys.run(Threads::new(vec![move |h: CoreHandle| {
+    sys.run(Workers::new(vec![move |h: CoreHandle| async move {
         let ph = PHandle::new(&h, PersistMode::None, OptKind::Plain);
         for k in 1..20u64 {
-            lref.insert(&ph, k);
+            lref.insert(&ph, k).await;
         }
     }]));
     let dram = sys.durable_image();

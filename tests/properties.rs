@@ -122,40 +122,40 @@ proptest! {
                                      skip_it in any::<bool>()) {
         let mut sys = SystemBuilder::new().cores(1).skip_it(skip_it).build();
         let mut model: HashMap<u64, u64> = HashMap::new();
-        // Run in thread mode so load values are observable.
+        // Run in worker mode so load values are observable.
         let ops2 = ops.clone();
-        let (_, mismatches) = sys.run(Threads::new(vec![move |h: CoreHandle| {
+        let (_, mismatches) = sys.run(Workers::new(vec![move |h: CoreHandle| async move {
             let mut model_t: HashMap<u64, u64> = HashMap::new();
             let mut bad = Vec::new();
             for op in &ops2 {
                 match *op {
                     POp::Store { line, word, tag } => {
-                        h.store(addr_of(line, word), tag as u64);
+                        h.store(addr_of(line, word), tag as u64).await;
                         model_t.insert(addr_of(line, word), tag as u64);
                     }
                     POp::Load { line, word } => {
-                        let got = h.load(addr_of(line, word));
+                        let got = h.load(addr_of(line, word)).await;
                         let want = model_t.get(&addr_of(line, word)).copied().unwrap_or(0);
                         if got != want {
                             bad.push((addr_of(line, word), got, want));
                         }
                     }
                     POp::StoreConflict { way, word, tag } => {
-                        h.store(conflict_addr_of(way, word), tag as u64);
+                        h.store(conflict_addr_of(way, word), tag as u64).await;
                         model_t.insert(conflict_addr_of(way, word), tag as u64);
                     }
                     POp::LoadConflict { way, word } => {
-                        let got = h.load(conflict_addr_of(way, word));
+                        let got = h.load(conflict_addr_of(way, word)).await;
                         let want = model_t.get(&conflict_addr_of(way, word)).copied().unwrap_or(0);
                         if got != want {
                             bad.push((conflict_addr_of(way, word), got, want));
                         }
                     }
-                    POp::Clean { line } => h.clean(addr_of(line, 0)),
-                    POp::FlushConflict { way } => h.flush(conflict_addr_of(way, 0)),
-                    POp::Flush { line } => h.flush(addr_of(line, 0)),
-                    POp::Fence => h.fence(),
-                    POp::Nop { cycles } => h.work(cycles as u64),
+                    POp::Clean { line } => h.clean(addr_of(line, 0)).await,
+                    POp::FlushConflict { way } => h.flush(conflict_addr_of(way, 0)).await,
+                    POp::Flush { line } => h.flush(addr_of(line, 0)).await,
+                    POp::Fence => h.fence().await,
+                    POp::Nop { cycles } => h.work(cycles as u64).await,
                 }
             }
             bad
@@ -210,7 +210,7 @@ proptest! {
 
     /// Two-core determinism: the same scripts produce the same cycle count
     /// and the same durable image on every run (the simulator is
-    /// deterministic even through thread mode).
+    /// deterministic even through worker mode).
     #[test]
     fn simulation_is_deterministic(ops in prop::collection::vec(pop_strategy(), 1..40)) {
         let mut results = Vec::new();

@@ -116,40 +116,36 @@ proptest! {
     }
 }
 
-/// A thread-mode run replays bit-identically — cycles included. The
-/// capture records the end-of-run `Done` handshake as a zero-cycle think
-/// time, so the replay executes the same final cycle the rendezvous run
-/// did (PR 9 shipped with a documented possible end-of-run cycle shift;
-/// the drain window is now part of the trace).
+/// A worker-mode run replays bit-identically — cycles included. The
+/// capture records each worker's end as a zero-cycle think time, so the
+/// replay executes the same final cycle the worker run did (the drain
+/// window is part of the trace).
 #[test]
 fn thread_mode_capture_replays_bit_identically() {
     let mut sys = skipit::paper_platform(true);
     sys.start_capture();
-    let report = sys.run(Threads::new(vec![
-        |h: CoreHandle| {
+    let report = sys.run(Workers::new(vec![
+        |h: CoreHandle| async move {
             let mut sum = 0;
             for i in 0..8u64 {
-                h.store(0x6000 + i * 64, i + 1);
-                h.flush(0x6000 + i * 64);
-                sum += h.load(0x6000 + i * 64);
+                if h.core_id() == 0 {
+                    h.store(0x6000 + i * 64, i + 1).await;
+                    h.flush(0x6000 + i * 64).await;
+                    sum += h.load(0x6000 + i * 64).await;
+                } else {
+                    sum += h.fetch_add(0x6000 + i * 64, 10).await;
+                    h.work(5).await;
+                }
             }
-            h.fence();
+            h.fence().await;
             sum
-        },
-        |h: CoreHandle| {
-            let mut sum = 0;
-            for i in 0..8u64 {
-                sum += h.fetch_add(0x6000 + i * 64, 10);
-                h.work(5);
-            }
-            h.fence();
-            sum
-        },
+        };
+        2
     ]));
     assert_eq!(report.output.len(), 2);
     let cycles = report.cycles;
     let cap = sys.take_capture();
-    assert!(!cap.is_empty(), "thread-mode ops must be captured");
+    assert!(!cap.is_empty(), "worker-mode ops must be captured");
     let trace = MemTrace::from_capture(2, 0, &cap);
     let reference = sys.stats();
     let image = format!("{:?}", sys.durable_image());
@@ -182,15 +178,15 @@ fn thread_mode_capture_replays_bit_identically() {
 fn budgeted_thread_capture_replays_to_exact_cycles() {
     for budget in [50u64, 1000, 5000] {
         let worker = |tid: u64| {
-            move |h: CoreHandle| {
+            move |h: CoreHandle| async move {
                 let mut i = 0u64;
                 while !h.halted() {
                     let a = 0x6000 + ((i * 7 + tid * 13) % 32) * 64;
-                    h.store(a, i + 1);
-                    h.flush(a);
-                    h.load(a);
+                    h.store(a, i + 1).await;
+                    h.flush(a).await;
+                    h.load(a).await;
                     if i.is_multiple_of(3) {
-                        h.work(3 + tid);
+                        h.work(3 + tid).await;
                     }
                     i += 1;
                 }
@@ -199,7 +195,7 @@ fn budgeted_thread_capture_replays_to_exact_cycles() {
         };
         let mut sys = skipit::paper_platform(true);
         sys.start_capture();
-        let report = sys.run(Threads::new(vec![worker(0), worker(1)]).budget(budget));
+        let report = sys.run(Workers::new(vec![worker(0), worker(1)]).budget(budget));
         let trace = MemTrace::from_capture(2, 0, &sys.take_capture());
         let reference = fingerprint(report.cycles, &sys);
 
@@ -372,4 +368,24 @@ fn lockstep_oracle_accepts_committed_trace_replay() {
     let (ref_cycles, ref_stats, _) = run(false);
     assert_eq!(cycles, ref_cycles, "oracle changed the replay's cycles");
     assert_eq!(stats, ref_stats, "oracle changed the replay's statistics");
+}
+
+/// Byte-level oracle for the worker frontend: capturing the persistent-KV
+/// workload `examples/capture_trace.rs` regenerates must reproduce the
+/// committed `traces/persistent_kv.trace` byte for byte — same op stream,
+/// same issue cycles, same end-of-run markers.
+#[test]
+fn persistent_kv_capture_matches_committed_trace_bytes() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("traces/persistent_kv.trace");
+    let committed = std::fs::read(path).expect("committed persistent_kv.trace is readable");
+    let mut sys = skipit::paper_platform(true);
+    sys.start_capture();
+    let results = skipit_bench::traces::kv_workload(&mut sys);
+    assert_eq!(results[0], 12, "writer must install all updates");
+    let trace = MemTrace::from_capture(2, 0, &sys.take_capture());
+    assert!(
+        trace.to_bytes() == committed,
+        "fresh capture ({} records) differs from the committed trace",
+        trace.len()
+    );
 }

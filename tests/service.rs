@@ -186,8 +186,8 @@ fn storm_targets_stay_in_cache_region() {
     assert!(storms > 0, "storm pattern generated no expirations");
 }
 
-/// The lockstep oracle in thread mode: a small open-loop workload under
-/// synchronized expiration storms (worker rendezvous wake edges, CBO.FLUSH
+/// The lockstep oracle in worker mode: a small open-loop workload under
+/// synchronized expiration storms (worker-command wake edges, CBO.FLUSH
 /// bursts) with every wheel jump re-executed naively and every skipped
 /// slot's bound recomputed each executed cycle (a missed wake edge
 /// panics) takes real jumps and reports exactly what the oracle-off run

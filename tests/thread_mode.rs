@@ -1,6 +1,5 @@
-//! Thread-mode (rendezvous) edge cases: degenerate workloads, mixed
-//! program/thread phases, budget semantics, and determinism of the
-//! scheduler itself.
+//! Worker-mode edge cases: degenerate workloads, mixed program/worker
+//! phases, budget semantics, and determinism of the scheduler itself.
 
 use skipit::prelude::*;
 
@@ -8,9 +7,14 @@ use skipit::prelude::*;
 fn worker_that_does_nothing_terminates() {
     let mut sys = SystemBuilder::new().cores(2).build();
     let (cycles, _) = sys
-        .run(Threads::new(vec![
-            |h: CoreHandle| h.finish(),
-            |_h: CoreHandle| {},
+        .run(Workers::new(vec![
+            |h: CoreHandle| async move {
+                // Core 0 finishes explicitly, core 1 by dropping its handle.
+                if h.core_id() == 0 {
+                    h.finish();
+                }
+            };
+            2
         ]))
         .into_parts();
     assert!(cycles < 100);
@@ -20,9 +24,9 @@ fn worker_that_does_nothing_terminates() {
 fn worker_using_only_rdcycle_terminates() {
     let mut sys = SystemBuilder::new().cores(1).build();
     let (_, v) = sys
-        .run(Threads::new(vec![|h: CoreHandle| {
-            let a = h.rdcycle();
-            let b = h.rdcycle();
+        .run(Workers::new(vec![|h: CoreHandle| async move {
+            let a = h.rdcycle().await;
+            let b = h.rdcycle().await;
             (a, b)
         }]))
         .into_parts();
@@ -34,9 +38,9 @@ fn worker_using_only_rdcycle_terminates() {
 fn fewer_workers_than_cores_is_fine() {
     let mut sys = SystemBuilder::new().cores(4).build();
     let (_, v) = sys
-        .run(Threads::new(vec![|h: CoreHandle| {
-            h.store(0x100, 5);
-            h.load(0x100)
+        .run(Workers::new(vec![|h: CoreHandle| async move {
+            h.store(0x100, 5).await;
+            h.load(0x100).await
         }]))
         .into_parts();
     assert_eq!(v[0], 5);
@@ -54,7 +58,9 @@ fn program_and_thread_phases_interleave_on_shared_state() {
     ]));
     sys.quiesce();
     let (_, v) = sys
-        .run(Threads::new(vec![|h: CoreHandle| h.load(0x200)]))
+        .run(Workers::new(vec![|h: CoreHandle| async move {
+            h.load(0x200).await
+        }]))
         .into_parts();
     assert_eq!(v[0], 7);
     sys.run(Programs(vec![
@@ -69,7 +75,9 @@ fn program_and_thread_phases_interleave_on_shared_state() {
     // traffic, after which the new value must be visible.
     sys.quiesce();
     let (_, v) = sys
-        .run(Threads::new(vec![|h: CoreHandle| h.load(0x200)]))
+        .run(Workers::new(vec![|h: CoreHandle| async move {
+            h.load(0x200).await
+        }]))
         .into_parts();
     assert_eq!(v[0], 8);
 }
@@ -77,16 +85,16 @@ fn program_and_thread_phases_interleave_on_shared_state() {
 #[test]
 fn budget_halts_all_workers_eventually() {
     let mut sys = SystemBuilder::new().cores(3).build();
-    let worker = |h: CoreHandle| {
+    let worker = |h: CoreHandle| async move {
         let mut n = 0u64;
         while !h.halted() {
-            h.store(0x300 + h.core_id() as u64 * 64, n);
+            h.store(0x300 + h.core_id() as u64 * 64, n).await;
             n += 1;
         }
         n
     };
     let (cycles, counts) = sys
-        .run(Threads::new(vec![worker, worker, worker]).budget(5_000))
+        .run(Workers::new(vec![worker, worker, worker]).budget(5_000))
         .into_parts();
     assert!(cycles >= 5_000);
     assert!(
@@ -106,20 +114,20 @@ fn budget_halts_all_workers_eventually() {
 #[test]
 fn budget_expiry_is_reported_and_preserves_every_result() {
     let mut sys = SystemBuilder::new().cores(2).build();
-    let worker = |h: CoreHandle| {
+    let worker = |h: CoreHandle| async move {
         let mut n = 0u64;
         while !h.halted() {
-            h.fetch_add(0x500, 1);
-            h.work(20);
+            h.fetch_add(0x500, 1).await;
+            h.work(20).await;
             n += 1;
         }
         // Post-halt work still executes: the run drains past the deadline.
-        h.store(0x600 + h.core_id() as u64 * 64, n);
-        h.flush(0x600 + h.core_id() as u64 * 64);
-        h.fence();
+        h.store(0x600 + h.core_id() as u64 * 64, n).await;
+        h.flush(0x600 + h.core_id() as u64 * 64).await;
+        h.fence().await;
         n
     };
-    let report = sys.run(Threads::new(vec![worker, worker]).budget(4_000));
+    let report = sys.run(Workers::new(vec![worker, worker]).budget(4_000));
     assert!(report.budget_expired, "budget must be reported as expired");
     assert!(
         report.cycles >= 4_000,
@@ -136,9 +144,13 @@ fn budget_expiry_is_reported_and_preserves_every_result() {
     // Control: a budget that never expires reports `budget_expired: false`,
     // as does a budget-less run.
     let mut sys = SystemBuilder::new().cores(1).build();
-    let report = sys.run(Threads::new(vec![|h: CoreHandle| h.load(0x500)]).budget(u64::MAX / 2));
+    let report = sys.run(
+        Workers::new(vec![|h: CoreHandle| async move { h.load(0x500).await }]).budget(u64::MAX / 2),
+    );
     assert!(!report.budget_expired);
-    let report = sys.run(Threads::new(vec![|h: CoreHandle| h.load(0x500)]));
+    let report = sys.run(Workers::new(vec![|h: CoreHandle| async move {
+        h.load(0x500).await
+    }]));
     assert!(!report.budget_expired);
 }
 
@@ -147,32 +159,33 @@ fn worker_results_are_deterministic_across_runs() {
     let run = || {
         let mut sys = SystemBuilder::new().cores(2).build();
         let worker = |seed: u64| {
-            move |h: CoreHandle| {
+            move |h: CoreHandle| async move {
                 let mut acc = 0u64;
                 for i in 0..40 {
                     let addr = 0x400 + ((seed * 31 + i) % 8) * 64;
-                    h.fetch_add(addr, 1);
-                    acc = acc.wrapping_add(h.load(addr)).wrapping_add(h.rdcycle());
+                    h.fetch_add(addr, 1).await;
+                    acc = acc
+                        .wrapping_add(h.load(addr).await)
+                        .wrapping_add(h.rdcycle().await);
                 }
                 acc
             }
         };
         let (cycles, v) = sys
-            .run(Threads::new(vec![worker(1), worker(2)]))
+            .run(Workers::new(vec![worker(1), worker(2)]))
             .into_parts();
         (cycles, v)
     };
-    assert_eq!(run(), run(), "rendezvous scheduling must be deterministic");
+    assert_eq!(run(), run(), "worker scheduling must be deterministic");
 }
 
 #[test]
 fn handles_expose_core_ids_in_order() {
     let mut sys = SystemBuilder::new().cores(3).build();
     let (_, ids) = sys
-        .run(Threads::new(vec![
-            |h: CoreHandle| h.core_id(),
-            |h: CoreHandle| h.core_id(),
-            |h: CoreHandle| h.core_id(),
+        .run(Workers::new(vec![
+            |h: CoreHandle| async move { h.core_id() };
+            3
         ]))
         .into_parts();
     assert_eq!(ids, vec![0, 1, 2]);
