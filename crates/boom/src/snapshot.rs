@@ -18,7 +18,7 @@
 //!
 //! ```text
 //! magic  "SKSN"            4 raw bytes
-//! version                  varint (currently 1)
+//! version                  varint (currently 2)
 //! config fingerprint       varint u64 (simulated-state-relevant config)
 //! payload                  component sections, each tagged
 //! ```
@@ -36,8 +36,10 @@ pub type SnapshotError = SnapError;
 /// Leading magic bytes of every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SKSN";
 
-/// Snapshot format version this build reads and writes.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Snapshot format version this build reads and writes. Version 2 dropped
+/// frontend tag 1 (the program frontend): programs run through the replay
+/// frontend, tag 2.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// A validated, self-describing byte image of a [`System`](crate::System)'s
 /// complete simulated state. Obtain one from
@@ -133,6 +135,42 @@ mod tests {
                 expected: SNAPSHOT_VERSION
             })
         );
+    }
+
+    /// A real mid-run snapshot rewritten to version 1 (whose frontends may
+    /// carry the dropped tag 1) fails on its header as a version mismatch,
+    /// in [`Snapshot::from_bytes`] and in `System::restore` alike — never
+    /// as a corrupt frontend tag.
+    #[test]
+    fn version_1_snapshot_is_a_version_mismatch() {
+        use crate::{Op, System, SystemConfig};
+        let cfg = SystemConfig::default();
+        let mut sys = System::new(cfg);
+        let mut bytes = None;
+        let script = vec![
+            Op::Store {
+                addr: 0x40,
+                value: 1,
+            },
+            Op::Flush { addr: 0x40 },
+        ];
+        sys.run_programs_observed(vec![script.clone(), script], |s| {
+            if s.now() >= 5 && bytes.is_none() {
+                bytes = Some(s.snapshot().unwrap().into_bytes());
+            }
+            Ok::<(), std::convert::Infallible>(())
+        })
+        .unwrap();
+        let mut bytes = bytes.expect("the run lasts past cycle 5");
+        assert_eq!(bytes[4], 2, "one-byte version varint after the magic");
+        bytes[4] = 1;
+        let mismatch = SnapError::BadVersion {
+            found: 1,
+            expected: SNAPSHOT_VERSION,
+        };
+        assert_eq!(Snapshot::from_bytes(bytes.clone()), Err(mismatch.clone()));
+        let v1 = Snapshot { bytes };
+        assert_eq!(System::restore(&v1, &cfg).unwrap_err(), mismatch);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::handle::{Cmd, CoreHandle, Mailbox, Resp};
 use crate::lsu::{Lsu, LsuConfig};
 use crate::op::{Op, OpToken};
-use crate::workload::{CapturedOp, RunReport, TimedOp, Workload};
+use crate::workload::{CapturedOp, Programs, RunReport, TimedOp, Workload};
 use skipit_dcache::{DataCache, L1Config, L1Stats};
 use skipit_llc::{InclusiveCache, L2Config, L2Ports, L2Stats};
 use skipit_mem::{Dram, DramConfig, MemStats};
@@ -330,11 +330,6 @@ impl SystemStats {
 
 enum Frontend {
     Idle,
-    Program {
-        ops: Vec<Op>,
-        next: usize,
-        nop_until: u64,
-    },
     /// Worker mode (see [`crate::workload::Workers`]): the core follows
     /// the commands of a worker future the frontend phase polls. The
     /// future itself lives in the run loop's frame as a [`WorkerLane`].
@@ -343,9 +338,10 @@ enum Frontend {
         nop_until: Option<u64>,
         finished: bool,
     },
-    /// Trace replay (see [`crate::workload::ReplaySchedule`]): like
-    /// `Program`, but each op additionally waits for its recorded cycle
-    /// (`base + ops[next].at`) before issuing.
+    /// The op-script frontend (see [`crate::workload::ReplaySchedule`];
+    /// [`crate::workload::Programs`] runs through it with every stamp 0):
+    /// issues `ops` in order, each no earlier than its cycle
+    /// `base + ops[next].at`.
     Replay {
         ops: Vec<TimedOp>,
         next: usize,
@@ -388,7 +384,28 @@ impl WorkerLane<'_> {
     }
 }
 
-/// The simulated SoC. See the [crate docs](crate) for the two drive modes.
+/// `base + delta` for an op-script frontend's stamps and think times,
+/// panicking by name past `u64::MAX` (only hand-built lanes get there:
+/// decoded traces and snapshots are bounds-checked).
+fn script_cycle(base: u64, delta: u64) -> u64 {
+    base.checked_add(delta)
+        .unwrap_or_else(|| panic!("script lane cycle overflow: {base} + {delta} is past u64::MAX"))
+}
+
+/// Cycle budget of every op-script run (programs, replay, resume): one
+/// still going this many cycles after its call panics (an interlock bug).
+/// `skipit_replay::MemTrace::push` rejects traces that would end past it.
+pub const RUN_WATCHDOG_CYCLES: u64 = 2_000_000_000;
+
+/// [`System::quiesce`]'s cycle budget: draining writebacks is short.
+const QUIESCE_WATCHDOG_CYCLES: u64 = 1_000_000;
+
+/// The observer of a run nobody observes.
+pub(crate) fn unobserved(_: &System) -> Result<(), std::convert::Infallible> {
+    Ok(())
+}
+
+/// The simulated SoC. See the [crate docs](crate) for the drive modes.
 pub struct System {
     cfg: SystemConfig,
     now: u64,
@@ -985,39 +1002,6 @@ impl System {
         self.now += 1;
     }
 
-    /// One step of the configured engine toward `done`, which run loops
-    /// re-check after every clock movement. Returns `true` when `done`
-    /// holds — crucially also right after a fast-forward jump, *before* the
-    /// tick at the jump target, because termination predicates such as a
-    /// trailing Nop's expiry are conditions on `now` (the naive engine
-    /// observes every cycle; the wheel must observe the jump target before
-    /// executing it).
-    fn step_engine<F: Fn(&Self) -> bool>(
-        &mut self,
-        done: F,
-        workers: &mut [WorkerLane<'_>],
-    ) -> bool {
-        if done(self) {
-            return true;
-        }
-        match self.cfg.engine {
-            EngineKind::Naive => {
-                self.tick_workers(workers);
-                false
-            }
-            EngineKind::ComponentWheel => self.step_wheel(done, workers),
-        }
-    }
-
-    /// Accounts a full-sweep [`System::tick`] executed by the wheel's
-    /// fallback path (every slot burned, nothing skipped), then runs it.
-    fn tick_full_accounted(&mut self, workers: &mut [WorkerLane<'_>]) {
-        let slots = 1 + self.cfg.cores as u64;
-        self.engine.component_slots += slots;
-        self.engine.component_steps += slots;
-        self.tick_workers(workers);
-    }
-
     /// (Re)computes every wheel slot's due cycle from scratch. Needed on
     /// entry to a run loop and after any state mutation outside the wheel's
     /// view; steady-state operation re-arms slots incrementally instead.
@@ -1342,9 +1326,13 @@ impl System {
         let target = self.wheel.next_due();
         if target == NEVER {
             // Every slot is blocked on an external command (a worker's
-            // next op): full sweep so workers and watchdogs still run.
-            // `tick` invalidates the wheel; the next step rebuilds.
-            self.tick_full_accounted(workers);
+            // next op): full sweep so workers and watchdogs still run,
+            // every slot burned. `tick` invalidates the wheel; the next
+            // step rebuilds.
+            let slots = 1 + self.cfg.cores as u64;
+            self.engine.component_slots += slots;
+            self.engine.component_steps += slots;
+            self.tick_workers(workers);
             return false;
         }
         if target > self.now {
@@ -1459,31 +1447,20 @@ impl System {
         use std::hash::{Hash, Hasher};
         let mut s = String::new();
         for (i, fe) in self.frontends.iter().enumerate() {
-            match fe {
-                Frontend::Idle => {
-                    let _ = write!(s, "[{i} idle]");
-                }
-                Frontend::Program {
-                    next, nop_until, ..
-                } => {
-                    let _ = write!(s, "[{i} prog {next} {nop_until}]");
-                }
+            let _ = match fe {
+                Frontend::Idle => write!(s, "[{i} idle]"),
                 Frontend::Worker {
                     busy,
                     nop_until,
                     finished,
-                } => {
-                    let _ = write!(s, "[{i} wkr {busy:?} {nop_until:?} {finished}]");
-                }
+                } => write!(s, "[{i} wkr {busy:?} {nop_until:?} {finished}]"),
                 Frontend::Replay {
                     next,
                     nop_until,
                     base,
                     ..
-                } => {
-                    let _ = write!(s, "[{i} rpl {next} {nop_until} {base}]");
-                }
-            }
+                } => write!(s, "[{i} rpl {next} {nop_until} {base}]"),
+            };
         }
         let _ = write!(
             s,
@@ -1506,24 +1483,6 @@ impl System {
         let now = self.now;
         match &self.frontends[i] {
             Frontend::Idle => None,
-            Frontend::Program {
-                ops,
-                next,
-                nop_until,
-            } => {
-                if *next >= ops.len() {
-                    // Nothing left to issue, but a trailing Nop delay still
-                    // has to elapse before `program_done` holds.
-                    return (now < *nop_until).then_some(*nop_until);
-                }
-                if now < *nop_until {
-                    return Some(*nop_until);
-                }
-                match ops[*next] {
-                    Op::Nop { .. } => Some(now),
-                    op => self.lsus[i].has_room(op).then_some(now),
-                }
-            }
             Frontend::Worker {
                 busy,
                 nop_until,
@@ -1550,12 +1509,14 @@ impl System {
                 base,
             } => {
                 if *next >= ops.len() {
+                    // Nothing left to issue, but a trailing Nop delay still
+                    // has to elapse before `frontend_done` holds.
                     return (now < *nop_until).then_some(*nop_until);
                 }
                 // The head op can only issue once both its recorded cycle
                 // and any pending think time have elapsed — the exact gate
                 // is the max, so that is the next self-driven event.
-                let gate = (*nop_until).max(base + ops[*next].at);
+                let gate = (*nop_until).max(script_cycle(*base, ops[*next].at));
                 if now < gate {
                     return Some(gate);
                 }
@@ -1577,7 +1538,12 @@ impl System {
     fn step_frontends(&mut self, workers: &mut [WorkerLane<'_>]) -> (u64, u64) {
         let now = self.now;
         let issue_width = self.cfg.issue_width;
+        // A worker's response, flagged once its run's budget expired.
         let deadline = self.deadline;
+        let resp = |value| Resp {
+            value,
+            halted: now >= deadline,
+        };
         let mut enqueued = 0u64;
         let mut active = 0u64;
         // Disjoint field borrows: each frontend is stepped in place instead
@@ -1604,39 +1570,6 @@ impl System {
             let bit = 1u64 << i;
             match fe {
                 Frontend::Idle => {}
-                Frontend::Program {
-                    ops,
-                    next,
-                    nop_until,
-                } => {
-                    lsus[i].drain_finished();
-                    let mut issued = 0;
-                    while issued < issue_width && *next < ops.len() && now >= *nop_until {
-                        match ops[*next] {
-                            Op::Nop { cycles } => {
-                                *nop_until = now + cycles;
-                                *next += 1;
-                                issued += 1;
-                                record(i, Op::Nop { cycles });
-                            }
-                            op => {
-                                if !lsus[i].has_room(op) {
-                                    break;
-                                }
-                                let tok = *next_token + 1;
-                                *next_token = tok;
-                                lsus[i].enqueue(tok, op, now);
-                                *next += 1;
-                                issued += 1;
-                                enqueued |= bit;
-                                record(i, op);
-                            }
-                        }
-                    }
-                    if issued > 0 {
-                        active |= bit;
-                    }
-                }
                 Frontend::Replay {
                     ops,
                     next,
@@ -1648,11 +1581,11 @@ impl System {
                     while issued < issue_width
                         && *next < ops.len()
                         && now >= *nop_until
-                        && now >= *base + ops[*next].at
+                        && now >= script_cycle(*base, ops[*next].at)
                     {
                         match ops[*next].op {
                             Op::Nop { cycles } => {
-                                *nop_until = now + cycles;
+                                *nop_until = script_cycle(now, cycles);
                                 *next += 1;
                                 issued += 1;
                                 record(i, Op::Nop { cycles });
@@ -1695,10 +1628,7 @@ impl System {
                             Some(value) => {
                                 *busy = None;
                                 active |= bit;
-                                lane.mailbox.respond(Resp {
-                                    value,
-                                    halted: now >= deadline,
-                                });
+                                lane.mailbox.respond(resp(value));
                             }
                             None => continue,
                         }
@@ -1709,20 +1639,14 @@ impl System {
                         }
                         *nop_until = None;
                         active |= bit;
-                        lane.mailbox.respond(Resp {
-                            value: 0,
-                            halted: now >= deadline,
-                        });
+                        lane.mailbox.respond(resp(0));
                     }
                     // Poll the worker for its next command (its host-side
                     // computation takes zero simulated time).
                     loop {
                         active |= bit;
                         match lane.next_cmd(i) {
-                            Some(Cmd::RdCycle) => lane.mailbox.respond(Resp {
-                                value: now,
-                                halted: now >= deadline,
-                            }),
+                            Some(Cmd::RdCycle) => lane.mailbox.respond(resp(now)),
                             Some(Cmd::Op(Op::Nop { cycles })) => {
                                 *nop_until = Some(now + cycles);
                                 record(i, Op::Nop { cycles });
@@ -1818,22 +1742,26 @@ impl System {
         blames
     }
 
-    fn program_done(&self, core: usize) -> bool {
-        match &self.frontends[core] {
-            Frontend::Idle => true,
-            Frontend::Program {
-                ops,
-                next,
-                nop_until,
-            } => *next >= ops.len() && self.now >= *nop_until && self.lsus[core].is_empty(),
-            Frontend::Worker { finished, .. } => *finished && self.lsus[core].is_empty(),
+    /// Whether core `core`'s frontend has nothing left to do: its script
+    /// drained (trailing think time included) or its worker returned, and
+    /// its LSU is empty.
+    fn frontend_done(&self, core: usize) -> bool {
+        let drained = match &self.frontends[core] {
+            Frontend::Idle => return true,
+            Frontend::Worker { finished, .. } => *finished,
             Frontend::Replay {
                 ops,
                 next,
                 nop_until,
                 ..
-            } => *next >= ops.len() && self.now >= *nop_until && self.lsus[core].is_empty(),
-        }
+            } => *next >= ops.len() && self.now >= *nop_until,
+        };
+        drained && self.lsus[core].is_empty()
+    }
+
+    /// Every frontend is done — the end of a programs, replay or worker run.
+    fn frontends_done(&self) -> bool {
+        (0..self.cfg.cores).all(|i| self.frontend_done(i))
     }
 
     /// Runs any [`Workload`] to completion — the single entry point for
@@ -1865,56 +1793,81 @@ impl System {
         workload.run(self)
     }
 
-    /// Program mode's engine loop ([`crate::workload::Programs`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if more programs than cores are supplied, or if the programs
-    /// fail to finish within a watchdog budget (an interlock bug).
-    pub(crate) fn run_programs_inner(&mut self, programs: Vec<Vec<Op>>) -> u64 {
-        match self.run_programs_observed(programs, |_| Ok::<(), std::convert::Infallible>(())) {
-            Ok(cycles) => cycles,
-            Err((_, e)) => match e {},
-        }
-    }
-
-    /// Replay mode's engine loop ([`crate::workload::ReplaySchedule`]):
-    /// installs one replay frontend per lane with the current cycle as the
-    /// stamp base and steps the engine until every lane has drained.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more lanes than cores are supplied, or if the replay fails
-    /// to finish within a watchdog budget.
-    pub(crate) fn run_replay_inner(&mut self, lanes: Vec<Vec<TimedOp>>) -> u64 {
+    /// The op-script run behind [`Programs`] and
+    /// [`crate::workload::ReplaySchedule`]: one script frontend per lane,
+    /// stamped from the current cycle, driven under `observe`. Panics,
+    /// naming `what`, on more lanes than cores or past the watchdog.
+    pub(crate) fn run_script<E>(
+        &mut self,
+        lanes: Vec<Vec<TimedOp>>,
+        what: &str,
+        observe: impl FnMut(&System) -> Result<(), E>,
+    ) -> Result<u64, (u64, E)> {
         assert!(
             lanes.len() <= self.cfg.cores,
-            "{} replay lanes for {} cores",
+            "{} {what} lanes for {} cores",
             lanes.len(),
             self.cfg.cores
         );
-        let start = self.now;
-        self.wheel.valid = false;
         for (i, ops) in lanes.into_iter().enumerate() {
             self.frontends[i] = Frontend::Replay {
                 ops,
                 next: 0,
                 nop_until: 0,
-                base: start,
+                base: self.now,
             };
         }
-        let watchdog = self.now + 2_000_000_000;
-        loop {
-            if self.step_engine(|s| (0..s.cfg.cores).all(|i| s.program_done(i)), &mut []) {
-                break;
+        let watchdog = Some((RUN_WATCHDOG_CYCLES, what));
+        self.drive(Self::frontends_done, &mut [], watchdog, observe)
+    }
+
+    /// The one engine loop behind every run entry point: steps the engine
+    /// until `done` holds, calling `observe` before every step, then resets
+    /// every frontend to idle. `done` is re-checked after every clock
+    /// movement — crucially also right after a fast-forward jump, before
+    /// the tick at the jump target, since predicates such as a trailing
+    /// Nop's expiry are conditions on `now`. A run still going `budget`
+    /// cycles after the call panics with "`what` run exceeded watchdog
+    /// budget"; worker runs pass `None` (their budget is a soft stop).
+    /// Returns the elapsed cycles, or the observer's first error and cycle.
+    fn drive<E>(
+        &mut self,
+        done: impl Fn(&Self) -> bool + Copy,
+        workers: &mut [WorkerLane<'_>],
+        watchdog: Option<(u64, &str)>,
+        mut observe: impl FnMut(&System) -> Result<(), E>,
+    ) -> Result<u64, (u64, E)> {
+        let start = self.now;
+        // Installed frontends (or a restore) changed state outside the
+        // wheel's view.
+        self.wheel.valid = false;
+        let result = loop {
+            if let Err(e) = observe(self) {
+                break Err((self.now, e));
             }
-            assert!(self.now < watchdog, "replay run exceeded watchdog budget");
-        }
+            let finished = done(self)
+                || match self.cfg.engine {
+                    EngineKind::Naive => {
+                        self.tick_workers(workers);
+                        false
+                    }
+                    EngineKind::ComponentWheel => self.step_wheel(done, workers),
+                };
+            if finished {
+                break Ok(self.now - start);
+            }
+            if let Some((budget, what)) = watchdog {
+                assert!(
+                    self.now - start < budget,
+                    "{what} run exceeded watchdog budget"
+                );
+            }
+        };
         for fe in &mut self.frontends {
             *fe = Frontend::Idle;
         }
         self.wheel.valid = false;
-        self.now - start
+        result
     }
 
     /// Program mode ([`run(Programs(…))`](Self::run)) with a continuous
@@ -1933,74 +1886,32 @@ impl System {
     /// # Panics
     ///
     /// Panics if more programs than cores are supplied, or if the programs
-    /// fail to finish within a watchdog budget (an interlock bug).
+    /// fail to finish within [`RUN_WATCHDOG_CYCLES`] (an interlock bug).
     pub fn run_programs_observed<E>(
         &mut self,
         programs: Vec<Vec<Op>>,
-        mut observe: impl FnMut(&System) -> Result<(), E>,
+        observe: impl FnMut(&System) -> Result<(), E>,
     ) -> Result<u64, (u64, E)> {
-        assert!(
-            programs.len() <= self.cfg.cores,
-            "{} programs for {} cores",
-            programs.len(),
-            self.cfg.cores
-        );
-        let start = self.now;
-        // Installing frontends mutates state outside the wheel's view.
-        self.wheel.valid = false;
-        for (i, ops) in programs.into_iter().enumerate() {
-            self.frontends[i] = Frontend::Program {
-                ops,
-                next: 0,
-                nop_until: 0,
-            };
-        }
-        let watchdog = self.now + 2_000_000_000;
-        let result = loop {
-            if let Err(e) = observe(self) {
-                break Err((self.now, e));
-            }
-            if self.step_engine(|s| (0..s.cfg.cores).all(|i| s.program_done(i)), &mut []) {
-                break Ok(self.now - start);
-            }
-            assert!(self.now < watchdog, "program run exceeded watchdog budget");
-        };
-        for fe in &mut self.frontends {
-            *fe = Frontend::Idle;
-        }
-        self.wheel.valid = false;
-        result
+        self.run_script(Programs(programs).into_lanes(), "program", observe)
     }
 
     /// Runs the system until every cache and the L2 are quiescent (drains
-    /// asynchronous writebacks that no fence waited for).
+    /// asynchronous writebacks that no fence waited for). Frontends end
+    /// idle, like after any run.
     pub fn quiesce(&mut self) {
-        match self.quiesce_observed(|_| Ok::<(), std::convert::Infallible>(())) {
-            Ok(()) => {}
-            Err((_, e)) => match e {},
-        }
+        let Ok(()) = self.quiesce_observed(unobserved);
     }
 
     /// [`Self::quiesce`] with a continuous observer, under the same contract
     /// as [`Self::run_programs_observed`].
     pub fn quiesce_observed<E>(
         &mut self,
-        mut observe: impl FnMut(&System) -> Result<(), E>,
+        observe: impl FnMut(&System) -> Result<(), E>,
     ) -> Result<(), (u64, E)> {
-        self.wheel.valid = false;
-        let watchdog = self.now + 1_000_000;
-        loop {
-            if let Err(e) = observe(self) {
-                return Err((self.now, e));
-            }
-            if self.step_engine(
-                |s| s.l1s.iter().all(|c| c.is_quiescent()) && s.l2.is_quiescent(),
-                &mut [],
-            ) {
-                return Ok(());
-            }
-            assert!(self.now < watchdog, "quiesce exceeded watchdog budget");
-        }
+        let quiescent = |s: &Self| s.l1s.iter().all(|c| c.is_quiescent()) && s.l2.is_quiescent();
+        let watchdog = Some((QUIESCE_WATCHDOG_CYCLES, "quiesce"));
+        self.drive(quiescent, &mut [], watchdog, observe)
+            .map(|_| ())
     }
 
     /// Worker mode's engine loop ([`crate::workload::Workers`]): runs one
@@ -2035,11 +1946,9 @@ impl System {
             workers.len(),
             self.cfg.cores
         );
-        let start = self.now;
-        self.wheel.valid = false;
-        self.deadline = budget.map_or(u64::MAX, |b| start + b);
+        self.deadline = budget.map_or(u64::MAX, |b| self.now + b);
         let mut results: Vec<Option<R>> = workers.iter().map(|_| None).collect();
-        {
+        let cycles = {
             let mut lanes = Vec::with_capacity(workers.len());
             for (i, (worker, slot)) in workers.into_iter().zip(&mut results).enumerate() {
                 let mailbox = Rc::new(Mailbox::default());
@@ -2054,19 +1963,16 @@ impl System {
                     fut: Box::pin(async move { *slot = Some(fut.await) }),
                 });
             }
-            while !self.step_engine(|s| (0..s.cfg.cores).all(|i| s.program_done(i)), &mut lanes) {}
-        }
+            let Ok(cycles) = self.drive(Self::frontends_done, &mut lanes, None, unobserved);
+            cycles
+        };
         let expired = self.deadline != u64::MAX && self.now >= self.deadline;
-        for fe in &mut self.frontends {
-            *fe = Frontend::Idle;
-        }
-        self.wheel.valid = false;
         self.deadline = u64::MAX;
         let results = results
             .into_iter()
             .map(|r| r.expect("a finished worker has produced its result"))
             .collect();
-        (self.now - start, results, expired)
+        (cycles, results, expired)
     }
 }
 
@@ -2081,16 +1987,6 @@ impl Frontend {
     fn encode(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
         match self {
             Frontend::Idle => w.put_u8(0),
-            Frontend::Program {
-                ops,
-                next,
-                nop_until,
-            } => {
-                w.put_u8(1);
-                ops.encode(w);
-                next.encode(w);
-                nop_until.encode(w);
-            }
             Frontend::Worker { .. } => return Err(SnapError::LiveThreads),
             Frontend::Replay {
                 ops,
@@ -2108,32 +2004,39 @@ impl Frontend {
         Ok(())
     }
 
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+    /// Decodes a frontend of a system whose clock reads `now`. Tag 1, the
+    /// program frontend of snapshot version 1, no longer exists.
+    fn decode(r: &mut SnapReader<'_>, now: u64) -> Result<Self, SnapError> {
         match r.get_u8()? {
             0 => Ok(Frontend::Idle),
-            1 => {
-                let ops = Vec::<Op>::decode(r)?;
-                let next = usize::decode(r)?;
-                if next > ops.len() {
-                    return Err(SnapError::Corrupt("frontend program cursor"));
-                }
-                Ok(Frontend::Program {
-                    ops,
-                    next,
-                    nop_until: u64::decode(r)?,
-                })
-            }
             2 => {
                 let ops = Vec::<TimedOp>::decode(r)?;
                 let next = usize::decode(r)?;
                 if next > ops.len() {
                     return Err(SnapError::Corrupt("frontend replay cursor"));
                 }
+                let nop_until = u64::decode(r)?;
+                let base = u64::decode(r)?;
+                // Every cycle the frontend will still compute must fit the
+                // clock: each pending op's stamp `base + at` and, for think
+                // time, the end it sets (issued no earlier than the stamp,
+                // the current cycle and the pending think time's end).
+                let representable = ops[next..].iter().all(|t| {
+                    base.checked_add(t.at).is_some_and(|stamp| match t.op {
+                        Op::Nop { cycles } => {
+                            stamp.max(now).max(nop_until).checked_add(cycles).is_some()
+                        }
+                        _ => true,
+                    })
+                });
+                if !representable {
+                    return Err(SnapError::Corrupt("frontend replay cycle"));
+                }
                 Ok(Frontend::Replay {
                     ops,
                     next,
-                    nop_until: u64::decode(r)?,
-                    base: u64::decode(r)?,
+                    nop_until,
+                    base,
                 })
             }
             _ => Err(SnapError::Corrupt("frontend tag")),
@@ -2182,7 +2085,8 @@ impl System {
     ///
     /// [`SnapError::LiveThreads`] if any core is in worker mode (inside a
     /// [`crate::workload::Workers`] run): a live worker future cannot be
-    /// encoded. Snapshot between runs, or from program mode's observer hook.
+    /// encoded. Snapshot between runs, or from
+    /// [`System::run_programs_observed`]'s observer hook.
     pub fn snapshot(&self) -> Result<Snapshot, SnapError> {
         let mut w = SnapWriter::new();
         Snapshot::write_header(&mut w, config_fingerprint(&self.cfg));
@@ -2243,7 +2147,7 @@ impl System {
         sys.deadline = u64::decode(&mut r)?;
         sys.engine = EngineStats::decode(&mut r)?;
         for fe in &mut sys.frontends {
-            *fe = Frontend::decode(&mut r)?;
+            *fe = Frontend::decode(&mut r, sys.now)?;
         }
         for lsu in &mut sys.lsus {
             lsu.decode_state(&mut r)?;
@@ -2267,30 +2171,20 @@ impl System {
     }
 
     /// Continues a run restored mid-flight: steps the system until every
-    /// program frontend has drained (immediately returning `0` if all
-    /// cores are idle), then resets frontends to idle — exactly the tail
-    /// of the [`crate::workload::Programs`] run the snapshot interrupted,
-    /// so a restore-then-resume reaches the same final state, cycle count
-    /// and statistics as the uninterrupted run.
+    /// script frontend — a [`crate::workload::Programs`] or
+    /// [`crate::workload::ReplaySchedule`] lane — has drained (immediately
+    /// returning `0` if all cores are idle), then resets frontends to idle:
+    /// exactly the tail of the run the snapshot interrupted, so a
+    /// restore-then-resume reaches the same final state, cycle count and
+    /// statistics as the uninterrupted run.
     ///
     /// # Panics
     ///
-    /// As a program-mode run (watchdog budget).
+    /// As a program-mode run ([`RUN_WATCHDOG_CYCLES`]).
     pub fn resume_programs(&mut self) -> u64 {
-        let start = self.now;
-        self.wheel.valid = false;
-        let watchdog = self.now + 2_000_000_000;
-        let elapsed = loop {
-            if self.step_engine(|s| (0..s.cfg.cores).all(|i| s.program_done(i)), &mut []) {
-                break self.now - start;
-            }
-            assert!(self.now < watchdog, "program run exceeded watchdog budget");
-        };
-        for fe in &mut self.frontends {
-            *fe = Frontend::Idle;
-        }
-        self.wheel.valid = false;
-        elapsed
+        let watchdog = Some((RUN_WATCHDOG_CYCLES, "program"));
+        let Ok(cycles) = self.drive(Self::frontends_done, &mut [], watchdog, unobserved);
+        cycles
     }
 }
 
@@ -2314,7 +2208,11 @@ mod tests {
     #[ignore = "diagnostic: per-cycle event-source histogram for fig09-shaped runs"]
     fn blame_fig09_event_sources() {
         for cores in [1usize, 8] {
-            let mut s = sys(cores, false);
+            let mut s = System::new(SystemConfig {
+                cores,
+                engine: EngineKind::Naive,
+                ..SystemConfig::default()
+            });
             let lines: Vec<Vec<u64>> = (0..cores as u64)
                 .map(|t| {
                     (0..512 / cores as u64)
@@ -2348,32 +2246,27 @@ mod tests {
                 ),
             ];
             for (name, progs) in phases {
-                for (i, ops) in progs.into_iter().enumerate() {
-                    s.frontends[i] = Frontend::Program {
-                        ops,
-                        next: 0,
-                        nop_until: 0,
-                    };
-                }
                 let mut hist: std::collections::HashMap<&'static str, u64> = Default::default();
                 let mut busy = 0u64;
-                let mut total = 0u64;
-                while !(0..s.cfg.cores).all(|i| s.program_done(i)) {
-                    let blames = s.debug_event_blame();
-                    if blames.is_empty() {
-                        *hist.entry("idle").or_default() += 1;
-                    } else {
-                        busy += 1;
-                        for b in blames {
+                // The naive engine executes, so observes, every cycle up to
+                // the final boundary, where the frontends are done.
+                let total = s
+                    .run_programs_observed(progs, |s| {
+                        if s.frontends_done() {
+                            return Ok::<(), std::convert::Infallible>(());
+                        }
+                        let blames = s.debug_event_blame();
+                        busy += u64::from(!blames.is_empty());
+                        for b in if blames.is_empty() {
+                            vec!["idle"]
+                        } else {
+                            blames
+                        } {
                             *hist.entry(b).or_default() += 1;
                         }
-                    }
-                    total += 1;
-                    s.tick();
-                }
-                for fe in &mut s.frontends {
-                    *fe = Frontend::Idle;
-                }
+                        Ok(())
+                    })
+                    .unwrap();
                 let mut v: Vec<_> = hist.into_iter().collect();
                 v.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
                 eprintln!("cores={cores} phase={name}: {total} cycles, {busy} busy, {v:?}");

@@ -9,16 +9,19 @@
 //! and `System::run(workload)` returns a [`RunReport`] carrying the elapsed
 //! cycles, the workload's own output, and whether a cycle budget expired.
 //!
-//! Three first-party workloads:
+//! Three first-party workloads over two frontends:
 //!
-//! * [`Programs`] — one fixed [`Op`] script per core (program mode);
+//! * [`ReplaySchedule`] — one cycle-stamped [`TimedOp`] lane per core, run
+//!   by the op-script frontend (`skipit-replay`'s `TraceReplay` lowers a
+//!   decoded trace to this);
+//! * [`Programs`] — one fixed [`Op`] script per core (program mode): the
+//!   same frontend with every stamp 0;
 //! * [`Workers`] — one host future per core, driving its core by awaiting
 //!   [`CoreHandle`] ops; the frontend phase polls it in place at the
 //!   cycle each op completes (worker mode), with an optional soft cycle
-//!   budget;
-//! * [`ReplaySchedule`] — one cycle-stamped [`TimedOp`] lane per core (the
-//!   replay frontend; `skipit-replay`'s `TraceReplay` lowers a decoded
-//!   trace to this).
+//!   budget.
+//!
+//! Every run steps the engine through one loop inside [`System`].
 //!
 //! ```
 //! use skipit_boom::{Op, Programs, System, SystemConfig};
@@ -35,7 +38,7 @@
 
 use crate::handle::CoreHandle;
 use crate::op::Op;
-use crate::system::System;
+use crate::system::{unobserved, System};
 use std::future::Future;
 
 /// Anything that can drive a [`System`] to completion.
@@ -82,22 +85,38 @@ impl<T> RunReport<T> {
 }
 
 /// Program mode as a [`Workload`]: one fixed [`Op`] script per core
-/// (missing cores idle). Output is `()`; the interesting result is
+/// (missing cores idle). It runs as a [`ReplaySchedule`] whose stamps are
+/// all 0, so each op issues as early as the issue width, think time and
+/// LSU room allow. Output is `()`; the interesting result is
 /// [`RunReport::cycles`].
 ///
 /// # Panics
 ///
 /// Running panics if more programs than cores are supplied, or if the
-/// programs fail to finish within a watchdog budget (an interlock bug).
+/// programs fail to finish within
+/// [`RUN_WATCHDOG_CYCLES`](crate::RUN_WATCHDOG_CYCLES) (an interlock bug).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Programs(pub Vec<Vec<Op>>);
+
+impl Programs {
+    /// Lowers the scripts to replay lanes with every stamp 0: the replay
+    /// frontend's stamp gate then always holds, so it issues exactly as a
+    /// plain script would.
+    pub(crate) fn into_lanes(self) -> Vec<Vec<TimedOp>> {
+        self.0
+            .into_iter()
+            .map(|ops| ops.into_iter().map(|op| TimedOp { at: 0, op }).collect())
+            .collect()
+    }
+}
 
 impl Workload for Programs {
     type Output = ();
 
     fn run(self, sys: &mut System) -> RunReport {
+        let Ok(cycles) = sys.run_programs_observed(self.0, unobserved);
         RunReport {
-            cycles: sys.run_programs_inner(self.0),
+            cycles,
             output: (),
             budget_expired: false,
         }
@@ -189,20 +208,23 @@ pub struct TimedOp {
     pub op: Op,
 }
 
-/// The replay frontend as a [`Workload`]: one cycle-stamped lane per core.
+/// The op-script frontend as a [`Workload`]: one cycle-stamped lane per
+/// core.
 ///
 /// Each lane issues in order, and each [`TimedOp`] no earlier than its
-/// recorded cycle — subject to the same issue-width, `Nop` think-time and
-/// LSU-room rules as program mode. For a lane captured from a real run
-/// (see [`System::start_capture`]) those constraints are satisfiable at
+/// recorded cycle — subject to the issue-width, `Nop` think-time and
+/// LSU-room rules that also pace [`Programs`]. For a lane captured from a
+/// real run (see [`System::start_capture`]) those constraints are satisfiable at
 /// exactly the recorded cycles, so the replay reproduces the original run
 /// bit-identically; for hand-written or perturbed schedules the stamps are
 /// lower bounds and the frontend issues as early as the machine allows.
 ///
 /// # Panics
 ///
-/// Running panics if more lanes than cores are supplied, or if the replay
-/// fails to finish within a watchdog budget.
+/// Running panics if more lanes than cores are supplied, if the replay
+/// fails to finish within [`RUN_WATCHDOG_CYCLES`](crate::RUN_WATCHDOG_CYCLES),
+/// or if a stamp or think time would put a cycle past `u64::MAX` (only a
+/// hand-built lane can: decoded traces are bounded by the watchdog).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ReplaySchedule {
     /// Per-core op lanes (missing cores idle). Stamps within a lane must be
@@ -214,8 +236,9 @@ impl Workload for ReplaySchedule {
     type Output = ();
 
     fn run(self, sys: &mut System) -> RunReport {
+        let Ok(cycles) = sys.run_script(self.lanes, "replay", unobserved);
         RunReport {
-            cycles: sys.run_replay_inner(self.lanes),
+            cycles,
             output: (),
             budget_expired: false,
         }

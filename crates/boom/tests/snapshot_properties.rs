@@ -95,6 +95,36 @@ fn check_roundtrip(
     Ok(true)
 }
 
+/// The bytes of a real mid-run snapshot: both cores' replay frontends
+/// still hold ops (a think time among them), with misses and writebacks
+/// in flight.
+fn mid_run_snapshot_bytes(cfg: SystemConfig) -> Vec<u8> {
+    let script = |base: u64| {
+        let mut ops: Vec<Op> = (0..6)
+            .flat_map(|i| {
+                let addr = base + i * 64;
+                [Op::Store { addr, value: i + 1 }, Op::Clean { addr }]
+            })
+            .collect();
+        ops.extend([Op::Nop { cycles: 40 }, Op::Fence, Op::Load { addr: base }]);
+        ops
+    };
+    let mut s = System::new(cfg);
+    let mut bytes = None;
+    s.run_programs_observed(vec![script(0x4_0000), script(0x5_0000)], |sys| {
+        if sys.now() >= 60 && bytes.is_none() {
+            bytes = Some(
+                sys.snapshot()
+                    .expect("script frontends snapshot")
+                    .into_bytes(),
+            );
+        }
+        Ok::<(), std::convert::Infallible>(())
+    })
+    .unwrap();
+    bytes.expect("the run lasts past cycle 60")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16 })]
 
@@ -159,17 +189,55 @@ proptest! {
         }
         // Every outcome must be a typed error or a clean restore; panics
         // and unbounded allocations abort the test process and fail here.
-        match Snapshot::from_bytes(bytes) {
-            Err(_) => {}
-            Ok(snap) => match System::restore(&snap, &cfg) {
-                Ok(restored) => {
-                    // A benign flip must still produce a runnable system.
-                    drop(restored.snapshot().unwrap());
-                }
-                Err(e) => {
-                    let _: SnapshotError = e; // typed decode error
-                }
-            },
+        restore_or_fail_typed(bytes, &cfg);
+    }
+}
+
+/// Restores `bytes` under `cfg`, asserting only that nothing panics: the
+/// outcome is a typed error or a system that snapshots again.
+fn restore_or_fail_typed(bytes: Vec<u8>, cfg: &SystemConfig) {
+    match Snapshot::from_bytes(bytes) {
+        Err(_) => {}
+        Ok(snap) => match System::restore(&snap, cfg) {
+            Ok(restored) => {
+                // A benign flip must still produce a snapshottable system.
+                drop(restored.snapshot().unwrap());
+            }
+            Err(e) => {
+                let _: SnapshotError = e; // typed decode error
+            }
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256 })]
+
+    /// Arbitrary bytes reach `System::restore` from a real mid-run snapshot
+    /// holding live replay frontends, truncated, bit-flipped or extended:
+    /// restore returns a system or a typed error, never a panic, and its
+    /// allocations stay bounded (every decoded count is capped before it
+    /// sizes a buffer).
+    #[test]
+    fn mutated_mid_run_snapshots_restore_or_fail_typed(
+        mode in 0u64..3,
+        pos in any::<usize>(),
+        flip in 1u64..256,
+        tail in prop::collection::vec(any::<u8>(), 1..48),
+    ) {
+        let cfg = SystemConfig { cores: 2, ..SystemConfig::default() };
+        let mut bytes = mid_run_snapshot_bytes(cfg);
+        match mode {
+            0 => bytes.truncate(pos % bytes.len()),
+            1 => {
+                let at = pos % bytes.len();
+                bytes[at] ^= flip as u8;
+            }
+            _ => {
+                let at = pos % (bytes.len() + 1);
+                bytes.splice(at..at, tail);
+            }
         }
+        restore_or_fail_typed(bytes, &cfg);
     }
 }

@@ -74,7 +74,7 @@ pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use skipit_boom::{
     CapturedOp, CoreHandle, EngineKind, EngineStats, LatencyHistogram, Op, PhaseProfile, Programs,
     ReplaySchedule, RunReport, Snapshot, SnapshotError, System, SystemConfig, SystemStats, TimedOp,
-    TraceLog, TraceRecord, Workers, Workload, PROFILE_COMPILED,
+    TraceLog, TraceRecord, Workers, Workload, PROFILE_COMPILED, RUN_WATCHDOG_CYCLES,
 };
 pub use skipit_dcache::{DataCache, FlushEntry, FlushUnit, Fshr, FshrState, L1Config, L1Stats};
 pub use skipit_llc::{InclusiveCache, L2Config, L2Stats};

@@ -2,7 +2,7 @@
 
 use crate::TraceError;
 use skipit_boom::workload::{CapturedOp, ReplaySchedule, TimedOp};
-use skipit_boom::Op;
+use skipit_boom::{Op, RUN_WATCHDOG_CYCLES};
 use skipit_snap::{Codec, SnapReader, SnapWriter, MAX_ELEMS};
 
 /// Binary-form header magic (`b"SKTR"` — **SK**ip-it **TR**ace).
@@ -34,8 +34,9 @@ pub struct MemTrace {
     cores: u32,
     records: Vec<TraceRecord>,
     /// Per-core cumulative gap (the stamp of the core's last record);
-    /// [`MemTrace::push`] keeps every entry free of overflow, so
-    /// [`MemTrace::schedule`] can sum without checks.
+    /// [`MemTrace::push`] keeps every entry below
+    /// [`RUN_WATCHDOG_CYCLES`], so [`MemTrace::schedule`] can sum without
+    /// checks.
     ends: Vec<u64>,
 }
 
@@ -79,8 +80,10 @@ impl MemTrace {
     /// # Errors
     ///
     /// [`TraceError::CoreOutOfRange`] if the record names a core the trace
-    /// does not declare; [`TraceError::GapOverflow`] if the core's gaps
-    /// would sum past `u64::MAX`.
+    /// does not declare; [`TraceError::PastWatchdog`] if the record's stamp
+    /// (the core's gaps so far) plus its `Nop` think time reaches
+    /// [`RUN_WATCHDOG_CYCLES`] — a replay of it could only end in the
+    /// run watchdog's panic.
     pub fn push(&mut self, record: TraceRecord) -> Result<(), TraceError> {
         if record.core >= self.cores {
             return Err(TraceError::CoreOutOfRange {
@@ -88,10 +91,16 @@ impl MemTrace {
                 cores: self.cores,
             });
         }
+        let think = match record.op {
+            Op::Nop { cycles } => cycles,
+            _ => 0,
+        };
         let end = &mut self.ends[record.core as usize];
-        *end = end
-            .checked_add(record.gap)
-            .ok_or(TraceError::GapOverflow { core: record.core })?;
+        let stamp = end.saturating_add(record.gap);
+        if stamp.saturating_add(think) >= RUN_WATCHDOG_CYCLES {
+            return Err(TraceError::PastWatchdog { core: record.core });
+        }
+        *end = stamp;
         self.records.push(record);
         Ok(())
     }
@@ -105,8 +114,9 @@ impl MemTrace {
     ///
     /// # Panics
     ///
-    /// Panics if a captured op names a core `>= cores` or was captured
-    /// before `start` (both indicate caller error, not corrupt input).
+    /// Panics if a captured op names a core `>= cores`, was captured
+    /// before `start`, or ends [`RUN_WATCHDOG_CYCLES`] or more after it
+    /// (all caller error, not corrupt input: no script run lasts that long).
     pub fn from_capture(cores: u32, start: u64, captured: &[CapturedOp]) -> Self {
         let mut trace = MemTrace::new(cores);
         let mut last = vec![start; cores as usize];
@@ -120,7 +130,7 @@ impl MemTrace {
                     gap: c.cycle - *prev,
                     op: c.op,
                 })
-                .expect("a core's captured gaps sum to a cycle difference");
+                .expect("a captured op ends within the run watchdog of `start`");
             *prev = c.cycle;
         }
         trace
@@ -129,7 +139,7 @@ impl MemTrace {
     /// Lowers the trace to per-core cycle-stamped lanes — the
     /// [`ReplaySchedule`] workload the replay frontend executes. Each
     /// core's stamps are the cumulative sum of its gaps, which
-    /// [`MemTrace::push`] guarantees fits in a `u64`.
+    /// [`MemTrace::push`] keeps below [`RUN_WATCHDOG_CYCLES`].
     pub fn schedule(&self) -> ReplaySchedule {
         let mut lanes = vec![Vec::new(); self.cores as usize];
         let mut at = vec![0u64; self.cores as usize];
@@ -162,7 +172,7 @@ impl MemTrace {
     ///
     /// A typed [`TraceError`] for anything malformed: wrong magic, a
     /// version this build does not read, truncation anywhere, records
-    /// naming undeclared cores, per-core gaps summing past `u64::MAX`, or
+    /// naming undeclared cores or ending past the run watchdog, or
     /// trailing bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, TraceError> {
         let mut r = SnapReader::new(bytes);
@@ -332,12 +342,12 @@ mod tests {
         );
     }
 
-    /// Two records on one core whose gaps sum to `u64::MAX + 1`: the
-    /// second would be stamped past any representable cycle.
-    const HALF_PLUS_ONE: u64 = u64::MAX / 2 + 1;
+    /// Two records on one core whose gaps sum past the run watchdog: the
+    /// second would be stamped where no replay can reach it.
+    const HALF_PLUS_ONE: u64 = RUN_WATCHDOG_CYCLES / 2 + 1;
 
     #[test]
-    fn overflowing_gaps_are_rejected_in_binary_form() {
+    fn gaps_past_the_watchdog_are_rejected_in_binary_form() {
         let mut w = SnapWriter::new();
         w.put_raw(&TRACE_MAGIC);
         w.put_u64(TRACE_VERSION);
@@ -350,7 +360,7 @@ mod tests {
         }
         assert_eq!(
             MemTrace::from_bytes(&w.into_bytes()).unwrap_err(),
-            TraceError::GapOverflow { core: 0 }
+            TraceError::PastWatchdog { core: 0 }
         );
         // The same gaps split across two cores are fine.
         let mut t = MemTrace::new(2);
@@ -366,13 +376,42 @@ mod tests {
     }
 
     #[test]
-    fn overflowing_gaps_are_rejected_in_text_form() {
+    fn gaps_past_the_watchdog_are_rejected_in_text_form() {
         let text = format!("cores 1\n0 +{HALF_PLUS_ONE} fence\n0 +{HALF_PLUS_ONE} fence\n");
         let err = MemTrace::from_text(&text).unwrap_err();
         assert!(
-            matches!(err, TraceError::Text { line: 3, ref msg } if msg.contains("u64::MAX")),
+            matches!(err, TraceError::Text { line: 3, ref msg } if msg.contains("watchdog")),
             "{err:?}"
         );
+    }
+
+    /// Think time counts: a `Nop` whose end reaches the watchdog, or a gap
+    /// that would wrap the clock, is rejected where the trace enters.
+    #[test]
+    fn think_time_and_wrapping_gaps_past_the_watchdog_are_rejected() {
+        for text in [
+            "cores 1\n0 nop 18446744073709551615\n",
+            "cores 1\n0 +18446744073709551615 fence\n",
+            "cores 1\n0 +1 fence\n0 nop 1999999999\n",
+        ] {
+            let err = MemTrace::from_text(text).unwrap_err();
+            assert!(
+                matches!(err, TraceError::Text { ref msg, .. } if msg.contains("watchdog")),
+                "{text:?}: {err:?}"
+            );
+        }
+        let mut t = MemTrace::new(1);
+        let nop = |gap, cycles| TraceRecord {
+            core: 0,
+            gap,
+            op: Op::Nop { cycles },
+        };
+        t.push(nop(1, RUN_WATCHDOG_CYCLES - 2)).unwrap();
+        assert_eq!(
+            t.push(nop(0, RUN_WATCHDOG_CYCLES - 1)),
+            Err(TraceError::PastWatchdog { core: 0 })
+        );
+        assert_eq!(t.len(), 1, "a rejected record is not appended");
     }
 
     #[test]

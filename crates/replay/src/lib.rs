@@ -3,7 +3,7 @@
 //!
 //! The simulator's workloads were historically all *generators* — built-in
 //! figure-shaped op scripts. This crate makes arbitrary programs runnable
-//! at near-zero marginal cost: any run (program, thread or replay mode, any
+//! at near-zero marginal cost: any run (program, worker or replay mode, any
 //! engine) can be recorded with [`System::start_capture`], the recorded
 //! stream converts to a portable [`MemTrace`], and a trace replays through
 //! [`TraceReplay`] — bit-identically to the original run when the trace was
@@ -65,15 +65,15 @@ mod text;
 pub use format::{MemTrace, TraceRecord, TRACE_MAGIC, TRACE_VERSION};
 
 use skipit_boom::workload::{RunReport, Workload};
-use skipit_boom::System;
+use skipit_boom::{System, RUN_WATCHDOG_CYCLES};
 use skipit_snap::SnapError;
 use std::fmt;
 
 /// Typed trace decode/validation failure. Everything the format layer can
 /// reject — truncated input, a foreign or future format, a malformed text
-/// line, a record naming a core the trace's header does not declare, gaps
-/// whose per-core sum overflows the cycle counter — reports as one of
-/// these variants, never as a panic.
+/// line, a record naming a core the trace's header does not declare, a
+/// record ending past the run watchdog — reports as one of these
+/// variants, never as a panic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TraceError {
     /// The input ended before the decoder was done.
@@ -101,10 +101,11 @@ pub enum TraceError {
         /// Cores the trace declares.
         cores: u32,
     },
-    /// A core's gaps sum past `u64::MAX`: its records would be stamped
-    /// beyond any representable cycle.
-    GapOverflow {
-        /// The core whose cumulative gap overflowed.
+    /// A core's record would end — its stamp (the sum of the core's gaps)
+    /// plus its `Nop` think time — at or past [`RUN_WATCHDOG_CYCLES`]:
+    /// replaying it could only end in the run watchdog's panic.
+    PastWatchdog {
+        /// The core whose record ends too late.
         core: u32,
     },
     /// A text-form parse failure, with the 1-based source line.
@@ -133,9 +134,10 @@ impl fmt::Display for TraceError {
             TraceError::CoreOutOfRange { core, cores } => {
                 write!(f, "record names core {core}, but the trace has {cores}")
             }
-            TraceError::GapOverflow { core } => {
-                write!(f, "core {core}'s record gaps sum past u64::MAX cycles")
-            }
+            TraceError::PastWatchdog { core } => write!(
+                f,
+                "core {core}'s records end past the {RUN_WATCHDOG_CYCLES}-cycle run watchdog"
+            ),
             TraceError::Text { line, msg } => write!(f, "trace text line {line}: {msg}"),
             TraceError::Io(msg) => write!(f, "trace file i/o: {msg}"),
         }

@@ -389,3 +389,133 @@ fn persistent_kv_capture_matches_committed_trace_bytes() {
         trace.len()
     );
 }
+
+/// A system whose clock is past 0, so a lane's stamps are offset from a
+/// nonzero base.
+fn clock_past_zero() -> skipit::System {
+    let mut sys = build(1, EngineKind::ComponentWheel, PerturbConfig::default());
+    sys.run(Programs(vec![vec![Op::Store {
+        addr: 0x40,
+        value: 1,
+    }]]));
+    assert!(sys.now() > 0);
+    sys
+}
+
+/// Hand-built lanes bypass `MemTrace::push`'s watchdog bound. A stamp
+/// past `u64::MAX` must panic by name rather than wrap (a wrapped stamp
+/// let the op issue at once in release builds).
+#[test]
+#[should_panic(expected = "script lane cycle overflow")]
+fn stamp_overflow_in_a_hand_built_lane_panics_by_name() {
+    clock_past_zero().run(ReplaySchedule {
+        lanes: vec![vec![TimedOp {
+            at: u64::MAX,
+            op: Op::Fence,
+        }]],
+    });
+}
+
+/// Same for a think time whose end is past `u64::MAX`.
+#[test]
+#[should_panic(expected = "script lane cycle overflow")]
+fn think_time_overflow_in_a_hand_built_lane_panics_by_name() {
+    clock_past_zero().run(ReplaySchedule {
+        lanes: vec![vec![TimedOp {
+            at: 0,
+            op: Op::Nop { cycles: u64::MAX },
+        }]],
+    });
+}
+
+/// The committed traces, in binary and text form: real inputs to mutate.
+fn committed_trace_bytes() -> Vec<u8> {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    std::fs::read(root.join("traces/persistent_kv.trace")).expect("committed trace is readable")
+}
+
+fn committed_trace_text() -> String {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(root.join("traces/litmus_sb.txt")).expect("committed text is readable")
+}
+
+/// What every decoded trace guarantees: it re-encodes losslessly and its
+/// lanes end inside the run watchdog.
+fn assert_decoded_trace_is_sound(trace: &MemTrace) {
+    assert_eq!(MemTrace::from_bytes(&trace.to_bytes()).as_ref(), Ok(trace));
+    for lane in trace.schedule().lanes {
+        for t in lane {
+            let think = match t.op {
+                Op::Nop { cycles } => cycles,
+                _ => 0,
+            };
+            assert!(t.at + think < skipit::core::RUN_WATCHDOG_CYCLES);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512 })]
+
+    /// Arbitrary bytes reach `MemTrace::from_bytes` — pure noise, or the
+    /// committed binary trace truncated, bit-flipped or extended: decoding
+    /// returns a sound trace or a typed error, never a panic, and its
+    /// allocations stay bounded (the record count is capped before it
+    /// sizes a buffer).
+    #[test]
+    fn arbitrary_trace_bytes_decode_or_fail_typed(
+        mode in 0u64..4,
+        pos in any::<usize>(),
+        flip in 1u64..256,
+        noise in prop::collection::vec(any::<u8>(), 1..64),
+    ) {
+        let mut bytes = committed_trace_bytes();
+        match mode {
+            0 => bytes = noise,
+            1 => bytes.truncate(pos % bytes.len()),
+            2 => {
+                let at = pos % bytes.len();
+                bytes[at] ^= flip as u8;
+            }
+            _ => {
+                let at = pos % (bytes.len() + 1);
+                bytes.splice(at..at, noise);
+            }
+        }
+        if let Ok(trace) = MemTrace::from_bytes(&bytes) {
+            assert_decoded_trace_is_sound(&trace);
+        }
+    }
+
+    /// The same for `MemTrace::from_text`: the committed litmus trace cut
+    /// short, with one byte replaced, or with characters spliced in — drawn
+    /// mostly from the grammar's own alphabet, so that many mutants parse.
+    #[test]
+    fn arbitrary_trace_text_parses_or_fails_typed(
+        mode in 0u64..3,
+        pos in any::<usize>(),
+        noise in prop::collection::vec(any::<u8>(), 1..24),
+    ) {
+        const ALPHABET: &[u8] = b"0123456789abcdefx+ \n#nopstoreloadfence";
+        let noise: Vec<u8> = noise
+            .into_iter()
+            .map(|b| if b < 224 { ALPHABET[usize::from(b) % ALPHABET.len()] } else { b })
+            .collect();
+        let mut bytes = committed_trace_text().into_bytes();
+        let at = pos % (bytes.len() + 1);
+        match mode {
+            0 => bytes.truncate(at),
+            1 => {
+                let at = at.min(bytes.len() - 1);
+                bytes[at] = noise[0];
+            }
+            _ => {
+                bytes.splice(at..at, noise);
+            }
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        if let Ok(trace) = MemTrace::from_text(&text) {
+            assert_decoded_trace_is_sound(&trace);
+        }
+    }
+}
