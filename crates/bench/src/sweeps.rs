@@ -242,8 +242,7 @@ pub fn fig9_sweep(reps: u32) -> Sweep {
 ///
 /// Warm-started like Fig. 15. Every point here has a *distinct* fill (the
 /// counter-table geometry is part of the fill identity), so warming buys
-/// no sharing — it exercises the per-point snapshot path and keeps the
-/// grid resumable through a `SweepRunner` checkpoint.
+/// no sharing — it exercises the per-point snapshot path.
 pub fn fig16_sweep(quick: bool) -> Sweep {
     let slot_sweep: &[usize] = if quick {
         &[64, 4096, 262_144]

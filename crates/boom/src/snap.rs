@@ -2,15 +2,12 @@
 //!
 //! The per-component state codecs live next to their structs
 //! ([`crate::lsu`], the cache crates); this module covers the plain-data
-//! types shared across the system snapshot: [`Op`], [`EngineStats`] and
-//! [`SystemStats`].
+//! types shared across the system snapshot: [`Op`], [`TimedOp`] and
+//! [`EngineStats`].
 
 use crate::op::Op;
-use crate::system::{EngineStats, PhaseProfile, SystemStats};
+use crate::system::{EngineStats, PhaseProfile};
 use crate::workload::TimedOp;
-use skipit_dcache::L1Stats;
-use skipit_llc::L2Stats;
-use skipit_mem::MemStats;
 use skipit_snap::{Codec, SnapError, SnapReader, SnapWriter};
 
 impl Codec for Op {
@@ -134,23 +131,6 @@ impl Codec for EngineStats {
             component_steps: u64::decode(r)?,
             component_slots: u64::decode(r)?,
             phase: PhaseProfile::default(),
-        })
-    }
-}
-
-impl Codec for SystemStats {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.cycles.encode(w);
-        self.l1.encode(w);
-        self.l2.encode(w);
-        self.mem.encode(w);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(SystemStats {
-            cycles: u64::decode(r)?,
-            l1: Vec::<L1Stats>::decode(r)?,
-            l2: L2Stats::decode(r)?,
-            mem: MemStats::decode(r)?,
         })
     }
 }

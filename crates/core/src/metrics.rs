@@ -23,12 +23,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Rebuilds a snapshot from raw key→value pairs (checkpoint decode;
-    /// normal construction is [`MetricsSnapshot::capture`]).
-    pub fn from_entries(entries: BTreeMap<String, u64>) -> Self {
-        MetricsSnapshot { entries }
-    }
-
     /// Captures every stats struct of `sys` into one flat snapshot.
     pub fn capture(sys: &System) -> Self {
         let mut e = BTreeMap::new();
@@ -163,31 +157,6 @@ impl MetricsSnapshot {
         }
         out.push_str("\n}");
         out
-    }
-}
-
-/// Snapshot encoding for sweep checkpoints: the sorted key→value pairs.
-/// `BTreeMap` iteration order makes the encoding deterministic, so equal
-/// snapshots encode to equal bytes.
-impl skipit_snap::Codec for MetricsSnapshot {
-    fn encode(&self, w: &mut skipit_snap::SnapWriter) {
-        w.put_u64(self.entries.len() as u64);
-        for (k, v) in &self.entries {
-            k.encode(w);
-            v.encode(w);
-        }
-    }
-    fn decode(r: &mut skipit_snap::SnapReader<'_>) -> Result<Self, skipit_snap::SnapError> {
-        let n = r.get_count(skipit_snap::MAX_ELEMS, "metrics entry count")?;
-        let mut entries = BTreeMap::new();
-        for _ in 0..n {
-            let k = String::decode(r)?;
-            let v = r.get_u64()?;
-            if entries.insert(k, v).is_some() {
-                return Err(skipit_snap::SnapError::Corrupt("metrics duplicate key"));
-            }
-        }
-        Ok(MetricsSnapshot { entries })
     }
 }
 

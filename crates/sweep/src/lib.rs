@@ -5,8 +5,9 @@
 //! sizes, skip-it on/off ablations — each a complete simulation of its own.
 //! This crate turns such a grid into a [`Sweep`] of [`Point`]s and executes
 //! it with a [`SweepRunner`] across a pool of worker threads pulling from a
-//! shared work-stealing queue (`crossbeam::deque::Injector`), collecting a
-//! deterministic, insertion-ordered [`SweepReport`].
+//! shared task queue (`std::sync::Mutex` over the task list, rows returned
+//! over `std::sync::mpsc`), collecting a deterministic, insertion-ordered
+//! [`SweepReport`].
 //!
 //! # Contract
 //!
@@ -31,12 +32,6 @@
 //!   [`PointCtx::warm`]. Grids whose points differ only in their measured
 //!   phase simulate the common fill phase once (snapshot it with
 //!   `System::snapshot`) instead of once per point.
-//! * **Resumable campaigns.** With [`SweepRunner::checkpoint`], completed
-//!   rows stream to disk as they finish; rerunning the same sweep loads
-//!   them back and executes only what is missing. A checkpoint left by a
-//!   different sweep (name, seed, or point grid) is ignored, and a
-//!   truncated tail — the signature of a killed run — costs at most one
-//!   row.
 //!
 //! # Example
 //!
@@ -66,7 +61,6 @@
 //! assert!(json.contains("\"bench\": \"skip_it_ablation\""));
 //! ```
 
-mod checkpoint;
 mod point;
 mod report;
 mod runner;

@@ -75,8 +75,8 @@ impl SweepReport {
 
     /// Encoded byte size of every warm-start artifact the run actually
     /// built, in prefill-evaluation order (`(key, bytes)` pairs). Empty
-    /// when no pending point referenced a prefill — including on a resume
-    /// that salvaged every warm point from the checkpoint. Like
+    /// when no point referenced a prefill, or every referenced prefill
+    /// panicked. Like
     /// [`SweepReport::wall`], this describes the *execution*, not the
     /// result table, so it stays out of [`SweepReport::to_json`].
     pub fn warm_sizes(&self) -> &[(String, u64)] {

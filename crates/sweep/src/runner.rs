@@ -1,19 +1,17 @@
 //! The sweep description and the sharded runner that executes it.
 
-use crate::checkpoint::{self, Checkpoint};
 use crate::point::{Point, PointCtx, PointFn, PointOutput, PointStatus, WarmState};
 use crate::report::{SweepReport, SweepRow};
-use crossbeam::channel::unbounded;
-use crossbeam::deque::{Injector, Steal};
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
-use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
 /// Default sweep seed (mixed per point; see [`PointCtx::seed`]).
 const DEFAULT_SEED: u64 = 0x5eed_cafe_f00d_0001;
+
+pub(crate) type PrefillFn = Box<dyn FnOnce() -> WarmState + Send + 'static>;
 
 /// An ordered set of independent simulation points to execute.
 ///
@@ -21,8 +19,6 @@ const DEFAULT_SEED: u64 = 0x5eed_cafe_f00d_0001;
 /// the chaining [`Sweep::point`]), and hand it to a [`SweepRunner`]. The
 /// insertion order is the row order of the resulting [`SweepReport`],
 /// regardless of which workers execute which points.
-pub(crate) type PrefillFn = Box<dyn FnOnce() -> WarmState + Send + 'static>;
-
 pub struct Sweep {
     pub(crate) name: String,
     pub(crate) unit: Option<String>,
@@ -53,11 +49,10 @@ impl Sweep {
     }
 
     /// Registers a warm-start prefill under `key`. The closure runs **at
-    /// most once** per sweep execution — and only if some point still to
-    /// be executed references the key via [`Point::warm`] — before any
-    /// point is dispatched; its [`WarmState`] is then shared read-only by
-    /// every referencing point. Registering the same key twice keeps the
-    /// later closure.
+    /// most once** per sweep execution — and only if some point references
+    /// the key via [`Point::warm`] — before any point is dispatched; its
+    /// [`WarmState`] is then shared read-only by every referencing point.
+    /// Registering the same key twice keeps the later closure.
     pub fn prefill(
         mut self,
         key: impl Into<String>,
@@ -127,7 +122,7 @@ fn mix_seed(sweep_seed: u64, index: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One unit of work on the injector queue.
+/// One unit of work on the shared task queue.
 struct Task {
     index: usize,
     label: String,
@@ -139,6 +134,16 @@ struct Task {
     /// task into an error row without running it.
     warm: Result<Option<Arc<dyn Any + Send + Sync>>, String>,
     run: PointFn,
+}
+
+/// The message of a caught panic: the `&str` or `String` that `panic!`
+/// carried, or a placeholder for any other payload type.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".into())
 }
 
 /// Runs a task to a finished row: panic capture, then budget
@@ -174,14 +179,12 @@ fn execute(task: Task) -> SweepRow {
             ),
             _ => (PointStatus::Ok, output),
         },
-        Err(payload) => {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".into());
-            (PointStatus::Error { message }, PointOutput::new())
-        }
+        Err(payload) => (
+            PointStatus::Error {
+                message: panic_message(&*payload),
+            },
+            PointOutput::new(),
+        ),
     };
     SweepRow {
         index: task.index,
@@ -194,24 +197,19 @@ fn execute(task: Task) -> SweepRow {
 
 /// Executes a [`Sweep`] across a pool of worker threads.
 ///
-/// Workers pull points from a shared `crossbeam::deque::Injector` (pure
-/// work stealing: a long point on one worker never blocks short points on
-/// the others) and send finished rows back over a channel; the caller
-/// reassembles them by point index, so the table order is the sweep's
-/// insertion order no matter how execution interleaved.
+/// Workers pull points one at a time from a shared queue (a `Mutex` over
+/// the task list: a long point on one worker never blocks short points on
+/// the others) and send finished rows back over an `mpsc` channel; the
+/// caller reassembles them by point index, so the table order is the
+/// sweep's insertion order no matter how execution interleaved.
 ///
 /// The thread count resolves, in order of precedence: an explicit
 /// [`SweepRunner::threads`] call, the `SKIPIT_SWEEP_THREADS` environment
 /// variable, `std::thread::available_parallelism()`. A count of 1 (or a
 /// single-point sweep) runs inline on the calling thread.
-///
-/// With [`SweepRunner::checkpoint`], completed rows additionally stream to
-/// a file as they finish, and a rerun of the same sweep resumes: rows
-/// already on disk are loaded instead of re-executed.
 #[derive(Clone, Debug, Default)]
 pub struct SweepRunner {
     threads: Option<usize>,
-    checkpoint: Option<PathBuf>,
 }
 
 impl SweepRunner {
@@ -222,19 +220,7 @@ impl SweepRunner {
 
     /// The serial fallback: everything on the calling thread.
     pub fn serial() -> Self {
-        SweepRunner {
-            threads: Some(1),
-            checkpoint: None,
-        }
-    }
-
-    /// Streams completed rows to `path` and resumes from it (see
-    /// `src/checkpoint.rs` for the file format and its tolerance rules).
-    /// A file left by a *different* sweep — different name, seed, or point
-    /// grid — is ignored and overwritten, never resumed from.
-    pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
-        self.checkpoint = Some(path.into());
-        self
+        SweepRunner { threads: Some(1) }
     }
 
     /// Pins the worker-thread count (clamped to at least 1; also clamped
@@ -301,39 +287,15 @@ impl SweepRunner {
             .map(|p| (p.label.clone(), p.params.clone()))
             .collect();
 
-        // Checkpoint: salvage completed rows from a previous run of this
-        // exact sweep, then rewrite the file fresh (header + salvaged
-        // rows) so it is append-only for the rest of this run.
-        let mut slots: Vec<Option<SweepRow>> = (0..n).map(|_| None).collect();
-        let mut ckpt: Option<Checkpoint> = None;
-        if let Some(path) = &self.checkpoint {
-            let fp = checkpoint::fingerprint(&sweep.name, sweep.seed, &identities);
-            // Salvage before create: create truncates the file.
-            let salvaged = checkpoint::load(path, fp, &identities);
-            let mut c = Checkpoint::create(path, fp).unwrap_or_else(|e| {
-                panic!("cannot write sweep checkpoint {}: {e}", path.display())
-            });
-            for row in salvaged {
-                c.append(&row).unwrap_or_else(|e| {
-                    panic!("cannot write sweep checkpoint {}: {e}", path.display())
-                });
-                let index = row.index;
-                slots[index] = Some(row);
-            }
-            ckpt = Some(c);
-        }
-
-        // Warm-start: evaluate each prefill that a still-pending point
-        // references, exactly once, serially, before dispatch. A panicking
-        // prefill (or a key nobody registered) does not abort the sweep —
-        // it turns every referencing point into an error row.
+        // Warm-start: evaluate each prefill that a point references,
+        // exactly once, serially, before dispatch. A panicking prefill (or
+        // a key nobody registered) does not abort the sweep — it turns
+        // every referencing point into an error row.
         let needed: Vec<&String> = {
             let mut keys: Vec<&String> = Vec::new();
-            for (i, p) in sweep.points.iter().enumerate() {
-                if let (None, Some(k)) = (&slots[i], &p.warm_key) {
-                    if !keys.contains(&k) {
-                        keys.push(k);
-                    }
+            for k in sweep.points.iter().filter_map(|p| p.warm_key.as_ref()) {
+                if !keys.contains(&k) {
+                    keys.push(k);
                 }
             }
             keys
@@ -350,14 +312,10 @@ impl SweepRunner {
                         warm_sizes.push((key.clone(), ws.encoded_bytes));
                         Ok(Arc::from(ws.data))
                     }
-                    Err(payload) => {
-                        let message = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".into());
-                        Err(format!("prefill \"{key}\" panicked: {message}"))
-                    }
+                    Err(payload) => Err(format!(
+                        "prefill \"{key}\" panicked: {}",
+                        panic_message(&*payload)
+                    )),
                 },
             };
             warm_states.insert(key.clone(), state);
@@ -368,7 +326,6 @@ impl SweepRunner {
             .points
             .into_iter()
             .enumerate()
-            .filter(|(index, _)| slots[*index].is_none())
             .map(|(index, p)| Task {
                 index,
                 label: p.label,
@@ -387,45 +344,35 @@ impl SweepRunner {
             })
             .collect();
 
-        let mut commit = |slots: &mut Vec<Option<SweepRow>>, row: SweepRow| {
-            if let Some(c) = &mut ckpt {
-                c.append(&row).unwrap_or_else(|e| {
-                    panic!("cannot append to sweep checkpoint: {e}");
-                });
-            }
-            let index = row.index;
-            slots[index] = Some(row);
-        };
+        let mut slots: Vec<Option<SweepRow>> = (0..n).map(|_| None).collect();
         if threads <= 1 {
             for task in tasks {
-                let row = execute(task);
-                commit(&mut slots, row);
+                let index = task.index;
+                slots[index] = Some(execute(task));
             }
         } else {
-            let injector = Injector::new();
-            for task in tasks {
-                injector.push(task);
-            }
-            let (tx, rx) = unbounded();
+            let queue = Mutex::new(tasks.into_iter());
+            let (tx, rx) = mpsc::channel();
             std::thread::scope(|s| {
                 for _ in 0..threads {
                     let tx = tx.clone();
-                    let injector = &injector;
+                    let queue = &queue;
                     s.spawn(move || loop {
-                        match injector.steal() {
-                            Steal::Success(task) => {
-                                if tx.send(execute(task)).is_err() {
-                                    break;
-                                }
-                            }
-                            Steal::Empty => break,
-                            Steal::Retry => continue,
+                        // The lock guard drops at the end of this statement,
+                        // so a worker holds the queue only to take a task.
+                        let Some(task) = queue.lock().expect("sweep task queue poisoned").next()
+                        else {
+                            break;
+                        };
+                        if tx.send(execute(task)).is_err() {
+                            break;
                         }
                     });
                 }
                 drop(tx);
                 while let Ok(row) = rx.recv() {
-                    commit(&mut slots, row);
+                    let index = row.index;
+                    slots[index] = Some(row);
                 }
             });
         }
@@ -502,6 +449,43 @@ mod tests {
         for (i, row) in report.rows().iter().enumerate() {
             assert_eq!(row.index, i);
         }
+    }
+
+    #[test]
+    fn long_point_does_not_block_short_points_on_other_workers() {
+        use std::time::Duration;
+        // Point 0 finishes only once every short point has run. A runner
+        // that split points statically would queue some short points behind
+        // it on the same worker, and point 0 would time out waiting.
+        const SHORT: usize = 6;
+        let ran = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&ran);
+        let mut sweep = Sweep::new("dispatch").point(Point::new("long", move |_| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while seen.load(Ordering::SeqCst) < SHORT && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert_eq!(
+                seen.load(Ordering::SeqCst),
+                SHORT,
+                "short points waited behind the long one"
+            );
+            PointOutput::new()
+        }));
+        for i in 0..SHORT {
+            let ran = Arc::clone(&ran);
+            sweep.push(Point::new(format!("short{i}"), move |_| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                PointOutput::new()
+            }));
+        }
+        let report = SweepRunner::new().threads(2).run(sweep);
+        assert_eq!(report.threads(), 2);
+        assert!(
+            report.all_ok(),
+            "{:?}",
+            report.failed_rows().collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -648,48 +632,6 @@ mod tests {
         }
         assert!(report.get("cold").unwrap().is_ok());
         assert!(report.warm_sizes().is_empty());
-    }
-
-    #[test]
-    fn checkpoint_resumes_without_reexecuting_completed_rows() {
-        let dir = std::env::temp_dir().join(format!("skipit_ckpt_resume_{}", std::process::id()));
-        let path = dir.join("warm.ckpt");
-        let runner = SweepRunner::new().threads(2).checkpoint(&path);
-
-        let prefills = Arc::new(AtomicUsize::new(0));
-        let executions = Arc::new(AtomicUsize::new(0));
-        let first = runner.run(warm_sweep(5, &prefills, &executions));
-        assert_eq!(executions.load(Ordering::SeqCst), 5);
-
-        // Rerun: every row comes off disk — no prefill, no execution.
-        let prefills2 = Arc::new(AtomicUsize::new(0));
-        let executions2 = Arc::new(AtomicUsize::new(0));
-        let resumed = runner.run(warm_sweep(5, &prefills2, &executions2));
-        assert_eq!(prefills2.load(Ordering::SeqCst), 0);
-        assert_eq!(executions2.load(Ordering::SeqCst), 0);
-        assert_eq!(first.rows(), resumed.rows());
-        assert_eq!(first.to_json(), resumed.to_json());
-        assert!(resumed.warm_sizes().is_empty());
-
-        // Cut the final record (a killed run): exactly one point re-runs,
-        // and it needs the warm state again.
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-        let prefills3 = Arc::new(AtomicUsize::new(0));
-        let executions3 = Arc::new(AtomicUsize::new(0));
-        let partial = runner.run(warm_sweep(5, &prefills3, &executions3));
-        assert_eq!(prefills3.load(Ordering::SeqCst), 1);
-        assert_eq!(executions3.load(Ordering::SeqCst), 1);
-        assert_eq!(first.rows(), partial.rows());
-
-        // A different sweep shape ignores the file instead of resuming.
-        let prefills4 = Arc::new(AtomicUsize::new(0));
-        let executions4 = Arc::new(AtomicUsize::new(0));
-        let other = runner.run(warm_sweep(3, &prefills4, &executions4));
-        assert_eq!(executions4.load(Ordering::SeqCst), 3);
-        assert_eq!(other.rows().len(), 3);
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
