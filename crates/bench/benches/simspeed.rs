@@ -7,14 +7,15 @@
 //! numbers to `BENCH_simspeed.json` at the repository root. Every section
 //! records `host_cpus` so committed numbers are interpretable. A tracing
 //! section measures the overhead of event rings, Chrome-trace export, and
-//! telemetry sampling; a phase section records the wheel's wall-time
-//! breakdown (L2+DRAM, core slots, frontends).
+//! telemetry sampling (and asserts the traced modes recorded events); a
+//! phase section records the wheel's wall-time breakdown (L2+DRAM, core
+//! slots, frontends).
 //! Phase data needs `--features profile`, whose per-cycle timers deflate
 //! the throughput sections — so regeneration is two-step: run
-//! `cargo bench --bench simspeed --features profile` to record real phase
-//! data, then run it again without the feature; the plain run restores
-//! honest throughput numbers and carries the committed phase section
-//! forward instead of zeroing it.
+//! `cargo bench -p skipit-bench --bench simspeed --features profile` to
+//! record real phase data, then run it again without the feature; the
+//! plain run restores honest throughput numbers and carries the committed
+//! phase section forward instead of zeroing it.
 //!
 //! Every timing is the median of [`THROUGHPUT_BLOCKS`] (engine rows) or
 //! [`MEASURE_BLOCKS`] (tracing and sweep sections) repeated blocks after
@@ -27,8 +28,8 @@
 //! warm-up kills the cold-start bias, interleaving makes drift hit every
 //! variant's median equally, and the median rejects one-off spikes.
 //!
-//! Run with `cargo bench --bench simspeed` (release; debug numbers are
-//! meaningless). Environment knobs:
+//! Run with `cargo bench -p skipit-bench --bench simspeed` (release; debug
+//! numbers are meaningless). Environment knobs:
 //!
 //! - `SKIPIT_BENCH_QUICK=1` shrinks the workloads.
 //! - `SKIPIT_BENCH_OUT=<path>` overrides the JSON output path.
@@ -226,17 +227,29 @@ fn tracing_overhead(workload: &'static str, threads: usize, size: u64, reps: u32
             3 => sys.set_trace(TraceConfig::new().telemetry(1024)),
             _ => sys.set_trace(TraceConfig::new().events(1 << 16)),
         }
-        let mut exported = 0usize;
+        let mut exported = String::new();
         let wall = Instant::now();
         for _ in 0..reps {
             fig9_sample(&mut sys, threads as u64, size, false);
             if mode == 2 {
-                exported += sys.export_chrome_trace().len();
+                exported = sys.export_chrome_trace();
                 sys.clear_event_trace();
             }
         }
         let secs = wall.elapsed().as_secs_f64();
-        std::hint::black_box(exported);
+        // An overhead row is only meaningful if the traced modes traced:
+        // a build without emission sites would time three untraced runs.
+        match mode {
+            1 => assert!(
+                !sys.trace_events().is_empty(),
+                "ring mode recorded no events"
+            ),
+            2 => assert!(
+                exported.contains(r#""ph":"X""#),
+                "export mode wrote no spans"
+            ),
+            _ => {}
+        }
         sys.stats().cycles as f64 / secs / 1e3
     };
     for mode in 0..4u8 {

@@ -1,9 +1,10 @@
 //! Shared harness utilities for the figure-regeneration benches.
 //!
 //! Each `benches/figNN_*.rs` target reproduces one figure of the paper's
-//! evaluation (§7). Run them all with `cargo bench`, or one with
-//! `cargo bench --bench fig09_cbo_scaling`. Set `SKIPIT_BENCH_QUICK=1` to
-//! shrink repetition counts and budgets for smoke runs.
+//! evaluation (§7). Run them all with `cargo bench -p skipit-bench`, or
+//! one with `cargo bench -p skipit-bench --bench fig09_cbo_scaling`. Set
+//! `SKIPIT_BENCH_QUICK=1` to shrink repetition counts and budgets for smoke
+//! runs.
 //!
 //! The binaries print plot-ready series (one CSV-ish line per point) plus a
 //! human-readable summary comparing the measured shape against what the

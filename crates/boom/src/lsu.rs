@@ -89,25 +89,16 @@ impl Lsu {
         }
     }
 
-    /// Installs an event sink; fences emit [`TraceEvent::FenceStallBegin`] at
-    /// enqueue and [`TraceEvent::FenceStallEnd`] when they commit.
-    pub fn set_event_trace(&mut self, sink: TraceSink) {
-        self.events = Some(sink);
-    }
-
     /// The installed event sink, if any.
-    pub fn event_sink(&self) -> Option<&TraceSink> {
+    pub fn trace_sink(&self) -> Option<&TraceSink> {
         self.events.as_ref()
     }
 
-    /// Mutable access to the installed event sink (for clearing).
-    pub fn event_sink_mut(&mut self) -> Option<&mut TraceSink> {
-        self.events.as_mut()
-    }
-
-    /// Removes and returns the event sink.
-    pub fn take_event_trace(&mut self) -> Option<TraceSink> {
-        self.events.take()
+    /// The event-sink slot; fences emit [`TraceEvent::FenceStallBegin`] at
+    /// enqueue and [`TraceEvent::FenceStallEnd`] when they commit into the
+    /// sink installed here.
+    pub fn trace_slot(&mut self) -> &mut Option<TraceSink> {
+        &mut self.events
     }
 
     /// Starts recording per-op latencies (bounded to `capacity` records).

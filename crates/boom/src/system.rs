@@ -11,8 +11,7 @@ use skipit_mem::{Dram, DramConfig, MemStats};
 use skipit_tilelink::perturb::link_site;
 use skipit_tilelink::{ChannelA, ChannelB, ChannelC, ChannelD, ChannelE, Link, PerturbConfig};
 use skipit_trace::{
-    CoreCounters, StreamEvent, Telemetry, TelemetryCounters, TraceConfig, TraceEvent, TraceFilter,
-    TraceSink,
+    CoreCounters, StreamEvent, Telemetry, TelemetryCounters, TraceConfig, TraceEvent, TraceSink,
 };
 use std::future::Future;
 use std::pin::Pin;
@@ -444,6 +443,31 @@ pub struct System {
     capture: Option<Vec<CapturedOp>>,
 }
 
+/// Lists a system's event sinks in track order — the engine; per core the
+/// LSU, L1 front end, flush unit and links A–E; then the L2 and DRAM. A
+/// sink's index in the list is its `order` in [`System::trace_events`].
+/// This is the only place the order is written: [`System::trace_sinks`]
+/// expands it over shared accessors, [`System::trace_slots`] over `&mut`
+/// slots.
+macro_rules! tracks {
+    ($sys:expr, $engine:expr, $iter:ident, $one:ident, $l1:ident) => {{
+        let mut tracks = vec![$engine];
+        let links = $sys.a.$iter().zip($sys.b.$iter());
+        let links = links
+            .zip($sys.c.$iter())
+            .zip($sys.d.$iter())
+            .zip($sys.e.$iter());
+        let cores = $sys.lsus.$iter().zip($sys.l1s.$iter()).zip(links);
+        for ((lsu, l1), ((((a, b), c), d), e)) in cores {
+            let [front, flush] = l1.$l1();
+            tracks.extend([lsu.$one(), front, flush]);
+            tracks.extend([a.$one(), b.$one(), c.$one(), d.$one(), e.$one()]);
+        }
+        tracks.extend([$sys.l2.$one(), $sys.dram.$one()]);
+        tracks
+    }};
+}
+
 impl std::fmt::Debug for System {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("System")
@@ -464,7 +488,7 @@ impl System {
         macro_rules! links {
             () => {
                 (0..cfg.cores)
-                    .map(|_| Link::new(cfg.link_latency, cfg.link_capacity))
+                    .map(|i| Link::new(cfg.link_latency, cfg.link_capacity).for_core(i))
                     .collect()
             };
         }
@@ -580,11 +604,6 @@ impl System {
         self.capture = Some(Vec::new());
     }
 
-    /// Whether capture mode is active.
-    pub fn capture_active(&self) -> bool {
-        self.capture.is_some()
-    }
-
     /// Stops capture mode and returns the recorded op stream, in issue
     /// order (empty if capture was never started).
     pub fn take_capture(&mut self) -> Vec<CapturedOp> {
@@ -607,8 +626,8 @@ impl System {
     ///   [`System::telemetry_snapshot`]).
     ///
     /// Facilities absent from `cfg` are uninstalled, so
-    /// `set_trace(TraceConfig::off())` returns the system to the
-    /// zero-overhead untraced state. The call is idempotent: re-applying
+    /// `set_trace(TraceConfig::off())` returns the system to the untraced
+    /// state. The call is idempotent: re-applying
     /// the currently installed setup leaves buffered events and records in
     /// place (use [`System::clear_event_trace`] / [`System::clear_traces`]
     /// to discard those).
@@ -626,9 +645,9 @@ impl System {
         let cur = self.trace_cfg;
         if (cfg.event_capacity(), cfg.event_filter()) != (cur.event_capacity(), cur.event_filter())
         {
-            match cfg.event_capacity() {
-                Some(capacity) => self.install_event_sinks(capacity, cfg.event_filter()),
-                None => self.uninstall_event_sinks(),
+            let (capacity, filter) = (cfg.event_capacity(), cfg.event_filter());
+            for slot in self.trace_slots() {
+                *slot = capacity.map(|c| TraceSink::with_filter(c, filter));
             }
         }
         if cfg.latency_capacity() != cur.latency_capacity() {
@@ -775,97 +794,34 @@ impl System {
         }
     }
 
-    /// Builds and installs one fresh sink per component (the
-    /// [`System::set_trace`] event-side install path).
-    fn install_event_sinks(&mut self, capacity: usize, filter: TraceFilter) {
-        let sink = || TraceSink::with_filter(capacity, filter);
-        self.engine_sink = Some(sink());
-        for i in 0..self.cfg.cores {
-            self.lsus[i].set_event_trace(sink());
-            self.l1s[i].set_trace(sink());
-            self.l1s[i].set_flush_trace(sink());
-            self.a[i].set_trace(i, sink());
-            self.b[i].set_trace(i, sink());
-            self.c[i].set_trace(i, sink());
-            self.d[i].set_trace(i, sink());
-            self.e[i].set_trace(i, sink());
-        }
-        self.l2.set_trace(sink());
-        self.dram.set_trace(sink());
+    /// Every event-sink slot, in track order.
+    fn trace_slots(&mut self) -> Vec<&mut Option<TraceSink>> {
+        tracks!(
+            self,
+            &mut self.engine_sink,
+            iter_mut,
+            trace_slot,
+            trace_slots
+        )
     }
 
-    /// Uninstalls every event sink (event tracing returns to its
-    /// zero-overhead disabled state; buffered events are discarded). Any
-    /// op-latency tracing stays installed — equivalent to
-    /// `set_trace(sys.trace_config().without_events())`.
-    pub fn disable_event_trace(&mut self) {
-        self.trace_cfg = self.trace_cfg.without_events();
-        self.uninstall_event_sinks();
-    }
-
-    /// Drops every component's event sink (the [`System::set_trace`]
-    /// event-side uninstall path).
-    fn uninstall_event_sinks(&mut self) {
-        self.engine_sink = None;
-        for i in 0..self.cfg.cores {
-            self.lsus[i].take_event_trace();
-            self.l1s[i].take_trace();
-            self.l1s[i].take_flush_trace();
-            self.a[i].take_trace();
-            self.b[i].take_trace();
-            self.c[i].take_trace();
-            self.d[i].take_trace();
-            self.e[i].take_trace();
-        }
-        self.l2.take_trace();
-        self.dram.take_trace();
+    /// Every installed event sink, in track order.
+    fn trace_sinks(&self) -> Vec<Option<&TraceSink>> {
+        tracks!(
+            self,
+            self.engine_sink.as_ref(),
+            iter,
+            trace_sink,
+            trace_sinks
+        )
     }
 
     /// Discards all buffered events, keeping the sinks installed. Sequence
     /// counters keep running, so orderings stay stable across clears.
     pub fn clear_event_trace(&mut self) {
-        if let Some(s) = self.engine_sink.as_mut() {
-            s.clear();
+        for sink in self.trace_slots().into_iter().flatten() {
+            sink.clear();
         }
-        for i in 0..self.cfg.cores {
-            if let Some(s) = self.lsus[i].event_sink_mut() {
-                s.clear();
-            }
-            if let Some(s) = self.l1s[i].trace_sink_mut() {
-                s.clear();
-            }
-            if let Some(s) = self.l1s[i].flush_trace_sink_mut() {
-                s.clear();
-            }
-            if let Some(s) = self.a[i].trace_sink_mut() {
-                s.clear();
-            }
-            if let Some(s) = self.b[i].trace_sink_mut() {
-                s.clear();
-            }
-            if let Some(s) = self.c[i].trace_sink_mut() {
-                s.clear();
-            }
-            if let Some(s) = self.d[i].trace_sink_mut() {
-                s.clear();
-            }
-            if let Some(s) = self.e[i].trace_sink_mut() {
-                s.clear();
-            }
-        }
-        if let Some(s) = self.l2.trace_sink_mut() {
-            s.clear();
-        }
-        if let Some(s) = self.dram.trace_sink_mut() {
-            s.clear();
-        }
-    }
-
-    /// Number of event-stream tracks: the engine, eight per core (LSU, L1
-    /// front end, flush unit, links A–E), the L2, and DRAM. `order` values
-    /// in [`System::trace_events`] index this fixed enumeration.
-    fn track_count(&self) -> u32 {
-        1 + 8 * self.cfg.cores as u32 + 2
     }
 
     /// Harvests every sink into one deterministic stream ordered by
@@ -875,31 +831,17 @@ impl System {
     /// [`TraceEvent::is_engine_event`] markers filtered out — is identical
     /// between the naive and fast-forward engines.
     pub fn trace_events(&self) -> Vec<StreamEvent> {
-        fn harvest(out: &mut Vec<StreamEvent>, order: u32, sink: Option<&TraceSink>) {
-            if let Some(s) = sink {
-                out.extend(s.events().map(|e| StreamEvent {
+        let mut out = Vec::new();
+        for (order, sink) in (0..).zip(self.trace_sinks()) {
+            for e in sink.into_iter().flat_map(TraceSink::events) {
+                out.push(StreamEvent {
                     cycle: e.cycle,
                     order,
                     seq: e.seq,
                     event: e.event,
-                }));
+                });
             }
         }
-        let mut out = Vec::new();
-        harvest(&mut out, 0, self.engine_sink.as_ref());
-        for i in 0..self.cfg.cores {
-            let base = 1 + 8 * i as u32;
-            harvest(&mut out, base, self.lsus[i].event_sink());
-            harvest(&mut out, base + 1, self.l1s[i].trace_sink());
-            harvest(&mut out, base + 2, self.l1s[i].flush_trace_sink());
-            harvest(&mut out, base + 3, self.a[i].trace_sink());
-            harvest(&mut out, base + 4, self.b[i].trace_sink());
-            harvest(&mut out, base + 5, self.c[i].trace_sink());
-            harvest(&mut out, base + 6, self.d[i].trace_sink());
-            harvest(&mut out, base + 7, self.e[i].trace_sink());
-        }
-        harvest(&mut out, self.track_count() - 2, self.l2.trace_sink());
-        harvest(&mut out, self.track_count() - 1, self.dram.trace_sink());
         skipit_trace::merge_streams(out)
     }
 
@@ -907,27 +849,11 @@ impl System {
     /// nonzero value means the exported timeline has holes; enlarge the
     /// capacity passed to [`System::set_trace`]).
     pub fn trace_events_dropped(&self) -> u64 {
-        let mut dropped = self.engine_sink.as_ref().map_or(0, |s| s.dropped());
-        for i in 0..self.cfg.cores {
-            for s in [
-                self.lsus[i].event_sink(),
-                self.l1s[i].trace_sink(),
-                self.l1s[i].flush_trace_sink(),
-                self.a[i].trace_sink(),
-                self.b[i].trace_sink(),
-                self.c[i].trace_sink(),
-                self.d[i].trace_sink(),
-                self.e[i].trace_sink(),
-            ]
+        self.trace_sinks()
             .into_iter()
             .flatten()
-            {
-                dropped += s.dropped();
-            }
-        }
-        dropped += self.l2.trace_sink().map_or(0, |s| s.dropped());
-        dropped += self.dram.trace_sink().map_or(0, |s| s.dropped());
-        dropped
+            .map(TraceSink::dropped)
+            .sum()
     }
 
     /// Cumulative messages pushed per channel (`'A'`–`'E'`) and core, for
@@ -1340,7 +1266,7 @@ impl System {
             self.engine.skipped_cycles += window;
             self.engine.jumps += 1;
             self.engine.component_slots += (1 + self.cfg.cores as u64) * window;
-            if skipit_trace::TRACE_COMPILED && self.engine_sink.is_some() {
+            if self.engine_sink.is_some() {
                 let mut cores_mask = 0u64;
                 let mut frontend = false;
                 for i in 0..self.cfg.cores {

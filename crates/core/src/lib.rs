@@ -84,7 +84,7 @@ pub use skipit_tilelink::{
 };
 pub use skipit_trace::{
     CoreCounters, CoreSample, MsgDesc, StreamEvent, Telemetry, TelemetryCounters, TelemetrySample,
-    TimedEvent, TraceConfig, TraceEvent, TraceFilter, TraceSink, TRACE_COMPILED,
+    TimedEvent, TraceConfig, TraceEvent, TraceFilter, TraceSink,
 };
 
 /// Convenience: builds the paper's §7.1 evaluation platform (dual-core,

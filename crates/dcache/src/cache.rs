@@ -186,47 +186,16 @@ impl DataCache {
         }
     }
 
-    /// Installs an event sink for this cache's front-end, MSHR, flush-queue
-    /// and skip-bit events. FSHR FSM transitions go to the flush unit's own
-    /// sink — see [`DataCache::set_flush_trace`].
-    pub fn set_trace(&mut self, sink: TraceSink) {
-        self.sink = Some(sink);
+    /// The installed event sinks, if any: this cache's own (front-end,
+    /// MSHR, flush-queue and skip-bit events), then the flush unit's (FSHR
+    /// FSM transitions and ack-time skip-bit sets).
+    pub fn trace_sinks(&self) -> [Option<&TraceSink>; 2] {
+        [self.sink.as_ref(), self.flush.trace_sink()]
     }
 
-    /// The installed event sink, if any.
-    pub fn trace_sink(&self) -> Option<&TraceSink> {
-        self.sink.as_ref()
-    }
-
-    /// Mutable access to the installed event sink (for clearing).
-    pub fn trace_sink_mut(&mut self) -> Option<&mut TraceSink> {
-        self.sink.as_mut()
-    }
-
-    /// Removes and returns the event sink.
-    pub fn take_trace(&mut self) -> Option<TraceSink> {
-        self.sink.take()
-    }
-
-    /// Installs an event sink on the flush unit (FSHR FSM transitions and
-    /// ack-time skip-bit sets).
-    pub fn set_flush_trace(&mut self, sink: TraceSink) {
-        self.flush.set_trace(sink);
-    }
-
-    /// The flush unit's event sink, if any.
-    pub fn flush_trace_sink(&self) -> Option<&TraceSink> {
-        self.flush.trace_sink()
-    }
-
-    /// Mutable access to the flush unit's event sink (for clearing).
-    pub fn flush_trace_sink_mut(&mut self) -> Option<&mut TraceSink> {
-        self.flush.trace_sink_mut()
-    }
-
-    /// Removes and returns the flush unit's event sink.
-    pub fn take_flush_trace(&mut self) -> Option<TraceSink> {
-        self.flush.take_trace()
+    /// The two event-sink slots, in [`DataCache::trace_sinks`] order.
+    pub fn trace_slots(&mut self) -> [&mut Option<TraceSink>; 2] {
+        [&mut self.sink, self.flush.trace_slot()]
     }
 
     /// Installs seeded flush-dispatch jitter (adversarial exploration; see

@@ -168,26 +168,16 @@ impl FlushUnit {
         self.perturb = (cfg.dispatch_jitter > 0).then_some((site, cfg));
     }
 
-    /// Installs an event sink; FSHR state transitions
-    /// ([`TraceEvent::FshrTransition`]) and ack-time skip-bit sets emit
-    /// through it.
-    pub fn set_trace(&mut self, sink: TraceSink) {
-        self.sink = Some(sink);
-    }
-
     /// The installed event sink, if any.
-    pub fn trace_sink(&self) -> Option<&TraceSink> {
+    pub(crate) fn trace_sink(&self) -> Option<&TraceSink> {
         self.sink.as_ref()
     }
 
-    /// Mutable access to the installed event sink (for clearing).
-    pub fn trace_sink_mut(&mut self) -> Option<&mut TraceSink> {
-        self.sink.as_mut()
-    }
-
-    /// Removes and returns the event sink.
-    pub fn take_trace(&mut self) -> Option<TraceSink> {
-        self.sink.take()
+    /// The event-sink slot; FSHR state transitions
+    /// ([`TraceEvent::FshrTransition`]) and ack-time skip-bit sets emit
+    /// into the sink installed here.
+    pub(crate) fn trace_slot(&mut self) -> &mut Option<TraceSink> {
+        &mut self.sink
     }
 
     /// The `flushing` signal (Fig. 6): true while any writeback is pending.

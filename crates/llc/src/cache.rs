@@ -173,25 +173,15 @@ impl InclusiveCache {
         self.perturb = cfg.mshr_rotation.then_some(cfg);
     }
 
-    /// Installs an event sink; MSHR lifecycle and §5.5 trivial-completion
-    /// events emit through it.
-    pub fn set_trace(&mut self, sink: TraceSink) {
-        self.sink = Some(sink);
-    }
-
     /// The installed event sink, if any.
     pub fn trace_sink(&self) -> Option<&TraceSink> {
         self.sink.as_ref()
     }
 
-    /// Mutable access to the installed event sink (for clearing).
-    pub fn trace_sink_mut(&mut self) -> Option<&mut TraceSink> {
-        self.sink.as_mut()
-    }
-
-    /// Removes and returns the event sink.
-    pub fn take_trace(&mut self) -> Option<TraceSink> {
-        self.sink.take()
+    /// The event-sink slot; MSHR lifecycle and §5.5 trivial-completion
+    /// events emit into the sink installed here.
+    pub fn trace_slot(&mut self) -> &mut Option<TraceSink> {
+        &mut self.sink
     }
 
     /// Cumulative counters.

@@ -174,26 +174,17 @@ impl Dram {
         }
     }
 
-    /// Installs an event sink recording [`skipit_trace::TraceEvent::DramRead`]
-    /// / [`skipit_trace::TraceEvent::DramWrite`] at request *completion* time
-    /// (the persistence event).
-    pub fn set_trace(&mut self, sink: skipit_trace::TraceSink) {
-        self.sink = Some(sink);
-    }
-
     /// The installed event sink, if any.
     pub fn trace_sink(&self) -> Option<&skipit_trace::TraceSink> {
         self.sink.as_ref()
     }
 
-    /// Mutable access to the installed event sink (for clearing).
-    pub fn trace_sink_mut(&mut self) -> Option<&mut skipit_trace::TraceSink> {
-        self.sink.as_mut()
-    }
-
-    /// Removes and returns the event sink.
-    pub fn take_trace(&mut self) -> Option<skipit_trace::TraceSink> {
-        self.sink.take()
+    /// The event-sink slot; a sink installed here records
+    /// [`skipit_trace::TraceEvent::DramRead`] /
+    /// [`skipit_trace::TraceEvent::DramWrite`] at request *completion* time
+    /// (the persistence event).
+    pub fn trace_slot(&mut self) -> &mut Option<skipit_trace::TraceSink> {
+        &mut self.sink
     }
 
     /// Whether the controller can accept a request at cycle `now`.

@@ -138,10 +138,12 @@ pub struct Link<T> {
     /// consumed traffic and, by difference, in-flight occupancy without
     /// walking the queue).
     popped: u64,
-    /// Event sink + the core index this per-core link belongs to, installed
-    /// by `System::set_trace`. `None` (the default) keeps push/pop
-    /// at a single branch of overhead.
-    trace: Option<(usize, TraceSink)>,
+    /// The core this per-core link belongs to (see [`Link::for_core`]);
+    /// tags its trace events.
+    core: usize,
+    /// Event sink, installed by `System::set_trace`. `None` (the default)
+    /// keeps push/pop at a single branch of overhead.
+    trace: Option<TraceSink>,
     /// Adversarial-exploration jitter: `(site key, config)` installed by
     /// `System::new` when perturbation is configured (see
     /// [`crate::perturb`]). `None` (the default) adds zero overhead and
@@ -176,6 +178,7 @@ impl<T: Beats + fmt::Debug> Link<T> {
             next_free: 0,
             pushed: 0,
             popped: 0,
+            core: 0,
             trace: None,
             perturb: None,
         }
@@ -191,26 +194,23 @@ impl<T: Beats + fmt::Debug> Link<T> {
         self.perturb = (cfg.link_jitter > 0).then_some((site, cfg));
     }
 
-    /// Installs an event sink; messages entering and leaving the link emit
-    /// [`TraceEvent::TlBegin`] / [`TraceEvent::TlEnd`] tagged with `core`
-    /// (the per-core link index) and the channel letter.
-    pub fn set_trace(&mut self, core: usize, sink: TraceSink) {
-        self.trace = Some((core, sink));
+    /// Tags this link as core `core`'s: its trace events carry that core
+    /// index (default 0).
+    pub fn for_core(mut self, core: usize) -> Self {
+        self.core = core;
+        self
     }
 
     /// The installed event sink, if any.
     pub fn trace_sink(&self) -> Option<&TraceSink> {
-        self.trace.as_ref().map(|(_, s)| s)
+        self.trace.as_ref()
     }
 
-    /// Mutable access to the installed event sink (for clearing).
-    pub fn trace_sink_mut(&mut self) -> Option<&mut TraceSink> {
-        self.trace.as_mut().map(|(_, s)| s)
-    }
-
-    /// Removes and returns the event sink.
-    pub fn take_trace(&mut self) -> Option<TraceSink> {
-        self.trace.take().map(|(_, s)| s)
+    /// The event-sink slot; messages entering and leaving the link emit
+    /// [`TraceEvent::TlBegin`] / [`TraceEvent::TlEnd`], tagged with the
+    /// link's core and channel letter, into the sink installed here.
+    pub fn trace_slot(&mut self) -> &mut Option<TraceSink> {
+        &mut self.trace
     }
 
     /// Cumulative number of messages ever pushed (metrics counter).
@@ -243,20 +243,18 @@ impl<T: Beats + fmt::Debug> Link<T> {
     pub fn push(&mut self, now: u64, msg: T) {
         assert!(self.can_push(), "push on full link: {msg:?}");
         self.pushed += 1;
-        if skipit_trace::TRACE_COMPILED {
-            if let Some((core, sink)) = self.trace.as_mut() {
-                let d = msg.describe();
-                sink.emit(
-                    now,
-                    TraceEvent::TlBegin {
-                        channel: T::channel(),
-                        core: *core,
-                        opcode: d.opcode,
-                        param: d.param,
-                        addr: d.addr,
-                    },
-                );
-            }
+        if let Some(sink) = self.trace.as_mut() {
+            let d = msg.describe();
+            sink.emit(
+                now,
+                TraceEvent::TlBegin {
+                    channel: T::channel(),
+                    core: self.core,
+                    opcode: d.opcode,
+                    param: d.param,
+                    addr: d.addr,
+                },
+            );
         }
         let mut start = (now + self.latency).max(self.next_free);
         if let Some((site, cfg)) = self.perturb {
@@ -272,20 +270,18 @@ impl<T: Beats + fmt::Debug> Link<T> {
         if self.queue.front().is_some_and(|&(ready, _)| ready <= now) {
             let msg = self.queue.pop_front().map(|(_, m)| m);
             self.popped += 1;
-            if skipit_trace::TRACE_COMPILED {
-                if let (Some(m), Some((core, sink))) = (msg.as_ref(), self.trace.as_mut()) {
-                    let d = m.describe();
-                    sink.emit(
-                        now,
-                        TraceEvent::TlEnd {
-                            channel: T::channel(),
-                            core: *core,
-                            opcode: d.opcode,
-                            param: d.param,
-                            addr: d.addr,
-                        },
-                    );
-                }
+            if let (Some(m), Some(sink)) = (msg.as_ref(), self.trace.as_mut()) {
+                let d = m.describe();
+                sink.emit(
+                    now,
+                    TraceEvent::TlEnd {
+                        channel: T::channel(),
+                        core: self.core,
+                        opcode: d.opcode,
+                        param: d.param,
+                        addr: d.addr,
+                    },
+                );
             }
             msg
         } else {

@@ -296,9 +296,9 @@ impl Codec for ChannelE {
 
 impl<T: Beats + fmt::Debug + Codec> Link<T> {
     /// Encodes the link's simulated state: the arrival-stamped FIFO, the
-    /// bandwidth cursor and the cumulative counters. Latency/capacity come
-    /// from the configuration, trace sinks and perturbation installation
-    /// are host-side — none of those are written.
+    /// bandwidth cursor and the cumulative counters. Latency, capacity and
+    /// the core tag come from the configuration, trace sinks and
+    /// perturbation installation are host-side — none of those are written.
     pub fn encode_state(&self, w: &mut SnapWriter) {
         w.tag(0x4c);
         let (queue, next_free, pushed, popped) = self.snap_parts();

@@ -19,14 +19,12 @@
 //! bit-identical between the naive and fast-forward engines. Tracing can
 //! therefore never perturb (or even observe a difference in) simulation.
 //!
-//! # Zero cost when disabled
+//! # Cost when off
 //!
-//! The [`trace!`] macro wraps every emission in
-//! `if TRACE_COMPILED { if let Some(sink) = … }`. With the crate's `trace`
-//! feature disabled (`--no-default-features`) the constant is `false` and
-//! the whole site — including event construction — is dead code. With the
-//! feature on but no sink installed (the default at run time), the cost is
-//! a single `Option` discriminant test per site.
+//! Tracing has no compile-time switch. A component without an installed
+//! sink (the default at run time) pays one `Option` discriminant test per
+//! emission site: the [`trace!`] macro builds the event only inside
+//! `if let Some(sink) = …`.
 
 use std::collections::VecDeque;
 
@@ -36,10 +34,6 @@ pub use telemetry::{
     CoreCounters, CoreSample, Telemetry, TelemetryCounters, TelemetrySample,
     DEFAULT_TELEMETRY_CAPACITY,
 };
-
-/// `true` when the `trace` feature is compiled in. [`trace!`] tests this
-/// constant first, so disabled builds optimize every emission site away.
-pub const TRACE_COMPILED: bool = cfg!(feature = "trace");
 
 /// Emits an event into an `Option<TraceSink>`-typed place.
 ///
@@ -53,10 +47,8 @@ pub const TRACE_COMPILED: bool = cfg!(feature = "trace");
 #[macro_export]
 macro_rules! trace {
     ($sink:expr, $now:expr, $ev:expr) => {
-        if $crate::TRACE_COMPILED {
-            if let ::core::option::Option::Some(s) = ($sink).as_mut() {
-                s.emit($now, $ev);
-            }
+        if let ::core::option::Option::Some(s) = ($sink).as_mut() {
+            s.emit($now, $ev);
         }
     };
 }
@@ -456,8 +448,8 @@ impl TraceFilter {
 ///   ([`TraceConfig::telemetry`], see the [`Telemetry`] sampler).
 ///
 /// The default ([`TraceConfig::off`]) disables all three, so
-/// `set_trace(TraceConfig::off())` returns a system to the zero-overhead
-/// state.
+/// `set_trace(TraceConfig::off())` returns a system to the untraced state
+/// (one `Option` test per emission site).
 ///
 /// # Example
 ///
@@ -489,7 +481,7 @@ impl Default for TraceConfig {
 }
 
 impl TraceConfig {
-    /// Everything disabled (the zero-overhead state).
+    /// Everything disabled (the untraced state).
     pub fn off() -> Self {
         TraceConfig {
             event_capacity: None,
@@ -545,24 +537,6 @@ impl TraceConfig {
     /// meaningful together with [`TraceConfig::telemetry`].
     pub fn telemetry_ring(mut self, capacity: usize) -> Self {
         self.telemetry_capacity = capacity;
-        self
-    }
-
-    /// Disables component event tracing (keeping any latency setup).
-    pub fn without_events(mut self) -> Self {
-        self.event_capacity = None;
-        self
-    }
-
-    /// Disables op-latency tracing (keeping any event setup).
-    pub fn without_latency(mut self) -> Self {
-        self.latency_capacity = None;
-        self
-    }
-
-    /// Disables telemetry sampling (keeping event/latency setup).
-    pub fn without_telemetry(mut self) -> Self {
-        self.telemetry_interval = None;
         self
     }
 
@@ -641,7 +615,7 @@ impl TraceSink {
 
     /// Records `event` at `cycle` (applying the filter and the capacity
     /// bound). Prefer the [`trace!`] macro at emission sites — it adds the
-    /// compile-out and `Option` guards.
+    /// `Option` guard.
     pub fn emit(&mut self, cycle: u64, event: TraceEvent) {
         if !self.filter.admits(&event) {
             return;
@@ -775,12 +749,12 @@ mod tests {
     }
 
     #[test]
-    fn macro_skips_none_and_compiles_out() {
+    fn macro_skips_none_and_emits_into_some() {
         let mut none: Option<TraceSink> = None;
         trace!(none, 0, TraceEvent::DramRead { addr: 0 });
         assert!(none.is_none());
         let mut some = Some(TraceSink::new(4));
         trace!(some, 7, TraceEvent::DramRead { addr: 1 });
-        assert_eq!(some.as_ref().unwrap().len(), usize::from(TRACE_COMPILED));
+        assert_eq!(some.as_ref().unwrap().len(), 1);
     }
 }

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use skipit::core::{StreamEvent, TraceEvent};
 use skipit::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// A flush-heavy two-core workload: contended stores, every CBO kind,
 /// fences, and idle gaps for the fast engine to skip.
@@ -215,5 +215,57 @@ proptest! {
         let naive = event_run(EngineKind::Naive, progs.clone());
         let fast = event_run(EngineKind::ComponentWheel, progs);
         prop_assert_eq!(naive, fast);
+    }
+}
+
+/// Pins the track each event source is harvested from: `order` is 0 for
+/// the engine, `1 + 8c + k` for core `c`'s LSU (k = 0), L1 (1), flush unit
+/// (2) and links A–E (3–7), then the L2 and DRAM after the last core.
+#[test]
+fn event_order_follows_the_track_enumeration() {
+    let mut sys = SystemBuilder::new()
+        .cores(2)
+        .engine(EngineKind::ComponentWheel)
+        .build();
+    sys.set_trace(TraceConfig::new().events(1 << 16));
+    sys.run(Programs(flush_heavy_programs()));
+    sys.quiesce();
+    let events = sys.trace_events();
+    assert_eq!(sys.trace_events_dropped(), 0, "ring buffers overflowed");
+    let track = |c: usize, k: u32| 1 + 8 * c as u32 + k;
+    let (l2, dram) = (17, 18);
+    let mut seen = HashSet::new();
+    for se in &events {
+        let want = match se.event {
+            TraceEvent::FastForwardJump { .. } => 0,
+            TraceEvent::FenceStallBegin { core, .. } | TraceEvent::FenceStallEnd { core, .. } => {
+                track(core, 0)
+            }
+            TraceEvent::L1MshrAlloc { core, .. }
+            | TraceEvent::L1MshrFree { core, .. }
+            | TraceEvent::FlushEnqueue { core, .. } => track(core, 1),
+            TraceEvent::FshrTransition { core, .. } => track(core, 2),
+            TraceEvent::TlBegin { channel, core, .. } | TraceEvent::TlEnd { channel, core, .. } => {
+                track(core, 3 + (channel as u32 - 'A' as u32))
+            }
+            TraceEvent::L2MshrAlloc { .. }
+            | TraceEvent::L2MshrFree { .. }
+            | TraceEvent::DramWriteSkipped { .. } => l2,
+            TraceEvent::DramRead { .. } | TraceEvent::DramWrite { .. } => dram,
+            _ => continue,
+        };
+        assert_eq!(se.order, want, "{} came from track {}", se.event, se.order);
+        seen.insert(want);
+    }
+    // Every source kind carried traffic on some core, as did the engine,
+    // the L2 and DRAM, so the test covers the whole enumeration.
+    for k in 0..8 {
+        assert!(
+            (0..2).any(|c| seen.contains(&track(c, k))),
+            "no per-core event of kind {k}"
+        );
+    }
+    for order in [0, l2, dram] {
+        assert!(seen.contains(&order), "no event on track {order}");
     }
 }
