@@ -11,8 +11,8 @@ use skipit_tilelink::PerturbConfig;
 /// Returned by [`SystemBuilder::try_build`]; [`SystemBuilder::build`]
 /// panics with the same rendering. Every variant corresponds to an
 /// invariant the simulation models rely on (index math on power-of-two set
-/// counts, nonzero resource pools, the component wheel for the lockstep oracle
-/// to check).
+/// counts, nonzero resource pools, the L2's one-word MSHR occupancy mask, the
+/// component wheel for the lockstep oracle to check).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
     /// `cores` is outside the supported `1..=32` range.
@@ -33,6 +33,15 @@ pub enum ConfigError {
         /// Which field (e.g. `"l1.fshrs"`).
         what: &'static str,
     },
+    /// A resource pool is larger than the model can track.
+    TooMany {
+        /// Which field (e.g. `"l2.mshrs"`).
+        what: &'static str,
+        /// The largest supported size.
+        max: usize,
+        /// The rejected size.
+        got: usize,
+    },
     /// `lockstep_oracle` was requested together with [`EngineKind::Naive`]:
     /// the oracle checks the [`EngineKind::ComponentWheel`]'s jumps and
     /// skipped slots against the naive engine, so under the naive engine
@@ -51,6 +60,9 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "{what} must be a power of two, got {got}")
             }
             ConfigError::Zero { what } => write!(f, "{what} must be nonzero"),
+            ConfigError::TooMany { what, max, got } => {
+                write!(f, "{what} must be at most {max}, got {got}")
+            }
             ConfigError::OracleNeedsFastEngine => write!(
                 f,
                 "lockstep_oracle requires the ComponentWheel engine to \
@@ -91,6 +103,13 @@ fn validate(cfg: &SystemConfig) -> Result<(), ConfigError> {
         if got == 0 {
             return Err(ConfigError::Zero { what });
         }
+    }
+    if cfg.l2.mshrs > L2Config::MAX_MSHRS {
+        return Err(ConfigError::TooMany {
+            what: "l2.mshrs",
+            max: L2Config::MAX_MSHRS,
+            got: cfg.l2.mshrs,
+        });
     }
     if cfg.lockstep_oracle && cfg.engine == EngineKind::Naive {
         return Err(ConfigError::OracleNeedsFastEngine);
@@ -318,6 +337,18 @@ mod tests {
         assert_eq!(
             SystemBuilder::new().l1(l1).try_build().unwrap_err(),
             ConfigError::Zero { what: "l1.fshrs" }
+        );
+        let l2 = L2Config {
+            mshrs: 65,
+            ..L2Config::default()
+        };
+        assert_eq!(
+            SystemBuilder::new().l2(l2).try_build().unwrap_err(),
+            ConfigError::TooMany {
+                what: "l2.mshrs",
+                max: 64,
+                got: 65
+            }
         );
         assert_eq!(
             SystemBuilder::new()

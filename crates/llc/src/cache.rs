@@ -100,6 +100,34 @@ struct L2Mshr {
     wrote: Option<LineData>,
 }
 
+/// Indices of the set bits of an MSHR occupancy mask, lowest first. Holds
+/// a copy of the mask, so the walk borrows nothing and a caller may mutate
+/// the cache (including freeing the slot it is visiting) while walking.
+struct Slots(u64);
+
+impl Iterator for Slots {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let idx = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(idx)
+    }
+}
+
+/// The first free slot of an `n`-slot file with occupancy `occupied`,
+/// scanning upward from `start` and wrapping: the rotation scan
+/// `(start..n).chain(0..start)`, computed on the mask.
+fn first_free(occupied: u64, n: usize, start: u32) -> Option<usize> {
+    let free = !occupied & (u64::MAX >> (64 - n));
+    let at_or_after = free & (u64::MAX << start);
+    let pick = if at_or_after != 0 { at_or_after } else { free };
+    (pick != 0).then(|| pick.trailing_zeros() as usize)
+}
+
 /// A TL-C request deferred because of an MSHR conflict or MSHR exhaustion
 /// (the ListBuffer of §3.4).
 #[derive(Clone, Copy, Debug)]
@@ -116,8 +144,9 @@ pub struct InclusiveCache {
     cfg: L2Config,
     arrays: L2Arrays,
     mshrs: Vec<Option<L2Mshr>>,
-    /// Bitmask of occupied `mshrs` slots, so the per-cycle event scan walks
-    /// only live transactions instead of the whole (mostly empty) array.
+    /// Bitmask of occupied `mshrs` slots: bit `i` is set iff `mshrs[i]` is
+    /// `Some`. Every walk over live transactions ([`Self::live`]) and the
+    /// free-slot pick read it instead of touching the slots themselves.
     occupied: u64,
     list_buffer: VecDeque<Deferred>,
     next_token: u64,
@@ -149,7 +178,6 @@ impl InclusiveCache {
     pub fn new(cores: usize, cfg: L2Config) -> Self {
         cfg.validate();
         assert!((1..=32).contains(&cores), "1..=32 cores supported");
-        assert!(cfg.mshrs <= 64, "occupancy bitmask is 64 bits wide");
         InclusiveCache {
             arrays: L2Arrays::new(&cfg),
             mshrs: vec![None; cfg.mshrs],
@@ -201,7 +229,17 @@ impl InclusiveCache {
 
     /// Whether no transaction is in flight (tests / quiesce detection).
     pub fn is_quiescent(&self) -> bool {
-        self.mshrs.iter().all(Option::is_none) && self.list_buffer.is_empty()
+        self.occupied == 0 && self.list_buffer.is_empty()
+    }
+
+    /// Live MSHR slot indices, lowest first.
+    fn live(&self) -> Slots {
+        Slots(self.occupied)
+    }
+
+    /// The live MSHR in slot `idx`.
+    fn mshr(&self, idx: usize) -> &L2Mshr {
+        self.mshrs[idx].as_ref().expect("occupied slot is live")
     }
 
     /// Dirty bit of a resident line (`false` if absent) — test/debug helper.
@@ -228,10 +266,10 @@ impl InclusiveCache {
     }
 
     fn mshr_conflict(&self, addr: LineAddr) -> bool {
-        self.mshrs
-            .iter()
-            .flatten()
-            .any(|m| m.addr == addr || m.victim == Some(addr))
+        self.live().any(|idx| {
+            let m = self.mshr(idx);
+            m.addr == addr || m.victim == Some(addr)
+        })
     }
 
     /// First free MSHR slot under the current scan rotation. A pure function
@@ -241,12 +279,10 @@ impl InclusiveCache {
     fn free_mshr(&self) -> Option<usize> {
         let n = self.mshrs.len();
         let start = match self.perturb {
-            Some(cfg) => cfg.draw(L2_MSHR_SITE, self.alloc_seq, n as u64 - 1) as usize,
+            Some(cfg) => cfg.draw(L2_MSHR_SITE, self.alloc_seq, n as u64 - 1) as u32,
             None => 0,
         };
-        (0..n)
-            .map(|k| (start + k) % n)
-            .find(|&i| self.mshrs[i].is_none())
+        first_free(self.occupied, n, start)
     }
 
     /// Whether an Acquire for `addr` arriving this cycle would be sunk into
@@ -278,11 +314,8 @@ impl InclusiveCache {
     ) -> Option<u64> {
         let mut next: Option<u64> = None;
         let mut merge = |t: u64| next = Some(next.map_or(t, |n| n.min(t)));
-        let mut occ = self.occupied;
-        while occ != 0 {
-            let idx = occ.trailing_zeros() as usize;
-            occ &= occ - 1;
-            let m = self.mshrs[idx].as_ref().expect("occupied slot is live");
+        for idx in self.live() {
+            let m = self.mshr(idx);
             match m.state {
                 L2MshrState::Access { until } => {
                     if until <= now {
@@ -349,16 +382,15 @@ impl InclusiveCache {
         ports.mem.step(now);
         while let Some(resp) = ports.mem.pop_response() {
             let token = resp.token();
-            let Some(idx) = self.mshrs.iter().position(|m| {
-                m.as_ref().is_some_and(|m| {
-                    m.token == token
-                        && matches!(
-                            m.state,
-                            L2MshrState::MemReadWait
-                                | L2MshrState::VictimWriteWait
-                                | L2MshrState::DramWriteWait
-                        )
-                })
+            let Some(idx) = self.live().find(|&idx| {
+                let m = self.mshr(idx);
+                m.token == token
+                    && matches!(
+                        m.state,
+                        L2MshrState::MemReadWait
+                            | L2MshrState::VictimWriteWait
+                            | L2MshrState::DramWriteWait
+                    )
             }) else {
                 panic!("memory response with unknown token {token}");
             };
@@ -396,9 +428,9 @@ impl InclusiveCache {
     fn drain_grant_acks(&mut self, now: u64, ports: &mut L2Ports<'_>) {
         for core in 0..self.cores {
             while let Some(ChannelE::GrantAck { addr, .. }) = ports.e[core].pop(now) {
-                let Some(idx) = self.mshrs.iter().position(|m| {
-                    m.as_ref()
-                        .is_some_and(|m| m.addr == addr && m.state == L2MshrState::WaitGrantAck)
+                let Some(idx) = self.live().find(|&idx| {
+                    let m = self.mshr(idx);
+                    m.addr == addr && m.state == L2MshrState::WaitGrantAck
                 }) else {
                     panic!("GrantAck for {addr:?} without a waiting MSHR");
                 };
@@ -548,15 +580,13 @@ impl InclusiveCache {
         }
         // Route to the waiting MSHR: probes for a line come from exactly one
         // MSHR (per-line conflict serialization).
-        let Some(m) = self
-            .mshrs
-            .iter_mut()
-            .flatten()
-            .find(|m| (m.addr == addr || m.victim == Some(addr)) && m.pending_acks > 0)
-        else {
+        let Some(idx) = self.live().find(|&idx| {
+            let m = self.mshr(idx);
+            (m.addr == addr || m.victim == Some(addr)) && m.pending_acks > 0
+        }) else {
             panic!("ProbeAck for {addr:?} with no probing MSHR");
         };
-        m.pending_acks -= 1;
+        self.mshrs[idx].as_mut().expect("active").pending_acks -= 1;
     }
 
     fn handle_release(
@@ -672,9 +702,11 @@ impl InclusiveCache {
     }
 
     fn step_mshrs(&mut self, now: u64, ports: &mut L2Ports<'_>) {
-        for idx in 0..self.mshrs.len() {
-            let Some(m) = self.mshrs[idx] else { continue };
-            match m.state {
+        // Nothing allocates a slot in this phase and only the visited slot
+        // can retire, so walking the mask as it stood on entry visits
+        // exactly the slots a full scan would find live.
+        for idx in self.live() {
+            match self.mshr(idx).state {
                 L2MshrState::Access { until } => {
                     if now >= until {
                         self.plan(now, idx);
@@ -715,9 +747,10 @@ impl InclusiveCache {
                     }
                 }
                 L2MshrState::MemRead => {
+                    let m = self.mshrs[idx].as_mut().expect("active");
                     // The victim (if any) is finished with: invalidate it so
                     // the fill can take the way.
-                    if let Some(victim) = m.victim {
+                    if let Some(victim) = m.victim.take() {
                         if let Some(w) = self.arrays.lookup(victim) {
                             let set = self.arrays.set_index(victim);
                             let e = self.arrays.dir_mut(set, w);
@@ -726,12 +759,10 @@ impl InclusiveCache {
                             e.owners = 0;
                             e.trunk = None;
                         }
-                        self.mshrs[idx].as_mut().expect("active").victim = None;
                     }
                     if ports.mem.can_accept(now) {
                         let token = self.next_token;
                         self.next_token += 1;
-                        let m = self.mshrs[idx].as_mut().expect("active");
                         m.token = token;
                         m.state = L2MshrState::MemReadWait;
                         ports.mem.request(
@@ -745,6 +776,7 @@ impl InclusiveCache {
                 }
                 L2MshrState::DramWrite => {
                     if ports.mem.can_accept(now) {
+                        let m = self.mshrs[idx].as_mut().expect("active");
                         // Resident: banked-store contents. Not resident (the
                         // eviction race): the data carried by the request.
                         let data = match self.arrays.lookup(m.addr) {
@@ -756,10 +788,9 @@ impl InclusiveCache {
                         };
                         let token = self.next_token;
                         self.next_token += 1;
-                        let mm = self.mshrs[idx].as_mut().expect("active");
-                        mm.token = token;
-                        mm.wrote = Some(data);
-                        mm.state = L2MshrState::DramWriteWait;
+                        m.token = token;
+                        m.wrote = Some(data);
+                        m.state = L2MshrState::DramWriteWait;
                         ports.mem.request(
                             now,
                             MemReq::Write {
@@ -782,11 +813,12 @@ impl InclusiveCache {
 
     /// First directory decision after the access latency.
     fn plan(&mut self, now: u64, idx: usize) {
-        let m = self.mshrs[idx].expect("active");
+        let m = self.mshr(idx);
+        let addr = m.addr;
         match m.req {
             L2Req::Acquire { source, grow } => {
-                if let Some(w) = self.arrays.lookup(m.addr) {
-                    let set = self.arrays.set_index(m.addr);
+                if let Some(w) = self.arrays.lookup(addr) {
+                    let set = self.arrays.set_index(addr);
                     self.arrays.dir_mut(set, w).reserved = true;
                     self.arrays.touch(set, w);
                     let e = *self.arrays.dir(set, w);
@@ -806,10 +838,10 @@ impl InclusiveCache {
                     mm.state = L2MshrState::OwnerProbe;
                 } else {
                     // Miss: reserve a way, evicting inclusively if needed.
-                    let Some(w) = self.arrays.victim_way(m.addr) else {
+                    let Some(w) = self.arrays.victim_way(addr) else {
                         return; // every way reserved; retry next cycle
                     };
-                    let set = self.arrays.set_index(m.addr);
+                    let set = self.arrays.set_index(addr);
                     let victim_entry = *self.arrays.dir(set, w);
                     if victim_entry.valid && self.mshr_conflict(self.arrays.addr_of(set, w)) {
                         // The candidate victim is mid-transaction in another
@@ -833,9 +865,9 @@ impl InclusiveCache {
                 }
             }
             L2Req::RootRelease { source, kind, data } => {
-                let resident = self.arrays.lookup(m.addr);
+                let resident = self.arrays.lookup(addr);
                 if let Some(w) = resident {
-                    let set = self.arrays.set_index(m.addr);
+                    let set = self.arrays.set_index(addr);
                     if let Some(d) = data {
                         // Dirty data travels with the request and is written
                         // to the BankedStore (§5.5).
@@ -883,9 +915,7 @@ impl InclusiveCache {
                     skipit_trace::trace!(
                         self.sink,
                         now,
-                        TraceEvent::DramWriteSkipped {
-                            addr: m.addr.base()
-                        }
+                        TraceEvent::DramWriteSkipped { addr: addr.base() }
                     );
                     self.mshrs[idx].as_mut().expect("active").state = L2MshrState::SendResp;
                 }
@@ -919,7 +949,7 @@ impl InclusiveCache {
 
     /// All probes for the current phase acknowledged.
     fn probes_complete(&mut self, now: u64, idx: usize) {
-        let m = self.mshrs[idx].expect("active");
+        let m = self.mshrs[idx].as_mut().expect("active");
         match m.state {
             L2MshrState::VictimProbe => {
                 let victim = m.victim.expect("victim set");
@@ -929,16 +959,15 @@ impl InclusiveCache {
                     .arrays
                     .lookup(victim)
                     .is_some_and(|w| self.arrays.dir(self.arrays.set_index(victim), w).dirty);
-                self.mshrs[idx].as_mut().expect("active").state = if dirty {
+                m.state = if dirty {
                     L2MshrState::VictimWrite
                 } else {
                     L2MshrState::MemRead
                 };
             }
             L2MshrState::OwnerProbe => {
-                let mm = self.mshrs[idx].as_mut().expect("active");
-                match mm.req {
-                    L2Req::Acquire { .. } => mm.state = L2MshrState::SendResp,
+                match m.req {
+                    L2Req::Acquire { .. } => m.state = L2MshrState::SendResp,
                     L2Req::RootRelease { kind, .. } => {
                         let set = self.arrays.set_index(m.addr);
                         let w = self.arrays.lookup(m.addr).expect("resident");
@@ -948,7 +977,7 @@ impl InclusiveCache {
                         // checking its dirty bit" (§5.5). CBO.INVAL never
                         // writes back — collected dirty data is discarded.
                         if dirty && kind.writes_back() {
-                            mm.state = L2MshrState::DramWrite;
+                            m.state = L2MshrState::DramWrite;
                         } else {
                             if kind.writes_back() {
                                 self.stats.root_release_dram_skipped += 1;
@@ -960,7 +989,7 @@ impl InclusiveCache {
                                     }
                                 );
                             }
-                            mm.state = L2MshrState::SendResp;
+                            m.state = L2MshrState::SendResp;
                         }
                     }
                 }
@@ -970,14 +999,15 @@ impl InclusiveCache {
     }
 
     fn send_response(&mut self, now: u64, idx: usize, ports: &mut L2Ports<'_>) {
-        let m = self.mshrs[idx].expect("active");
+        let m = self.mshr(idx);
+        let (addr, way) = (m.addr, m.way);
         match m.req {
             L2Req::Acquire { source, grow } => {
                 if !ports.d[source].can_push() {
                     return;
                 }
-                let set = self.arrays.set_index(m.addr);
-                let w = m.way.expect("way reserved");
+                let set = self.arrays.set_index(addr);
+                let w = way.expect("way reserved");
                 let e = *self.arrays.dir(set, w);
                 let others = e.owners & !(1 << source);
                 // Grant Trunk for writes, and opportunistically for sole
@@ -992,7 +1022,7 @@ impl InclusiveCache {
                     now,
                     ChannelD::Grant {
                         target: source,
-                        addr: m.addr,
+                        addr,
                         is_trunk,
                         data: self.arrays.line(set, w),
                         flavor,
@@ -1022,8 +1052,8 @@ impl InclusiveCache {
                 // until its own writeback; the invalidation is then its
                 // job).
                 if kind.invalidates() {
-                    if let Some(w) = self.arrays.lookup(m.addr) {
-                        let set = self.arrays.set_index(m.addr);
+                    if let Some(w) = self.arrays.lookup(addr) {
+                        let set = self.arrays.set_index(addr);
                         let keep_dirty = kind.writes_back() && self.arrays.dir(set, w).dirty;
                         if !keep_dirty {
                             let e = self.arrays.dir_mut(set, w);
@@ -1038,7 +1068,7 @@ impl InclusiveCache {
                     now,
                     ChannelD::ReleaseAck {
                         target: source,
-                        addr: m.addr,
+                        addr,
                         root: true,
                     },
                 );
@@ -1052,7 +1082,7 @@ impl InclusiveCache {
                     now,
                     TraceEvent::L2MshrFree {
                         slot: idx,
-                        addr: m.addr.base(),
+                        addr: addr.base(),
                     }
                 );
                 self.mshrs[idx] = None;
@@ -1201,7 +1231,7 @@ impl InclusiveCache {
     pub fn decode_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.expect_tag(0x4d, "l2 section")?;
         self.arrays.decode_state(r)?;
-        let n = r.get_count(64, "l2 mshr count")?;
+        let n = r.get_count(L2Config::MAX_MSHRS, "l2 mshr count")?;
         if n != self.mshrs.len() {
             return Err(SnapError::ConfigMismatch);
         }
@@ -1265,6 +1295,7 @@ mod tests {
                 mem: &mut self.mem,
             };
             self.l2.step(self.now, &mut ports);
+            assert_occupancy_mirrors_slots(&self.l2);
             self.now += 1;
         }
 
@@ -1348,6 +1379,87 @@ mod tests {
                 }
             })
         }
+    }
+
+    fn assert_occupancy_mirrors_slots(l2: &InclusiveCache) {
+        for (i, slot) in l2.mshrs.iter().enumerate() {
+            assert_eq!(
+                l2.occupied & (1 << i) != 0,
+                slot.is_some(),
+                "occupancy bit {i} disagrees with its slot"
+            );
+        }
+        let live = l2.mshrs.iter().flatten().count();
+        assert_eq!(l2.mshr_occupancy(), live, "bit set past the file");
+    }
+
+    /// The free-slot pick as a linear scan: start at `start`, wrap once.
+    fn reference_rotation_scan(occupied: u64, n: usize, start: usize) -> Option<usize> {
+        (0..n)
+            .map(|k| (start + k) % n)
+            .find(|&i| occupied & (1 << i) == 0)
+    }
+
+    #[test]
+    fn first_free_matches_the_rotation_scan() {
+        let mut x = 0x5eed_u64;
+        let mut rand = || {
+            x = skipit_tilelink::perturb::splitmix64(x);
+            x
+        };
+        for n in [1usize, 7, 64] {
+            let file = u64::MAX >> (64 - n);
+            let mut masks = vec![0, file];
+            masks.extend((0..n).map(|i| file & !(1 << i)));
+            for _ in 0..64 {
+                let (a, b) = (rand(), rand());
+                masks.extend([a, a | b, a & b, a | b | rand()].map(|m| m & file));
+            }
+            for &occupied in &masks {
+                for start in 0..n {
+                    assert_eq!(
+                        first_free(occupied, n, start as u32),
+                        reference_rotation_scan(occupied, n, start),
+                        "n={n} start={start} occupied={occupied:#x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decoded_state_rebuilds_the_occupancy_mask() {
+        let mut h = Harness::new(2);
+        h.acquire(0, line(6), Grow::NtoT);
+        // Leave an Acquire waiting on a probe and a RootRelease in flight.
+        h.a[1].push(
+            h.now,
+            ChannelA::AcquireBlock {
+                source: 1,
+                addr: line(6),
+                grow: Grow::NtoB,
+            },
+        );
+        h.c[0].push(
+            h.now,
+            ChannelC::RootRelease {
+                source: 0,
+                addr: line(40),
+                kind: WritebackKind::Flush,
+                data: Some(data(3)),
+            },
+        );
+        for _ in 0..12 {
+            h.step();
+        }
+        assert_eq!(h.l2.mshr_occupancy(), 2, "both transactions in flight");
+        let mut w = SnapWriter::new();
+        h.l2.encode_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut fresh = InclusiveCache::new(2, L2Config::default());
+        fresh.decode_state(&mut SnapReader::new(&bytes)).unwrap();
+        assert_occupancy_mirrors_slots(&fresh);
+        assert_eq!(fresh.occupied, h.l2.occupied);
     }
 
     fn line(n: u64) -> LineAddr {

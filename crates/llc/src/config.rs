@@ -32,6 +32,10 @@ impl Default for L2Config {
 }
 
 impl L2Config {
+    /// Largest supported MSHR file: the L2 tracks live MSHRs in one `u64`
+    /// occupancy mask.
+    pub const MAX_MSHRS: usize = 64;
+
     /// Total capacity in bytes.
     pub fn capacity_bytes(&self) -> usize {
         self.sets * self.ways * skipit_tilelink::LINE_BYTES
@@ -41,11 +45,17 @@ impl L2Config {
     ///
     /// # Panics
     ///
-    /// Panics if any field is zero or `sets` is not a power of two.
+    /// Panics if any field is zero, `sets` is not a power of two, or
+    /// `mshrs` exceeds [`L2Config::MAX_MSHRS`].
     pub fn validate(&self) {
         assert!(self.sets.is_power_of_two(), "sets must be a power of two");
         assert!(self.ways > 0, "ways must be nonzero");
         assert!(self.mshrs > 0, "mshrs must be nonzero");
+        assert!(
+            self.mshrs <= Self::MAX_MSHRS,
+            "mshrs must be at most {}",
+            Self::MAX_MSHRS
+        );
         assert!(
             self.list_buffer_depth > 0,
             "list_buffer_depth must be nonzero"
