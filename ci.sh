@@ -26,8 +26,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${FIRST_PARTY[@]}"
 #  - runs the adversarial-exploration smoke campaign: 16 seeds x 2 contended
 #    scenarios under full schedule perturbation with the invariant oracle on
 #    every cycle; fails on any invariant violation, any failure that does
-#    not reproduce from its printed (scenario, seed) coordinates, or any
-#    serial-vs-threaded table divergence (examples/explore_smoke.rs).
+#    not reproduce from its printed (scenario, seed) coordinates, any
+#    serial-vs-threaded table divergence, or any point whose rerun under
+#    the lockstep oracle panics or ends on another cycle
+#    (examples/explore_smoke.rs).
 #  - runs the telemetry smoke: a short fig09-shaped run with interval
 #    sampling on; fails if telemetry-on vs telemetry-off runs diverge in
 #    cycles/stats, if any sampled interval delta disagrees with the

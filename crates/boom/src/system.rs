@@ -12,6 +12,7 @@ use skipit_tilelink::perturb::link_site;
 use skipit_tilelink::{ChannelA, ChannelB, ChannelC, ChannelD, ChannelE, Link, PerturbConfig};
 use skipit_trace::{
     CoreCounters, StreamEvent, Telemetry, TelemetryCounters, TraceConfig, TraceEvent, TraceSink,
+    DEFAULT_TELEMETRY_CAPACITY,
 };
 use std::future::Future;
 use std::pin::Pin;
@@ -664,13 +665,11 @@ impl System {
                 }
             }
         }
-        if (cfg.telemetry_interval(), cfg.telemetry_capacity())
-            != (cur.telemetry_interval(), cur.telemetry_capacity())
-        {
+        if cfg.telemetry_interval() != cur.telemetry_interval() {
             self.telemetry = cfg.telemetry_interval().map(|interval| {
                 Telemetry::new(
                     interval,
-                    cfg.telemetry_capacity(),
+                    DEFAULT_TELEMETRY_CAPACITY,
                     self.now,
                     self.telemetry_counters(),
                 )
@@ -1348,11 +1347,11 @@ impl System {
     /// first cycle whose state — components, links, statistics, frontends,
     /// everything but the clock — differs from the window start.
     fn verify_window(&mut self, target: u64, workers: &mut [WorkerLane<'_>]) {
-        let reference = self.state_digest();
+        let reference = (self.state_digest(), self.sink_fill());
         while self.now < target {
             self.tick_workers(workers);
             assert_eq!(
-                self.state_digest(),
+                (self.state_digest(), self.sink_fill()),
                 reference,
                 "lockstep oracle: state changed at cycle {} inside a window \
                  the fast engine claimed idle (next event {})",
@@ -1362,44 +1361,28 @@ impl System {
         }
     }
 
+    /// `(len, dropped)` of every installed event sink, in track order: an
+    /// event emitted inside a claimed-idle window changes it.
+    fn sink_fill(&self) -> Vec<Option<(usize, u64)>> {
+        self.trace_sinks()
+            .into_iter()
+            .map(|s| s.map(|s| (s.len(), s.dropped())))
+            .collect()
+    }
+
     /// Hash of every piece of simulated state except the clock, used by the
     /// lockstep oracle to detect work inside a claimed-idle window and by
-    /// engine-equivalence tests to compare whole machines. Debug
-    /// formatting covers the deep state (queues, arrays, MSHRs, stats);
-    /// frontends are summarized by hand (a worker's future carries no
-    /// simulated state).
+    /// engine-equivalence tests to compare whole machines: the token
+    /// counter plus the machine sections [`System::snapshot`] writes after
+    /// its header. The header, the clock, the deadline and the engine
+    /// counters are left out, so the two engines compare equal.
     pub fn state_digest(&self) -> u64 {
-        use std::fmt::Write as _;
-        use std::hash::{Hash, Hasher};
-        let mut s = String::new();
-        for (i, fe) in self.frontends.iter().enumerate() {
-            let _ = match fe {
-                Frontend::Idle => write!(s, "[{i} idle]"),
-                Frontend::Worker {
-                    busy,
-                    nop_until,
-                    finished,
-                } => write!(s, "[{i} wkr {busy:?} {nop_until:?} {finished}]"),
-                Frontend::Replay {
-                    next,
-                    nop_until,
-                    base,
-                    ..
-                } => write!(s, "[{i} rpl {next} {nop_until} {base}]"),
-            };
-        }
-        let _ = write!(
-            s,
-            "{:?}{:?}{:?}{:?}{}",
-            self.lsus, self.l1s, self.l2, self.dram, self.next_token
-        );
-        let _ = write!(
-            s,
-            "{:?}{:?}{:?}{:?}{:?}",
-            self.a, self.b, self.c, self.d, self.e
-        );
+        use std::hash::Hasher;
+        let mut w = SnapWriter::new();
+        self.next_token.encode(&mut w);
+        self.encode_machine(&mut w);
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        s.hash(&mut h);
+        h.write(&w.into_bytes());
         h.finish()
     }
 
@@ -1909,11 +1892,22 @@ use skipit_snap::{Codec, SnapError, SnapReader, SnapWriter};
 
 impl Frontend {
     /// A worker frontend follows a live host future that no byte encoding
-    /// can capture; snapshotting it is a typed error.
-    fn encode(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
+    /// can capture: [`System::snapshot`] refuses it before encoding, and
+    /// the state digest writes its mailbox state under tag 3, which
+    /// [`Frontend::decode`] rejects.
+    fn encode(&self, w: &mut SnapWriter) {
         match self {
             Frontend::Idle => w.put_u8(0),
-            Frontend::Worker { .. } => return Err(SnapError::LiveThreads),
+            Frontend::Worker {
+                busy,
+                nop_until,
+                finished,
+            } => {
+                w.put_u8(3);
+                busy.encode(w);
+                nop_until.encode(w);
+                finished.encode(w);
+            }
             Frontend::Replay {
                 ops,
                 next,
@@ -1927,7 +1921,6 @@ impl Frontend {
                 base.encode(w);
             }
         }
-        Ok(())
     }
 
     /// Decodes a frontend of a system whose clock reads `now`. Tag 1, the
@@ -2014,6 +2007,13 @@ impl System {
     /// encoded. Snapshot between runs, or from
     /// [`System::run_programs_observed`]'s observer hook.
     pub fn snapshot(&self) -> Result<Snapshot, SnapError> {
+        if self
+            .frontends
+            .iter()
+            .any(|fe| matches!(fe, Frontend::Worker { .. }))
+        {
+            return Err(SnapError::LiveThreads);
+        }
         let mut w = SnapWriter::new();
         Snapshot::write_header(&mut w, config_fingerprint(&self.cfg));
         w.put_u64(self.cfg.cores as u64);
@@ -2021,25 +2021,32 @@ impl System {
         self.next_token.encode(&mut w);
         self.deadline.encode(&mut w);
         self.engine.encode(&mut w);
+        self.encode_machine(&mut w);
+        Ok(Snapshot::from_writer(w))
+    }
+
+    /// The machine sections shared by [`System::snapshot`] and
+    /// [`System::state_digest`]: per-core frontends, LSUs and L1s, the L2,
+    /// DRAM, then links A–E of each core.
+    fn encode_machine(&self, w: &mut SnapWriter) {
         for fe in &self.frontends {
-            fe.encode(&mut w)?;
+            fe.encode(w);
         }
         for lsu in &self.lsus {
-            lsu.encode_state(&mut w);
+            lsu.encode_state(w);
         }
         for l1 in &self.l1s {
-            l1.encode_state(&mut w);
+            l1.encode_state(w);
         }
-        self.l2.encode_state(&mut w);
-        self.dram.encode_state(&mut w);
+        self.l2.encode_state(w);
+        self.dram.encode_state(w);
         for i in 0..self.cfg.cores {
-            self.a[i].encode_state(&mut w);
-            self.b[i].encode_state(&mut w);
-            self.c[i].encode_state(&mut w);
-            self.d[i].encode_state(&mut w);
-            self.e[i].encode_state(&mut w);
+            self.a[i].encode_state(w);
+            self.b[i].encode_state(w);
+            self.c[i].encode_state(w);
+            self.d[i].encode_state(w);
+            self.e[i].encode_state(w);
         }
-        Ok(Snapshot::from_writer(w))
     }
 
     /// Rebuilds a live system from `snap` under `cfg`. The restored system
@@ -2861,5 +2868,96 @@ mod tests {
             finished: false,
         };
         assert_eq!(s.snapshot().unwrap_err(), SnapError::LiveThreads);
+    }
+
+    /// The machine state written a second way, through each component's
+    /// `Debug` output, with frontends summarized by hand. It cross-checks
+    /// the snapshot codec: a field some `encode_state` forgets still shows
+    /// up here.
+    fn debug_digest(s: &System) -> u64 {
+        use std::fmt::Write as _;
+        use std::hash::{Hash, Hasher};
+        let mut text = String::new();
+        for (i, fe) in s.frontends.iter().enumerate() {
+            let _ = match fe {
+                Frontend::Idle => write!(text, "[{i} idle]"),
+                Frontend::Worker {
+                    busy,
+                    nop_until,
+                    finished,
+                } => write!(text, "[{i} wkr {busy:?} {nop_until:?} {finished}]"),
+                Frontend::Replay {
+                    next,
+                    nop_until,
+                    base,
+                    ..
+                } => write!(text, "[{i} rpl {next} {nop_until} {base}]"),
+            };
+        }
+        let _ = write!(
+            text,
+            "{:?}{:?}{:?}{:?}{}",
+            s.lsus, s.l1s, s.l2, s.dram, s.next_token
+        );
+        let _ = write!(text, "{:?}{:?}{:?}{:?}{:?}", s.a, s.b, s.c, s.d, s.e);
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        text.hash(&mut h);
+        h.finish()
+    }
+
+    fn arb_op() -> impl proptest::strategy::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        let addr = || (0u64..24).prop_map(|i| 0x4_0000 + i * 8);
+        let line = || (0u64..24).prop_map(|i| 0x4_0000 + (i / 8) * 64);
+        prop_oneof![
+            addr().prop_map(|addr| Op::Load { addr }),
+            (addr(), 1u64..100).prop_map(|(addr, value)| Op::Store { addr, value }),
+            (addr(), 0u64..4, 1u64..4).prop_map(|(addr, expected, new)| Op::Cas {
+                addr,
+                expected,
+                new
+            }),
+            (addr(), 1u64..10).prop_map(|(addr, operand)| Op::FetchAdd { addr, operand }),
+            line().prop_map(|addr| Op::Clean { addr }),
+            line().prop_map(|addr| Op::Flush { addr }),
+            line().prop_map(|addr| Op::Inval { addr }),
+            Just(Op::Fence),
+            (1u64..30).prop_map(|cycles| Op::Nop { cycles }),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig { cases: 24 })]
+
+        /// Snapshot mid-run and restore: the restored machine's `Debug`
+        /// digest equals the original's, so the codec carries every field
+        /// `Debug` shows.
+        #[test]
+        fn restore_reproduces_the_debug_digest(
+            programs in proptest::collection::vec(
+                proptest::collection::vec(arb_op(), 1..24),
+                2,
+            ),
+            at in 1u64..200,
+        ) {
+            let mut s = sys(2, true);
+            let mut taken = None;
+            s.run_programs_observed(programs, |sys| {
+                if sys.now() >= at && taken.is_none() {
+                    taken = Some((sys.snapshot().unwrap(), debug_digest(sys)));
+                }
+                Ok::<(), std::convert::Infallible>(())
+            })
+            .unwrap();
+            if let Some((snap, digest)) = taken {
+                let restored = System::restore(&snap, s.config()).unwrap();
+                proptest::prop_assert_eq!(
+                    debug_digest(&restored),
+                    digest,
+                    "restore lost state at cycle {}",
+                    restored.now()
+                );
+            }
+        }
     }
 }

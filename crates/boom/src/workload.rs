@@ -173,12 +173,6 @@ impl<F> Workers<F> {
         self.budget = Some(cycles);
         self
     }
-
-    /// Sets or clears the soft cycle budget from an `Option`.
-    pub fn budget_opt(mut self, cycles: Option<u64>) -> Self {
-        self.budget = cycles;
-        self
-    }
 }
 
 impl<R, F, Fut> Workload for Workers<F>

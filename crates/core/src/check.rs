@@ -283,11 +283,6 @@ impl ModelChecker {
         }
         report
     }
-
-    /// Consumes the checker, returning the system (e.g. for a crash test).
-    pub fn into_system(self) -> System {
-        self.sys
-    }
 }
 
 #[cfg(test)]

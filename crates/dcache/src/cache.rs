@@ -280,11 +280,6 @@ impl DataCache {
             .collect()
     }
 
-    /// Whether an MSHR is outstanding for `addr`'s line (test/debug helper).
-    pub fn peek_mshr_pending(&self, addr: u64) -> bool {
-        self.mshr_orders_line(LineAddr::containing(addr))
-    }
-
     /// Skip bit of a line (test/debug helper; `false` on miss).
     pub fn peek_skip(&self, addr: u64) -> bool {
         let line = LineAddr::containing(addr);

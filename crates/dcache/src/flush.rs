@@ -213,11 +213,6 @@ impl FlushUnit {
             .count()
     }
 
-    /// Whether a request to `addr` is pending in the queue or any FSHR.
-    pub fn has_pending(&self, addr: LineAddr) -> bool {
-        self.queued_entry(addr).is_some() || self.fshr_for(addr).is_some()
-    }
-
     /// The queued entry for `addr`, if any.
     pub fn queued_entry(&self, addr: LineAddr) -> Option<&FlushEntry> {
         self.queue.iter().find(|e| e.addr == addr)

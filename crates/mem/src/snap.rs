@@ -3,8 +3,8 @@
 //!
 //! The resident-line map is a `HashMap`, whose iteration order is
 //! per-instance; lines are therefore written in ascending address order so
-//! the same durable image always encodes to the same bytes (mirroring the
-//! sorted `Debug` rendering that `System::state_digest` relies on).
+//! the same durable image always encodes to the same bytes, which
+//! `System::state_digest` hashes.
 //! All-zero lines collapse to two bytes via the [`LineData`] word mask.
 //! The trace sink is host-side and excluded.
 

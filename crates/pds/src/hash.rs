@@ -49,11 +49,6 @@ impl HashTable {
         self.buckets.iter().map(|b| b.head_addr()).collect()
     }
 
-    /// Number of buckets.
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
     fn bucket(&self, key: u64) -> &HarrisList {
         let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 13;
         &self.buckets[(h % self.buckets.len() as u64) as usize]

@@ -46,15 +46,15 @@ pub use workload::{
     DsKind, WarmSet, WorkloadCfg,
 };
 
-use skipit_core::CoreHandle;
 use std::future::Future;
 
 /// A concurrent set keyed by `u64`, driven through a persistence handle.
 ///
 /// All three operations are linearizable and lock-free; keys must be below
 /// [`ptr::MAX_KEY`]. They are `async`: each simulated memory access awaits
-/// the worker's [`CoreHandle`], so call them from a worker future (see
-/// `skipit_core::Workers`). Implementations write them as `async fn`.
+/// the worker's [`skipit_core::CoreHandle`], so call them from a worker
+/// future (see `skipit_core::Workers`). Implementations write them as
+/// `async fn`.
 pub trait ConcurrentSet {
     /// Inserts `key`; returns `false` if already present.
     fn insert(&self, ph: &PHandle<'_>, key: u64) -> impl Future<Output = bool>;
@@ -62,10 +62,4 @@ pub trait ConcurrentSet {
     fn remove(&self, ph: &PHandle<'_>, key: u64) -> impl Future<Output = bool>;
     /// Membership test.
     fn contains(&self, ph: &PHandle<'_>, key: u64) -> impl Future<Output = bool>;
-}
-
-/// Convenience: wraps a raw [`CoreHandle`] in a non-persistent [`PHandle`]
-/// (useful in tests and examples that only need a correct concurrent set).
-pub fn plain_handle(h: &CoreHandle) -> PHandle<'_> {
-    PHandle::new(h, PersistMode::None, OptKind::Plain)
 }

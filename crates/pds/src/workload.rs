@@ -131,11 +131,6 @@ impl BenchResult {
     pub fn throughput(&self) -> f64 {
         self.ops as f64 * 1_000_000.0 / self.cycles.max(1) as f64
     }
-
-    /// Throughput in operations per second at the paper's 50 MHz clock.
-    pub fn ops_per_sec_at_50mhz(&self) -> f64 {
-        self.ops as f64 * 50_000_000.0 / self.cycles.max(1) as f64
-    }
 }
 
 /// Functional (zero-simulated-time) word write used for pre-run setup.

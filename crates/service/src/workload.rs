@@ -237,11 +237,6 @@ impl ServiceReport {
         SloSummary::from_histogram(&self.hist, self.cycles, slos)
     }
 
-    /// SLO condensation of the read-class histogram.
-    pub fn read_slo(&self, slos: &[u64]) -> SloSummary {
-        SloSummary::from_histogram(&self.reads, self.cycles, slos)
-    }
-
     /// Offered throughput in requests per million measured cycles.
     pub fn throughput(&self) -> f64 {
         self.requests as f64 * 1_000_000.0 / self.cycles.max(1) as f64

@@ -471,7 +471,6 @@ pub struct TraceConfig {
     filter: TraceFilter,
     latency_capacity: Option<usize>,
     telemetry_interval: Option<u64>,
-    telemetry_capacity: usize,
 }
 
 impl Default for TraceConfig {
@@ -488,7 +487,6 @@ impl TraceConfig {
             filter: TraceFilter::default(),
             latency_capacity: None,
             telemetry_interval: None,
-            telemetry_capacity: DEFAULT_TELEMETRY_CAPACITY,
         }
     }
 
@@ -532,14 +530,6 @@ impl TraceConfig {
         self
     }
 
-    /// Bounds the telemetry sample ring at `capacity` samples
-    /// (drop-oldest; default [`DEFAULT_TELEMETRY_CAPACITY`]). Only
-    /// meaningful together with [`TraceConfig::telemetry`].
-    pub fn telemetry_ring(mut self, capacity: usize) -> Self {
-        self.telemetry_capacity = capacity;
-        self
-    }
-
     /// Per-sink event capacity, `None` when event tracing is off.
     pub fn event_capacity(&self) -> Option<usize> {
         self.event_capacity
@@ -560,11 +550,6 @@ impl TraceConfig {
     pub fn telemetry_interval(&self) -> Option<u64> {
         self.telemetry_interval
     }
-
-    /// Telemetry sample-ring capacity.
-    pub fn telemetry_capacity(&self) -> usize {
-        self.telemetry_capacity
-    }
 }
 
 /// A bounded ring buffer of [`TimedEvent`]s owned by one simulated
@@ -580,10 +565,9 @@ pub struct TraceSink {
     dropped: u64,
 }
 
-// Sinks appear inside components whose `Debug` output feeds the lockstep
-// oracle's state digest; keep it to a summary so digests stay cheap (the
-// summary is still covered: any emission inside a claimed-idle window
-// changes `seq` and trips the oracle, by design).
+// Sinks appear inside components' derived `Debug` output; a summary keeps
+// that readable. Sinks are host-side: the lockstep oracle compares each
+// installed sink's `len()` and `dropped()` beside the state digest.
 impl std::fmt::Debug for TraceSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(

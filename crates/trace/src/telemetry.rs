@@ -99,11 +99,6 @@ impl CoreSample {
         let total = self.skips + self.enqueued;
         (total > 0).then(|| self.skips as f64 / total as f64)
     }
-
-    /// Total TileLink beats across all five channels during the span.
-    pub fn total_beats(&self) -> u64 {
-        self.link_beats.iter().sum()
-    }
 }
 
 /// One sampled interval. `cycle` is the sample instant (the end of the

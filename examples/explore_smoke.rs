@@ -4,19 +4,22 @@
 //! Runs 16 seeds of two contended scenarios under full perturbation
 //! (arbitration jitter on every TileLink channel, flush-dispatch hold-off,
 //! L2 MSHR rotation) with the invariant oracle watching every executed
-//! cycle, serially and again across 2 worker threads. Exits nonzero if
+//! cycle, serially and again across 2 worker threads. A third pass reruns
+//! every point with the lockstep oracle, which re-executes each wheel jump
+//! naively and panics on any state change inside it. Exits nonzero if
 //!
 //! * any point reports an invariant violation (the error row carries the
 //!   `(scenario, seed)` pair that reproduces it via
 //!   `explore_one(scenario, seed, cfg)`), or
 //! * any reported failure is not bit-reproducible from its coordinates, or
-//! * the serial and 2-thread result tables are not bit-identical.
+//! * the serial and 2-thread result tables are not bit-identical, or
+//! * a lockstep-oracle rerun ends on a different cycle than its row.
 //!
 //! ```text
 //! cargo run --release --example explore_smoke
 //! ```
 
-use skipit::explore::{explore_one, run_campaign, ExploreConfig, Scenario};
+use skipit::explore::{explore_one, run_campaign, run_with_oracle, ExploreConfig, Scenario};
 use skipit::prelude::*;
 
 const SEEDS: u64 = 16;
@@ -65,12 +68,34 @@ fn main() {
         eprintln!("FAIL: campaign tables diverge between 1 and 2 worker threads");
         failed = true;
     }
+    for scenario in SCENARIOS {
+        for seed in 0..SEEDS {
+            let label = format!("{}/{seed}", scenario.name());
+            let mut sys = SystemBuilder::new()
+                .cores(cfg.cores)
+                .skip_it(cfg.skip_it)
+                .perturb(cfg.perturb.with_seed(seed))
+                .lockstep_oracle(true)
+                .build();
+            let (cycles, _) = run_with_oracle(&mut sys, scenario.programs(seed, cfg.cores));
+            let row = serial.get(&label).expect("every point has a row");
+            if cycles != row.output.cycles {
+                eprintln!(
+                    "FAIL: {label} ends at cycle {cycles} under the lockstep oracle, \
+                     {} in the campaign",
+                    row.output.cycles
+                );
+                failed = true;
+            }
+        }
+    }
     if failed {
         std::process::exit(1);
     }
     println!(
         "explore smoke ok: {} points ({} scenarios x {SEEDS} seeds), zero \
-         invariant violations, serial and 2-thread tables bit-identical",
+         invariant violations, serial and 2-thread tables bit-identical, \
+         lockstep-oracle reruns cycle-identical",
         serial.rows().len(),
         SCENARIOS.len(),
     );

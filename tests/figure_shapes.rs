@@ -5,7 +5,9 @@
 use skipit::pds::{run_set_benchmark, DsKind, OptKind, PersistMode, WorkloadCfg};
 use skipit::prelude::*;
 use skipit_bench::commercial::Machine;
-use skipit_bench::micro::{fig10_sample, fig13_sample, fig9_sample, system};
+use skipit_bench::micro::{
+    fig10_sample, fig13_sample, fig9_sample, fig9_serialized_sample, system,
+};
 
 /// Fig. 9: eight threads write back 32 KiB several times faster than one.
 #[test]
@@ -22,6 +24,28 @@ fn fig9_shape_thread_scaling() {
     // And latency grows with size.
     let small = fig9_sample(&mut s1, 1, 64, false);
     assert!(t1 > 10 * small, "32KiB must cost far more than one line");
+}
+
+/// The lockstep oracle at the paper's cache sizes: the serialized Fig. 9
+/// run on 8 cores, every wheel jump re-executed naively and every skipped
+/// slot's bound recomputed each executed cycle (a missed wake edge
+/// panics), takes real jumps and ends exactly where the oracle-off run
+/// does.
+#[test]
+fn lockstep_oracle_accepts_serialized_fig9() {
+    let run = |oracle: bool| {
+        let mut sys = SystemBuilder::new()
+            .cores(8)
+            .lockstep_oracle(oracle)
+            .build();
+        let cycles = fig9_serialized_sample(&mut sys, 8, 4 * 1024);
+        (cycles, sys.stats(), sys.engine_stats())
+    };
+    let (cycles, stats, engine) = run(true);
+    assert!(engine.jumps > 0, "oracle run took no jumps: {engine:?}");
+    let (ref_cycles, ref_stats, _) = run(false);
+    assert_eq!(cycles, ref_cycles, "oracle changed the Fig. 9 cycles");
+    assert_eq!(stats, ref_stats, "oracle changed the Fig. 9 statistics");
 }
 
 /// Fig. 10: the flush variant is substantially slower than clean.

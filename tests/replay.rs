@@ -9,7 +9,7 @@
 //! never panics, and the text format round-trips through the binary one.
 
 use proptest::prelude::*;
-use skipit::core::{L1Config, L2Config, PerturbConfig};
+use skipit::core::PerturbConfig;
 use skipit::prelude::*;
 
 const ENGINES: [EngineKind; 2] = [EngineKind::Naive, EngineKind::ComponentWheel];
@@ -340,8 +340,7 @@ fn recapturing_a_replay_reproduces_the_trace() {
 /// `traces/persistent_kv.trace` with every wheel jump re-executed naively
 /// and every skipped slot's bound recomputed each executed cycle (a missed
 /// wake edge panics) takes real jumps and ends exactly where the
-/// oracle-off replay does. The oracle digests the whole machine on every
-/// skipped cycle, so small caches (4 KiB L1s, 16 KiB L2) keep it cheap.
+/// oracle-off replay does.
 #[test]
 fn lockstep_oracle_accepts_committed_trace_replay() {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("traces/persistent_kv.trace");
@@ -350,14 +349,6 @@ fn lockstep_oracle_accepts_committed_trace_replay() {
         let mut sys = SystemBuilder::new()
             .cores(2)
             .skip_it(true)
-            .l1(L1Config {
-                sets: 8,
-                ..L1Config::default()
-            })
-            .l2(L2Config {
-                sets: 32,
-                ..L2Config::default()
-            })
             .lockstep_oracle(oracle)
             .build();
         let cycles = sys.run(TraceReplay::new(trace.clone())).cycles;

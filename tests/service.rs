@@ -8,7 +8,7 @@
 //! system statistics and the same final architectural state.
 
 use proptest::prelude::*;
-use skipit::core::{L1Config, L2Config, PerturbConfig};
+use skipit::core::PerturbConfig;
 use skipit::prelude::*;
 use skipit::service::{build_lanes, ReqKind, CACHE_BASE};
 
@@ -191,8 +191,7 @@ fn storm_targets_stay_in_cache_region() {
 /// bursts) with every wheel jump re-executed naively and every skipped
 /// slot's bound recomputed each executed cycle (a missed wake edge
 /// panics) takes real jumps and reports exactly what the oracle-off run
-/// does. The oracle digests the whole machine on every skipped cycle, so
-/// small caches (4 KiB L1s, 16 KiB L2) keep it cheap.
+/// does.
 #[test]
 fn lockstep_oracle_accepts_expiration_storm_service() {
     let cfg = ServiceCfg {
@@ -209,18 +208,7 @@ fn lockstep_oracle_accepts_expiration_storm_service() {
         ..ServiceCfg::default()
     };
     let run = |oracle: bool| {
-        let mut sys = cfg
-            .builder()
-            .l1(L1Config {
-                sets: 8,
-                ..L1Config::default()
-            })
-            .l2(L2Config {
-                sets: 32,
-                ..L2Config::default()
-            })
-            .lockstep_oracle(oracle)
-            .build();
+        let mut sys = cfg.builder().lockstep_oracle(oracle).build();
         let report = sys.run(ServiceWorkload::new(cfg.clone()));
         (
             report.output.digest,
