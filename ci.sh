@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Repo CI gate: formatting, release build, every workspace crate's tests,
 # clippy over every target with warnings denied, rustdoc with warnings
-# denied.
+# denied. The tests include tests/figure_shapes.rs, which reruns every
+# paper figure at quick size and fails unless the result equals the
+# committed BENCH_figures_quick.json byte for byte, then checks the
+# paper's shapes on its rows.
 # Run from the repository root. Offline by design (deps are vendored).
 set -euo pipefail
 cd "$(dirname "$0")"

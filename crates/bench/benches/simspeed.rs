@@ -31,12 +31,14 @@
 //! Run with `cargo bench -p skipit-bench --bench simspeed` (release; debug
 //! numbers are meaningless). Environment knobs:
 //!
-//! - `SKIPIT_BENCH_QUICK=1` shrinks the workloads.
+//! - `SKIPIT_BENCH_QUICK=1` shrinks the workloads and writes JSON only to
+//!   `SKIPIT_BENCH_OUT`, never to the committed full-size file.
 //! - `SKIPIT_BENCH_OUT=<path>` overrides the JSON output path.
 //! - `SKIPIT_BENCH_BASELINE=<path>` compares this run's speedups against a
 //!   previously committed `BENCH_simspeed.json` and exits nonzero if any
 //!   workload's speedup falls below 0.8× its baseline value (the CI
-//!   regression gate; 20 % headroom absorbs host noise).
+//!   regression gate; 20 % headroom absorbs host noise), or if the file
+//!   is a quick run's output.
 
 use skipit_bench::micro::{fig9_sample, fig9_serialized_sample};
 use skipit_bench::quick;
@@ -599,6 +601,10 @@ fn baseline_warm_wall(text: &str) -> Option<f64> {
 fn check_against_baseline(rows: &[Row], warm: &WarmWall, path: &str) {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("SKIPIT_BENCH_BASELINE {path}: {e}"));
+    if text.contains("\"quick\": true") {
+        eprintln!("{path} is a quick run's output, not a simspeed baseline");
+        std::process::exit(1);
+    }
     let baseline = baseline_speedups(&text);
     let mut failed = false;
     match baseline_warm_wall(&text) {
@@ -869,6 +875,10 @@ fn main() {
     );
     if let Ok(path) = std::env::var("SKIPIT_BENCH_BASELINE") {
         check_against_baseline(&rows, &ww, &path);
+    }
+    if quick && std::env::var_os("SKIPIT_BENCH_OUT").is_none() {
+        println!("# quick run: no JSON written (set SKIPIT_BENCH_OUT to keep it)");
+        return;
     }
     let path = out_path();
     std::fs::write(&path, json).expect("write benchmark JSON");

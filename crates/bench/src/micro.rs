@@ -1,4 +1,4 @@
-//! Microbenchmark building blocks shared by Figs. 9, 10, 12, 13.
+//! Microbenchmark building blocks shared by Figs. 9–13 and the ablation.
 
 use skipit_core::{Op, Programs, System, SystemBuilder};
 
@@ -173,15 +173,41 @@ mod tests {
         assert!(c > 0);
     }
 
+    /// One run per figure point is enough: at 1 and 8 threads, two fresh
+    /// systems running the same Fig. 10 or Fig. 13 sample return the same
+    /// cycles, and so do two consecutive Fig. 9 samples, or two consecutive
+    /// dirty-then-writeback pairs, on one reused system.
     #[test]
-    fn fig13_skipit_beats_naive() {
-        let mut naive = system(1, false);
-        let mut skip = system(1, true);
-        let c_naive = fig13_sample(&mut naive, 1, 1024, 10);
-        let c_skip = fig13_sample(&mut skip, 1, 1024, 10);
-        assert!(
-            c_skip < c_naive,
-            "Skip It ({c_skip}) must beat naive ({c_naive})"
-        );
+    fn samples_repeat_exactly() {
+        let size = 2048;
+        for threads in [1u64, 8] {
+            let n = threads as usize;
+            for flag in [false, true] {
+                let fresh_fig10 = || fig10_sample(&mut system(n, false), threads, size, flag);
+                assert_eq!(
+                    fresh_fig10(),
+                    fresh_fig10(),
+                    "fig10 {threads}t clean={flag}"
+                );
+                let fresh_fig13 = || fig13_sample(&mut system(n, flag), threads, size, 10);
+                assert_eq!(
+                    fresh_fig13(),
+                    fresh_fig13(),
+                    "fig13 {threads}t skip_it={flag}"
+                );
+            }
+            let mut sys = system(n, false);
+            let first = fig9_sample(&mut sys, threads, size, false);
+            assert_eq!(
+                first,
+                fig9_sample(&mut sys, threads, size, false),
+                "fig9 {threads}t"
+            );
+            let mut pair = || {
+                dirty_region(&mut sys, threads, size);
+                writeback_region(&mut sys, threads, size, false)
+            };
+            assert_eq!(pair(), pair(), "dirty + writeback {threads}t");
+        }
     }
 }

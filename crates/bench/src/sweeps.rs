@@ -1,11 +1,14 @@
 //! The paper's §7 figure grids described as [`skipit_sweep::Sweep`]s.
 //!
 //! Each builder returns the full parameter grid of one figure as a sweep of
-//! independent points, so the figure benches (and `simspeed`'s sweep
-//! wall-clock section) all execute through the same sharded
-//! [`skipit_sweep::SweepRunner`] instead of hand-rolled nested loops. Every
+//! independent points, so the `figures` bench (through
+//! [`crate::figures`]) and `simspeed`'s sweep wall-clock section all
+//! execute through the same sharded [`skipit_sweep::SweepRunner`]. Every
 //! point builds its own `System` inside its closure, which is what makes the
-//! grids relocatable across worker threads.
+//! grids relocatable across worker threads, and runs its sample once: the
+//! simulation is deterministic, so repetitions would only repeat the same
+//! number. Builders whose grid shrinks under `SKIPIT_BENCH_QUICK=1` take
+//! `quick` as an argument; none reads the environment.
 //!
 //! The §7.4 set grids (Figs. 15–16) are **warm-started**: each distinct
 //! fill phase ([`skipit_pds::warm_key`]) is registered once as a sweep
@@ -18,22 +21,25 @@
 //! `warm_benchmark_matches_cold_exactly` test and `simspeed`'s
 //! `warm_sweep` section both enforce this).
 
-use crate::micro::{fig9_sample, system};
-use crate::{median, size_sweep, stddev};
-use skipit_core::{PerturbConfig, SystemBuilder};
+use crate::micro::{
+    dirty_region, fig10_sample, fig13_sample, fig9_sample, region_lines, system, writeback_region,
+};
+use crate::{fmt_size, size_sweep};
+use skipit_core::{DramConfig, L2Config, Op, PerturbConfig, Programs, SystemBuilder, SystemStats};
 use skipit_pds::{
-    prefill_snapshot, run_set_benchmark, run_set_benchmark_warm, warm_key, DsKind, OptKind,
-    PersistMode, WarmSet, WorkloadCfg,
+    prefill_snapshot, run_set_benchmark, run_set_benchmark_warm, warm_key, BenchResult, DsKind,
+    OptKind, PersistMode, WarmSet, WorkloadCfg,
 };
 use skipit_replay::{MemTrace, TraceReplay};
 use skipit_service::{Arrivals, KeyDist, ServiceCfg, ServiceWorkload, Stress};
 use skipit_sweep::{Point, PointCtx, PointOutput, Sweep, WarmState};
 use std::collections::BTreeSet;
 
-/// Base address of the FliT counter table used by Figs. 15–16.
+/// Base address of the FliT counter table used by Figs. 14–16.
 pub const FLIT_TABLE: u64 = 0x0800_0000;
 
-/// The Fig. 15 redundant-flush-elimination methods, in figure order.
+/// The redundant-flush-elimination methods of Figs. 14 and 15, in figure
+/// order.
 pub fn fig15_opts() -> Vec<(&'static str, OptKind)> {
     vec![
         ("plain", OptKind::Plain),
@@ -50,8 +56,7 @@ pub fn fig15_opts() -> Vec<(&'static str, OptKind)> {
     ]
 }
 
-/// Row label of one Fig. 15 grid point (also used to look results back up
-/// when printing the figure's CSV in grid order).
+/// Row label of one Fig. 15 grid point.
 pub fn fig15_label(ds: DsKind, update_pct: u32, method: &str) -> String {
     format!("{}/{update_pct}%/{method}", ds.name())
 }
@@ -78,7 +83,7 @@ fn register_fill(sweep: Sweep, seen: &mut BTreeSet<String>, cfg: WorkloadCfg) ->
 
 /// Restores the shared fill snapshot delivered to a warm point and runs
 /// `cfg`'s measured phase on it.
-fn warm_result(ctx: &PointCtx, cfg: &WorkloadCfg) -> skipit_pds::BenchResult {
+fn warm_result(ctx: &PointCtx, cfg: &WorkloadCfg) -> BenchResult {
     let warm = ctx
         .warm::<WarmSet>()
         .expect("a fill was registered for this point's warm key");
@@ -86,8 +91,7 @@ fn warm_result(ctx: &PointCtx, cfg: &WorkloadCfg) -> skipit_pds::BenchResult {
 }
 
 /// The full Fig. 15 grid (structure × update% × applicable method) as a
-/// sweep. `quick` shrinks key ranges and budgets the same way the
-/// standalone bench does under `SKIPIT_BENCH_QUICK=1`. Warm-started: the
+/// sweep. `quick` shrinks key ranges and budgets. Warm-started: the
 /// four update ratios of each structure × method cell share one simulated
 /// fill.
 pub fn fig15_sweep(quick: bool) -> Sweep {
@@ -129,11 +133,7 @@ pub fn fig15_sweep(quick: bool) -> Sweep {
                 sweep = warmed;
                 sweep.push(
                     Point::new(fig15_label(ds, update_pct, name), move |ctx| {
-                        let r = warm_result(ctx, &cfg);
-                        PointOutput::new()
-                            .with_cycles(r.cycles)
-                            .value("ops_per_mcycle", r.throughput())
-                            .value("ops", r.ops as f64)
+                        set_output(&warm_result(ctx, &cfg))
                     })
                     .warm(key)
                     .param("structure", ds.name())
@@ -202,36 +202,263 @@ pub fn fig15_reduced_sweep(warm: bool) -> Sweep {
     sweep
 }
 
-/// Row label of one Fig. 9 grid point.
-pub fn fig9_label(threads: u64, size: u64) -> String {
-    format!("{threads}t/{}", crate::fmt_size(size))
+/// A point's measured `cycles` plus the counters every figure point
+/// records: writebacks dropped at the L1s (Skip It), root releases whose
+/// DRAM write the L2 skipped, and lines written to DRAM.
+fn counters(cycles: u64, stats: &SystemStats) -> PointOutput {
+    let l1_skipped: u64 = stats.l1.iter().map(|s| s.writebacks_skipped).sum();
+    PointOutput::new()
+        .with_cycles(cycles)
+        .value("l1_skipped", l1_skipped as f64)
+        .value("l2_dram_skips", stats.l2.root_release_dram_skipped as f64)
+        .value("dram_writes", stats.mem.writes as f64)
 }
 
-/// The Fig. 9 grid (thread count × writeback size, skipping combos with
-/// fewer lines than threads) as a sweep. Each point builds its own system
-/// and reports the median and population stddev over `reps` samples.
-pub fn fig9_sweep(reps: u32) -> Sweep {
-    let mut sweep = Sweep::new("fig09_cbo_scaling").unit("cycles").seed(9);
-    for threads in [1u64, 2, 4, 8] {
+/// What a persistent-set point (Figs. 14–16) records: its counters and
+/// ops/Mcycle.
+fn set_output(r: &BenchResult) -> PointOutput {
+    counters(r.cycles, &r.stats).value("ops_per_mcycle", r.throughput())
+}
+
+/// Row label of one point of the writeback-microbenchmark grids
+/// (Figs. 9, 10 and 13): thread count, region size, variant.
+pub fn micro_label(threads: u64, size: u64, variant: &str) -> String {
+    format!("{threads}t/{}/{variant}", fmt_size(size))
+}
+
+/// A thread count × writeback size × variant grid of the writeback
+/// microbenchmark, skipping combos with fewer lines than threads like the
+/// paper. Each point runs `sample(threads, size, variant)` once: the
+/// simulator is deterministic, so a repeated sample on a fresh or a reused
+/// system returns the same cycles (`micro::tests::samples_repeat_exactly`).
+fn micro_sweep(
+    name: &str,
+    seed: u64,
+    thread_counts: &[u64],
+    variants: [&'static str; 2],
+    sample: fn(u64, u64, &str) -> PointOutput,
+) -> Sweep {
+    let mut sweep = Sweep::new(name).unit("cycles").seed(seed);
+    for &threads in thread_counts {
         for size in size_sweep() {
             if size / 64 < threads {
-                continue; // fewer lines than threads: skip like the paper
+                continue;
             }
+            for variant in variants {
+                sweep.push(
+                    Point::new(micro_label(threads, size, variant), move |_ctx| {
+                        sample(threads, size, variant)
+                    })
+                    .param("threads", threads)
+                    .param("size", fmt_size(size))
+                    .param("variant", variant),
+                );
+            }
+        }
+    }
+    sweep
+}
+
+/// The Fig. 9 grid: CBO.FLUSH and CBO.CLEAN writeback latency over 1/2/4/8
+/// threads × 64 B … 32 KiB. Its 1- and 8-thread rows are also the
+/// SonicBOOM columns of Figs. 11 and 12.
+pub fn fig9_sweep() -> Sweep {
+    micro_sweep(
+        "fig09_cbo_scaling",
+        9,
+        &[1, 2, 4, 8],
+        ["flush", "clean"],
+        |threads, size, variant| {
+            let mut sys = system(threads as usize, false);
+            let cycles = fig9_sample(&mut sys, threads, size, variant == "clean");
+            counters(cycles, &sys.stats())
+        },
+    )
+}
+
+/// The Fig. 10 grid: ten write + writeback rounds, fence, re-read, with
+/// CBO.CLEAN vs CBO.FLUSH on 1 and 8 threads.
+pub fn fig10_sweep() -> Sweep {
+    micro_sweep(
+        "fig10_clean_vs_flush",
+        10,
+        &[1, 8],
+        ["clean", "flush"],
+        |threads, size, variant| {
+            let mut sys = system(threads as usize, false);
+            let cycles = fig10_sample(&mut sys, threads, size, variant == "clean");
+            counters(cycles, &sys.stats())
+        },
+    )
+}
+
+/// The Fig. 13 grid: store + writeback + 10 redundant writebacks per line
+/// on the naive flush unit vs Skip It, 1 and 8 threads. Each point also
+/// checks that DRAM holds every stored word, so a lost write is an error
+/// row.
+pub fn fig13_sweep() -> Sweep {
+    micro_sweep(
+        "fig13_skipit_micro",
+        13,
+        &[1, 8],
+        ["naive", "skip-it"],
+        |threads, size, variant| {
+            let mut sys = system(threads as usize, variant == "skip-it");
+            let cycles = fig13_sample(&mut sys, threads, size, 10);
+            for t in 0..threads {
+                for a in region_lines(t, threads, size) {
+                    assert_eq!(sys.dram().read_word_direct(a), a, "line {a:#x} not durable");
+                }
+            }
+            counters(cycles, &sys.stats())
+        },
+    )
+}
+
+/// The persistence disciplines of Fig. 14, in figure order.
+const FIG14_MODES: [(&str, PersistMode); 3] = [
+    ("automatic", PersistMode::Automatic),
+    ("nvtraverse", PersistMode::NvTraverse),
+    ("manual", PersistMode::Manual),
+];
+
+/// Row label of one Fig. 14 cell; the non-persistent baseline is
+/// `{structure}/none/baseline`.
+pub fn fig14_label(ds: DsKind, mode: &str, method: &str) -> String {
+    format!("{}/{mode}/{method}", ds.name())
+}
+
+/// The Fig. 14 grid: every structure × persistence discipline × applicable
+/// method at 5 % updates on 2 threads, plus each structure's
+/// non-persistent baseline (the figure's dotted line). Inapplicable cells
+/// (Link-and-Persist on the BST) have no row.
+pub fn fig14_sweep(quick: bool) -> Sweep {
+    let mut sweep = Sweep::new("fig14_pds_throughput")
+        .unit("ops_per_mcycle")
+        .seed(7);
+    for ds in DsKind::ALL {
+        // Working sets sized like the paper's (§7.4): large enough that
+        // the structures thrash the 544 KiB cache hierarchy, which is what
+        // exposes FliT's auxiliary-memory cost on this platform.
+        let (key_range, prefill) = match (quick, ds) {
+            (true, DsKind::List) => (128, 64),
+            (true, _) => (2048, 1024),
+            (false, DsKind::List) => (1024, 512),
+            (false, _) => (16384, 8192),
+        };
+        let base = WorkloadCfg {
+            ds,
+            threads: 2,
+            key_range,
+            prefill,
+            update_pct: 5,
+            budget_cycles: if quick { 40_000 } else { 250_000 },
+            seed: 7,
+            hash_buckets: if quick { 256 } else { 1024 },
+            ..WorkloadCfg::default()
+        };
+        let baseline = ("none", "baseline", PersistMode::None, OptKind::Plain);
+        let cells = FIG14_MODES.into_iter().flat_map(|(mode_name, mode)| {
+            fig15_opts()
+                .into_iter()
+                .filter(move |(_, opt)| opt.applicable_to(ds))
+                .map(move |(name, opt)| (mode_name, name, mode, opt))
+        });
+        for (mode_name, method, mode, opt) in std::iter::once(baseline).chain(cells) {
+            let cfg = WorkloadCfg { mode, opt, ..base };
             sweep.push(
-                Point::new(fig9_label(threads, size), move |_ctx| {
-                    let mut sys = system(threads as usize, false);
-                    let mut samples: Vec<u64> = (0..reps)
-                        .map(|_| fig9_sample(&mut sys, threads, size, false))
-                        .collect();
-                    let sd = stddev(&samples);
-                    let med = median(&mut samples);
-                    PointOutput::new()
-                        .with_cycles(med)
-                        .value("median_cycles", med as f64)
-                        .value("stddev", sd)
+                Point::new(fig14_label(ds, mode_name, method), move |_ctx| {
+                    set_output(&run_set_benchmark(&cfg))
                 })
-                .param("threads", threads)
-                .param("size", crate::fmt_size(size)),
+                .param("structure", ds.name())
+                .param("algorithm", mode_name)
+                .param("method", method),
+            );
+        }
+    }
+    sweep
+}
+
+/// The hardware variants the ablation compares.
+const HARDWARE: [(&str, bool); 2] = [("naive", false), ("skip-it", true)];
+
+/// The flush-unit ablation (beyond the paper's figures) as one grid of
+/// four sub-grids, told apart by the first label segment:
+///
+/// - `fshrs/{n}/q{depth}`: a 32 KiB single-thread flush vs FSHR count ×
+///   flush-queue depth (the paper fixes 8 FSHRs and a 16-deep queue, §5.2);
+/// - `redundant/{n}/{hw}`: one line, store + clean + fence, then `n`
+///   redundant clean + fence pairs;
+/// - `write_latency/{cy}/{hw}`: the Fig. 13 microbenchmark (4 KiB, 1
+///   thread) vs the persistence medium's write latency;
+/// - `llc_access/{cy}/{hw}`: the same vs the L2 access latency, the
+///   stand-in for the deeper hierarchies §7.4 predicts benefit more.
+pub fn ablation_sweep() -> Sweep {
+    let mut sweep = Sweep::new("ablation_flush_unit").unit("cycles").seed(17);
+    let one_core = SystemBuilder::new().cores(1);
+    for fshrs in [1usize, 2, 4, 8, 16] {
+        for depth in [4usize, 16, 64] {
+            let builder = one_core.fshrs(fshrs).flush_queue_depth(depth);
+            sweep.push(
+                Point::new(format!("fshrs/{fshrs}/q{depth}"), move |_ctx| {
+                    let mut sys = builder.build();
+                    dirty_region(&mut sys, 1, 32 * 1024);
+                    let cycles = writeback_region(&mut sys, 1, 32 * 1024, false);
+                    counters(cycles, &sys.stats())
+                })
+                .param("fshrs", fshrs)
+                .param("queue_depth", depth),
+            );
+        }
+    }
+    for redundant in [0usize, 1, 2, 5, 10, 20] {
+        let (line, value) = (0x9000, 1);
+        let mut prog = vec![
+            Op::Store { addr: line, value },
+            Op::Clean { addr: line },
+            Op::Fence,
+        ];
+        for _ in 0..redundant {
+            prog.extend([Op::Clean { addr: line }, Op::Fence]);
+        }
+        for (hw, skip_it) in HARDWARE {
+            let prog = prog.clone();
+            sweep.push(
+                Point::new(format!("redundant/{redundant}/{hw}"), move |_ctx| {
+                    let mut sys = one_core.skip_it(skip_it).build();
+                    let cycles = sys.run(Programs(vec![prog])).cycles;
+                    counters(cycles, &sys.stats())
+                })
+                .param("hardware", hw),
+            );
+        }
+    }
+    let write_latency = [30u64, 60, 120, 300, 600].map(|write_latency| {
+        let dram = DramConfig {
+            write_latency,
+            ..DramConfig::default()
+        };
+        (
+            format!("write_latency/{write_latency}"),
+            one_core.dram(dram),
+        )
+    });
+    let llc_access = [6u64, 12, 24, 48, 96].map(|access_latency| {
+        let l2 = L2Config {
+            access_latency,
+            ..L2Config::default()
+        };
+        (format!("llc_access/{access_latency}"), one_core.l2(l2))
+    });
+    for (cell, builder) in write_latency.into_iter().chain(llc_access) {
+        for (hw, skip_it) in HARDWARE {
+            sweep.push(
+                Point::new(format!("{cell}/{hw}"), move |_ctx| {
+                    let mut sys = builder.skip_it(skip_it).build();
+                    let cycles = fig13_sample(&mut sys, 1, 4096, 10);
+                    counters(cycles, &sys.stats())
+                })
+                .param("hardware", hw),
             );
         }
     }
@@ -275,10 +502,7 @@ pub fn fig16_sweep(quick: bool) -> Sweep {
         sweep = warmed;
         sweep.push(
             Point::new(format!("{slots}"), move |ctx| {
-                let r = warm_result(ctx, &cfg);
-                PointOutput::new()
-                    .with_cycles(r.cycles)
-                    .value("ops_per_mcycle", r.throughput())
+                set_output(&warm_result(ctx, &cfg))
             })
             .warm(key)
             .param("slots", slots)
@@ -468,10 +692,28 @@ mod tests {
     }
 
     #[test]
-    fn fig9_grid_skips_thread_heavy_small_sizes() {
-        let sweep = fig9_sweep(1);
-        // 10 sizes at 1t, 9 at 2t, 8 at 4t, 7 at 8t.
-        assert_eq!(sweep.len(), 10 + 9 + 8 + 7);
+    fn micro_grids_skip_thread_heavy_small_sizes() {
+        // 10 sizes at 1t, 9 at 2t, 8 at 4t, 7 at 8t; two variants each.
+        assert_eq!(fig9_sweep().len(), 2 * (10 + 9 + 8 + 7));
+        assert_eq!(fig10_sweep().len(), 2 * (10 + 7));
+        assert_eq!(fig13_sweep().len(), 2 * (10 + 7));
+    }
+
+    #[test]
+    fn fig14_grid_has_no_bst_link_and_persist_cells() {
+        // 4 structures × (baseline + 3 disciplines × 5 methods), minus
+        // Link-and-Persist on the BST in each discipline.
+        let sweep = fig14_sweep(true);
+        assert_eq!(sweep.len(), 4 * (1 + 3 * 5) - 3);
+        assert!(sweep
+            .points()
+            .iter()
+            .all(|p| !p.label().starts_with("bst/") || !p.label().ends_with("/link-and-persist")));
+    }
+
+    #[test]
+    fn ablation_grid_has_four_sub_grids() {
+        assert_eq!(ablation_sweep().len(), 5 * 3 + 6 * 2 + 5 * 2 + 5 * 2);
     }
 
     #[test]

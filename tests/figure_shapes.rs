@@ -1,29 +1,53 @@
-//! The paper's headline figure *shapes*, guarded as tests (quick-sized):
-//! if a refactor breaks who-wins or a crossover, these fail before any
+//! The paper's headline figure *shapes*, asserted on the rows of the
+//! quick-sized figure table. The table is run once, shared by every test,
+//! and must equal the committed `BENCH_figures_quick.json` byte for byte:
+//! a change that moves any simulated figure number fails here before any
 //! benchmark is run.
 
-use skipit::pds::{run_set_benchmark, DsKind, OptKind, PersistMode, WorkloadCfg};
 use skipit::prelude::*;
 use skipit_bench::commercial::Machine;
-use skipit_bench::micro::{
-    fig10_sample, fig13_sample, fig9_sample, fig9_serialized_sample, system,
-};
+use skipit_bench::figures::Figures;
+use skipit_bench::micro::fig9_serialized_sample;
+use std::sync::OnceLock;
+
+/// The quick-sized figure table, run by whichever test asks first.
+fn table() -> &'static Figures {
+    static TABLE: OnceLock<Figures> = OnceLock::new();
+    TABLE.get_or_init(|| Figures::run(true))
+}
+
+/// A fresh quick run reproduces the committed table exactly.
+#[test]
+fn quick_table_matches_committed_json() {
+    let figures = table();
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(figures.file_name());
+    let committed =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let fresh = figures.to_json();
+    if fresh == committed {
+        return;
+    }
+    let (mut want, mut got) = (committed.lines(), fresh.lines());
+    let mut line = 1;
+    loop {
+        let (w, g) = (want.next(), got.next());
+        if w != g {
+            panic!(
+                "{} differs from a fresh quick run at line {line}:\n  committed: {}\n  fresh:     {}\n\
+                 regenerate it with `SKIPIT_BENCH_QUICK=1 cargo bench -p skipit-bench --bench figures`",
+                path.display(),
+                w.unwrap_or("<end of file>"),
+                g.unwrap_or("<end of file>"),
+            );
+        }
+        line += 1;
+    }
+}
 
 /// Fig. 9: eight threads write back 32 KiB several times faster than one.
 #[test]
 fn fig9_shape_thread_scaling() {
-    let mut s1 = system(1, false);
-    let mut s8 = system(8, false);
-    let t1 = fig9_sample(&mut s1, 1, 32 * 1024, false);
-    let t8 = fig9_sample(&mut s8, 8, 32 * 1024, false);
-    let speedup = t1 as f64 / t8.max(1) as f64;
-    assert!(
-        speedup > 5.0,
-        "8-thread speedup {speedup:.2} too low (paper: 7.2x)"
-    );
-    // And latency grows with size.
-    let small = fig9_sample(&mut s1, 1, 64, false);
-    assert!(t1 > 10 * small, "32KiB must cost far more than one line");
+    table().check_fig9_thread_scaling();
 }
 
 /// The lockstep oracle at the paper's cache sizes: the serialized Fig. 9
@@ -51,15 +75,7 @@ fn lockstep_oracle_accepts_serialized_fig9() {
 /// Fig. 10: the flush variant is substantially slower than clean.
 #[test]
 fn fig10_shape_clean_vs_flush() {
-    let mut sc = system(1, false);
-    let mut sf = system(1, false);
-    let clean = fig10_sample(&mut sc, 1, 4096, true);
-    let flush = fig10_sample(&mut sf, 1, 4096, false);
-    let ratio = flush as f64 / clean.max(1) as f64;
-    assert!(
-        ratio > 1.3,
-        "flush/clean ratio {ratio:.2} too small (paper: ≈2x)"
-    );
+    table().check_fig10_flush_over_clean();
 }
 
 /// Figs. 11/12 model shapes (the commercial substitution contract).
@@ -77,85 +93,116 @@ fn fig11_12_shape_commercial_models() {
     assert!(g8 < g1);
 }
 
-/// Fig. 13: Skip It beats the naive flush unit on redundant writebacks,
-/// and the win comes from L1 drops (not from doing less real work).
+/// Fig. 11: Graviton is slower than the simulated SonicBOOM up to 8 KiB
+/// and faster from 16 KiB on.
 #[test]
-fn fig13_shape_skipit_beats_naive() {
-    let mut naive = system(1, false);
-    let mut skip = system(1, true);
-    let n = fig13_sample(&mut naive, 1, 2048, 10);
-    let s = fig13_sample(&mut skip, 1, 2048, 10);
-    assert!(
-        n as f64 / s as f64 > 1.2,
-        "Skip It speedup too small: naive {n}, skip {s}"
-    );
-    let dropped: u64 = skip.stats().l1.iter().map(|x| x.writebacks_skipped).sum();
-    assert_eq!(
-        dropped,
-        32 * 10,
-        "every redundant writeback must be dropped"
-    );
-    // The durable images are identical.
-    assert_eq!(naive.dram().read_word_direct(0x100_0000), 0x100_0000);
-    assert_eq!(skip.dram().read_word_direct(0x100_0000), 0x100_0000);
+fn fig11_shape_graviton_crossover() {
+    table().check_fig11_graviton_crossover();
 }
 
-/// Fig. 14 (one cell, quick size): Skip It ≥ plain under the automatic
-/// discipline, and the baseline non-persistent run beats both.
+/// Fig. 13: Skip It beats the naive flush unit on redundant writebacks,
+/// the win comes from L1 drops (not from doing less real work), and both
+/// durable images hold every stored word.
+#[test]
+fn fig13_shape_skipit_beats_naive() {
+    table().check_fig13_mechanism();
+}
+
+/// Fig. 14: Skip It ≥ both FliT variants in every automatic and
+/// NVTraverse cell and > 1.5× plain in every automatic cell.
 #[test]
 fn fig14_shape_skipit_vs_plain() {
-    let cfg = WorkloadCfg {
-        ds: DsKind::Hash,
-        mode: PersistMode::Automatic,
-        threads: 2,
-        key_range: 512,
-        prefill: 256,
-        update_pct: 5,
-        budget_cycles: 50_000,
-        seed: 3,
-        hash_buckets: 64,
-        ..WorkloadCfg::default()
-    };
-    let plain = run_set_benchmark(&WorkloadCfg {
-        opt: OptKind::Plain,
-        ..cfg
-    });
-    let skipit = run_set_benchmark(&WorkloadCfg {
-        opt: OptKind::SkipIt,
-        ..cfg
-    });
-    let baseline = run_set_benchmark(&WorkloadCfg {
-        mode: PersistMode::None,
-        opt: OptKind::Plain,
-        ..cfg
-    });
-    assert!(
-        skipit.throughput() > 1.5 * plain.throughput(),
-        "skip-it {} vs plain {}",
-        skipit.throughput(),
-        plain.throughput()
-    );
-    assert!(baseline.throughput() > skipit.throughput());
+    table().check_fig14_skipit_vs_flit_and_plain();
+}
+
+/// Fig. 14: the non-persistent baseline tops each structure, and the BST
+/// has no Link-and-Persist cells.
+#[test]
+fn fig14_shape_baseline_on_top() {
+    table().check_fig14_baseline_and_na_cells();
+}
+
+/// Fig. 15: Skip It is within 1 % of the top of every cell and slows as
+/// updates grow.
+#[test]
+fn fig15_shape_skipit_on_top() {
+    table().check_fig15_skipit_on_top();
+}
+
+/// Fig. 16: the largest FliT table runs at most half as fast as the best.
+#[test]
+fn fig16_shape_falloff() {
+    table().check_fig16_falloff();
 }
 
 /// §7.4 ablation shape: the Skip It advantage grows with the LLC trip cost.
 #[test]
 fn ablation_shape_deeper_hierarchy_helps_more() {
-    let run = |access: u64| {
-        let l2 = skipit::core::L2Config {
-            access_latency: access,
-            ..skipit::core::L2Config::default()
-        };
-        let mut naive = SystemBuilder::new().cores(1).l2(l2).build();
-        let mut skip = SystemBuilder::new().cores(1).skip_it(true).l2(l2).build();
-        let n = fig13_sample(&mut naive, 1, 2048, 10);
-        let s = fig13_sample(&mut skip, 1, 2048, 10);
-        n as f64 / s as f64
-    };
-    let shallow = run(6);
-    let deep = run(48);
-    assert!(
-        deep > shallow + 0.3,
-        "speedup must grow with trip cost: shallow {shallow:.2}, deep {deep:.2}"
-    );
+    table().check_ablation_deeper_hierarchy();
+}
+
+/// Every point of every figure completed within budget.
+#[test]
+fn every_figure_point_completes() {
+    table().check_rows_ok();
+}
+
+/// Every citation in EXPERIMENTS.md (`` [`figure / label / value`] ``)
+/// names a value of the committed full-size `BENCH_figures.json`, and a
+/// number written right before it (an optional `cy` or `ops/Mcycle` unit
+/// between them) equals that value to the decimals written.
+#[test]
+fn experiments_md_quotes_the_committed_table() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let doc = std::fs::read_to_string(root.join("EXPERIMENTS.md")).expect("read EXPERIMENTS.md");
+    let json =
+        std::fs::read_to_string(root.join("BENCH_figures.json")).expect("read BENCH_figures.json");
+    let mut cited = 0;
+    let mut pieces = doc.split("[`");
+    let mut before = pieces.next().unwrap_or_default();
+    for piece in pieces {
+        let (citation, after) = piece.split_once("`]").expect("unclosed citation");
+        let [fig, label, key]: [&str; 3] = citation
+            .split(" / ")
+            .collect::<Vec<_>>()
+            .try_into()
+            .unwrap_or_else(|_| panic!("malformed citation `{citation}`"));
+        let value = table_value(&json, fig, label, key)
+            .unwrap_or_else(|| panic!("`{citation}` is not in BENCH_figures.json"));
+        let lead = before.trim_end();
+        let lead = ["cy", "ops/Mcycle"]
+            .iter()
+            .find_map(|unit| lead.strip_suffix(unit))
+            .unwrap_or(lead)
+            .trim_end();
+        let digits = lead.len()
+            - lead
+                .trim_end_matches(|c: char| c.is_ascii_digit() || c == '.')
+                .len();
+        let quoted = &lead[lead.len() - digits..];
+        if !quoted.is_empty() {
+            let decimals = quoted.split_once('.').map_or(0, |(_, d)| d.len());
+            let actual = format!("{value:.decimals$}");
+            assert_eq!(
+                quoted, actual,
+                "EXPERIMENTS.md quotes {quoted} for `{citation}`"
+            );
+        }
+        cited += 1;
+        before = after;
+    }
+    assert!(cited > 0, "EXPERIMENTS.md cites nothing");
+}
+
+/// The value `key` (`cycles` or a named value) of row `label` in figure
+/// `fig` of a figure-table JSON document.
+fn table_value(json: &str, fig: &str, label: &str, key: &str) -> Option<f64> {
+    let figure = &json[json.find(&format!("\"{fig}\": {{"))?..];
+    let row = figure
+        .lines()
+        .find(|l| l.contains(&format!("{{\"label\": \"{label}\",")))?;
+    let field = format!("\"{key}\": ");
+    let rest = &row[row.find(&field)? + field.len()..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    rest[..end].parse().ok()
 }
