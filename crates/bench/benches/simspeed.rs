@@ -530,14 +530,12 @@ fn json_num(v: f64) -> String {
     }
 }
 
-/// The `"phase"` line of the previously written output file (falling back
-/// to `SKIPIT_BENCH_BASELINE`), if one with real (`profile_compiled`)
-/// data exists — see the carry-forward note in `main`.
+/// The `"phase"` line of `SKIPIT_BENCH_BASELINE` when it is set, else of
+/// the previously written output file, if one with real
+/// (`profile_compiled`) data exists — see the carry-forward note in `main`.
 fn committed_phase_section() -> Option<String> {
-    let text = std::fs::read_to_string(out_path()).ok().or_else(|| {
-        let baseline = std::env::var("SKIPIT_BENCH_BASELINE").ok()?;
-        std::fs::read_to_string(baseline).ok()
-    })?;
+    let path = std::env::var_os("SKIPIT_BENCH_BASELINE").map_or_else(out_path, Into::into);
+    let text = std::fs::read_to_string(path).ok()?;
     let line = text
         .lines()
         .find(|l| l.trim_start().starts_with("\"phase\": {"))?;

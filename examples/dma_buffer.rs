@@ -47,7 +47,7 @@ fn run(with_clean: bool) -> (u64, u64) {
     (good, BUF_LINES * 8)
 }
 
-fn main() {
+pub fn main() {
     let (stale_good, total) = run(false);
     println!("without CBO.CLEAN: device sees {stale_good}/{total} fresh words (stale DMA!)");
     let (good, total) = run(true);

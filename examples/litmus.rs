@@ -13,7 +13,7 @@ fn check(name: &str, ok: bool, detail: String) {
     assert!(ok, "{name} violated");
 }
 
-fn main() {
+pub fn main() {
     // MP: message passing with a fence — the receiver never sees the flag
     // without the data.
     {

@@ -25,7 +25,7 @@ fn entry_addr(i: u64) -> u64 {
     ENTRIES + i * 64
 }
 
-fn main() {
+pub fn main() {
     let mut rng = StdRng::seed_from_u64(2024);
     for trial in 0..5 {
         let crash_after = rng.gen_range(1..30u64);

@@ -28,7 +28,7 @@ async fn probe_latencies(h: &CoreHandle) -> Vec<u64> {
     lat
 }
 
-fn main() {
+pub fn main() {
     for flush_on_switch in [false, true] {
         let mut sys = SystemBuilder::new().cores(1).build();
         // Victim: touch every even line (the "secret" = parity).

@@ -5,8 +5,8 @@
 
 use skipit::core::{EngineKind, PerturbConfig};
 use skipit::explore::{
-    build_system, campaign_sweep, explore_one, run_with_check, shrink_programs, ExploreConfig,
-    Scenario, Violation,
+    build_system, campaign_sweep, explore_one, run_with_check, run_with_oracle, shrink_programs,
+    ExploreConfig, Scenario, Violation,
 };
 use skipit::prelude::*;
 
@@ -167,19 +167,55 @@ fn exploration_points_reproduce_from_coordinates() {
     }
 }
 
+/// The two contended scenarios the campaign tests share.
+const CAMPAIGN: [Scenario; 2] = [Scenario::FlushStorm, Scenario::SharedLines];
+
 /// Campaign tables are bit-identical at any worker-thread count.
 #[test]
 fn campaigns_are_thread_count_invariant() {
     let cfg = ExploreConfig::default();
-    let scenarios = [Scenario::FlushStorm, Scenario::SharedLines];
-    let serial = SweepRunner::serial().run(campaign_sweep("c", &scenarios, 0..4, cfg));
+    let serial = SweepRunner::serial().run(campaign_sweep("c", &CAMPAIGN, 0..16, cfg));
     let threaded = SweepRunner::new()
         .threads(4)
-        .run(campaign_sweep("c", &scenarios, 0..4, cfg));
+        .run(campaign_sweep("c", &CAMPAIGN, 0..16, cfg));
     assert_eq!(serial.to_json(), threaded.to_json());
     assert!(
         serial.all_ok(),
         "campaign found a violation: {:?}",
         serial.failed_rows().map(|r| &r.label).collect::<Vec<_>>()
     );
+}
+
+/// The lockstep oracle on the 16 campaign points of `scenario`: rerunning
+/// each with every wheel jump re-executed naively (a state change inside
+/// a jump panics) finds no violation and ends on the cycle of the point's
+/// campaign row (`explore_one`).
+fn lockstep_oracle_accepts_campaign(scenario: Scenario) {
+    let cfg = ExploreConfig::default();
+    for seed in 0..16 {
+        let mut sys = SystemBuilder::new()
+            .cores(cfg.cores)
+            .skip_it(cfg.skip_it)
+            .perturb(cfg.perturb.with_seed(seed))
+            .lockstep_oracle(true)
+            .build();
+        let (cycles, violation) = run_with_oracle(&mut sys, scenario.programs(seed, cfg.cores));
+        assert_eq!(violation, None, "{}/{seed}", scenario.name());
+        assert_eq!(
+            cycles,
+            explore_one(scenario, seed, cfg).cycles,
+            "{}/{seed} ends on another cycle under the lockstep oracle",
+            scenario.name()
+        );
+    }
+}
+
+#[test]
+fn lockstep_oracle_accepts_flush_storm_campaign() {
+    lockstep_oracle_accepts_campaign(Scenario::FlushStorm);
+}
+
+#[test]
+fn lockstep_oracle_accepts_shared_lines_campaign() {
+    lockstep_oracle_accepts_campaign(Scenario::SharedLines);
 }

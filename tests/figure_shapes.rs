@@ -19,29 +19,55 @@ fn table() -> &'static Figures {
 /// A fresh quick run reproduces the committed table exactly.
 #[test]
 fn quick_table_matches_committed_json() {
-    let figures = table();
+    assert_matches_committed(table(), &[]);
+}
+
+/// A fresh full-size run reproduces the committed `BENCH_figures.json` on
+/// every line but the host-dependent `host_cpus` and `wall_s`, so a change
+/// that moves only full-size numbers (Figs. 14–16) fails too.
+#[test]
+#[ignore = "runs the full-size figure table (about 33 s); `ci.sh --quick` runs it"]
+fn full_table_matches_committed_json() {
+    assert_matches_committed(&Figures::run(false), &["\"host_cpus\": ", "\"wall_s\": "]);
+}
+
+/// Panics at the first line where `figures` differs from its committed
+/// file. Lines that start (after indentation) with one of `host_keys` are
+/// not compared; everything else must be equal byte for byte.
+fn assert_matches_committed(figures: &Figures, host_keys: &[&str]) {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(figures.file_name());
     let committed =
         std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-    let fresh = figures.to_json();
-    if fresh == committed {
+    let simulated = |text: &str| -> String {
+        text.split_inclusive('\n')
+            .map(|l| {
+                let host = host_keys.iter().any(|k| l.trim_start().starts_with(k));
+                if host {
+                    "\n"
+                } else {
+                    l
+                }
+            })
+            .collect()
+    };
+    let (want, got) = (simulated(&committed), simulated(&figures.to_json()));
+    if want == got {
         return;
     }
-    let (mut want, mut got) = (committed.lines(), fresh.lines());
-    let mut line = 1;
-    loop {
-        let (w, g) = (want.next(), got.next());
-        if w != g {
-            panic!(
-                "{} differs from a fresh quick run at line {line}:\n  committed: {}\n  fresh:     {}\n\
-                 regenerate it with `SKIPIT_BENCH_QUICK=1 cargo bench -p skipit-bench --bench figures`",
-                path.display(),
-                w.unwrap_or("<end of file>"),
-                g.unwrap_or("<end of file>"),
-            );
-        }
-        line += 1;
-    }
+    let same = want
+        .lines()
+        .zip(got.lines())
+        .take_while(|(w, g)| w == g)
+        .count();
+    panic!(
+        "{} differs from a fresh run at line {}:\n  committed: {}\n  fresh:     {}\n\
+         regenerate it with `cargo bench -p skipit-bench --bench figures` \
+         (`SKIPIT_BENCH_QUICK=1` for the quick table)",
+        path.display(),
+        same + 1,
+        want.lines().nth(same).unwrap_or("<end of file>"),
+        got.lines().nth(same).unwrap_or("<end of file>"),
+    );
 }
 
 /// Fig. 9: eight threads write back 32 KiB several times faster than one.

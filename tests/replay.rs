@@ -361,6 +361,57 @@ fn lockstep_oracle_accepts_committed_trace_replay() {
     assert_eq!(stats, ref_stats, "oracle changed the replay's statistics");
 }
 
+/// The committed traces replay identically on both engines to their
+/// architectural outcomes: each kv slot holds the last value installed
+/// for it (`100 + 8 + key`), and both stores of the store-buffering
+/// litmus are durable. The replay sweep over the kv trace gives the same
+/// table at 1 and 2 worker threads, and its seed-0 point is the
+/// unperturbed replay.
+#[test]
+fn committed_traces_replay_to_their_outcomes() {
+    let replay = |trace: &MemTrace, skip_it: bool, addrs: &[u64]| {
+        let runs = ENGINES.map(|engine| {
+            let mut sys = SystemBuilder::new()
+                .cores(2)
+                .skip_it(skip_it)
+                .engine(engine)
+                .build();
+            let cycles = sys.run(TraceReplay::new(trace.clone())).cycles;
+            let words: Vec<u64> = addrs
+                .iter()
+                .map(|&a| sys.dram().read_word_direct(a))
+                .collect();
+            let image = format!("{:?}", sys.durable_image());
+            (cycles, sys.stats(), image, words)
+        });
+        assert_eq!(runs[0], runs[1], "replay diverged between engines");
+        let [(cycles, _, _, words), _] = runs;
+        (cycles, words)
+    };
+    let kv = MemTrace::from_bytes(&committed_trace_bytes()).expect("committed trace decodes");
+    let slots: Vec<u64> = (0..4).map(|key| 0x8_0000 + key * 64).collect();
+    let (kv_cycles, words) = replay(&kv, true, &slots);
+    assert_eq!(
+        words,
+        [108, 109, 110, 111],
+        "kv slots miss their last value"
+    );
+    let litmus = MemTrace::from_text(&committed_trace_text()).expect("committed text parses");
+    let (_, words) = replay(&litmus, false, &[0x40000, 0x40040]);
+    assert_eq!(words, [1, 1], "litmus stores are not durable");
+
+    let sweep = || skipit_bench::sweeps::replay_sweep("replay_jitter", kv.clone(), &[0, 1, 2, 3]);
+    let serial = SweepRunner::serial().run(sweep());
+    let threaded = SweepRunner::new().threads(2).run(sweep());
+    assert!(serial.all_ok() && threaded.all_ok(), "{}", serial.table());
+    assert_eq!(serial.table(), threaded.table(), "tables depend on threads");
+    assert_eq!(
+        serial.get("seed0").unwrap().output.cycles,
+        kv_cycles,
+        "seed 0 replays unperturbed"
+    );
+}
+
 /// Byte-level oracle for the worker frontend: capturing the persistent-KV
 /// workload `examples/capture_trace.rs` regenerates must reproduce the
 /// committed `traces/persistent_kv.trace` byte for byte — same op stream,

@@ -224,3 +224,77 @@ fn lockstep_oracle_accepts_expiration_storm_service() {
     assert_eq!(cycles, ref_cycles, "oracle changed the cycle count");
     assert_eq!(stats, ref_stats, "oracle changed the statistics");
 }
+
+/// A two-core Zipfian/Poisson read-mostly workload of 600 base requests.
+fn zipf_cfg(stress: Stress) -> ServiceCfg {
+    ServiceCfg {
+        cores: 2,
+        requests_per_core: 300,
+        key_range: 192,
+        prefill: 64,
+        dist: KeyDist::Zipfian { s: 0.99 },
+        arrivals: Arrivals::Poisson { mean_gap: 450 },
+        mix: OpMix {
+            read_pct: 90,
+            update_pct: 6,
+            scan_pct: 4,
+            scan_len: 4,
+        },
+        stress,
+        hash_buckets: 32,
+        seed: 31,
+        ..ServiceCfg::default()
+    }
+}
+
+fn run_service_cfg(cfg: &ServiceCfg, perturb: PerturbConfig) -> ServiceReport {
+    let mut sys = cfg.builder().perturb(perturb).build();
+    sys.run(ServiceWorkload::new(cfg.clone())).output
+}
+
+/// Perturbation reaches the service run (it moves the latency digest),
+/// and both stress patterns add requests to the 600 base ones.
+#[test]
+fn perturbation_and_stress_change_the_service_run() {
+    let base = run_service_cfg(&zipf_cfg(Stress::None), PerturbConfig::default());
+    assert_eq!(base.requests, 600, "base request count");
+    let perturbed = run_service_cfg(&zipf_cfg(Stress::None), PerturbConfig::exploring(9));
+    assert_ne!(
+        perturbed.digest, base.digest,
+        "perturbation did not change the schedule"
+    );
+    for stress in [
+        Stress::Stampede { every: 30, herd: 8 },
+        Stress::ExpirationStorm {
+            every_cycles: 2_000,
+            lines: 6,
+        },
+    ] {
+        let report = run_service_cfg(&zipf_cfg(stress), PerturbConfig::default());
+        assert!(
+            report.requests > 600,
+            "{stress:?} added no requests ({})",
+            report.requests
+        );
+    }
+}
+
+/// The SLO summary of a real run is consistent: it counts every request,
+/// its percentiles are monotone, and the met fractions lie in `[0, 1]`,
+/// grow with the threshold, reach 1 at a 16M-cycle SLO and never lift
+/// goodput above throughput.
+#[test]
+fn slo_summary_is_internally_consistent() {
+    let report = run_service_cfg(&zipf_cfg(Stress::None), PerturbConfig::default());
+    let slo = report.slo(&[200, 400, 1600, 1 << 24]);
+    assert_eq!(slo.count, report.requests);
+    assert!(slo.p50 <= slo.p99 && slo.p99 <= slo.p999 && slo.p999 <= slo.max);
+    let mut prev = -1.0;
+    for g in &slo.goodput {
+        assert!((0.0..=1.0).contains(&g.met), "met fraction {}", g.met);
+        assert!(g.met >= prev, "met fractions must be monotone in the SLO");
+        assert!(g.goodput <= slo.throughput() + 1e-9);
+        prev = g.met;
+    }
+    assert_eq!(slo.goodput.last().unwrap().met, 1.0);
+}

@@ -4,14 +4,16 @@
 
 use skipit::prelude::*;
 
-/// A six-point grid of real simulations: (cores, skip_it) ablation of a
-/// flush-heavy program, with the per-point seed folded into the stored data.
+/// A twelve-point grid of real simulations: (cores, skip_it, clean or
+/// flush) ablation of a writeback-heavy program, with the per-point seed
+/// folded into the stored data.
 fn simulation_sweep() -> Sweep {
     let mut sweep = Sweep::new("sim_grid").unit("cycles").seed(0xD15C);
     for cores in [1usize, 2, 4] {
-        for skip_it in [false, true] {
+        for (skip_it, clean) in [(false, false), (false, true), (true, false), (true, true)] {
+            let label = format!("c{cores}/skip={}/clean={}", skip_it as u8, clean as u8);
             sweep.push(
-                Point::new(format!("c{cores}/skip={}", skip_it as u8), move |ctx| {
+                Point::new(label, move |ctx| {
                     let mut sys = SystemBuilder::new().cores(cores).skip_it(skip_it).build();
                     let programs: Vec<Vec<Op>> = (0..cores as u64)
                         .map(|core| {
@@ -22,7 +24,11 @@ fn simulation_sweep() -> Sweep {
                                     addr,
                                     value: ctx.seed ^ i,
                                 });
-                                p.push(Op::Clean { addr });
+                                p.push(if clean {
+                                    Op::Clean { addr }
+                                } else {
+                                    Op::Flush { addr }
+                                });
                             }
                             p.push(Op::Fence);
                             p
@@ -33,7 +39,9 @@ fn simulation_sweep() -> Sweep {
                     PointOutput::from_system(&sys).value("program_cycles", cycles as f64)
                 })
                 .param("cores", cores)
-                .param("skip_it", skip_it),
+                .param("skip_it", skip_it)
+                .param("clean", clean)
+                .budget(1_000_000),
             );
         }
     }
@@ -48,7 +56,7 @@ fn result_table_is_bit_identical_at_1_2_and_8_threads() {
         "baseline sweep failed:\n{}",
         serial.table()
     );
-    assert_eq!(serial.rows().len(), 6);
+    assert_eq!(serial.rows().len(), 12);
     for threads in [2, 8] {
         let sharded = SweepRunner::new().threads(threads).run(simulation_sweep());
         assert_eq!(
@@ -71,7 +79,7 @@ fn poisoned_point_becomes_error_row_and_rest_complete() {
         panic!("injected failure: invalid system configuration")
     }));
     let report = SweepRunner::new().threads(2).run(sweep);
-    assert_eq!(report.rows().len(), 7);
+    assert_eq!(report.rows().len(), 13);
     assert_eq!(report.failed_rows().count(), 1);
     let bad = report.get("poisoned").expect("poisoned row present");
     match &bad.status {
@@ -139,7 +147,8 @@ fn json_export_matches_bench_shape() {
     assert!(json.starts_with("{\n  \"bench\": \"sim_grid\""));
     assert!(json.contains("\"unit\": \"cycles\""));
     assert!(json.contains("\"points\": ["));
-    assert!(json.contains("\"params\": {\"cores\": \"1\", \"skip_it\": \"false\"}"));
+    assert!(json
+        .contains("\"params\": {\"cores\": \"1\", \"skip_it\": \"false\", \"clean\": \"false\"}"));
     assert!(json.contains("\"status\": \"ok\""));
     assert!(json.contains("\"program_cycles\""));
     assert!(

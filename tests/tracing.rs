@@ -185,3 +185,122 @@ fn event_and_latency_tracing_compose() {
     assert_eq!(sys.trace_records().len(), 3, "latency tracing inactive");
     assert!(!sys.trace_events().is_empty(), "event tracing inactive");
 }
+
+const TELEMETRY_CORES: usize = 4;
+
+/// A fig. 9-shaped run with telemetry sampling every 256 cycles: all cores
+/// store and clean 64 lines, fence, then reload and clean them again so
+/// skip-bit drops fire. Returns the quiesced system and the run's cycles.
+fn telemetry_run() -> (System, u64) {
+    let programs = (0..TELEMETRY_CORES as u64)
+        .map(|t| {
+            let line = |i: u64| 0x30_0000 + t * 0x1_0000 + i * 64;
+            let mut p: Vec<Op> = (0..64)
+                .map(|i| Op::Store {
+                    addr: line(i),
+                    value: t << 32 | i,
+                })
+                .collect();
+            p.extend((0..64).map(|i| Op::Clean { addr: line(i) }));
+            p.push(Op::Fence);
+            for i in 0..64 {
+                p.extend([Op::Load { addr: line(i) }, Op::Clean { addr: line(i) }]);
+            }
+            p.push(Op::Fence);
+            p
+        })
+        .collect();
+    let mut sys = SystemBuilder::new()
+        .cores(TELEMETRY_CORES)
+        .skip_it(true)
+        .build();
+    sys.set_trace(TraceConfig::new().events(1 << 15).telemetry(256));
+    let cycles = sys.run(Programs(programs)).cycles;
+    sys.quiesce();
+    (sys, cycles)
+}
+
+/// The per-interval deltas of every sampled series, summed over the run,
+/// equal the end-of-run `MetricsSnapshot` totals exactly, the samples tile
+/// the run, and the JSON and CSV exports hold every sample.
+#[test]
+fn telemetry_deltas_sum_to_the_run_totals() {
+    let (sys, cycles) = telemetry_run();
+    let tel = sys.telemetry_snapshot().expect("telemetry was configured");
+    assert!(tel.len() >= 4, "run too short to exercise sampling");
+    assert_eq!(tel.dropped(), 0, "ring too small for the run");
+    let snap = MetricsSnapshot::capture(&sys);
+    let total = |key: String| snap.get(&key).unwrap_or_else(|| panic!("no metric {key}"));
+    let sum = |f: &dyn Fn(&TelemetrySample) -> u64| tel.samples().map(f).sum::<u64>();
+    assert_eq!(sum(&|s| s.dram_reads), total("dram.reads".into()));
+    assert_eq!(sum(&|s| s.dram_writes), total("dram.writes".into()));
+    for i in 0..TELEMETRY_CORES {
+        let l1 = |name: &str| total(format!("l1.{i}.{name}"));
+        assert_eq!(
+            sum(&|s| s.cores[i].ops),
+            l1("loads") + l1("stores") + l1("amos"),
+            "core {i} ops"
+        );
+        assert_eq!(sum(&|s| s.cores[i].skips), l1("writebacks_skipped"));
+        assert_eq!(sum(&|s| s.cores[i].enqueued), l1("writebacks_enqueued"));
+        for (ch_idx, ch) in ['a', 'b', 'c', 'd', 'e'].into_iter().enumerate() {
+            assert_eq!(
+                sum(&|s| s.cores[i].link_beats[ch_idx]),
+                total(format!("link.{ch}.{i}.pushed")),
+                "core {i} channel {ch} beats"
+            );
+        }
+    }
+    // The final (partial) sample ends exactly at the last simulated cycle.
+    let first = tel.samples().next().expect("run is long enough to sample");
+    assert_eq!(
+        first.cycle - first.span + sum(&|s| s.span),
+        cycles,
+        "telemetry samples do not tile the run"
+    );
+    assert_eq!(tel.to_json().matches("\"cycle\":").count(), tel.len());
+    assert_eq!(
+        tel.to_csv().lines().count(),
+        1 + tel.len() * TELEMETRY_CORES
+    );
+}
+
+/// The Perfetto counter tracks of the Chrome-trace export are well formed:
+/// 6 per-core and 2 system-wide `"ph":"C"` events per boundary-aligned
+/// sample, each with `pid` and `args`, each stamped on the sampling grid.
+#[test]
+fn telemetry_counter_tracks_are_well_formed() {
+    let (sys, _) = telemetry_run();
+    let tel = sys.telemetry().expect("live sampler");
+    let json = sys.export_chrome_trace();
+    assert!(
+        json.starts_with(r#"{"displayTimeUnit":"ms","traceEvents":["#) && json.ends_with("]}"),
+        "chrome trace envelope malformed"
+    );
+    let counters: Vec<&str> = json
+        .split("},{")
+        .filter(|e| e.contains(r#""ph":"C""#))
+        .collect();
+    let grid: Vec<u64> = tel
+        .samples()
+        .filter(|s| s.cycle % tel.interval() == 0)
+        .map(|s| s.cycle)
+        .collect();
+    assert_eq!(counters.len(), grid.len() * (6 * TELEMETRY_CORES + 2));
+    for c in &counters {
+        assert!(
+            c.contains(r#""args":{"#) && c.contains(r#""pid":"#),
+            "counter event missing pid/args: {c}"
+        );
+        let ts: u64 = c
+            .split(r#""ts":"#)
+            .nth(1)
+            .and_then(|r| r.split(',').next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("counter event without numeric ts: {c}"));
+        assert!(
+            grid.contains(&ts),
+            "counter event off the sampling grid: {c}"
+        );
+    }
+}
