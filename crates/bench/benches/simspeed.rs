@@ -17,8 +17,8 @@
 //! plain run restores honest throughput numbers and carries the committed
 //! phase section forward instead of zeroing it.
 //!
-//! Every timing is the median of [`THROUGHPUT_BLOCKS`] (engine rows) or
-//! [`MEASURE_BLOCKS`] (tracing and sweep sections) repeated blocks after
+//! Every timing is the median of [`THROUGHPUT_BLOCKS`] (engine rows and
+//! tracing section) or [`MEASURE_BLOCKS`] (sweep sections) repeated blocks after
 //! one discarded warm-up block, and the blocks of the variants being
 //! compared are interleaved round-robin rather than run back to back.
 //! Single-shot sequential timings were noisy enough to report *negative*
@@ -48,14 +48,16 @@ use skipit_pds::{run_set_benchmark, DsKind, OptKind, PersistMode, WorkloadCfg};
 use skipit_sweep::SweepRunner;
 use std::time::Instant;
 
-/// Timed blocks per variant in the tracing and sweep sections; the
-/// reported figure is the median.
+/// Timed blocks per variant in the sweep sections; the reported figure is
+/// the median.
 const MEASURE_BLOCKS: usize = 3;
 
-/// Timed blocks per engine per throughput row (`fig09_*`, `fig14_*`). More
-/// than [`MEASURE_BLOCKS`]: these speedups gate CI, and `fig09_8t_32k` runs
-/// near 1.0×, where a median of three quick-run blocks spread 0.77–1.06
-/// against a 0.88 floor on a 2-vCPU host.
+/// Timed blocks per engine per throughput row (`fig09_*`, `fig14_*`) and per
+/// tracing variant. More than [`MEASURE_BLOCKS`]: these speedups gate CI,
+/// and `fig09_8t_32k` runs near 1.0×, where a median of three quick-run
+/// blocks spread 0.77–1.06 against a 0.88 floor on a 2-vCPU host; a quick
+/// tracing block lasts a few milliseconds, and a median of three read a
+/// negative telemetry overhead.
 const THROUGHPUT_BLOCKS: usize = 9;
 
 /// Median of per-block kilo-simulated-cycles-per-second figures.
@@ -252,18 +254,28 @@ fn tracing_overhead(workload: &'static str, threads: usize, size: u64, reps: u32
             ),
             _ => {}
         }
-        sys.stats().cycles as f64 / secs / 1e3
+        let cycles = sys.stats().cycles;
+        (cycles as f64 / secs / 1e3, cycles)
     };
     for mode in 0..4u8 {
         exec(mode, 1); // warm-up, discarded
     }
     let mut blocks: [Vec<f64>; 4] = Default::default();
-    for _ in 0..MEASURE_BLOCKS {
+    let mut cycles = [0u64; 4];
+    for _ in 0..THROUGHPUT_BLOCKS {
         // Round-robin across modes; see `fig09_shaped`.
         for (m, b) in blocks.iter_mut().enumerate() {
-            b.push(exec(m as u8, reps));
+            let (kcps, c) = exec(m as u8, reps);
+            b.push(kcps);
+            cycles[m] = c;
         }
     }
+    // Tracing observes and never steers: every variant simulates the
+    // same run, so each overhead compares equal work.
+    assert!(
+        cycles.iter().all(|&c| c == cycles[0]),
+        "tracing variants simulated different cycle counts: {cycles:?}"
+    );
     let [off_b, ring_b, export_b, telemetry_b] = blocks;
     TraceRow {
         workload,

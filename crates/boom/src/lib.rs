@@ -3,7 +3,8 @@
 //! This crate supplies the processor-side machinery of the paper's
 //! evaluation platform (§3, §7.1): per-core load/store units with the
 //! LDQ/STQ semantics the flush-unit design relies on (§3.2, §5.1), fences
-//! extended to wait on the flush counter (§5.3), nack/retry behaviour, and a
+//! extended to wait on the flush counter (§5.3), requests held until the L1
+//! would accept them (in place of BOOM's nack and retry, §3.3), and a
 //! [`System`] that ties N cores, their L1 data caches, the shared inclusive
 //! L2 and DRAM into one deterministic cycle-stepped simulation.
 //!

@@ -6,10 +6,13 @@
 //!   program order from the head.
 //! * A fence blocks younger loads, completes only after all older memory
 //!   operations are done **and** the L1 flush counter is zero (§5.3).
-//! * A nacked request is retried after a short backoff (§3.3).
+//! * Where the L1 would refuse a request (a nack, §3.3), the request is
+//!   held in its queue until [`DataCache::would_accept`] turns true, so a
+//!   fired request is never refused.
 
 use crate::op::{Op, OpToken};
 use crate::trace::{TraceLog, TraceRecord};
+use skipit_dcache::req::DcReqKind;
 use skipit_dcache::{DataCache, DcReq, DcResp, ReqId, ReqOutcome};
 use skipit_tilelink::LineAddr;
 use skipit_trace::{TraceEvent, TraceSink};
@@ -22,8 +25,6 @@ pub struct LsuConfig {
     pub ldq_depth: usize,
     /// STQ capacity (SonicBOOM: 32, Fig. 2).
     pub stq_depth: usize,
-    /// Cycles to wait before retrying a nacked request.
-    pub retry_backoff: u64,
     /// Loads fired per cycle (the LSU fires two requests per cycle, §3.2).
     pub fire_width: usize,
 }
@@ -33,7 +34,6 @@ impl Default for LsuConfig {
         LsuConfig {
             ldq_depth: 32,
             stq_depth: 32,
-            retry_backoff: 2,
             fire_width: 2,
         }
     }
@@ -48,7 +48,6 @@ struct Entry {
     fired: bool,
     done: bool,
     value: u64,
-    retry_at: u64,
     issued_at: u64,
 }
 
@@ -165,7 +164,6 @@ impl Lsu {
             fired: false,
             done: false,
             value: 0,
-            retry_at: 0,
             issued_at: now,
         };
         if op.is_stq() {
@@ -268,10 +266,8 @@ impl Lsu {
         if head.op != Op::Fence || head.done {
             return;
         }
-        let fence_seq = head.seq;
         let token = head.token;
-        let older_loads = self.ldq.iter().any(|e| e.seq < fence_seq);
-        if !older_loads && !l1.is_flushing() {
+        if self.fence_may_commit(head.seq, l1) {
             self.stq.front_mut().expect("nonempty").done = true;
             skipit_trace::trace!(
                 self.events,
@@ -284,11 +280,17 @@ impl Lsu {
         }
     }
 
+    /// Whether the fence with sequence number `fence_seq` may commit: no
+    /// older load is outstanding and the flush counter is zero (§5.3).
+    fn fence_may_commit(&self, fence_seq: u64, l1: &DataCache) -> bool {
+        !self.ldq.iter().any(|e| e.seq < fence_seq) && !l1.is_flushing()
+    }
+
     fn fire_stq_head(&mut self, now: u64, l1: &mut DataCache) {
         let Some(head) = self.stq.front_mut() else {
             return;
         };
-        if head.fired || head.done || head.op == Op::Fence || now < head.retry_at {
+        if head.fired || head.done || head.op == Op::Fence {
             return;
         }
         let kind = head.op.to_dcache().expect("STQ op lowers to a request");
@@ -298,16 +300,8 @@ impl Lsu {
         if !l1.would_accept(kind) {
             return;
         }
-        match l1.try_request(
-            now,
-            DcReq {
-                id: head.req_id,
-                kind,
-            },
-        ) {
-            ReqOutcome::Accepted => head.fired = true,
-            ReqOutcome::Nack => head.retry_at = now + self.cfg.retry_backoff,
-        }
+        fire(self.core, now, l1, head, kind);
+        head.fired = true;
     }
 
     fn fire_loads(&mut self, now: u64, l1: &mut DataCache) {
@@ -317,7 +311,7 @@ impl Lsu {
                 break;
             }
             let e = self.ldq[i];
-            if e.fired || e.done || now < e.retry_at {
+            if e.fired || e.done {
                 continue;
             }
             match self.load_dependency(&e) {
@@ -335,10 +329,8 @@ impl Lsu {
                     if !l1.would_accept(kind) {
                         continue;
                     }
-                    match l1.try_request(now, DcReq { id: e.req_id, kind }) {
-                        ReqOutcome::Accepted => self.ldq[i].fired = true,
-                        ReqOutcome::Nack => self.ldq[i].retry_at = now + self.cfg.retry_backoff,
-                    }
+                    fire(self.core, now, l1, &e, kind);
+                    self.ldq[i].fired = true;
                     fired += 1;
                 }
             }
@@ -354,10 +346,6 @@ impl Lsu {
     /// progress is evented through the head (stores retire strictly in
     /// order, so every unblocking transition happens at an evented tick).
     pub fn next_event(&self, now: u64, l1: &DataCache) -> Option<u64> {
-        let mut next: Option<u64> = None;
-        let merge = |next: &mut Option<u64>, t: u64| {
-            *next = Some(next.map_or(t, |n| n.min(t)));
-        };
         if self.ldq.iter().any(|e| e.done) {
             return Some(now); // retire work pending
         }
@@ -366,27 +354,19 @@ impl Lsu {
                 return Some(now); // retire work pending
             }
             if head.op == Op::Fence {
-                // Mirror `commit_fence` exactly: a fence that could commit
-                // this cycle is an event; a blocked one is woken by the
-                // evented load completions / flush-counter drain.
-                if !self.ldq.iter().any(|e| e.seq < head.seq) && !l1.is_flushing() {
+                // A fence that could commit this cycle is an event; a
+                // blocked one is woken by the evented load completions /
+                // flush-counter drain.
+                if self.fence_may_commit(head.seq, l1) {
                     return Some(now);
                 }
-            } else if !head.fired {
-                if now < head.retry_at {
-                    merge(&mut next, head.retry_at);
-                } else if l1.would_accept(head.op.to_dcache().expect("STQ op lowers")) {
-                    return Some(now); // fire_stq_head fires this cycle
-                }
-                // Otherwise the head is held; the L1 transition that flips
-                // `would_accept` is evented by the cache itself.
+            } else if !head.fired && l1.would_accept(head.op.to_dcache().expect("STQ op lowers")) {
+                return Some(now); // fire_stq_head fires this cycle
             }
+            // Otherwise the head is held; the L1 transition that flips
+            // `would_accept` is evented by the cache itself.
         }
         for e in self.ldq.iter().filter(|e| !e.fired && !e.done) {
-            if now < e.retry_at {
-                merge(&mut next, e.retry_at);
-                continue;
-            }
             match self.load_dependency(e) {
                 LoadDep::Blocked => {}
                 LoadDep::Forward(_) => return Some(now),
@@ -397,7 +377,7 @@ impl Lsu {
                 }
             }
         }
-        next
+        None
     }
 
     /// Dependency check for a load against older STQ entries (§3.2): fences
@@ -431,6 +411,20 @@ impl Lsu {
     }
 }
 
+/// Fires entry `e` (lowered to `kind`) into core `core`'s L1. The LSU fires
+/// only what [`DataCache::would_accept`] admits, and that answer comes from
+/// the decision [`DataCache::try_request`] acts on, so a refusal here is an
+/// interlock bug and panics, like the run watchdog.
+fn fire(core: usize, now: u64, l1: &mut DataCache, e: &Entry, kind: DcReqKind) {
+    let outcome = l1.try_request(now, DcReq { id: e.req_id, kind });
+    assert_eq!(
+        outcome,
+        ReqOutcome::Accepted,
+        "core {core}: the L1 refused {:?}, which would_accept admitted",
+        e.op
+    );
+}
+
 enum LoadDep {
     Blocked,
     Forward(u64),
@@ -450,7 +444,6 @@ impl Codec for Entry {
         self.fired.encode(w);
         self.done.encode(w);
         self.value.encode(w);
-        self.retry_at.encode(w);
         self.issued_at.encode(w);
     }
     fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
@@ -462,7 +455,6 @@ impl Codec for Entry {
             fired: bool::decode(r)?,
             done: bool::decode(r)?,
             value: u64::decode(r)?,
-            retry_at: u64::decode(r)?,
             issued_at: u64::decode(r)?,
         })
     }

@@ -18,7 +18,7 @@
 //!
 //! ```text
 //! magic  "SKSN"            4 raw bytes
-//! version                  varint (currently 2)
+//! version                  varint (currently 3)
 //! config fingerprint       varint u64 (simulated-state-relevant config)
 //! payload                  component sections, each tagged
 //! ```
@@ -38,8 +38,9 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SKSN";
 
 /// Snapshot format version this build reads and writes. Version 2 dropped
 /// frontend tag 1 (the program frontend): programs run through the replay
-/// frontend, tag 2.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// frontend, tag 2. Version 3 dropped the LSU entries' retry cycle: the LSU
+/// holds a request until the L1 would accept it and never retries.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// A validated, self-describing byte image of a [`System`](crate::System)'s
 /// complete simulated state. Obtain one from
@@ -137,12 +138,12 @@ mod tests {
         );
     }
 
-    /// A real mid-run snapshot rewritten to version 1 (whose frontends may
-    /// carry the dropped tag 1) fails on its header as a version mismatch,
-    /// in [`Snapshot::from_bytes`] and in `System::restore` alike — never
-    /// as a corrupt frontend tag.
+    /// A real mid-run snapshot rewritten to the previous version (whose
+    /// LSU entries carry the dropped retry cycle) fails on its header as a
+    /// version mismatch, in [`Snapshot::from_bytes`] and in
+    /// `System::restore` alike — never as a corrupt LSU entry.
     #[test]
-    fn version_1_snapshot_is_a_version_mismatch() {
+    fn previous_version_snapshot_is_a_version_mismatch() {
         use crate::{Op, System, SystemConfig};
         let cfg = SystemConfig::default();
         let mut sys = System::new(cfg);
@@ -162,15 +163,15 @@ mod tests {
         })
         .unwrap();
         let mut bytes = bytes.expect("the run lasts past cycle 5");
-        assert_eq!(bytes[4], 2, "one-byte version varint after the magic");
-        bytes[4] = 1;
+        assert_eq!(bytes[4], 3, "one-byte version varint after the magic");
+        bytes[4] = 2;
         let mismatch = SnapError::BadVersion {
-            found: 1,
+            found: 2,
             expected: SNAPSHOT_VERSION,
         };
         assert_eq!(Snapshot::from_bytes(bytes.clone()), Err(mismatch.clone()));
-        let v1 = Snapshot { bytes };
-        assert_eq!(System::restore(&v1, &cfg).unwrap_err(), mismatch);
+        let v2 = Snapshot { bytes };
+        assert_eq!(System::restore(&v2, &cfg).unwrap_err(), mismatch);
     }
 
     #[test]

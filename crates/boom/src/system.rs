@@ -1593,64 +1593,6 @@ impl System {
         (enqueued, active)
     }
 
-    #[cfg(test)]
-    pub(crate) fn debug_event_blame(&self) -> Vec<&'static str> {
-        let now = self.now;
-        let mut blames = Vec::new();
-        for i in 0..self.cfg.cores {
-            if self.a[i].next_ready().is_some_and(|t| t <= now) {
-                if let Some(&ChannelA::AcquireBlock { addr, .. }) = self.a[i].peek(now) {
-                    if self.l2.can_accept_acquire(addr) {
-                        blames.push("A");
-                    }
-                }
-            }
-            if self.b[i].next_ready().is_some_and(|t| t <= now) && self.l1s[i].probe_rdy() {
-                blames.push("B");
-            }
-            if self.c[i].next_ready().is_some_and(|t| t <= now) {
-                blames.push("C");
-            }
-            if self.d[i].next_ready().is_some_and(|t| t <= now) {
-                blames.push("D");
-            }
-            if self.e[i].next_ready().is_some_and(|t| t <= now) {
-                blames.push("E");
-            }
-            if self.l1s[i]
-                .next_event(
-                    now,
-                    self.a[i].can_push(),
-                    self.c[i].can_push(),
-                    self.e[i].can_push(),
-                )
-                .is_some_and(|t| t <= now)
-            {
-                blames.push("L1");
-            }
-            if self.lsus[i]
-                .next_event(now, &self.l1s[i])
-                .is_some_and(|t| t <= now)
-            {
-                blames.push("LSU");
-            }
-            if self.frontend_next_event(i).is_some_and(|t| t <= now) {
-                blames.push("FE");
-            }
-        }
-        if self
-            .l2
-            .next_event(now, &self.dram, &self.b, &self.d)
-            .is_some_and(|t| t <= now)
-        {
-            blames.push("L2");
-        }
-        if self.dram.next_event(now).is_some_and(|t| t <= now) {
-            blames.push("DRAM");
-        }
-        blames
-    }
-
     /// Whether core `core`'s frontend has nothing left to do: its script
     /// drained (trailing think time included) or its worker returned, and
     /// its LSU is empty.
@@ -2135,76 +2077,6 @@ mod tests {
             },
             ..SystemConfig::default()
         })
-    }
-
-    #[test]
-    #[ignore = "diagnostic: per-cycle event-source histogram for fig09-shaped runs"]
-    fn blame_fig09_event_sources() {
-        for cores in [1usize, 8] {
-            let mut s = System::new(SystemConfig {
-                cores,
-                engine: EngineKind::Naive,
-                ..SystemConfig::default()
-            });
-            let lines: Vec<Vec<u64>> = (0..cores as u64)
-                .map(|t| {
-                    (0..512 / cores as u64)
-                        .map(|i| 0x100_0000 + t * 0x10_0000 + i * 64)
-                        .collect()
-                })
-                .collect();
-            let phases: [(&str, Vec<Vec<Op>>); 2] = [
-                (
-                    "dirty",
-                    lines
-                        .iter()
-                        .map(|ls| {
-                            ls.iter()
-                                .map(|&a| Op::Store { addr: a, value: a })
-                                .collect()
-                        })
-                        .collect(),
-                ),
-                (
-                    "writeback",
-                    lines
-                        .iter()
-                        .map(|ls| {
-                            let mut p: Vec<Op> =
-                                ls.iter().map(|&a| Op::Clean { addr: a }).collect();
-                            p.push(Op::Fence);
-                            p
-                        })
-                        .collect(),
-                ),
-            ];
-            for (name, progs) in phases {
-                let mut hist: std::collections::HashMap<&'static str, u64> = Default::default();
-                let mut busy = 0u64;
-                // The naive engine executes, so observes, every cycle up to
-                // the final boundary, where the frontends are done.
-                let total = s
-                    .run_programs_observed(progs, |s| {
-                        if s.frontends_done() {
-                            return Ok::<(), std::convert::Infallible>(());
-                        }
-                        let blames = s.debug_event_blame();
-                        busy += u64::from(!blames.is_empty());
-                        for b in if blames.is_empty() {
-                            vec!["idle"]
-                        } else {
-                            blames
-                        } {
-                            *hist.entry(b).or_default() += 1;
-                        }
-                        Ok(())
-                    })
-                    .unwrap();
-                let mut v: Vec<_> = hist.into_iter().collect();
-                v.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
-                eprintln!("cores={cores} phase={name}: {total} cycles, {busy} busy, {v:?}");
-            }
-        }
     }
 
     #[test]

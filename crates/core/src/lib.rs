@@ -79,6 +79,7 @@ pub use skipit_boom::{
 pub use skipit_dcache::{DataCache, FlushEntry, FlushUnit, Fshr, FshrState, L1Config, L1Stats};
 pub use skipit_llc::{InclusiveCache, L2Config, L2Stats};
 pub use skipit_mem::{Dram, DramConfig, MemStats};
+pub use skipit_tilelink::perturb::splitmix64;
 pub use skipit_tilelink::{
     ClientState, LineAddr, LineData, PerturbConfig, WritebackKind, LINE_BYTES, WORDS_PER_LINE,
 };

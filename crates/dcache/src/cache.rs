@@ -12,7 +12,8 @@
 //! MSHR (e.g. a committed store still waiting for its refill, which BOOM
 //! already counts as complete, §3.3) would make that snapshot unreliable in a
 //! way none of the paper's three interference mechanisms (§5.4) covers. The
-//! LSU simply retries, exactly as it does for a full flush queue.
+//! LSU holds the request until the cache would accept it, exactly as it
+//! does for a full flush queue.
 
 use crate::config::L1Config;
 use crate::flush::{FlushEntry, FlushUnit};
@@ -115,6 +116,34 @@ enum ProbePhase {
     /// Cycle 2+: wait for `flush_rdy` / `wb_rdy`, then perform the downgrade
     /// and send the ProbeAck.
     Waiting(ChannelB),
+}
+
+/// The path a request takes through [`DataCache::try_request`], as decided
+/// by [`DataCache::admit`].
+#[derive(Clone, Copy, Debug)]
+enum Admit {
+    /// Refused (a nack): a queue is full or a §3.3 / §5.3 rule forbids the
+    /// access this cycle.
+    Refuse,
+    /// Skip It (§6.1): the line is persisted; drop the writeback.
+    SkipDrop,
+    /// A queued same-kind request for the line absorbs this one (§5.3).
+    Coalesce,
+    /// The queued other-kind entry at this flush-queue index absorbs this
+    /// one (cross-kind coalescing).
+    CrossCoalesce(usize),
+    /// Buffer in the flush queue with the line's hit/dirty snapshot.
+    Enqueue { hit: bool, dirty: bool },
+    /// Load hit in this way.
+    LoadHit(usize),
+    /// Load forwarded this word from a filled FSHR data buffer (§5.3).
+    FshrForward(u64),
+    /// Store or AMO hit on a writable line in this way.
+    WriteHit(usize),
+    /// Join this MSHR's replay queue as a secondary request (§3.3).
+    Secondary(usize),
+    /// Allocate MSHR `slot` for the line in `way`.
+    Primary { slot: usize, way: usize },
 }
 
 /// A BOOM-style L1 data cache with the paper's flush unit and Skip It.
@@ -349,14 +378,10 @@ impl DataCache {
             // The invalidate half-cycle always progresses.
             ProbePhase::Invalidate(_) => return Some(now),
             ProbePhase::Waiting(ChannelB::Probe { addr, .. }) => {
-                // Mirrors the step_probe downgrade gate; every blocking
-                // input is evented on its own (FSHRs above, WBU via channel
-                // D, replaying MSHRs above, channel C via the L2 drain).
-                let mshr_busy = self.mshrs.iter().any(|m| {
-                    m.active_on(*addr)
-                        && matches!(m.state, MshrState::Replay | MshrState::SendGrantAck)
-                });
-                if flush_rdy && wb_rdy && !mshr_busy && c_rdy {
+                // Every blocking input is evented on its own (FSHRs above,
+                // WBU via channel D, replaying MSHRs above, channel C via
+                // the L2 drain).
+                if self.probe_may_downgrade(*addr, c_rdy) {
                     return Some(now);
                 }
             }
@@ -381,280 +406,225 @@ impl DataCache {
         self.resp.push_back((ready, resp));
     }
 
-    /// Whether [`DataCache::try_request`] would accept `kind` this cycle — a
-    /// pure mirror of every nack condition in the handlers below. The LSU
-    /// holds a request at its queue head while this is false instead of
-    /// firing into a nack and polling on a timed backoff: every transition
-    /// that can flip the answer is an L1 state change, which the event-driven
-    /// scheduler already observes, so a stalled head needs no self-event.
+    /// Whether [`DataCache::try_request`] would accept `kind` this cycle.
+    /// The LSU holds a request at its queue head while this is false
+    /// instead of firing into a nack: every transition that can flip the
+    /// answer is an L1 state change, which the event-driven scheduler
+    /// already observes, so a held head needs no self-event.
     pub fn would_accept(&self, kind: DcReqKind) -> bool {
+        !matches!(self.admit(kind), Admit::Refuse)
+    }
+
+    /// The one admission decision: the path `kind` takes this cycle, or
+    /// [`Admit::Refuse`]. It emits no trace event and changes no stat, so
+    /// [`DataCache::would_accept`] can ask it for the LSU and the wheel's
+    /// due bounds (DESIGN.md §8); [`DataCache::try_request`] acts on it.
+    fn admit(&self, kind: DcReqKind) -> Admit {
+        let line = LineAddr::containing(kind.addr());
+        let set = self.arrays.set_index(line);
         match kind {
-            DcReqKind::Writeback { addr, kind } => {
-                let line = LineAddr::containing(addr);
+            DcReqKind::Writeback { kind, .. } => {
+                // See module docs: metadata snapshots cannot be kept
+                // consistent across an in-flight MSHR refill for the line.
                 if self.mshrs.iter().any(|m| m.active_on(line)) {
-                    return false;
+                    return Admit::Refuse;
                 }
                 let (hit, dirty, skip) = match self.arrays.lookup(line) {
                     Some(way) => {
-                        let m = self.arrays.meta(self.arrays.set_index(line), way);
+                        let m = self.arrays.meta(set, way);
                         (true, m.state.is_dirty(), m.skip)
                     }
                     None => (false, false, false),
                 };
-                (self.cfg.skip_it && hit && !dirty && skip && kind.writes_back())
-                    || self.flush.can_coalesce(line, kind, dirty)
-                    || (self.cfg.cross_kind_coalescing
-                        && self.flush.can_cross_kind_coalesce(line, kind))
-                    || !self.flush.queue_full()
+                // Skip It (§6.1): hit ∧ ¬dirty ∧ skip ⇒ the line is
+                // persisted; drop the request before it ever enters the
+                // flush queue. CBO.INVAL is never droppable — its local
+                // invalidation is architecturally required even when the
+                // line is persisted.
+                if self.cfg.skip_it && hit && !dirty && skip && kind.writes_back() {
+                    return Admit::SkipDrop;
+                }
+                if self.flush.can_coalesce(line, kind) {
+                    return Admit::Coalesce;
+                }
+                // Cross-kind coalescing — the future work §5.3 names, behind
+                // a config switch (off reproduces the paper's hardware).
+                if self.cfg.cross_kind_coalescing {
+                    if let Some(idx) = self.flush.cross_kind_partner(line, kind) {
+                        return Admit::CrossCoalesce(idx);
+                    }
+                }
+                if self.flush.queue_full() {
+                    Admit::Refuse
+                } else {
+                    Admit::Enqueue { hit, dirty }
+                }
             }
             DcReqKind::Load { addr } => {
-                let line = LineAddr::containing(addr);
+                // A write MSHR on this line holds newer data than the
+                // (possibly still readable, stale Shared) array copy: the
+                // load must order behind it through the replay queue (§3.3's
+                // stronger-than-RVWMO same-line ordering).
                 if self
                     .mshrs
                     .iter()
                     .any(|m| m.active_on(line) && m.write && m.state != MshrState::SendGrantAck)
                 {
-                    return self.can_miss_enqueue(line, false);
+                    return self.admit_miss(line, false);
                 }
                 if let Some(way) = self.arrays.lookup(line) {
-                    let set = self.arrays.set_index(line);
+                    // Load hits proceed even against pending flush requests:
+                    // a hit changes no line state (§5.3).
                     if self.arrays.meta(set, way).state.can_read() {
-                        return true;
+                        return Admit::LoadHit(way);
                     }
                 }
+                // Miss: FSHR forwarding (§5.3) — a filled data buffer serves
+                // the load directly; an unfilled one postpones it.
                 if let Some(fshr) = self.flush.fshr_for(line) {
-                    return fshr.buffer.is_some();
+                    return match fshr.buffer {
+                        Some(buf) => Admit::FshrForward(buf.word(LineAddr::word_index(addr))),
+                        None => Admit::Refuse,
+                    };
                 }
+                // A queued flush entry's metadata snapshot must not be
+                // invalidated by our own miss handling (§5.3).
                 if self.flush.queued_entry(line).is_some() {
-                    return false;
+                    return Admit::Refuse;
                 }
-                self.can_miss_enqueue(line, false)
+                self.admit_miss(line, false)
             }
-            DcReqKind::Store { addr, .. } | DcReqKind::Amo { addr, .. } => {
-                let line = LineAddr::containing(addr);
-                if self.store_blocked_by_flush(line) {
-                    return false;
+            DcReqKind::Store { .. } | DcReqKind::Amo { .. } => {
+                // The §5.3 store rules against pending writebacks. Every FSHR
+                // active on the line must permit the store, not just the
+                // first one in scan order: a line can occupy several FSHRs at
+                // once (e.g. a missed CBO.CLEAN still awaiting its ack plus a
+                // just-dispatched CBO.FLUSH), and a disallowed flush shadowed
+                // behind an allowed clean must still block the store —
+                // otherwise the refilled line is later invalidated at the L2
+                // by the stale flush's RootRelease while the L1 holds it
+                // dirty, breaking inclusion.
+                if self.flush.queued_entry(line).is_some() || self.flush.fshr_blocks_store(line) {
+                    return Admit::Refuse;
                 }
                 if self.mshr_orders_line(line) {
-                    return self.can_miss_enqueue(line, true);
+                    return self.admit_miss(line, true);
                 }
                 if let Some(way) = self.arrays.lookup(line) {
-                    let set = self.arrays.set_index(line);
                     if self.arrays.meta(set, way).state.can_write() {
-                        return true;
+                        return Admit::WriteHit(way);
                     }
                 }
-                self.can_miss_enqueue(line, true)
+                // Miss or upgrade: the request becomes MSHR traffic.
+                self.admit_miss(line, true)
             }
         }
     }
 
-    /// Pure mirror of [`DataCache::miss_enqueue`]'s accept conditions.
-    fn can_miss_enqueue(&self, line: LineAddr, write: bool) -> bool {
-        if let Some(m) = self.mshrs.iter().find(|m| m.active_on(line)) {
-            return (!write || m.write) && m.rpq.len() < self.cfg.rpq_depth;
+    /// The MSHR half of [`DataCache::admit`]: join the line's MSHR as a
+    /// secondary request, or allocate a free MSHR and a way.
+    fn admit_miss(&self, line: LineAddr, write: bool) -> Admit {
+        // Secondary request (§3.3): permissions required must not exceed the
+        // primary's — "if the MSHR was allocated as a result of a load, it
+        // is unable to accept a store as a secondary request" — and the
+        // replay queue must have room.
+        if let Some(slot) = self.mshrs.iter().position(|m| m.active_on(line)) {
+            let m = &self.mshrs[slot];
+            return if (write && !m.write) || m.rpq.len() >= self.cfg.rpq_depth {
+                Admit::Refuse
+            } else {
+                Admit::Secondary(slot)
+            };
         }
-        self.mshrs.iter().any(|m| m.state == MshrState::Free)
-            && (self.arrays.lookup(line).is_some() || self.arrays.victim_way(line).is_some())
-    }
-
-    /// Pure mirror of [`DataCache::store_flush_conflict`].
-    fn store_blocked_by_flush(&self, line: LineAddr) -> bool {
-        self.flush.queued_entry(line).is_some() || self.flush.fshr_blocks_store(line)
+        let slot = self.mshrs.iter().position(|m| m.state == MshrState::Free);
+        // Upgrade in place if the line is already resident (Shared); fresh
+        // victim otherwise.
+        let way = self
+            .arrays
+            .lookup(line)
+            .or_else(|| self.arrays.victim_way(line));
+        match (slot, way) {
+            (Some(slot), Some(way)) => Admit::Primary { slot, way },
+            _ => Admit::Refuse,
+        }
     }
 
     /// Presents one LSU request to the cache. See [`ReqOutcome`] for the
     /// accept/nack contract; accepted requests answer through
     /// [`DataCache::pop_response`].
     pub fn try_request(&mut self, now: u64, req: DcReq) -> ReqOutcome {
-        match req.kind {
-            DcReqKind::Writeback { addr, kind } => self.handle_writeback(now, req.id, addr, kind),
-            DcReqKind::Load { addr } => self.handle_load(now, req, addr),
-            DcReqKind::Store { addr, value } => self.handle_store(now, req, addr, value),
-            DcReqKind::Amo { addr, .. } => self.handle_amo(now, req, addr),
-        }
-    }
-
-    fn handle_writeback(
-        &mut self,
-        now: u64,
-        id: u64,
-        addr: u64,
-        kind: skipit_tilelink::WritebackKind,
-    ) -> ReqOutcome {
-        let line = LineAddr::containing(addr);
-        // See module docs: metadata snapshots cannot be kept consistent
-        // across an in-flight MSHR refill for the same line.
-        if self.mshrs.iter().any(|m| m.active_on(line)) {
-            self.stats.nacks += 1;
-            return ReqOutcome::Nack;
-        }
-        let (hit, dirty, skip) = match self.arrays.lookup(line) {
-            Some(way) => {
-                let m = self.arrays.meta(self.arrays.set_index(line), way);
-                (true, m.state.is_dirty(), m.skip)
+        let id = req.id;
+        let line = LineAddr::containing(req.kind.addr());
+        let set = self.arrays.set_index(line);
+        let path = self.admit(req.kind);
+        match (path, req.kind) {
+            (Admit::Refuse, _) => {
+                self.stats.nacks += 1;
+                return ReqOutcome::Nack;
             }
-            None => (false, false, false),
-        };
-        // Skip It (§6.1): hit ∧ ¬dirty ∧ skip ⇒ the line is persisted; drop
-        // the request before it ever enters the flush queue. CBO.INVAL is
-        // never droppable — its local invalidation is architecturally
-        // required even when the line is persisted.
-        if self.cfg.skip_it && hit && !dirty && skip && kind.writes_back() {
-            self.stats.writebacks_skipped += 1;
-            skipit_trace::trace!(
-                self.sink,
-                now,
-                TraceEvent::WritebackDropped {
-                    core: self.core,
-                    addr: line.base(),
-                }
-            );
-            self.respond(now + 1, DcResp::WritebackAccepted { id });
-            return ReqOutcome::Accepted;
-        }
-        // Coalescing (§5.3): a same-kind pending request to the same line
-        // absorbs this one.
-        if self.flush.can_coalesce(line, kind, dirty) {
-            self.stats.writebacks_coalesced += 1;
-            skipit_trace::trace!(
-                self.sink,
-                now,
-                TraceEvent::FlushCoalesce {
-                    core: self.core,
-                    addr: line.base(),
-                    kind: wb_kind_name(kind),
-                }
-            );
-            self.respond(now + 1, DcResp::WritebackAccepted { id });
-            return ReqOutcome::Accepted;
-        }
-        // Cross-kind coalescing — the future work §5.3 names, behind a
-        // config switch (off reproduces the paper's hardware).
-        if self.cfg.cross_kind_coalescing && self.flush.try_cross_kind_coalesce(line, kind) {
-            self.stats.writebacks_coalesced += 1;
-            skipit_trace::trace!(
-                self.sink,
-                now,
-                TraceEvent::FlushCoalesce {
-                    core: self.core,
-                    addr: line.base(),
-                    kind: wb_kind_name(kind),
-                }
-            );
-            self.respond(now + 1, DcResp::WritebackAccepted { id });
-            return ReqOutcome::Accepted;
-        }
-        if self.flush.queue_full() {
-            self.stats.nacks += 1;
-            return ReqOutcome::Nack;
-        }
-        self.flush.enqueue(FlushEntry {
-            addr: line,
-            is_hit: hit,
-            is_dirty: dirty,
-            kind,
-        });
-        self.stats.writebacks_enqueued += 1;
-        skipit_trace::trace!(
-            self.sink,
-            now,
-            TraceEvent::FlushEnqueue {
-                core: self.core,
-                addr: line.base(),
-                kind: wb_kind_name(kind),
+            (Admit::SkipDrop, _) => {
+                self.stats.writebacks_skipped += 1;
+                skipit_trace::trace!(
+                    self.sink,
+                    now,
+                    TraceEvent::WritebackDropped {
+                        core: self.core,
+                        addr: line.base(),
+                    }
+                );
+                self.respond(now + 1, DcResp::WritebackAccepted { id });
             }
-        );
-        self.respond(now + 1, DcResp::WritebackAccepted { id });
-        ReqOutcome::Accepted
-    }
-
-    fn handle_load(&mut self, now: u64, req: DcReq, addr: u64) -> ReqOutcome {
-        let line = LineAddr::containing(addr);
-        let word = LineAddr::word_index(addr);
-        // A write MSHR on this line holds newer data than the (possibly
-        // still readable, stale Shared) array copy: the load must order
-        // behind it through the replay queue (§3.3's stronger-than-RVWMO
-        // same-line ordering).
-        if self
-            .mshrs
-            .iter()
-            .any(|m| m.active_on(line) && m.write && m.state != MshrState::SendGrantAck)
-        {
-            return self.miss_enqueue(now, req, line, false);
-        }
-        if let Some(way) = self.arrays.lookup(line) {
-            let set = self.arrays.set_index(line);
-            if self.arrays.meta(set, way).state.can_read() {
-                // Load hits proceed even against pending flush requests: a
-                // hit changes no line state (§5.3).
-                let value = self.arrays.line(set, way).word(word);
+            (Admit::Coalesce | Admit::CrossCoalesce(_), DcReqKind::Writeback { kind, .. }) => {
+                if let Admit::CrossCoalesce(idx) = path {
+                    self.flush.cross_kind_absorb(idx, kind);
+                }
+                self.stats.writebacks_coalesced += 1;
+                skipit_trace::trace!(
+                    self.sink,
+                    now,
+                    TraceEvent::FlushCoalesce {
+                        core: self.core,
+                        addr: line.base(),
+                        kind: wb_kind_name(kind),
+                    }
+                );
+                self.respond(now + 1, DcResp::WritebackAccepted { id });
+            }
+            (Admit::Enqueue { hit, dirty }, DcReqKind::Writeback { kind, .. }) => {
+                self.flush.enqueue(FlushEntry {
+                    addr: line,
+                    is_hit: hit,
+                    is_dirty: dirty,
+                    kind,
+                });
+                self.stats.writebacks_enqueued += 1;
+                skipit_trace::trace!(
+                    self.sink,
+                    now,
+                    TraceEvent::FlushEnqueue {
+                        core: self.core,
+                        addr: line.base(),
+                        kind: wb_kind_name(kind),
+                    }
+                );
+                self.respond(now + 1, DcResp::WritebackAccepted { id });
+            }
+            (Admit::LoadHit(way), DcReqKind::Load { addr }) => {
+                let value = self.arrays.line(set, way).word(LineAddr::word_index(addr));
                 self.arrays.touch(set, way);
                 self.stats.loads += 1;
                 self.stats.load_hits += 1;
-                self.respond(
-                    now + self.cfg.hit_latency,
-                    DcResp::LoadDone { id: req.id, value },
-                );
-                return ReqOutcome::Accepted;
+                self.respond(now + self.cfg.hit_latency, DcResp::LoadDone { id, value });
             }
-        }
-        // Miss: FSHR forwarding (§5.3) — a filled data buffer serves the
-        // load directly; an unfilled one postpones it.
-        if let Some(fshr) = self.flush.fshr_for(line) {
-            return if let Some(buf) = fshr.buffer {
+            (Admit::FshrForward(value), _) => {
                 self.stats.loads += 1;
                 self.stats.load_fshr_forwards += 1;
-                self.respond(
-                    now + self.cfg.hit_latency,
-                    DcResp::LoadDone {
-                        id: req.id,
-                        value: buf.word(word),
-                    },
-                );
-                ReqOutcome::Accepted
-            } else {
-                self.stats.nacks += 1;
-                ReqOutcome::Nack
-            };
-        }
-        // A queued flush entry's metadata snapshot must not be invalidated
-        // by our own miss handling (§5.3).
-        if self.flush.queued_entry(line).is_some() {
-            self.stats.nacks += 1;
-            return ReqOutcome::Nack;
-        }
-        self.miss_enqueue(now, req, line, false)
-    }
-
-    /// Whether an MSHR on `line` may still hold buffered (unreplayed)
-    /// requests — in which case *all* new same-line traffic must order
-    /// through its replay queue, or a retried young op could slip ahead of
-    /// an older buffered one.
-    fn mshr_orders_line(&self, line: LineAddr) -> bool {
-        self.mshrs
-            .iter()
-            .any(|m| m.active_on(line) && m.state != MshrState::SendGrantAck)
-    }
-
-    fn handle_store(&mut self, now: u64, req: DcReq, addr: u64, value: u64) -> ReqOutcome {
-        let line = LineAddr::containing(addr);
-        if let Some(nack) = self.store_flush_conflict(line) {
-            return nack;
-        }
-        if self.mshr_orders_line(line) {
-            let outcome = self.miss_enqueue(now, req, line, true);
-            if outcome == ReqOutcome::Accepted {
-                self.stats.stores += 1;
-                self.respond(now + 1, DcResp::StoreDone { id: req.id });
+                self.respond(now + self.cfg.hit_latency, DcResp::LoadDone { id, value });
             }
-            return outcome;
-        }
-        let word = LineAddr::word_index(addr);
-        if let Some(way) = self.arrays.lookup(line) {
-            let set = self.arrays.set_index(line);
-            if self.arrays.meta(set, way).state.can_write() {
-                self.arrays.line_mut(set, way).set_word(word, value);
+            (Admit::WriteHit(way), DcReqKind::Store { addr, value }) => {
+                self.arrays
+                    .line_mut(set, way)
+                    .set_word(LineAddr::word_index(addr), value);
                 let m = self.arrays.meta_mut(set, way);
                 m.state = ClientState::Modified;
                 if m.skip {
@@ -673,49 +643,35 @@ impl DataCache {
                 self.flush.note_line_touched(line);
                 self.stats.stores += 1;
                 self.stats.store_hits += 1;
-                self.respond(now + self.cfg.hit_latency, DcResp::StoreDone { id: req.id });
-                return ReqOutcome::Accepted;
+                self.respond(now + self.cfg.hit_latency, DcResp::StoreDone { id });
             }
-        }
-        // Miss or upgrade: store becomes MSHR traffic; it is "complete" from
-        // the core's perspective the moment it is buffered (§3.3).
-        let outcome = self.miss_enqueue(now, req, line, true);
-        if outcome == ReqOutcome::Accepted {
-            self.stats.stores += 1;
-            self.respond(now + 1, DcResp::StoreDone { id: req.id });
-        }
-        outcome
-    }
-
-    fn handle_amo(&mut self, now: u64, req: DcReq, addr: u64) -> ReqOutcome {
-        let line = LineAddr::containing(addr);
-        if let Some(nack) = self.store_flush_conflict(line) {
-            return nack;
-        }
-        if self.mshr_orders_line(line) {
-            let outcome = self.miss_enqueue(now, req, line, true);
-            if outcome == ReqOutcome::Accepted {
-                self.stats.amos += 1;
-            }
-            return outcome;
-        }
-        if let Some(way) = self.arrays.lookup(line) {
-            let set = self.arrays.set_index(line);
-            if self.arrays.meta(set, way).state.can_write() {
+            (Admit::WriteHit(way), DcReqKind::Amo { .. }) => {
                 let old = self.execute_amo(now, line, way, req);
                 self.stats.amos += 1;
-                self.respond(
-                    now + self.cfg.hit_latency,
-                    DcResp::AmoDone { id: req.id, old },
-                );
-                return ReqOutcome::Accepted;
+                self.respond(now + self.cfg.hit_latency, DcResp::AmoDone { id, old });
             }
+            (Admit::Secondary(slot), _) => {
+                self.mshrs[slot].rpq.push_back(req);
+                self.stats.mshr_secondaries += 1;
+                self.count_buffered(now, req);
+            }
+            (Admit::Primary { slot, way }, _) => {
+                self.allocate_mshr(now, req, line, slot, way);
+                self.count_buffered(now, req);
+            }
+            (path, kind) => unreachable!("admission path {path:?} for {kind:?}"),
         }
-        let outcome = self.miss_enqueue(now, req, line, true);
-        if outcome == ReqOutcome::Accepted {
-            self.stats.amos += 1;
-        }
-        outcome
+        ReqOutcome::Accepted
+    }
+
+    /// Whether an MSHR on `line` may still hold buffered (unreplayed)
+    /// requests — in which case *all* new same-line traffic must order
+    /// through its replay queue, or a held young op could slip ahead of an
+    /// older buffered one.
+    fn mshr_orders_line(&self, line: LineAddr) -> bool {
+        self.mshrs
+            .iter()
+            .any(|m| m.active_on(line) && m.state != MshrState::SendGrantAck)
     }
 
     /// Applies an AMO to a resident, writable line; returns the old value.
@@ -753,60 +709,23 @@ impl DataCache {
         old
     }
 
-    /// The §5.3 store rules against pending writebacks. Returns
-    /// `Some(Nack)` when the store must be refused.
-    ///
-    /// Every FSHR active on the line must permit the store, not just the
-    /// first one in scan order: a line can occupy several FSHRs at once
-    /// (e.g. a missed CBO.CLEAN still awaiting its ack plus a just-
-    /// dispatched CBO.FLUSH), and a disallowed flush shadowed behind an
-    /// allowed clean must still block the store — otherwise the refilled
-    /// line is later invalidated at the L2 by the stale flush's
-    /// RootRelease while the L1 holds it dirty, breaking inclusion.
-    fn store_flush_conflict(&mut self, line: LineAddr) -> Option<ReqOutcome> {
-        if self.flush.queued_entry(line).is_some() || self.flush.fshr_blocks_store(line) {
-            self.stats.nacks += 1;
-            return Some(ReqOutcome::Nack);
+    /// Accounting for a request buffered in an MSHR: a store is complete
+    /// from the core's perspective the moment it is buffered (§3.3); a load
+    /// or AMO answers when its replay executes.
+    fn count_buffered(&mut self, now: u64, req: DcReq) {
+        match req.kind {
+            DcReqKind::Store { .. } => {
+                self.stats.stores += 1;
+                self.respond(now + 1, DcResp::StoreDone { id: req.id });
+            }
+            DcReqKind::Amo { .. } => self.stats.amos += 1,
+            DcReqKind::Load { .. } | DcReqKind::Writeback { .. } => {}
         }
-        None
     }
 
-    /// Allocates an MSHR or appends to an existing one's replay queue.
-    fn miss_enqueue(&mut self, now: u64, req: DcReq, line: LineAddr, write: bool) -> ReqOutcome {
-        // Secondary request (§3.3): permissions required must not exceed the
-        // primary's.
-        if let Some(m) = self.mshrs.iter_mut().find(|m| m.active_on(line)) {
-            if write && !m.write {
-                // "if the MSHR was allocated as a result of a load, it is
-                // unable to accept a store as a secondary request" (§3.3).
-                self.stats.nacks += 1;
-                return ReqOutcome::Nack;
-            }
-            if m.rpq.len() >= self.cfg.rpq_depth {
-                self.stats.nacks += 1;
-                return ReqOutcome::Nack;
-            }
-            m.rpq.push_back(req);
-            self.stats.mshr_secondaries += 1;
-            return ReqOutcome::Accepted;
-        }
-        // Primary allocation.
-        let Some(slot) = self.mshrs.iter().position(|m| m.state == MshrState::Free) else {
-            self.stats.nacks += 1;
-            return ReqOutcome::Nack;
-        };
-        // Upgrade in place if the line is already resident (Shared); fresh
-        // victim otherwise.
-        let way = match self.arrays.lookup(line) {
-            Some(way) => way,
-            None => match self.arrays.victim_way(line) {
-                Some(way) => way,
-                None => {
-                    self.stats.nacks += 1;
-                    return ReqOutcome::Nack;
-                }
-            },
-        };
+    /// Allocates MSHR `slot` for `line` in `way` with `req` as its primary
+    /// request.
+    fn allocate_mshr(&mut self, now: u64, req: DcReq, line: LineAddr, slot: usize, way: usize) {
         let set = self.arrays.set_index(line);
         let victim_valid = {
             let m = self.arrays.meta(set, way);
@@ -816,7 +735,7 @@ impl DataCache {
         let m = &mut self.mshrs[slot];
         m.addr = line;
         m.way = way;
-        m.write = write;
+        m.write = req.kind.needs_write();
         m.rpq.clear();
         m.rpq.push_back(req);
         m.state = if victim_valid {
@@ -834,7 +753,6 @@ impl DataCache {
                 addr: line.base(),
             }
         );
-        ReqOutcome::Accepted
     }
 
     /// Advances the cache by one cycle against its TileLink ports.
@@ -1105,6 +1023,19 @@ impl DataCache {
         }
     }
 
+    /// The downgrade gate of a probe for `addr` in its `Waiting` phase:
+    /// held while an FSHR is mid-flight (`flush_rdy`), the WBU is busy
+    /// (`wb_rdy`), an MSHR is replaying this line, or channel C is full
+    /// (`c_rdy`).
+    fn probe_may_downgrade(&self, addr: LineAddr, c_rdy: bool) -> bool {
+        c_rdy
+            && self.flush.flush_rdy()
+            && self.wbu.ready()
+            && !self.mshrs.iter().any(|m| {
+                m.active_on(addr) && matches!(m.state, MshrState::Replay | MshrState::SendGrantAck)
+            })
+    }
+
     fn step_probe(&mut self, now: u64, ports: &mut L1Ports<'_>) {
         match std::mem::take(&mut self.probe) {
             ProbePhase::Idle => {
@@ -1135,15 +1066,7 @@ impl DataCache {
             }
             ProbePhase::Waiting(p) => {
                 let ChannelB::Probe { addr, cap, .. } = p;
-                // Held while an FSHR is mid-flight (flush_rdy), the WBU is
-                // busy (wb_rdy), an MSHR is replaying this line, or the C
-                // channel is full.
-                let mshr_busy = self.mshrs.iter().any(|m| {
-                    m.active_on(addr)
-                        && matches!(m.state, MshrState::Replay | MshrState::SendGrantAck)
-                });
-                if !self.flush.flush_rdy() || !self.wbu.ready() || mshr_busy || !ports.c.can_push()
-                {
+                if !self.probe_may_downgrade(addr, ports.c.can_push()) {
                     self.probe = ProbePhase::Waiting(p);
                     return;
                 }

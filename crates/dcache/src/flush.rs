@@ -252,48 +252,36 @@ impl FlushUnit {
     /// coalescible ("pending flush request" = queued): the FSHR may already
     /// have released the line, so a later writeback must take its own trip —
     /// which is exactly the redundancy Skip It eliminates (§7.4).
-    pub fn can_coalesce(&self, addr: LineAddr, kind: WritebackKind, _line_dirty_now: bool) -> bool {
+    pub fn can_coalesce(&self, addr: LineAddr, kind: WritebackKind) -> bool {
         self.queue.iter().any(|e| e.addr == addr && e.kind == kind)
     }
 
-    /// The §5.3 future-work optimization: coalesce a request with a queued
-    /// entry of the *other* kind. An arriving `CBO.FLUSH` upgrades a queued
-    /// `CBO.CLEAN` in place (flush subsumes clean — it writes back the same
-    /// data and additionally invalidates); an arriving `CBO.CLEAN` is
-    /// absorbed by a queued `CBO.FLUSH` (whose writeback already covers
-    /// every store ordered before the clean, since dependent stores are
-    /// blocked while the entry is queued).
-    ///
-    /// Whether [`FlushUnit::try_cross_kind_coalesce`] would absorb the
-    /// request — the same test without the upgrade side effect, for the
-    /// cache's admission predicate.
-    pub fn can_cross_kind_coalesce(&self, addr: LineAddr, kind: WritebackKind) -> bool {
-        kind != WritebackKind::Inval
-            && self
-                .queue
-                .iter()
-                .any(|e| e.addr == addr && e.kind != kind && e.kind != WritebackKind::Inval)
+    /// The §5.3 future-work optimization: the queue index of a queued entry
+    /// of the *other* kind that absorbs a `kind` request for `addr`. An
+    /// arriving `CBO.FLUSH` upgrades a queued `CBO.CLEAN` in place (flush
+    /// subsumes clean — it writes back the same data and additionally
+    /// invalidates; see [`FlushUnit::cross_kind_absorb`]); an arriving
+    /// `CBO.CLEAN` is absorbed by a queued `CBO.FLUSH` (whose writeback
+    /// already covers every store ordered before the clean, since dependent
+    /// stores are blocked while the entry is queued). `CBO.INVAL` discards
+    /// data, so it never absorbs or is absorbed by a writeback-carrying
+    /// request.
+    pub(crate) fn cross_kind_partner(&self, addr: LineAddr, kind: WritebackKind) -> Option<usize> {
+        if kind == WritebackKind::Inval {
+            return None;
+        }
+        self.queue
+            .iter()
+            .position(|e| e.addr == addr && e.kind != kind && e.kind != WritebackKind::Inval)
     }
 
-    /// Returns `true` if the request was absorbed.
-    pub fn try_cross_kind_coalesce(&mut self, addr: LineAddr, kind: WritebackKind) -> bool {
-        if kind == WritebackKind::Inval {
-            // CBO.INVAL discards data: it can never be absorbed by (or
-            // absorb) a writeback-carrying request.
-            return false;
-        }
-        let Some(e) = self
-            .queue
-            .iter_mut()
-            .find(|e| e.addr == addr && e.kind != kind && e.kind != WritebackKind::Inval)
-        else {
-            return false;
-        };
+    /// Absorbs a `kind` request into the queued entry at `idx`, as found by
+    /// [`FlushUnit::cross_kind_partner`]: a `CBO.FLUSH` upgrades the queued
+    /// clean to a flush.
+    pub(crate) fn cross_kind_absorb(&mut self, idx: usize, kind: WritebackKind) {
         if kind == WritebackKind::Flush {
-            // Upgrade: the queued clean becomes a flush.
-            e.kind = WritebackKind::Flush;
+            self.queue[idx].kind = WritebackKind::Flush;
         }
-        true
     }
 
     /// Buffers a request; increments the flush counter.
@@ -301,7 +289,7 @@ impl FlushUnit {
     /// # Panics
     ///
     /// Panics if the queue is full — callers must check
-    /// [`FlushUnit::queue_full`] and nack the LSU instead (§5.2).
+    /// [`FlushUnit::queue_full`] and refuse the request instead (§5.2).
     pub fn enqueue(&mut self, entry: FlushEntry) {
         assert!(!self.queue_full(), "flush queue overflow");
         self.queue.push_back(entry);
@@ -681,9 +669,8 @@ impl FlushUnit {
         !self.queue.is_empty() && probe_rdy && wb_rdy && free
     }
 
-    /// Drops one pending unit of work without executing it (used when a
-    /// request is eliminated after enqueue — not currently reachable, kept
-    /// for the dependability tests).
+    /// The flush counter (§5.2): `CBO.X` requests queued or executing in an
+    /// FSHR. A fence commits only once it reads zero (§5.3).
     #[doc(hidden)]
     pub fn counter_value(&self) -> u64 {
         self.counter
@@ -768,9 +755,9 @@ mod tests {
     fn coalescing_same_kind_only() {
         let mut fu = unit();
         fu.enqueue(entry(0x40, true, true, WritebackKind::Clean));
-        assert!(fu.can_coalesce(LineAddr::new(0x40), WritebackKind::Clean, true));
-        assert!(!fu.can_coalesce(LineAddr::new(0x40), WritebackKind::Flush, true));
-        assert!(!fu.can_coalesce(LineAddr::new(0x80), WritebackKind::Clean, true));
+        assert!(fu.can_coalesce(LineAddr::new(0x40), WritebackKind::Clean));
+        assert!(!fu.can_coalesce(LineAddr::new(0x40), WritebackKind::Flush));
+        assert!(!fu.can_coalesce(LineAddr::new(0x80), WritebackKind::Clean));
     }
 
     #[test]
@@ -1100,10 +1087,11 @@ mod inval_tests {
             is_dirty: true,
             kind: WritebackKind::Clean,
         });
-        assert!(!fu.try_cross_kind_coalesce(LineAddr::new(0x40), WritebackKind::Inval));
+        let partner = |fu: &FlushUnit, addr, kind| fu.cross_kind_partner(LineAddr::new(addr), kind);
+        assert_eq!(partner(&fu, 0x40, WritebackKind::Inval), None);
         fu.enqueue(entry(0x80, true, false));
-        assert!(!fu.try_cross_kind_coalesce(LineAddr::new(0x80), WritebackKind::Flush));
-        assert!(!fu.try_cross_kind_coalesce(LineAddr::new(0x80), WritebackKind::Clean));
+        assert_eq!(partner(&fu, 0x80, WritebackKind::Flush), None);
+        assert_eq!(partner(&fu, 0x80, WritebackKind::Clean), None);
     }
 }
 

@@ -91,9 +91,11 @@ pub enum ReqOutcome {
     /// respond immediately even though their effect completes later —
     /// matching the BOOM commit semantics (§3.3, §5.2).
     Accepted,
-    /// Negative acknowledgement: the LSU must retry later (§3.3). Issued when
-    /// MSHRs / replay queues / the flush queue are full, or when the flush
-    /// unit's consistency rules (§5.3) forbid the access.
+    /// Negative acknowledgement (§3.3): the request was refused and changed
+    /// nothing. Issued when MSHRs / replay queues / the flush queue are
+    /// full, or when the flush unit's consistency rules (§5.3) forbid the
+    /// access. The LSU never sees one: it fires only what
+    /// [`DataCache::would_accept`](crate::DataCache::would_accept) admits.
     Nack,
 }
 

@@ -25,16 +25,9 @@ pub const MAX_LEVEL: usize = 8;
 
 const TAIL_KEY: u64 = 1 << 62;
 
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Deterministic tower height for `key` (1..=MAX_LEVEL, geometric).
 pub fn level_of(key: u64) -> usize {
-    ((splitmix(key).trailing_ones() as usize) + 1).min(MAX_LEVEL)
+    ((skipit_core::splitmix64(key).trailing_ones() as usize) + 1).min(MAX_LEVEL)
 }
 
 /// The lock-free skiplist. See [module docs](self).

@@ -6,15 +6,7 @@
 //! host thread count — determinism is by construction, not by synchronizing
 //! generators at run time.
 
-/// One SplitMix64 scramble step (also usable standalone to derive
-/// sub-seeds from a master seed).
-#[inline]
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+pub use skipit_core::splitmix64;
 
 /// A SplitMix64 pseudo-random stream.
 #[derive(Clone, Debug)]
@@ -31,11 +23,9 @@ impl SplitMix64 {
     /// Next 64 uniform bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let z = self.state;
+        self.state = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        splitmix64(z)
     }
 
     /// Uniform in `[0, 1)` with 53 bits of precision.

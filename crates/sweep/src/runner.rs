@@ -112,14 +112,10 @@ impl Sweep {
     }
 }
 
-/// SplitMix64 — the standard cheap seed mixer; full-period, so distinct
+/// SplitMix64 — the standard cheap seed mixer; a bijection, so distinct
 /// point indices never collide.
 fn mix_seed(sweep_seed: u64, index: usize) -> u64 {
-    let mut z = sweep_seed ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    skipit_core::splitmix64(sweep_seed ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
 /// One unit of work on the shared task queue.

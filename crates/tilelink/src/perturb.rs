@@ -23,8 +23,9 @@
 //! A default (all-zero) config draws nothing at all: the simulation is
 //! bit-identical to an unperturbed one.
 
-/// SplitMix64 — the statelesss mixing function behind every perturbation
-/// draw (and the sweep runner's per-point seed derivation).
+/// SplitMix64 — the stateless mixing function behind every perturbation
+/// draw, the sweep runner's per-point seeds, the service request streams
+/// and the skiplist's tower heights.
 #[inline]
 pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);

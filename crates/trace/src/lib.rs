@@ -12,9 +12,10 @@
 //!
 //! Events are emitted **only from state-mutating code paths** (an FSHR
 //! changing state, a message entering or leaving a link, an MSHR being
-//! allocated…), never from the pure `next_event` / `would_accept` mirrors
-//! the fast-forward engine plans with. Since the fast engine only skips
-//! cycles on which no component mutates state, the emitted stream — modulo
+//! allocated…), never from the pure `next_event` bounds or the L1's
+//! admission decision (`would_accept`) the fast-forward engine plans with.
+//! Since the fast engine only skips cycles on which no component mutates
+//! state, the emitted stream — modulo
 //! the engine's own [`TraceEvent::FastForwardJump`] markers — is
 //! bit-identical between the naive and fast-forward engines. Tracing can
 //! therefore never perturb (or even observe a difference in) simulation.
