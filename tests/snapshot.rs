@@ -1,6 +1,8 @@
 //! Snapshot round trips on real runs, checked from the public surface: a
 //! traced mid-run restore finishes as the uninterrupted run does (event
-//! stream included), and a warm-started sweep equals its cold twin.
+//! stream included), a warm-started sweep equals its cold twin, and the
+//! bytes of every snapshot of a small perturbed run match pinned
+//! constants.
 
 use skipit::prelude::*;
 use skipit::{prefill_snapshot, run_set_benchmark, run_set_benchmark_warm, warm_key};
@@ -140,4 +142,95 @@ fn warm_started_grid_matches_cold() {
     );
     assert_eq!(warm.warm_sizes().len(), 1, "the four points share one fill");
     assert_eq!(cold.to_json(), warm.to_json());
+}
+
+/// FNV-1a over `bytes`, folded into `h`. Computed here rather than with
+/// `DefaultHasher`, whose output Rust does not promise to keep across
+/// releases.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// The snapshot bytes minus the header's configuration fingerprint: that
+/// varint hashes the configs' `Debug` text with `DefaultHasher`, so it is
+/// neither part of the wire format nor stable across toolchains.
+fn without_fingerprint(bytes: &[u8]) -> (&[u8], &[u8]) {
+    let (head, rest) = bytes.split_at(4 + 1); // magic, one-byte version
+    let len = rest.iter().position(|b| b & 0x80 == 0).expect("varint") + 1;
+    (head, &rest[len..])
+}
+
+/// Pins the snapshot wire format: every byte of a snapshot taken at every
+/// cycle of a small, perturbed, 4-core Skip It run. The programs use every
+/// `Op` kind on shared lines, and the tiny caches make the run evict,
+/// probe and defer through the L2's list buffer, so every codec section
+/// carries live state. The naive engine executes every cycle, so the pin
+/// does not move with the wheel's skipping decisions. A mismatch means the
+/// encoding changed.
+#[test]
+fn snapshot_wire_format_is_pinned() {
+    use skipit::core::{L1Config, L2Config, PerturbConfig};
+
+    let seed = 3;
+    let mut programs = Scenario::SharedLines.programs(seed, 4);
+    for (core, (p, storm)) in programs
+        .iter_mut()
+        .zip(Scenario::FlushStorm.programs(seed, 4))
+        .enumerate()
+    {
+        p.extend(storm.into_iter().take(40));
+        let addr = 0x5_0000 + 64 * core as u64;
+        p.extend([
+            Op::FetchAdd { addr, operand: 3 },
+            Op::Swap { addr, operand: 9 },
+            Op::Nop { cycles: 5 },
+            Op::Inval { addr },
+            Op::Fence,
+        ]);
+    }
+    let mut sys = SystemBuilder::new()
+        .cores(4)
+        .engine(EngineKind::Naive)
+        .l1(L1Config {
+            sets: 4,
+            ways: 2,
+            mshrs: 2,
+            rpq_depth: 2,
+            flush_queue_depth: 2,
+            fshrs: 2,
+            skip_it: true,
+            ..L1Config::default()
+        })
+        .l2(L2Config {
+            sets: 4,
+            ways: 2,
+            mshrs: 4,
+            list_buffer_depth: 4,
+            ..L2Config::default()
+        })
+        .perturb(PerturbConfig::exploring(seed))
+        .build();
+    let (mut count, mut total, mut hash) = (0u64, 0u64, 0xcbf2_9ce4_8422_2325u64);
+    sys.run_programs_observed(programs, |s: &System| {
+        let snap = s.snapshot().expect("program-mode snapshot");
+        let (head, body) = without_fingerprint(snap.as_bytes());
+        count += 1;
+        total += (head.len() + body.len()) as u64;
+        hash = fnv1a(fnv1a(hash, head), body);
+        Ok::<(), std::convert::Infallible>(())
+    })
+    .unwrap();
+
+    let stats = sys.stats();
+    assert!(stats.l2.evictions > 0 && stats.l2.probes_sent > 0 && stats.l2.list_buffered > 0);
+    assert!(stats.l1.iter().any(|l1| l1.evictions > 0));
+    assert_eq!(
+        (count, total, hash),
+        (5325, 52_109_115, 0xe206_b266_66b2_72e7),
+        "snapshot wire format changed: bump SNAPSHOT_VERSION and re-pin"
+    );
 }
