@@ -30,7 +30,6 @@ pub mod handle;
 pub mod lsu;
 pub mod op;
 pub mod prof;
-mod snap;
 pub mod snapshot;
 pub mod system;
 pub mod trace;

@@ -433,32 +433,18 @@ enum LoadDep {
 
 // --- snapshot codec (DESIGN.md §11) ---
 
-use skipit_snap::{Codec, SnapError, SnapReader, SnapWriter};
+use skipit_snap::{codec, Codec, SnapError, SnapReader, SnapWriter};
 
-impl Codec for Entry {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.token.encode(w);
-        self.seq.encode(w);
-        self.op.encode(w);
-        self.req_id.encode(w);
-        self.fired.encode(w);
-        self.done.encode(w);
-        self.value.encode(w);
-        self.issued_at.encode(w);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Entry {
-            token: OpToken::decode(r)?,
-            seq: u64::decode(r)?,
-            op: Op::decode(r)?,
-            req_id: ReqId::decode(r)?,
-            fired: bool::decode(r)?,
-            done: bool::decode(r)?,
-            value: u64::decode(r)?,
-            issued_at: u64::decode(r)?,
-        })
-    }
-}
+codec!(Entry {
+    token,
+    seq,
+    op,
+    req_id,
+    fired,
+    done,
+    value,
+    issued_at,
+});
 
 impl Lsu {
     /// Encodes the LSU's simulated state: both queues, the sequence and

@@ -157,9 +157,23 @@ impl Op {
     }
 }
 
+skipit_snap::codec!(Op, "op opcode" {
+    0 => Load { addr },
+    1 => Store { addr, value },
+    2 => Cas { addr, expected, new },
+    3 => FetchAdd { addr, operand },
+    4 => Swap { addr, operand },
+    5 => Clean { addr },
+    6 => Flush { addr },
+    7 => Inval { addr },
+    8 => Fence,
+    9 => Nop { cycles },
+});
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skipit_snap::{Codec, SnapReader, SnapWriter};
 
     #[test]
     fn stq_routing() {
@@ -194,5 +208,56 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// Each op's encoding against its literal wire bytes, then decoded
+    /// back.
+    #[test]
+    fn every_op_roundtrips() {
+        let cases: [(Op, &[u8]); 10] = [
+            (Op::Load { addr: 0x40 }, &[0, 0x40]),
+            (
+                Op::Store {
+                    addr: 0x48,
+                    value: 7,
+                },
+                &[1, 0x48, 7],
+            ),
+            (
+                Op::Cas {
+                    addr: 0x50,
+                    expected: 1,
+                    new: 2,
+                },
+                &[2, 0x50, 1, 2],
+            ),
+            (
+                Op::FetchAdd {
+                    addr: 0x58,
+                    operand: 3,
+                },
+                &[3, 0x58, 3],
+            ),
+            (
+                Op::Swap {
+                    addr: 0x60,
+                    operand: 4,
+                },
+                &[4, 0x60, 4],
+            ),
+            (Op::Clean { addr: 0x68 }, &[5, 0x68]),
+            (Op::Flush { addr: 0x70 }, &[6, 0x70]),
+            (Op::Inval { addr: 0x78 }, &[7, 0x78]),
+            (Op::Fence, &[8]),
+            (Op::Nop { cycles: 300 }, &[9, 0xac, 0x02]),
+        ];
+        for (op, bytes) in cases {
+            let mut w = SnapWriter::new();
+            op.encode(&mut w);
+            assert_eq!(w.into_bytes(), bytes, "{op:?}");
+            let mut r = SnapReader::new(bytes);
+            assert_eq!(Op::decode(&mut r).unwrap(), op);
+            r.finish().unwrap();
+        }
     }
 }

@@ -1832,6 +1832,27 @@ impl System {
 use crate::snapshot::Snapshot;
 use skipit_snap::{Codec, SnapError, SnapReader, SnapWriter};
 
+/// [`EngineStats::phase`] is host wall-time attribution, not simulated
+/// state; it is not serialized and decodes to zero (matching the
+/// `PartialEq` contract, which ignores it).
+impl Codec for EngineStats {
+    fn encode(&self, w: &mut SnapWriter) {
+        self.skipped_cycles.encode(w);
+        self.jumps.encode(w);
+        self.component_steps.encode(w);
+        self.component_slots.encode(w);
+    }
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(EngineStats {
+            skipped_cycles: u64::decode(r)?,
+            jumps: u64::decode(r)?,
+            component_steps: u64::decode(r)?,
+            component_slots: u64::decode(r)?,
+            phase: PhaseProfile::default(),
+        })
+    }
+}
+
 impl Frontend {
     /// A worker frontend follows a live host future that no byte encoding
     /// can capture: [`System::snapshot`] refuses it before encoding, and
@@ -2831,5 +2852,25 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn engine_stats_roundtrip_zeroes_phase() {
+        let stats = EngineStats {
+            skipped_cycles: 10,
+            jumps: 2,
+            component_steps: 30,
+            component_slots: 99,
+            phase: PhaseProfile {
+                serial_ns: 123,
+                ..PhaseProfile::default()
+            },
+        };
+        let mut w = SnapWriter::new();
+        stats.encode(&mut w);
+        let bytes = w.into_bytes();
+        let decoded = EngineStats::decode(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(decoded, stats); // PartialEq ignores phase
+        assert_eq!(decoded.phase, PhaseProfile::default());
     }
 }

@@ -202,6 +202,8 @@ pub struct TimedOp {
     pub op: Op,
 }
 
+skipit_snap::codec!(TimedOp { at, op });
+
 /// The op-script frontend as a [`Workload`]: one cycle-stamped lane per
 /// core.
 ///

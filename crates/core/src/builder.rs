@@ -199,7 +199,7 @@ impl SystemBuilder {
         self
     }
 
-    /// TileLink hop latency in cycles. Default 2.
+    /// TileLink hop latency in cycles. Default 1.
     pub fn link_latency(mut self, cycles: u64) -> Self {
         self.cfg.link_latency = cycles;
         self

@@ -29,58 +29,16 @@ impl MetricsSnapshot {
         let stats = sys.stats();
         e.insert("cycles".to_string(), stats.cycles);
         for (i, l1) in stats.l1.iter().enumerate() {
-            for (field, value) in [
-                ("loads", l1.loads),
-                ("load_hits", l1.load_hits),
-                ("load_fshr_forwards", l1.load_fshr_forwards),
-                ("stores", l1.stores),
-                ("store_hits", l1.store_hits),
-                ("amos", l1.amos),
-                ("nacks", l1.nacks),
-                ("writebacks_enqueued", l1.writebacks_enqueued),
-                ("writebacks_skipped", l1.writebacks_skipped),
-                ("writebacks_coalesced", l1.writebacks_coalesced),
-                ("root_releases_sent", l1.root_releases_sent),
-                ("root_releases_with_data", l1.root_releases_with_data),
-                ("probes_handled", l1.probes_handled),
-                ("probes_with_data", l1.probes_with_data),
-                ("evictions", l1.evictions),
-                ("dirty_evictions", l1.dirty_evictions),
-                ("mshr_allocs", l1.mshr_allocs),
-                ("mshr_secondaries", l1.mshr_secondaries),
-                (
-                    "flush_entries_probe_invalidated",
-                    l1.flush_entries_probe_invalidated,
-                ),
-                (
-                    "flush_entries_evict_invalidated",
-                    l1.flush_entries_evict_invalidated,
-                ),
-            ] {
+            for (field, value) in l1.fields() {
                 e.insert(format!("l1.{i}.{field}"), value);
             }
         }
-        let l2 = &stats.l2;
-        for (field, value) in [
-            ("acquires", l2.acquires),
-            ("grants_clean", l2.grants_clean),
-            ("grants_dirty", l2.grants_dirty),
-            ("root_release_flush", l2.root_release_flush),
-            ("root_release_clean", l2.root_release_clean),
-            ("root_release_inval", l2.root_release_inval),
-            ("root_release_dram_skipped", l2.root_release_dram_skipped),
-            ("root_release_dram_writes", l2.root_release_dram_writes),
-            ("probes_sent", l2.probes_sent),
-            ("releases", l2.releases),
-            ("evictions", l2.evictions),
-            ("dirty_evictions", l2.dirty_evictions),
-            ("mem_fills", l2.mem_fills),
-            ("list_buffered", l2.list_buffered),
-        ] {
+        for (field, value) in stats.l2.fields() {
             e.insert(format!("l2.{field}"), value);
         }
-        e.insert("dram.reads".to_string(), stats.mem.reads);
-        e.insert("dram.writes".to_string(), stats.mem.writes);
+        for (field, value) in stats.mem.fields() {
+            e.insert(format!("dram.{field}"), value);
+        }
         let engine = sys.engine_stats();
         e.insert("engine.skipped_cycles".to_string(), engine.skipped_cycles);
         e.insert("engine.jumps".to_string(), engine.jumps);
@@ -300,6 +258,8 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(keys, sorted);
         assert_eq!(snap.get("engine.jumps"), Some(0));
+        // cycles, 2 × 20 L1, 14 L2, 2 DRAM, 4 engine, 2 cores × 5 links × 2.
+        assert_eq!(snap.len(), 81);
         assert_eq!(snap.len(), keys.len());
         assert!(snap.to_json().starts_with('{'));
     }

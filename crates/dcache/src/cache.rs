@@ -1143,91 +1143,37 @@ impl DataCache {
 
 // --- snapshot codec (DESIGN.md §11) ---
 
-use skipit_snap::{Codec, SnapError, SnapReader, SnapWriter};
+use skipit_snap::{codec, Codec, SnapError, SnapReader, SnapWriter};
 
-impl Codec for MshrState {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            MshrState::Free => 0,
-            MshrState::EvictWait => 1,
-            MshrState::SendAcquire => 2,
-            MshrState::WaitGrant => 3,
-            MshrState::Replay => 4,
-            MshrState::SendGrantAck => 5,
-        });
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => MshrState::Free,
-            1 => MshrState::EvictWait,
-            2 => MshrState::SendAcquire,
-            3 => MshrState::WaitGrant,
-            4 => MshrState::Replay,
-            5 => MshrState::SendGrantAck,
-            _ => return Err(SnapError::Corrupt("l1 mshr state")),
-        })
-    }
-}
+codec!(MshrState, "l1 mshr state" {
+    0 => Free,
+    1 => EvictWait,
+    2 => SendAcquire,
+    3 => WaitGrant,
+    4 => Replay,
+    5 => SendGrantAck,
+});
 
-impl Codec for Mshr {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.state.encode(w);
-        self.addr.encode(w);
-        self.way.encode(w);
-        self.write.encode(w);
-        self.rpq.encode(w);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Mshr {
-            state: MshrState::decode(r)?,
-            addr: LineAddr::decode(r)?,
-            way: usize::decode(r)?,
-            write: bool::decode(r)?,
-            rpq: VecDeque::decode(r)?,
-        })
-    }
-}
+codec!(Mshr {
+    state,
+    addr,
+    way,
+    write,
+    rpq
+});
 
-impl Codec for WbJob {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.addr.encode(w);
-        self.data.encode(w);
-        self.shrink.encode(w);
-        self.sent.encode(w);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(WbJob {
-            addr: LineAddr::decode(r)?,
-            data: Option::decode(r)?,
-            shrink: Shrink::decode(r)?,
-            sent: bool::decode(r)?,
-        })
-    }
-}
+codec!(WbJob {
+    addr,
+    data,
+    shrink,
+    sent
+});
 
-impl Codec for ProbePhase {
-    fn encode(&self, w: &mut SnapWriter) {
-        match self {
-            ProbePhase::Idle => w.put_u8(0),
-            ProbePhase::Invalidate(b) => {
-                w.put_u8(1);
-                b.encode(w);
-            }
-            ProbePhase::Waiting(b) => {
-                w.put_u8(2);
-                b.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => ProbePhase::Idle,
-            1 => ProbePhase::Invalidate(ChannelB::decode(r)?),
-            2 => ProbePhase::Waiting(ChannelB::decode(r)?),
-            _ => return Err(SnapError::Corrupt("probe phase")),
-        })
-    }
-}
+codec!(ProbePhase, "probe phase" {
+    0 => Idle,
+    1 => Invalidate { 0: b },
+    2 => Waiting { 0: b },
+});
 
 impl DataCache {
     /// Encodes the cache's complete simulated state: tag/data/LRU arrays,

@@ -1097,69 +1097,32 @@ mod inval_tests {
 
 // --- snapshot codec (DESIGN.md §11) ---
 
-use skipit_snap::{Codec, SnapError, SnapReader, SnapWriter};
+use skipit_snap::{codec, Codec, SnapError, SnapReader, SnapWriter};
 
-impl Codec for FlushEntry {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.addr.encode(w);
-        self.is_hit.encode(w);
-        self.is_dirty.encode(w);
-        self.kind.encode(w);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FlushEntry {
-            addr: LineAddr::decode(r)?,
-            is_hit: bool::decode(r)?,
-            is_dirty: bool::decode(r)?,
-            kind: WritebackKind::decode(r)?,
-        })
-    }
-}
+codec!(FlushEntry {
+    addr,
+    is_hit,
+    is_dirty,
+    kind,
+});
 
-impl Codec for FshrState {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            FshrState::Free => 0,
-            FshrState::MetaWrite => 1,
-            FshrState::FillBuffer => 2,
-            FshrState::SendReleaseData => 3,
-            FshrState::SendRelease => 4,
-            FshrState::WaitAck => 5,
-        });
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => FshrState::Free,
-            1 => FshrState::MetaWrite,
-            2 => FshrState::FillBuffer,
-            3 => FshrState::SendReleaseData,
-            4 => FshrState::SendRelease,
-            5 => FshrState::WaitAck,
-            _ => return Err(SnapError::Corrupt("fshr state")),
-        })
-    }
-}
+codec!(FshrState, "fshr state" {
+    0 => Free,
+    1 => MetaWrite,
+    2 => FillBuffer,
+    3 => SendReleaseData,
+    4 => SendRelease,
+    5 => WaitAck,
+});
 
-impl Codec for Fshr {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.entry.encode(w);
-        self.state.encode(w);
-        self.buffer.encode(w);
-        self.slot.map(|(s, wy)| (s as u64, wy as u64)).encode(w);
-        self.skip_ok.encode(w);
-        self.seq.encode(w);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Fshr {
-            entry: FlushEntry::decode(r)?,
-            state: FshrState::decode(r)?,
-            buffer: Option::decode(r)?,
-            slot: Option::<(u64, u64)>::decode(r)?.map(|(s, wy)| (s as usize, wy as usize)),
-            skip_ok: bool::decode(r)?,
-            seq: u64::decode(r)?,
-        })
-    }
-}
+codec!(Fshr {
+    entry,
+    state,
+    buffer,
+    slot,
+    skip_ok,
+    seq,
+});
 
 impl FlushUnit {
     /// Encodes the flush unit's simulated state: the flush queue, every

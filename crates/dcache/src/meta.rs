@@ -187,24 +187,14 @@ impl CacheArrays {
 
 // --- snapshot codec (DESIGN.md §11) ---
 
-use skipit_snap::{Codec, SnapError, SnapReader, SnapWriter};
+use skipit_snap::{codec, Codec, SnapError, SnapReader, SnapWriter};
 
-impl Codec for MetaEntry {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.tag.encode(w);
-        self.state.encode(w);
-        self.skip.encode(w);
-        self.reserved.encode(w);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(MetaEntry {
-            tag: u64::decode(r)?,
-            state: ClientState::decode(r)?,
-            skip: bool::decode(r)?,
-            reserved: bool::decode(r)?,
-        })
-    }
-}
+codec!(MetaEntry {
+    tag,
+    state,
+    skip,
+    reserved,
+});
 
 impl CacheArrays {
     /// Whether way slot `i` carries no information at all: pristine

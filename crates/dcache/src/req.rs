@@ -144,135 +144,27 @@ impl DcResp {
 
 // --- snapshot codec (DESIGN.md §11) ---
 
-use skipit_snap::{Codec, SnapError, SnapReader, SnapWriter};
+skipit_snap::codec!(AmoOp, "amo op" {
+    0 => Cas { expected },
+    1 => Add,
+    2 => Swap,
+});
 
-impl Codec for AmoOp {
-    fn encode(&self, w: &mut SnapWriter) {
-        match *self {
-            AmoOp::Cas { expected } => {
-                w.put_u8(0);
-                expected.encode(w);
-            }
-            AmoOp::Add => w.put_u8(1),
-            AmoOp::Swap => w.put_u8(2),
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(AmoOp::Cas {
-                expected: u64::decode(r)?,
-            }),
-            1 => Ok(AmoOp::Add),
-            2 => Ok(AmoOp::Swap),
-            _ => Err(SnapError::Corrupt("amo op")),
-        }
-    }
-}
+skipit_snap::codec!(DcReqKind, "dcache request kind" {
+    0 => Load { addr },
+    1 => Store { addr, value },
+    2 => Amo { addr, op, operand },
+    3 => Writeback { addr, kind },
+});
 
-impl Codec for DcReqKind {
-    fn encode(&self, w: &mut SnapWriter) {
-        match *self {
-            DcReqKind::Load { addr } => {
-                w.put_u8(0);
-                addr.encode(w);
-            }
-            DcReqKind::Store { addr, value } => {
-                w.put_u8(1);
-                addr.encode(w);
-                value.encode(w);
-            }
-            DcReqKind::Amo { addr, op, operand } => {
-                w.put_u8(2);
-                addr.encode(w);
-                op.encode(w);
-                operand.encode(w);
-            }
-            DcReqKind::Writeback { addr, kind } => {
-                w.put_u8(3);
-                addr.encode(w);
-                kind.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(DcReqKind::Load {
-                addr: u64::decode(r)?,
-            }),
-            1 => Ok(DcReqKind::Store {
-                addr: u64::decode(r)?,
-                value: u64::decode(r)?,
-            }),
-            2 => Ok(DcReqKind::Amo {
-                addr: u64::decode(r)?,
-                op: AmoOp::decode(r)?,
-                operand: u64::decode(r)?,
-            }),
-            3 => Ok(DcReqKind::Writeback {
-                addr: u64::decode(r)?,
-                kind: skipit_tilelink::WritebackKind::decode(r)?,
-            }),
-            _ => Err(SnapError::Corrupt("dcache request kind")),
-        }
-    }
-}
+skipit_snap::codec!(DcReq { id, kind });
 
-impl Codec for DcReq {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.id.encode(w);
-        self.kind.encode(w);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(DcReq {
-            id: ReqId::decode(r)?,
-            kind: DcReqKind::decode(r)?,
-        })
-    }
-}
-
-impl Codec for DcResp {
-    fn encode(&self, w: &mut SnapWriter) {
-        match *self {
-            DcResp::LoadDone { id, value } => {
-                w.put_u8(0);
-                id.encode(w);
-                value.encode(w);
-            }
-            DcResp::StoreDone { id } => {
-                w.put_u8(1);
-                id.encode(w);
-            }
-            DcResp::AmoDone { id, old } => {
-                w.put_u8(2);
-                id.encode(w);
-                old.encode(w);
-            }
-            DcResp::WritebackAccepted { id } => {
-                w.put_u8(3);
-                id.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(DcResp::LoadDone {
-                id: ReqId::decode(r)?,
-                value: u64::decode(r)?,
-            }),
-            1 => Ok(DcResp::StoreDone {
-                id: ReqId::decode(r)?,
-            }),
-            2 => Ok(DcResp::AmoDone {
-                id: ReqId::decode(r)?,
-                old: u64::decode(r)?,
-            }),
-            3 => Ok(DcResp::WritebackAccepted {
-                id: ReqId::decode(r)?,
-            }),
-            _ => Err(SnapError::Corrupt("dcache response kind")),
-        }
-    }
-}
+skipit_snap::codec!(DcResp, "dcache response kind" {
+    0 => LoadDone { id, value },
+    1 => StoreDone { id },
+    2 => AmoDone { id, old },
+    3 => WritebackAccepted { id },
+});
 
 #[cfg(test)]
 mod tests {

@@ -1,49 +1,51 @@
 //! Per-cache event counters.
 
-/// Counters maintained by one L1 data cache. All counters are cumulative
-/// since construction.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct L1Stats {
-    /// Loads accepted.
-    pub loads: u64,
-    /// Load hits served from the arrays.
-    pub load_hits: u64,
-    /// Loads forwarded from an FSHR data buffer (§5.3).
-    pub load_fshr_forwards: u64,
-    /// Stores accepted.
-    pub stores: u64,
-    /// Store hits performed in place.
-    pub store_hits: u64,
-    /// Atomic operations accepted.
-    pub amos: u64,
-    /// Negative acknowledgements returned to the LSU.
-    pub nacks: u64,
-    /// CBO.X requests enqueued into the flush queue.
-    pub writebacks_enqueued: u64,
-    /// CBO.X requests dropped by Skip It (hit ∧ clean ∧ skip bit, §6.1).
-    pub writebacks_skipped: u64,
-    /// CBO.X requests coalesced with a pending same-kind request (§5.3).
-    pub writebacks_coalesced: u64,
-    /// `RootRelease` messages sent to the L2.
-    pub root_releases_sent: u64,
-    /// `RootRelease` messages that carried dirty data.
-    pub root_releases_with_data: u64,
-    /// Coherence probes handled.
-    pub probes_handled: u64,
-    /// Probes that pushed dirty data upward.
-    pub probes_with_data: u64,
-    /// Lines evicted through the writeback unit.
-    pub evictions: u64,
-    /// Evictions that carried dirty data.
-    pub dirty_evictions: u64,
-    /// MSHR allocations (primary misses).
-    pub mshr_allocs: u64,
-    /// Requests buffered as MSHR secondaries (replay queue).
-    pub mshr_secondaries: u64,
-    /// Flush-queue entries invalidated by probes (§5.4.1).
-    pub flush_entries_probe_invalidated: u64,
-    /// Flush-queue entries invalidated by evictions (§5.4.2).
-    pub flush_entries_evict_invalidated: u64,
+skipit_snap::counters! {
+    /// Counters maintained by one L1 data cache. All counters are cumulative
+    /// since construction.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct L1Stats {
+        /// Loads accepted.
+        pub loads: u64,
+        /// Load hits served from the arrays.
+        pub load_hits: u64,
+        /// Loads forwarded from an FSHR data buffer (§5.3).
+        pub load_fshr_forwards: u64,
+        /// Stores accepted.
+        pub stores: u64,
+        /// Store hits performed in place.
+        pub store_hits: u64,
+        /// Atomic operations accepted.
+        pub amos: u64,
+        /// Negative acknowledgements returned to the LSU.
+        pub nacks: u64,
+        /// CBO.X requests enqueued into the flush queue.
+        pub writebacks_enqueued: u64,
+        /// CBO.X requests dropped by Skip It (hit ∧ clean ∧ skip bit, §6.1).
+        pub writebacks_skipped: u64,
+        /// CBO.X requests coalesced with a pending same-kind request (§5.3).
+        pub writebacks_coalesced: u64,
+        /// `RootRelease` messages sent to the L2.
+        pub root_releases_sent: u64,
+        /// `RootRelease` messages that carried dirty data.
+        pub root_releases_with_data: u64,
+        /// Coherence probes handled.
+        pub probes_handled: u64,
+        /// Probes that pushed dirty data upward.
+        pub probes_with_data: u64,
+        /// Lines evicted through the writeback unit.
+        pub evictions: u64,
+        /// Evictions that carried dirty data.
+        pub dirty_evictions: u64,
+        /// MSHR allocations (primary misses).
+        pub mshr_allocs: u64,
+        /// Requests buffered as MSHR secondaries (replay queue).
+        pub mshr_secondaries: u64,
+        /// Flush-queue entries invalidated by probes (§5.4.1).
+        pub flush_entries_probe_invalidated: u64,
+        /// Flush-queue entries invalidated by evictions (§5.4.2).
+        pub flush_entries_evict_invalidated: u64,
+    }
 }
 
 impl L1Stats {
@@ -51,67 +53,6 @@ impl L1Stats {
     /// (Skip It drops plus coalesced requests).
     pub fn writebacks_eliminated(&self) -> u64 {
         self.writebacks_skipped + self.writebacks_coalesced
-    }
-}
-
-// --- snapshot codec (DESIGN.md §11) ---
-
-use skipit_snap::{Codec, SnapError, SnapReader, SnapWriter};
-
-impl Codec for L1Stats {
-    fn encode(&self, w: &mut SnapWriter) {
-        for v in [
-            self.loads,
-            self.load_hits,
-            self.load_fshr_forwards,
-            self.stores,
-            self.store_hits,
-            self.amos,
-            self.nacks,
-            self.writebacks_enqueued,
-            self.writebacks_skipped,
-            self.writebacks_coalesced,
-            self.root_releases_sent,
-            self.root_releases_with_data,
-            self.probes_handled,
-            self.probes_with_data,
-            self.evictions,
-            self.dirty_evictions,
-            self.mshr_allocs,
-            self.mshr_secondaries,
-            self.flush_entries_probe_invalidated,
-            self.flush_entries_evict_invalidated,
-        ] {
-            w.put_u64(v);
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let mut s = L1Stats::default();
-        for f in [
-            &mut s.loads,
-            &mut s.load_hits,
-            &mut s.load_fshr_forwards,
-            &mut s.stores,
-            &mut s.store_hits,
-            &mut s.amos,
-            &mut s.nacks,
-            &mut s.writebacks_enqueued,
-            &mut s.writebacks_skipped,
-            &mut s.writebacks_coalesced,
-            &mut s.root_releases_sent,
-            &mut s.root_releases_with_data,
-            &mut s.probes_handled,
-            &mut s.probes_with_data,
-            &mut s.evictions,
-            &mut s.dirty_evictions,
-            &mut s.mshr_allocs,
-            &mut s.mshr_secondaries,
-            &mut s.flush_entries_probe_invalidated,
-            &mut s.flush_entries_evict_invalidated,
-        ] {
-            *f = r.get_u64()?;
-        }
-        Ok(s)
     }
 }
 

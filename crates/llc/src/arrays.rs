@@ -197,28 +197,16 @@ impl L2Arrays {
 
 // --- snapshot codec (DESIGN.md §11) ---
 
-use skipit_snap::{Codec, SnapError, SnapReader, SnapWriter};
+use skipit_snap::{codec, Codec, SnapError, SnapReader, SnapWriter};
 
-impl Codec for DirEntry {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.tag.encode(w);
-        self.valid.encode(w);
-        self.dirty.encode(w);
-        self.owners.encode(w);
-        self.trunk.encode(w);
-        self.reserved.encode(w);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(DirEntry {
-            tag: u64::decode(r)?,
-            valid: bool::decode(r)?,
-            dirty: bool::decode(r)?,
-            owners: u32::decode(r)?,
-            trunk: Option::decode(r)?,
-            reserved: bool::decode(r)?,
-        })
-    }
-}
+codec!(DirEntry {
+    tag,
+    valid,
+    dirty,
+    owners,
+    trunk,
+    reserved,
+});
 
 impl L2Arrays {
     /// Whether way slot `i` carries no information: pristine directory

@@ -291,7 +291,18 @@ impl InclusiveCache {
     /// blocked Acquire: the MSHR transition that clears the conflict is an
     /// event of its own.
     pub fn can_accept_acquire(&self, addr: LineAddr) -> bool {
-        !self.mshr_conflict(addr) && self.free_mshr().is_some()
+        self.mshr_for(addr).is_some()
+    }
+
+    /// The MSHR a request for `addr` would be allocated this cycle: none
+    /// while another MSHR holds `addr` (as its line or its victim) or while
+    /// every MSHR is busy.
+    fn mshr_for(&self, addr: LineAddr) -> Option<usize> {
+        if self.mshr_conflict(addr) {
+            None
+        } else {
+            self.free_mshr()
+        }
     }
 
     /// Conservative lower bound on the next cycle at which the L2 can change
@@ -519,12 +530,10 @@ impl InclusiveCache {
                                 // now clean; it keeps ownership.
                             }
                         }
-                        if !self.mshr_conflict(addr) {
-                            if let Some(slot) = self.free_mshr() {
-                                ports.c[core].pop(now);
-                                self.allocate_root_release(now, slot, msg);
-                                continue;
-                            }
+                        if let Some(slot) = self.mshr_for(addr) {
+                            ports.c[core].pop(now);
+                            self.allocate_root_release(now, slot, msg);
+                            continue;
                         }
                         if self.list_buffer.len() < self.cfg.list_buffer_depth {
                             ports.c[core].pop(now);
@@ -540,18 +549,14 @@ impl InclusiveCache {
     }
 
     fn drain_list_buffer(&mut self, now: u64) {
-        // Schedule the first deferred request whose conflict has cleared.
+        // Schedule, in order, every deferred request that an MSHR takes.
         let mut i = 0;
         while i < self.list_buffer.len() {
             let Deferred(msg) = self.list_buffer[i];
-            let addr = msg.addr();
-            if !self.mshr_conflict(addr) {
-                if let Some(slot) = self.free_mshr() {
-                    self.list_buffer.remove(i);
-                    self.allocate_root_release(now, slot, msg);
-                    continue;
-                }
-                break; // no free MSHRs; try again next cycle
+            if let Some(slot) = self.mshr_for(msg.addr()) {
+                self.list_buffer.remove(i);
+                self.allocate_root_release(now, slot, msg);
+                continue;
             }
             i += 1;
         }
@@ -564,19 +569,8 @@ impl InclusiveCache {
         shrink: Shrink,
         data: Option<LineData>,
     ) {
-        // Update the directory with the client's transition.
         if let Some(w) = self.arrays.lookup(addr) {
-            let set = self.arrays.set_index(addr);
-            if let Some(d) = data {
-                self.arrays.set_line(set, w, d);
-                self.arrays.dir_mut(set, w).dirty = true;
-            }
-            let e = self.arrays.dir_mut(set, w);
-            if !shrink.keeps_copy() {
-                e.remove_owner(source);
-            } else if !shrink.keeps_trunk() && e.trunk == Some(source) {
-                e.trunk = None;
-            }
+            self.apply_shrink(addr, w, source, shrink, data);
         }
         // Route to the waiting MSHR: probes for a line come from exactly one
         // MSHR (per-line conflict serialization).
@@ -610,6 +604,20 @@ impl InclusiveCache {
             );
             return;
         };
+        self.apply_shrink(addr, w, source, shrink, data);
+    }
+
+    /// Updates the directory entry of resident line `addr` (way `w`) with a
+    /// client's ProbeAck or Release: dirty data lands in the line, and the
+    /// client loses its copy or its trunk as `shrink` says.
+    fn apply_shrink(
+        &mut self,
+        addr: LineAddr,
+        w: usize,
+        source: AgentId,
+        shrink: Shrink,
+        data: Option<LineData>,
+    ) {
         let set = self.arrays.set_index(addr);
         if let Some(d) = data {
             self.arrays.set_line(set, w, d);
@@ -629,11 +637,8 @@ impl InclusiveCache {
             else {
                 continue;
             };
-            if self.mshr_conflict(addr) {
+            let Some(slot) = self.mshr_for(addr) else {
                 continue;
-            }
-            let Some(slot) = self.free_mshr() else {
-                return;
             };
             ports.a[core].pop(now);
             self.occupied |= 1 << slot;
@@ -1094,116 +1099,41 @@ impl InclusiveCache {
 
 // --- snapshot codec (DESIGN.md §11) ---
 
-use skipit_snap::{Codec, SnapError, SnapReader, SnapWriter};
+use skipit_snap::{codec, Codec, SnapError, SnapReader, SnapWriter};
 
-impl Codec for L2Req {
-    fn encode(&self, w: &mut SnapWriter) {
-        match *self {
-            L2Req::Acquire { source, grow } => {
-                w.put_u8(0);
-                source.encode(w);
-                grow.encode(w);
-            }
-            L2Req::RootRelease { source, kind, data } => {
-                w.put_u8(1);
-                source.encode(w);
-                kind.encode(w);
-                data.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(L2Req::Acquire {
-                source: usize::decode(r)?,
-                grow: Grow::decode(r)?,
-            }),
-            1 => Ok(L2Req::RootRelease {
-                source: usize::decode(r)?,
-                kind: WritebackKind::decode(r)?,
-                data: Option::decode(r)?,
-            }),
-            _ => Err(SnapError::Corrupt("l2 request kind")),
-        }
-    }
-}
+codec!(L2Req, "l2 request kind" {
+    0 => Acquire { source, grow },
+    1 => RootRelease { source, kind, data },
+});
 
-impl Codec for L2MshrState {
-    fn encode(&self, w: &mut SnapWriter) {
-        match *self {
-            L2MshrState::Access { until } => {
-                w.put_u8(0);
-                until.encode(w);
-            }
-            L2MshrState::VictimProbe => w.put_u8(1),
-            L2MshrState::VictimWrite => w.put_u8(2),
-            L2MshrState::VictimWriteWait => w.put_u8(3),
-            L2MshrState::MemRead => w.put_u8(4),
-            L2MshrState::MemReadWait => w.put_u8(5),
-            L2MshrState::OwnerProbe => w.put_u8(6),
-            L2MshrState::DramWrite => w.put_u8(7),
-            L2MshrState::DramWriteWait => w.put_u8(8),
-            L2MshrState::SendResp => w.put_u8(9),
-            L2MshrState::WaitGrantAck => w.put_u8(10),
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => L2MshrState::Access {
-                until: u64::decode(r)?,
-            },
-            1 => L2MshrState::VictimProbe,
-            2 => L2MshrState::VictimWrite,
-            3 => L2MshrState::VictimWriteWait,
-            4 => L2MshrState::MemRead,
-            5 => L2MshrState::MemReadWait,
-            6 => L2MshrState::OwnerProbe,
-            7 => L2MshrState::DramWrite,
-            8 => L2MshrState::DramWriteWait,
-            9 => L2MshrState::SendResp,
-            10 => L2MshrState::WaitGrantAck,
-            _ => return Err(SnapError::Corrupt("l2 mshr state")),
-        })
-    }
-}
+codec!(L2MshrState, "l2 mshr state" {
+    0 => Access { until },
+    1 => VictimProbe,
+    2 => VictimWrite,
+    3 => VictimWriteWait,
+    4 => MemRead,
+    5 => MemReadWait,
+    6 => OwnerProbe,
+    7 => DramWrite,
+    8 => DramWriteWait,
+    9 => SendResp,
+    10 => WaitGrantAck,
+});
 
-impl Codec for L2Mshr {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.addr.encode(w);
-        self.req.encode(w);
-        self.state.encode(w);
-        self.pending_acks.encode(w);
-        self.to_probe.encode(w);
-        self.probe_cap.encode(w);
-        self.way.encode(w);
-        self.victim.encode(w);
-        self.token.encode(w);
-        self.wrote.encode(w);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(L2Mshr {
-            addr: LineAddr::decode(r)?,
-            req: L2Req::decode(r)?,
-            state: L2MshrState::decode(r)?,
-            pending_acks: usize::decode(r)?,
-            to_probe: u32::decode(r)?,
-            probe_cap: Cap::decode(r)?,
-            way: Option::decode(r)?,
-            victim: Option::decode(r)?,
-            token: u64::decode(r)?,
-            wrote: Option::decode(r)?,
-        })
-    }
-}
+codec!(L2Mshr {
+    addr,
+    req,
+    state,
+    pending_acks,
+    to_probe,
+    probe_cap,
+    way,
+    victim,
+    token,
+    wrote,
+});
 
-impl Codec for Deferred {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.0.encode(w);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Deferred(ChannelC::decode(r)?))
-    }
-}
+codec!(Deferred { 0 });
 
 impl InclusiveCache {
     /// Encodes the L2's complete simulated state: directory/data/LRU

@@ -103,13 +103,15 @@ impl MemResp {
     }
 }
 
-/// Counters exposed for benchmarking and assertions.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MemStats {
-    /// Number of line reads serviced.
-    pub reads: u64,
-    /// Number of line writes serviced (i.e. lines actually persisted).
-    pub writes: u64,
+skipit_snap::counters! {
+    /// Counters exposed for benchmarking and assertions.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct MemStats {
+        /// Number of line reads serviced.
+        pub reads: u64,
+        /// Number of line writes serviced (i.e. lines actually persisted).
+        pub writes: u64,
+    }
 }
 
 /// The main-memory model. See the [crate docs](crate) for semantics.

@@ -9,86 +9,19 @@
 //! The trace sink is host-side and excluded.
 
 use crate::{Dram, MemReq, MemResp, MemStats};
-use skipit_snap::{Codec, SnapError, SnapReader, SnapWriter, MAX_ELEMS};
-use skipit_tilelink::{LineAddr, LineData};
+use skipit_snap::{codec, Codec, SnapError, SnapReader, SnapWriter, MAX_ELEMS};
+use skipit_tilelink::LineData;
 use std::collections::{HashMap, VecDeque};
 
-impl Codec for MemReq {
-    fn encode(&self, w: &mut SnapWriter) {
-        match *self {
-            MemReq::Read { addr, token } => {
-                w.put_u8(0);
-                addr.encode(w);
-                token.encode(w);
-            }
-            MemReq::Write { addr, data, token } => {
-                w.put_u8(1);
-                addr.encode(w);
-                data.encode(w);
-                token.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(MemReq::Read {
-                addr: LineAddr::decode(r)?,
-                token: u64::decode(r)?,
-            }),
-            1 => Ok(MemReq::Write {
-                addr: LineAddr::decode(r)?,
-                data: LineData::decode(r)?,
-                token: u64::decode(r)?,
-            }),
-            _ => Err(SnapError::Corrupt("mem request opcode")),
-        }
-    }
-}
+codec!(MemReq, "mem request opcode" {
+    0 => Read { addr, token },
+    1 => Write { addr, data, token },
+});
 
-impl Codec for MemResp {
-    fn encode(&self, w: &mut SnapWriter) {
-        match *self {
-            MemResp::ReadDone { addr, data, token } => {
-                w.put_u8(0);
-                addr.encode(w);
-                data.encode(w);
-                token.encode(w);
-            }
-            MemResp::WriteDone { addr, token } => {
-                w.put_u8(1);
-                addr.encode(w);
-                token.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(MemResp::ReadDone {
-                addr: LineAddr::decode(r)?,
-                data: LineData::decode(r)?,
-                token: u64::decode(r)?,
-            }),
-            1 => Ok(MemResp::WriteDone {
-                addr: LineAddr::decode(r)?,
-                token: u64::decode(r)?,
-            }),
-            _ => Err(SnapError::Corrupt("mem response opcode")),
-        }
-    }
-}
-
-impl Codec for MemStats {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.reads.encode(w);
-        self.writes.encode(w);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(MemStats {
-            reads: u64::decode(r)?,
-            writes: u64::decode(r)?,
-        })
-    }
-}
+codec!(MemResp, "mem response opcode" {
+    0 => ReadDone { addr, data, token },
+    1 => WriteDone { addr, token },
+});
 
 impl Dram {
     /// Encodes the controller's simulated state: resident lines (sorted by
@@ -138,6 +71,7 @@ impl Dram {
 mod tests {
     use super::*;
     use crate::DramConfig;
+    use skipit_tilelink::LineAddr;
 
     #[test]
     fn dram_state_roundtrips_mid_flight() {

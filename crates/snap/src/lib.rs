@@ -15,19 +15,39 @@
 //!
 //! The crate is dependency-free on purpose: every simulator crate
 //! implements [`Codec`] for its own (often private-field) state types, so
-//! the codec trait has to live below all of them.
+//! the codec trait has to live below all of them. Most do it with one
+//! [`codec!`] declaration that lists the fields in wire order once.
 //!
 //! # Example
 //!
 //! ```
-//! use skipit_snap::{Codec, SnapReader, SnapWriter};
+//! use skipit_snap::{codec, Codec, SnapReader, SnapWriter};
 //!
+//! #[derive(Debug, PartialEq)]
+//! enum Phase {
+//!     Idle,
+//!     Busy { until: u64 },
+//! }
+//! codec!(Phase, "phase" {
+//!     0 => Idle,
+//!     1 => Busy { until },
+//! });
+//!
+//! #[derive(Debug, PartialEq)]
+//! struct Slot {
+//!     addr: u64,
+//!     phase: Phase,
+//!     queue: Vec<u64>,
+//! }
+//! codec!(Slot { addr, phase, queue });
+//!
+//! let slot = Slot { addr: 0x40, phase: Phase::Busy { until: 9 }, queue: vec![1, 2] };
 //! let mut w = SnapWriter::new();
-//! (7u64, vec![1u64, 2, 3]).encode(&mut w);
+//! slot.encode(&mut w);
 //! let bytes = w.into_bytes();
+//! assert_eq!(bytes, [0x40, 1, 9, 2, 1, 2]);
 //! let mut r = SnapReader::new(&bytes);
-//! let back: (u64, Vec<u64>) = Codec::decode(&mut r).unwrap();
-//! assert_eq!(back, (7, vec![1, 2, 3]));
+//! assert_eq!(Slot::decode(&mut r).unwrap(), slot);
 //! assert!(r.finish().is_ok());
 //! ```
 
@@ -408,6 +428,85 @@ impl<A: Codec, B: Codec, C: Codec> Codec for (A, B, C) {
     }
 }
 
+/// Implements [`Codec`] for a type from one list of its fields in wire
+/// order, so `encode` and `decode` cannot drift apart.
+///
+/// * `codec!(Ty { a, b })` — a struct: the fields are encoded in list
+///   order, and `decode` builds `Ty { a, b }` with a struct literal that
+///   names exactly the listed fields, so a field missing from the list is
+///   a compile error. Tuple structs list indices: `codec!(Ty { 0 })`.
+/// * `codec!(Ty, "site" { 0 => A { x }, 1 => B })` — an enum: `encode`
+///   writes the variant's tag with [`SnapWriter::put_u8`], then its fields
+///   in list order; an unknown tag decodes to
+///   [`SnapError::Corrupt`]`("site")`. Unit variants omit the braces;
+///   tuple variants name a binding per index: `2 => C { 0: c }`.
+///
+/// Types whose decode must check more than the tag (alignment, counts,
+/// configuration) implement [`Codec`] by hand.
+#[macro_export]
+macro_rules! codec {
+    (@binding $field:tt) => { $field };
+    (@binding $field:tt $bind:ident) => { $bind };
+    ($ty:ident { $($field:tt),* $(,)? }) => {
+        impl $crate::Codec for $ty {
+            fn encode(&self, w: &mut $crate::SnapWriter) {
+                $($crate::Codec::encode(&self.$field, w);)*
+            }
+            fn decode(
+                r: &mut $crate::SnapReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::SnapError> {
+                ::core::result::Result::Ok(Self { $($field: $crate::Codec::decode(r)?),* })
+            }
+        }
+    };
+    ($ty:ident, $site:literal {
+        $($tag:literal => $variant:ident $({ $($field:tt $(: $bind:ident)?),* $(,)? })?),+ $(,)?
+    }) => {
+        impl $crate::Codec for $ty {
+            fn encode(&self, w: &mut $crate::SnapWriter) {
+                match self {
+                    $(Self::$variant { $($($field $(: $bind)?),*)? } => {
+                        w.put_u8($tag);
+                        $($($crate::Codec::encode($crate::codec!(@binding $field $($bind)?), w);)*)?
+                    })+
+                }
+            }
+            fn decode(
+                r: &mut $crate::SnapReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::SnapError> {
+                match r.get_u8()? {
+                    $($tag => ::core::result::Result::Ok(Self::$variant { $($($field: $crate::Codec::decode(r)?),*)? }),)+
+                    _ => ::core::result::Result::Err($crate::SnapError::Corrupt($site)),
+                }
+            }
+        }
+    };
+}
+
+/// Declares a struct of `pub` `u64` counters from one field list: the
+/// struct itself, its [`codec!`] in declaration order, and a `fields()`
+/// method that yields every counter as `(field name, value)` in the same
+/// order (what metrics exporters key on).
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$attr:meta])*
+        pub struct $ty:ident { $($(#[$fattr:meta])* pub $field:ident: u64),* $(,)? }
+    ) => {
+        $(#[$attr])*
+        pub struct $ty { $($(#[$fattr])* pub $field: u64,)* }
+
+        impl $ty {
+            /// Every counter as `(field name, value)`, in declaration order.
+            pub fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($field), self.$field)),*].into_iter()
+            }
+        }
+
+        $crate::codec!($ty { $($field),* });
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,6 +610,40 @@ mod tests {
         assert_eq!(
             Option::<u64>::decode(&mut SnapReader::new(&bytes)),
             Err(SnapError::Corrupt("option discriminant"))
+        );
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Wrap(u64, bool);
+    codec!(Wrap { 0, 1 });
+
+    #[derive(Debug, PartialEq)]
+    enum Shape {
+        Unit,
+        Braced {},
+        Tuple(Wrap),
+        Named { a: u64, b: Option<u64> },
+    }
+    codec!(Shape, "shape tag" {
+        0 => Unit,
+        1 => Braced {},
+        2 => Tuple { 0: w },
+        3 => Named { a, b },
+    });
+
+    #[test]
+    fn codec_macro_forms() {
+        roundtrip(Wrap(300, true));
+        roundtrip(Shape::Unit);
+        roundtrip(Shape::Braced {});
+        roundtrip(Shape::Tuple(Wrap(1, false)));
+        roundtrip(Shape::Named { a: 5, b: Some(6) });
+        let mut w = SnapWriter::new();
+        Shape::Named { a: 5, b: None }.encode(&mut w);
+        assert_eq!(w.into_bytes(), [3, 5, 0]);
+        assert_eq!(
+            Shape::decode(&mut SnapReader::new(&[4])),
+            Err(SnapError::Corrupt("shape tag"))
         );
     }
 
