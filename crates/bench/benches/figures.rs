@@ -9,14 +9,19 @@
 //!
 //! `SKIPIT_BENCH_QUICK=1` shrinks the Figs. 14–16 grids and writes
 //! `BENCH_figures_quick.json` instead, the table `tests/figure_shapes.rs`
-//! compares byte for byte.
+//! compares byte for byte. A quick run also writes the quick service grid
+//! (`skipit_bench::sweeps::service_sweep`) to `BENCH_service_quick.json`,
+//! which `tests/service.rs` compares byte for byte.
 //!
 //! Run with `cargo bench -p skipit-bench --bench figures`.
 
 use skipit_bench::figures::Figures;
+use skipit_bench::sweeps::service_sweep;
+use skipit_sweep::SweepRunner;
 
 fn main() {
-    let figures = Figures::run(skipit_bench::quick());
+    let quick = skipit_bench::quick();
+    let figures = Figures::run(quick);
     for report in figures.reports() {
         println!(
             "# {} [{} sweep workers, {:.2}s wall]",
@@ -28,9 +33,15 @@ fn main() {
     }
     figures.check_shapes();
     println!("# every paper-shape check holds");
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(figures.file_name());
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let path = root.join(figures.file_name());
     std::fs::write(&path, figures.to_json()).expect("write the figure table");
     println!("# wrote {}", path.display());
+    if quick {
+        let service = SweepRunner::serial().run(service_sweep(true));
+        assert!(service.all_ok(), "service grid has a failing point");
+        let path = root.join("BENCH_service_quick.json");
+        std::fs::write(&path, service.to_json()).expect("write the service table");
+        println!("# wrote {}", path.display());
+    }
 }
