@@ -18,6 +18,47 @@ pub mod micro;
 pub mod sweeps;
 pub mod traces;
 
+/// Panics at the first line where `fresh` differs from the committed table
+/// `file` at the repository root, naming `regen`, the command that rewrites
+/// it. Lines that start (after indentation) with one of `host_keys` are not
+/// compared; everything else must be equal byte for byte.
+pub fn assert_matches_committed(file: &str, fresh: &str, host_keys: &[&str], regen: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(file);
+    let committed =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let simulated = |text: &str| -> String {
+        text.split_inclusive('\n')
+            .map(|l| {
+                let host = host_keys.iter().any(|k| l.trim_start().starts_with(k));
+                if host {
+                    "\n"
+                } else {
+                    l
+                }
+            })
+            .collect()
+    };
+    let (want, got) = (simulated(&committed), simulated(fresh));
+    if want == got {
+        return;
+    }
+    let same = want
+        .lines()
+        .zip(got.lines())
+        .take_while(|(w, g)| w == g)
+        .count();
+    panic!(
+        "{} differs from a fresh run at line {}:\n  committed: {}\n  fresh:     {}\n\
+         regenerate it with {regen}",
+        path.display(),
+        same + 1,
+        want.lines().nth(same).unwrap_or("<end of file>"),
+        got.lines().nth(same).unwrap_or("<end of file>"),
+    );
+}
+
 /// Whether quick mode is requested (`SKIPIT_BENCH_QUICK=1`).
 pub fn quick() -> bool {
     std::env::var("SKIPIT_BENCH_QUICK").is_ok_and(|v| v != "0")

@@ -18,26 +18,14 @@ use skipit_tilelink::LineAddr;
 use skipit_trace::{TraceEvent, TraceSink};
 use std::collections::VecDeque;
 
-/// LSU sizing and behaviour.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LsuConfig {
-    /// LDQ capacity (SonicBOOM: 32, Fig. 2).
-    pub ldq_depth: usize,
-    /// STQ capacity (SonicBOOM: 32, Fig. 2).
-    pub stq_depth: usize,
-    /// Loads fired per cycle (the LSU fires two requests per cycle, §3.2).
-    pub fire_width: usize,
-}
+/// LDQ capacity (SonicBOOM: 32, Fig. 2).
+const LDQ_DEPTH: usize = 32;
 
-impl Default for LsuConfig {
-    fn default() -> Self {
-        LsuConfig {
-            ldq_depth: 32,
-            stq_depth: 32,
-            fire_width: 2,
-        }
-    }
-}
+/// STQ capacity (SonicBOOM: 32, Fig. 2).
+const STQ_DEPTH: usize = 32;
+
+/// Loads fired per cycle (the LSU fires two requests per cycle, §3.2).
+const FIRE_WIDTH: usize = 2;
 
 #[derive(Clone, Copy, Debug)]
 struct Entry {
@@ -60,7 +48,6 @@ impl Entry {
 /// One core's load-store unit.
 #[derive(Debug)]
 pub struct Lsu {
-    cfg: LsuConfig,
     stq: VecDeque<Entry>,
     ldq: VecDeque<Entry>,
     seq: u64,
@@ -74,14 +61,13 @@ pub struct Lsu {
 
 impl Lsu {
     /// Creates an empty LSU for core `core`.
-    pub fn new(core: usize, cfg: LsuConfig) -> Self {
+    pub fn new(core: usize) -> Self {
         Lsu {
-            cfg,
-            stq: VecDeque::with_capacity(cfg.stq_depth),
-            ldq: VecDeque::with_capacity(cfg.ldq_depth),
+            stq: VecDeque::with_capacity(STQ_DEPTH),
+            ldq: VecDeque::with_capacity(LDQ_DEPTH),
             seq: 0,
             next_req: 0,
-            finished: VecDeque::with_capacity(cfg.stq_depth + cfg.ldq_depth),
+            finished: VecDeque::with_capacity(STQ_DEPTH + LDQ_DEPTH),
             core,
             trace: None,
             events: None,
@@ -125,9 +111,9 @@ impl Lsu {
     /// Whether `op` can be enqueued this cycle.
     pub fn has_room(&self, op: Op) -> bool {
         if op.is_stq() {
-            self.stq.len() < self.cfg.stq_depth
+            self.stq.len() < STQ_DEPTH
         } else {
-            self.ldq.len() < self.cfg.ldq_depth
+            self.ldq.len() < LDQ_DEPTH
         }
     }
 
@@ -307,7 +293,7 @@ impl Lsu {
     fn fire_loads(&mut self, now: u64, l1: &mut DataCache) {
         let mut fired = 0;
         for i in 0..self.ldq.len() {
-            if fired >= self.cfg.fire_width {
+            if fired >= FIRE_WIDTH {
                 break;
             }
             let e = self.ldq[i];
@@ -465,7 +451,7 @@ impl Lsu {
         r.expect_tag(0x55, "lsu section")?;
         let stq = VecDeque::<Entry>::decode(r)?;
         let ldq = VecDeque::<Entry>::decode(r)?;
-        if stq.len() > self.cfg.stq_depth || ldq.len() > self.cfg.ldq_depth {
+        if stq.len() > STQ_DEPTH || ldq.len() > LDQ_DEPTH {
             return Err(SnapError::Corrupt("lsu queue exceeds depth"));
         }
         self.stq = stq;
@@ -483,7 +469,7 @@ mod tests {
     use skipit_dcache::L1Config;
 
     fn lsu() -> Lsu {
-        Lsu::new(0, LsuConfig::default())
+        Lsu::new(0)
     }
 
     /// Test bench: the LSU against a real L1 backed by a trivial always-
@@ -708,19 +694,18 @@ mod tests {
 
     #[test]
     fn has_room_tracks_depths() {
-        let mut q = Lsu::new(
-            0,
-            LsuConfig {
-                stq_depth: 1,
-                ldq_depth: 1,
-                ..LsuConfig::default()
-            },
-        );
-        assert!(q.has_room(Op::Fence));
-        q.enqueue(1, Op::Fence, 0);
+        let mut q = lsu();
+        for tok in 0..STQ_DEPTH as u64 {
+            assert!(q.has_room(Op::Fence));
+            q.enqueue(tok, Op::Fence, 0);
+        }
         assert!(!q.has_room(Op::Store { addr: 0, value: 0 }));
         assert!(q.has_room(Op::Load { addr: 0 }));
-        q.enqueue(2, Op::Load { addr: 0x40 }, 0);
+        for tok in 0..LDQ_DEPTH as u64 {
+            assert!(q.has_room(Op::Load { addr: 0 }));
+            q.enqueue(STQ_DEPTH as u64 + tok, Op::Load { addr: 0x40 }, 0);
+        }
         assert!(!q.has_room(Op::Load { addr: 0 }));
+        assert!(!q.has_room(Op::Fence));
     }
 }

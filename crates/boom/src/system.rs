@@ -2,7 +2,7 @@
 //! data caches, a shared inclusive L2, and DRAM (the §7.1 platform).
 
 use crate::handle::{Cmd, CoreHandle, Mailbox, Resp};
-use crate::lsu::{Lsu, LsuConfig};
+use crate::lsu::Lsu;
 use crate::op::{Op, OpToken};
 use crate::workload::{CapturedOp, Programs, RunReport, TimedOp, Workload};
 use skipit_dcache::{DataCache, L1Config, L1Stats};
@@ -48,14 +48,6 @@ pub struct SystemConfig {
     pub l2: L2Config,
     /// DRAM timing.
     pub dram: DramConfig,
-    /// Wire latency of every TileLink channel hop (cycles).
-    pub link_latency: u64,
-    /// Buffering per channel (messages).
-    pub link_capacity: usize,
-    /// Frontend issue width (ops entering the LSU per cycle).
-    pub issue_width: usize,
-    /// LSU sizing.
-    pub lsu: LsuConfig,
     /// Simulation engine. Elapsed cycles and statistics are bit-identical
     /// across all variants; [`EngineKind::Naive`] reproduces the reference
     /// one-cycle-at-a-time stepping.
@@ -83,10 +75,6 @@ impl Default for SystemConfig {
             l1: L1Config::default(),
             l2: L2Config::default(),
             dram: DramConfig::default(),
-            link_latency: 1,
-            link_capacity: 8,
-            issue_width: 2,
-            lsu: LsuConfig::default(),
             engine: EngineKind::default(),
             lockstep_oracle: false,
             perturb: PerturbConfig::default(),
@@ -397,6 +385,15 @@ fn script_cycle(base: u64, delta: u64) -> u64 {
 /// `skipit_replay::MemTrace::push` rejects traces that would end past it.
 pub const RUN_WATCHDOG_CYCLES: u64 = 2_000_000_000;
 
+/// Wire latency of every TileLink channel hop, in cycles.
+const LINK_LATENCY: u64 = 1;
+
+/// Buffering of every TileLink channel, in messages.
+const LINK_CAPACITY: usize = 8;
+
+/// Ops an op-script frontend issues into its core's LSU per cycle.
+const ISSUE_WIDTH: usize = 2;
+
 /// [`System::quiesce`]'s cycle budget: draining writebacks is short.
 const QUIESCE_WATCHDOG_CYCLES: u64 = 1_000_000;
 
@@ -489,13 +486,13 @@ impl System {
         macro_rules! links {
             () => {
                 (0..cfg.cores)
-                    .map(|i| Link::new(cfg.link_latency, cfg.link_capacity).for_core(i))
+                    .map(|i| Link::new(LINK_LATENCY, LINK_CAPACITY).for_core(i))
                     .collect()
             };
         }
         let mut sys = System {
             now: 0,
-            lsus: (0..cfg.cores).map(|i| Lsu::new(i, cfg.lsu)).collect(),
+            lsus: (0..cfg.cores).map(Lsu::new).collect(),
             l1s: (0..cfg.cores).map(|i| DataCache::new(i, cfg.l1)).collect(),
             l2: InclusiveCache::new(cfg.cores, cfg.l2),
             dram: Dram::new(cfg.dram),
@@ -612,12 +609,11 @@ impl System {
     }
 
     /// Installs the tracing setup described by `cfg` — the single entry
-    /// point for both tracing facilities:
+    /// point for all three tracing facilities:
     ///
     /// * [`TraceConfig::events`] installs cycle-stamped event-ring sinks on
     ///   every component (each LSU, L1 front end + flush unit, per-core
-    ///   TileLink links, L2, DRAM, and the fast-forward engine), optionally
-    ///   narrowed by [`TraceConfig::filter`]. Harvest with
+    ///   TileLink links, L2, DRAM, and the fast-forward engine). Harvest with
     ///   [`System::trace_events`] or the exporters in [`crate::export`].
     /// * [`TraceConfig::latency`] starts per-op completion-latency
     ///   recording on every core (see [`crate::trace`],
@@ -644,11 +640,10 @@ impl System {
     /// ```
     pub fn set_trace(&mut self, cfg: TraceConfig) {
         let cur = self.trace_cfg;
-        if (cfg.event_capacity(), cfg.event_filter()) != (cur.event_capacity(), cur.event_filter())
-        {
-            let (capacity, filter) = (cfg.event_capacity(), cfg.event_filter());
+        if cfg.event_capacity() != cur.event_capacity() {
+            let capacity = cfg.event_capacity();
             for slot in self.trace_slots() {
-                *slot = capacity.map(|c| TraceSink::with_filter(c, filter));
+                *slot = capacity.map(TraceSink::new);
             }
         }
         if cfg.latency_capacity() != cur.latency_capacity() {
@@ -1446,7 +1441,6 @@ impl System {
     /// worker-mode run (empty otherwise).
     fn step_frontends(&mut self, workers: &mut [WorkerLane<'_>]) -> (u64, u64) {
         let now = self.now;
-        let issue_width = self.cfg.issue_width;
         // A worker's response, flagged once its run's budget expired.
         let deadline = self.deadline;
         let resp = |value| Resp {
@@ -1487,7 +1481,7 @@ impl System {
                 } => {
                     lsus[i].drain_finished();
                     let mut issued = 0;
-                    while issued < issue_width
+                    while issued < ISSUE_WIDTH
                         && *next < ops.len()
                         && now >= *nop_until
                         && now >= script_cycle(*base, ops[*next].at)
@@ -1931,23 +1925,21 @@ impl Frontend {
 /// engine choice and the lockstep oracle are deliberately *excluded* —
 /// they are host-side scheduling decisions whose observable behaviour is
 /// bit-identical by contract, so a snapshot taken under one engine
-/// restores under the other.
+/// restores under the other. Every field is named, so a new one does not
+/// compile until it is hashed or excluded here.
 fn config_fingerprint(cfg: &SystemConfig) -> u64 {
     use std::hash::{Hash, Hasher};
+    let SystemConfig {
+        cores,
+        l1,
+        l2,
+        dram,
+        perturb,
+        engine: _,
+        lockstep_oracle: _,
+    } = cfg;
     let mut h = std::collections::hash_map::DefaultHasher::new();
-    format!(
-        "{}|{:?}|{:?}|{:?}|{}|{}|{}|{:?}|{:?}",
-        cfg.cores,
-        cfg.l1,
-        cfg.l2,
-        cfg.dram,
-        cfg.link_latency,
-        cfg.link_capacity,
-        cfg.issue_width,
-        cfg.lsu,
-        cfg.perturb
-    )
-    .hash(&mut h);
+    format!("{cores}|{l1:?}|{l2:?}|{dram:?}|{perturb:?}").hash(&mut h);
     h.finish()
 }
 

@@ -1,6 +1,6 @@
 //! Fluent construction of simulated systems.
 
-use skipit_boom::{EngineKind, System, SystemConfig};
+use skipit_boom::{EngineKind, System, SystemConfig, RUN_WATCHDOG_CYCLES};
 use skipit_dcache::L1Config;
 use skipit_llc::L2Config;
 use skipit_mem::DramConfig;
@@ -11,8 +11,9 @@ use skipit_tilelink::PerturbConfig;
 /// Returned by [`SystemBuilder::try_build`]; [`SystemBuilder::build`]
 /// panics with the same rendering. Every variant corresponds to an
 /// invariant the simulation models rely on (index math on power-of-two set
-/// counts, nonzero resource pools, the L2's one-word MSHR occupancy mask, the
-/// component wheel for the lockstep oracle to check).
+/// counts, nonzero resource pools, the L2's one-word MSHR occupancy mask,
+/// latencies that fit a run, the component wheel for the lockstep oracle to
+/// check).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
     /// `cores` is outside the supported `1..=32` range.
@@ -42,6 +43,17 @@ pub enum ConfigError {
         /// The rejected size.
         got: usize,
     },
+    /// A latency is longer than [`RUN_WATCHDOG_CYCLES`]: one request that
+    /// slow outlasts a whole script run, so a run could only end in the
+    /// watchdog's panic (or overflow the cycle arithmetic).
+    LatencyTooLong {
+        /// Which field (e.g. `"dram.read_latency"`).
+        what: &'static str,
+        /// The longest accepted latency, in cycles.
+        max: u64,
+        /// The rejected latency.
+        got: u64,
+    },
     /// `lockstep_oracle` was requested together with [`EngineKind::Naive`]:
     /// the oracle checks the [`EngineKind::ComponentWheel`]'s jumps and
     /// skipped slots against the naive engine, so under the naive engine
@@ -62,6 +74,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::Zero { what } => write!(f, "{what} must be nonzero"),
             ConfigError::TooMany { what, max, got } => {
                 write!(f, "{what} must be at most {max}, got {got}")
+            }
+            ConfigError::LatencyTooLong { what, max, got } => {
+                write!(f, "{what} must be at most {max} cycles, got {got}")
             }
             ConfigError::OracleNeedsFastEngine => write!(
                 f,
@@ -94,11 +109,6 @@ fn validate(cfg: &SystemConfig) -> Result<(), ConfigError> {
         ("l2.ways", cfg.l2.ways),
         ("l2.mshrs", cfg.l2.mshrs),
         ("l2.list_buffer_depth", cfg.l2.list_buffer_depth),
-        ("lsu.ldq_depth", cfg.lsu.ldq_depth),
-        ("lsu.stq_depth", cfg.lsu.stq_depth),
-        ("lsu.fire_width", cfg.lsu.fire_width),
-        ("issue_width", cfg.issue_width),
-        ("link_capacity", cfg.link_capacity),
     ] {
         if got == 0 {
             return Err(ConfigError::Zero { what });
@@ -110,6 +120,20 @@ fn validate(cfg: &SystemConfig) -> Result<(), ConfigError> {
             max: L2Config::MAX_MSHRS,
             got: cfg.l2.mshrs,
         });
+    }
+    for (what, got) in [
+        ("dram.read_latency", cfg.dram.read_latency),
+        ("dram.write_latency", cfg.dram.write_latency),
+        ("dram.issue_interval", cfg.dram.issue_interval),
+        ("l2.access_latency", cfg.l2.access_latency),
+    ] {
+        if got > RUN_WATCHDOG_CYCLES {
+            return Err(ConfigError::LatencyTooLong {
+                what,
+                max: RUN_WATCHDOG_CYCLES,
+                got,
+            });
+        }
     }
     if cfg.lockstep_oracle && cfg.engine == EngineKind::Naive {
         return Err(ConfigError::OracleNeedsFastEngine);
@@ -199,12 +223,6 @@ impl SystemBuilder {
         self
     }
 
-    /// TileLink hop latency in cycles. Default 1.
-    pub fn link_latency(mut self, cycles: u64) -> Self {
-        self.cfg.link_latency = cycles;
-        self
-    }
-
     /// Selects the simulation engine explicitly (naive / component-wheel).
     /// Both engines produce bit-identical cycles, stats, durable images and
     /// trace-event streams. Default [`EngineKind::ComponentWheel`].
@@ -241,9 +259,9 @@ impl SystemBuilder {
     ///
     /// The fallible twin of [`SystemBuilder::build`]: every invariant the
     /// component constructors would assert (power-of-two set counts,
-    /// nonzero resource pools, the supported core range, the component wheel
-    /// under the lockstep oracle) is checked up front and reported as a
-    /// typed [`ConfigError`] instead of a panic.
+    /// nonzero resource pools, the supported core range, latencies no longer
+    /// than a run, the component wheel under the lockstep oracle) is checked
+    /// up front and reported as a typed [`ConfigError`] instead of a panic.
     ///
     /// # Example
     ///
@@ -264,8 +282,9 @@ impl SystemBuilder {
     /// # Panics
     ///
     /// Panics if the assembled configuration is invalid (zero-sized
-    /// structures, non-power-of-two set counts, more than 32 cores, the
-    /// lockstep oracle under the naive engine) — the panicking rendering
+    /// structures, non-power-of-two set counts, more than 32 cores, a
+    /// latency past the run watchdog, the lockstep oracle under the naive
+    /// engine) — the panicking rendering
     /// of exactly the checks [`SystemBuilder::try_build`] reports as
     /// [`ConfigError`]s.
     pub fn build(self) -> System {
@@ -290,13 +309,11 @@ mod tests {
             .cores(8)
             .skip_it(true)
             .flush_queue_depth(4)
-            .fshrs(2)
-            .link_latency(1);
+            .fshrs(2);
         assert_eq!(b.config().cores, 8);
         assert!(b.config().l1.skip_it);
         assert_eq!(b.config().l1.flush_queue_depth, 4);
         assert_eq!(b.config().l1.fshrs, 2);
-        assert_eq!(b.config().link_latency, 1);
     }
 
     #[test]

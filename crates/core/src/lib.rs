@@ -85,7 +85,7 @@ pub use skipit_tilelink::{
 };
 pub use skipit_trace::{
     CoreCounters, CoreSample, MsgDesc, StreamEvent, Telemetry, TelemetryCounters, TelemetrySample,
-    TimedEvent, TraceConfig, TraceEvent, TraceFilter, TraceSink,
+    TimedEvent, TraceConfig, TraceEvent, TraceSink,
 };
 
 /// Convenience: builds the paper's §7.1 evaluation platform (dual-core,

@@ -27,6 +27,9 @@ use skipit_tilelink::{
 use skipit_trace::{TraceEvent, TraceSink};
 use std::collections::VecDeque;
 
+/// Cycles from accepting a hitting request to its response.
+const HIT_LATENCY: u64 = 3;
+
 /// Lower-case `CBO.X` kind name for trace events.
 fn wb_kind_name(kind: skipit_tilelink::WritebackKind) -> &'static str {
     match kind {
@@ -614,12 +617,12 @@ impl DataCache {
                 self.arrays.touch(set, way);
                 self.stats.loads += 1;
                 self.stats.load_hits += 1;
-                self.respond(now + self.cfg.hit_latency, DcResp::LoadDone { id, value });
+                self.respond(now + HIT_LATENCY, DcResp::LoadDone { id, value });
             }
             (Admit::FshrForward(value), _) => {
                 self.stats.loads += 1;
                 self.stats.load_fshr_forwards += 1;
-                self.respond(now + self.cfg.hit_latency, DcResp::LoadDone { id, value });
+                self.respond(now + HIT_LATENCY, DcResp::LoadDone { id, value });
             }
             (Admit::WriteHit(way), DcReqKind::Store { addr, value }) => {
                 self.arrays
@@ -643,12 +646,12 @@ impl DataCache {
                 self.flush.note_line_touched(line);
                 self.stats.stores += 1;
                 self.stats.store_hits += 1;
-                self.respond(now + self.cfg.hit_latency, DcResp::StoreDone { id });
+                self.respond(now + HIT_LATENCY, DcResp::StoreDone { id });
             }
             (Admit::WriteHit(way), DcReqKind::Amo { .. }) => {
                 let old = self.execute_amo(now, line, way, req);
                 self.stats.amos += 1;
-                self.respond(now + self.cfg.hit_latency, DcResp::AmoDone { id, old });
+                self.respond(now + HIT_LATENCY, DcResp::AmoDone { id, old });
             }
             (Admit::Secondary(slot), _) => {
                 self.mshrs[slot].rpq.push_back(req);

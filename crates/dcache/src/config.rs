@@ -19,8 +19,6 @@ pub struct L1Config {
     pub flush_queue_depth: usize,
     /// Number of flush status holding registers (the paper uses 8, §5.2).
     pub fshrs: usize,
-    /// Cycles from accepting a hitting request to its response.
-    pub hit_latency: u64,
     /// Enables the Skip It optimization (§6). When disabled the cache is the
     /// paper's baseline ("naïve") flush-unit design.
     pub skip_it: bool,
@@ -40,7 +38,6 @@ impl Default for L1Config {
             rpq_depth: 8,
             flush_queue_depth: 16,
             fshrs: 8,
-            hit_latency: 3,
             skip_it: false,
             cross_kind_coalescing: false,
         }

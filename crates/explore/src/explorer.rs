@@ -7,7 +7,8 @@ use crate::scenario::Scenario;
 use skipit_core::{Op, PerturbConfig, System, SystemBuilder};
 
 /// How exploration systems are built. `Copy` so campaign points can carry
-/// it across worker threads.
+/// it across worker threads. Every exploration runs under
+/// [`PerturbConfig::exploring`] with the run's seed.
 #[derive(Clone, Copy, Debug)]
 pub struct ExploreConfig {
     /// Cores in the simulated system.
@@ -15,9 +16,6 @@ pub struct ExploreConfig {
     /// Whether the §6 Skip It optimization is on (the skip-bit invariant is
     /// only interesting when it is).
     pub skip_it: bool,
-    /// Perturbation amplitudes. The per-run seed replaces
-    /// [`PerturbConfig::seed`]; everything else is taken as-is.
-    pub perturb: PerturbConfig,
 }
 
 impl Default for ExploreConfig {
@@ -25,7 +23,6 @@ impl Default for ExploreConfig {
         ExploreConfig {
             cores: 2,
             skip_it: true,
-            perturb: PerturbConfig::exploring(0),
         }
     }
 }
@@ -48,7 +45,7 @@ pub fn build_system(cfg: ExploreConfig, seed: u64) -> System {
     SystemBuilder::new()
         .cores(cfg.cores)
         .skip_it(cfg.skip_it)
-        .perturb(cfg.perturb.with_seed(seed))
+        .perturb(PerturbConfig::exploring(seed))
         .build()
 }
 

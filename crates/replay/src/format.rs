@@ -80,16 +80,30 @@ impl MemTrace {
     /// # Errors
     ///
     /// [`TraceError::CoreOutOfRange`] if the record names a core the trace
-    /// does not declare; [`TraceError::PastWatchdog`] if the record's stamp
-    /// (the core's gaps so far) plus its `Nop` think time reaches
-    /// [`RUN_WATCHDOG_CYCLES`] — a replay of it could only end in the
-    /// run watchdog's panic.
+    /// does not declare; [`TraceError::Unaligned`] if a load, store or
+    /// AMO names a word address that is not 8-byte aligned;
+    /// [`TraceError::PastWatchdog`] if the record's stamp (the core's gaps
+    /// so far) plus its `Nop` think time reaches [`RUN_WATCHDOG_CYCLES`] —
+    /// a replay of it could only end in the run watchdog's panic.
     pub fn push(&mut self, record: TraceRecord) -> Result<(), TraceError> {
         if record.core >= self.cores {
             return Err(TraceError::CoreOutOfRange {
                 core: record.core,
                 cores: self.cores,
             });
+        }
+        if let Op::Load { addr }
+        | Op::Store { addr, .. }
+        | Op::Cas { addr, .. }
+        | Op::FetchAdd { addr, .. }
+        | Op::Swap { addr, .. } = record.op
+        {
+            if addr % 8 != 0 {
+                return Err(TraceError::Unaligned {
+                    core: record.core,
+                    addr,
+                });
+            }
         }
         let think = match record.op {
             Op::Nop { cycles } => cycles,

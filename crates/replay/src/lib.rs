@@ -108,6 +108,14 @@ pub enum TraceError {
         /// The core whose record ends too late.
         core: u32,
     },
+    /// A load, store or AMO names a word address that is not 8-byte
+    /// aligned (`CBO.X` ops may name any byte of their line).
+    Unaligned {
+        /// The core whose record names the address.
+        core: u32,
+        /// The unaligned byte address.
+        addr: u64,
+    },
     /// A text-form parse failure, with the 1-based source line.
     Text {
         /// 1-based line number.
@@ -137,6 +145,10 @@ impl fmt::Display for TraceError {
             TraceError::PastWatchdog { core } => write!(
                 f,
                 "core {core}'s records end past the {RUN_WATCHDOG_CYCLES}-cycle run watchdog"
+            ),
+            TraceError::Unaligned { core, addr } => write!(
+                f,
+                "core {core}'s word access at {addr:#x} is not 8-byte aligned"
             ),
             TraceError::Text { line, msg } => write!(f, "trace text line {line}: {msg}"),
             TraceError::Io(msg) => write!(f, "trace file i/o: {msg}"),

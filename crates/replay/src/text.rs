@@ -59,7 +59,8 @@ impl MemTrace {
     ///
     /// [`TraceError::Text`] naming the offending 1-based line for any
     /// malformed directive, unknown kind, bad operand count or number, or
-    /// record naming an undeclared core or ending past the run watchdog.
+    /// record naming an undeclared core, a misaligned word address, or
+    /// ending past the run watchdog.
     pub fn from_text(text: &str) -> Result<Self, TraceError> {
         let mut trace: Option<MemTrace> = None;
         for (idx, raw) in text.lines().enumerate() {

@@ -86,11 +86,6 @@ impl PerturbConfig {
         }
     }
 
-    /// Same config, different seed.
-    pub fn with_seed(self, seed: u64) -> Self {
-        PerturbConfig { seed, ..self }
-    }
-
     /// Whether any perturbation can ever fire. An inactive config draws
     /// nothing and is bit-identical to no config at all.
     pub fn is_active(&self) -> bool {
@@ -136,7 +131,7 @@ mod tests {
         let a: Vec<u64> = (0..64).map(|e| p.draw(link_site('A', 0), e, 63)).collect();
         let b: Vec<u64> = (0..64).map(|e| p.draw(link_site('B', 0), e, 63)).collect();
         let a2: Vec<u64> = (0..64)
-            .map(|e| p.with_seed(2).draw(link_site('A', 0), e, 63))
+            .map(|e| PerturbConfig::exploring(2).draw(link_site('A', 0), e, 63))
             .collect();
         assert_ne!(a, b, "different sites must draw different sequences");
         assert_ne!(a, a2, "different seeds must draw different sequences");

@@ -55,8 +55,8 @@ macro_rules! trace {
 }
 
 /// A single cycle-stamped simulator event. Variants carry the originating
-/// core where one exists, so sinks can filter per core and exporters can
-/// assign tracks without extra bookkeeping.
+/// core where one exists, so exporters can assign tracks without extra
+/// bookkeeping.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceEvent {
     /// An FSHR moved between two Fig. 7 states (`free`, `meta_write`,
@@ -239,7 +239,7 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// The core an event belongs to, when it has one (per-core filtering).
+    /// The core an event belongs to, when it has one (its exporter track).
     pub fn core(&self) -> Option<usize> {
         use TraceEvent::*;
         match *self {
@@ -256,31 +256,6 @@ impl TraceEvent {
             | SkipBitClear { core, .. }
             | FenceStallBegin { core, .. }
             | FenceStallEnd { core, .. } => Some(core),
-            _ => None,
-        }
-    }
-
-    /// The line address an event concerns, when it has one (address-range
-    /// filtering).
-    pub fn addr(&self) -> Option<u64> {
-        use TraceEvent::*;
-        match *self {
-            FshrTransition { addr, .. }
-            | FlushEnqueue { addr, .. }
-            | FlushCoalesce { addr, .. }
-            | FlushInvalidate { addr, .. }
-            | WritebackDropped { addr, .. }
-            | TlBegin { addr, .. }
-            | TlEnd { addr, .. }
-            | L1MshrAlloc { addr, .. }
-            | L1MshrFree { addr, .. }
-            | L2MshrAlloc { addr, .. }
-            | L2MshrFree { addr, .. }
-            | SkipBitSet { addr, .. }
-            | SkipBitClear { addr, .. }
-            | DramRead { addr }
-            | DramWrite { addr }
-            | DramWriteSkipped { addr } => Some(addr),
             _ => None,
         }
     }
@@ -377,72 +352,12 @@ pub struct TimedEvent {
     pub event: TraceEvent,
 }
 
-/// Admission filter applied before an event enters a sink. The default
-/// admits everything; component-level filtering is done by installing
-/// sinks only on the components of interest.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceFilter {
-    /// Bitmask of admitted cores. Events without a core (DRAM, L2, engine)
-    /// are always admitted.
-    pub cores: u64,
-    /// Inclusive lower bound on event addresses.
-    pub addr_lo: u64,
-    /// Inclusive upper bound on event addresses. Events without an address
-    /// are always admitted.
-    pub addr_hi: u64,
-}
-
-impl Default for TraceFilter {
-    fn default() -> Self {
-        TraceFilter {
-            cores: u64::MAX,
-            addr_lo: 0,
-            addr_hi: u64::MAX,
-        }
-    }
-}
-
-impl TraceFilter {
-    /// Admit only events of cores set in `mask`.
-    pub fn cores(mask: u64) -> Self {
-        TraceFilter {
-            cores: mask,
-            ..TraceFilter::default()
-        }
-    }
-
-    /// Admit only events whose address falls in `[lo, hi]`.
-    pub fn addr_range(lo: u64, hi: u64) -> Self {
-        TraceFilter {
-            addr_lo: lo,
-            addr_hi: hi,
-            ..TraceFilter::default()
-        }
-    }
-
-    /// Whether `ev` passes the filter.
-    pub fn admits(&self, ev: &TraceEvent) -> bool {
-        if let Some(core) = ev.core() {
-            if self.cores & (1u64 << (core as u32 % 64)) == 0 {
-                return false;
-            }
-        }
-        if let Some(addr) = ev.addr() {
-            if addr < self.addr_lo || addr > self.addr_hi {
-                return false;
-            }
-        }
-        true
-    }
-}
-
 /// Builder-style description of a system's complete tracing setup: what
-/// `System::set_trace` consumes. One value describes both tracing
+/// `System::set_trace` consumes. One value describes all three tracing
 /// facilities —
 ///
 /// * **event tracing**: cycle-stamped [`TraceEvent`] ring buffers on every
-///   component ([`TraceConfig::events`], optionally narrowed by
-///   [`TraceConfig::filter`]), and
+///   component ([`TraceConfig::events`]),
 /// * **op-latency tracing**: per-core completion records and latency
 ///   histograms ([`TraceConfig::latency`]), and
 /// * **telemetry sampling**: interval-aligned counter-series samples
@@ -455,11 +370,10 @@ impl TraceFilter {
 /// # Example
 ///
 /// ```
-/// use skipit_trace::{TraceConfig, TraceFilter};
+/// use skipit_trace::TraceConfig;
 ///
 /// let cfg = TraceConfig::new()
 ///     .events(1 << 16)
-///     .filter(TraceFilter::cores(0b01))
 ///     .latency(1024)
 ///     .telemetry(4096);
 /// assert_eq!(cfg.event_capacity(), Some(1 << 16));
@@ -469,7 +383,6 @@ impl TraceFilter {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceConfig {
     event_capacity: Option<usize>,
-    filter: TraceFilter,
     latency_capacity: Option<usize>,
     telemetry_interval: Option<u64>,
 }
@@ -485,14 +398,13 @@ impl TraceConfig {
     pub fn off() -> Self {
         TraceConfig {
             event_capacity: None,
-            filter: TraceFilter::default(),
             latency_capacity: None,
             telemetry_interval: None,
         }
     }
 
     /// Starts from everything-disabled; chain [`TraceConfig::events`],
-    /// [`TraceConfig::filter`] and [`TraceConfig::latency`] to enable
+    /// [`TraceConfig::latency`] and [`TraceConfig::telemetry`] to enable
     /// facilities.
     pub fn new() -> Self {
         TraceConfig::off()
@@ -502,13 +414,6 @@ impl TraceConfig {
     /// events per component sink.
     pub fn events(mut self, capacity: usize) -> Self {
         self.event_capacity = Some(capacity);
-        self
-    }
-
-    /// Admission filter applied by every event sink (core mask / address
-    /// range). Only meaningful together with [`TraceConfig::events`].
-    pub fn filter(mut self, filter: TraceFilter) -> Self {
-        self.filter = filter;
         self
     }
 
@@ -536,11 +441,6 @@ impl TraceConfig {
         self.event_capacity
     }
 
-    /// The event admission filter.
-    pub fn event_filter(&self) -> TraceFilter {
-        self.filter
-    }
-
     /// Per-core latency-record capacity, `None` when op-latency tracing is
     /// off.
     pub fn latency_capacity(&self) -> Option<usize> {
@@ -561,7 +461,6 @@ impl TraceConfig {
 pub struct TraceSink {
     events: VecDeque<TimedEvent>,
     capacity: usize,
-    filter: TraceFilter,
     seq: u64,
     dropped: u64,
 }
@@ -582,29 +481,19 @@ impl std::fmt::Debug for TraceSink {
 }
 
 impl TraceSink {
-    /// A sink holding at most `capacity` events, admitting everything.
+    /// A sink holding at most `capacity` events.
     pub fn new(capacity: usize) -> Self {
-        TraceSink::with_filter(capacity, TraceFilter::default())
-    }
-
-    /// A sink holding at most `capacity` events that pass `filter`.
-    pub fn with_filter(capacity: usize, filter: TraceFilter) -> Self {
         TraceSink {
             events: VecDeque::with_capacity(capacity.min(1024)),
             capacity,
-            filter,
             seq: 0,
             dropped: 0,
         }
     }
 
-    /// Records `event` at `cycle` (applying the filter and the capacity
-    /// bound). Prefer the [`trace!`] macro at emission sites — it adds the
-    /// `Option` guard.
+    /// Records `event` at `cycle` (applying the capacity bound). Prefer
+    /// the [`trace!`] macro at emission sites — it adds the `Option` guard.
     pub fn emit(&mut self, cycle: u64, event: TraceEvent) {
-        if !self.filter.admits(&event) {
-            return;
-        }
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped += 1;
@@ -637,11 +526,6 @@ impl TraceSink {
     /// Capacity the sink was built with.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// The admission filter.
-    pub fn filter(&self) -> &TraceFilter {
-        &self.filter
     }
 
     /// Discards buffered events and resets the drop counter (the sequence
@@ -703,21 +587,6 @@ mod tests {
         assert_eq!(s.dropped(), 3);
         let cycles: Vec<u64> = s.events().map(|e| e.cycle).collect();
         assert_eq!(cycles, vec![3, 4]);
-    }
-
-    #[test]
-    fn filters_apply_to_attributed_events_only() {
-        let mut s = TraceSink::with_filter(16, TraceFilter::cores(0b10));
-        s.emit(1, TraceEvent::SkipBitSet { core: 0, addr: 0 });
-        s.emit(2, TraceEvent::SkipBitSet { core: 1, addr: 0 });
-        s.emit(3, TraceEvent::DramWrite { addr: 0 });
-        assert_eq!(s.len(), 2, "core 0 filtered, core 1 + coreless admitted");
-
-        let mut s = TraceSink::with_filter(16, TraceFilter::addr_range(0x100, 0x1ff));
-        s.emit(1, TraceEvent::DramWrite { addr: 0x80 });
-        s.emit(2, TraceEvent::DramWrite { addr: 0x180 });
-        s.emit(3, TraceEvent::FenceStallBegin { core: 0, token: 1 });
-        assert_eq!(s.len(), 2, "out-of-range filtered, addressless admitted");
     }
 
     #[test]

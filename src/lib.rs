@@ -57,7 +57,7 @@ pub mod prelude {
         paper_platform, CapturedOp, ConfigError, CoreHandle, EngineKind, EngineStats,
         MetricsSnapshot, Op, PhaseProfile, Programs, ReplaySchedule, RunReport, Snapshot,
         SnapshotError, System, SystemBuilder, SystemConfig, SystemStats, Telemetry,
-        TelemetrySample, TimedOp, TraceConfig, TraceFilter, Workers, Workload,
+        TelemetrySample, TimedOp, TraceConfig, Workers, Workload,
     };
     pub use skipit_explore::{
         explore_one, minimize, scan_crash_points, CrashPoint, ExploreConfig, InvariantOracle,

@@ -196,7 +196,7 @@ fn lockstep_oracle_accepts_campaign(scenario: Scenario) {
         let mut sys = SystemBuilder::new()
             .cores(cfg.cores)
             .skip_it(cfg.skip_it)
-            .perturb(cfg.perturb.with_seed(seed))
+            .perturb(PerturbConfig::exploring(seed))
             .lockstep_oracle(true)
             .build();
         let (cycles, violation) = run_with_oracle(&mut sys, scenario.programs(seed, cfg.cores));

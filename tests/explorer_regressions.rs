@@ -41,21 +41,13 @@
 //! entry behind the L1's back. Fixed by matching acks to the oldest
 //! same-line `WaitAck` FSHR (dispatch order = ack order over FIFO links).
 
-use skipit::core::{Op, PerturbConfig};
+use skipit::core::Op;
 use skipit::explore::{build_system, run_with_oracle, ExploreConfig, Scenario};
-
-fn exploring(seed: u64) -> ExploreConfig {
-    ExploreConfig {
-        perturb: PerturbConfig::exploring(seed),
-        ..ExploreConfig::default()
-    }
-}
 
 /// Replays minimized programs under the originating seed's perturbation and
 /// asserts every invariant holds at every executed cycle.
 fn assert_clean(seed: u64, programs: Vec<Vec<Op>>) {
-    let cfg = exploring(seed);
-    let mut sys = build_system(cfg, seed);
+    let mut sys = build_system(ExploreConfig::default(), seed);
     let (_, violation) = run_with_oracle(&mut sys, programs);
     assert_eq!(violation, None, "replay of minimized reproducer violated");
 }

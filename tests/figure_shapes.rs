@@ -32,41 +32,14 @@ fn full_table_matches_committed_json() {
 }
 
 /// Panics at the first line where `figures` differs from its committed
-/// file. Lines that start (after indentation) with one of `host_keys` are
-/// not compared; everything else must be equal byte for byte.
+/// file, outside the lines that start with one of `host_keys`.
 fn assert_matches_committed(figures: &Figures, host_keys: &[&str]) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(figures.file_name());
-    let committed =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-    let simulated = |text: &str| -> String {
-        text.split_inclusive('\n')
-            .map(|l| {
-                let host = host_keys.iter().any(|k| l.trim_start().starts_with(k));
-                if host {
-                    "\n"
-                } else {
-                    l
-                }
-            })
-            .collect()
-    };
-    let (want, got) = (simulated(&committed), simulated(&figures.to_json()));
-    if want == got {
-        return;
-    }
-    let same = want
-        .lines()
-        .zip(got.lines())
-        .take_while(|(w, g)| w == g)
-        .count();
-    panic!(
-        "{} differs from a fresh run at line {}:\n  committed: {}\n  fresh:     {}\n\
-         regenerate it with `cargo bench -p skipit-bench --bench figures` \
+    skipit_bench::assert_matches_committed(
+        figures.file_name(),
+        &figures.to_json(),
+        host_keys,
+        "`cargo bench -p skipit-bench --bench figures` \
          (`SKIPIT_BENCH_QUICK=1` for the quick table)",
-        path.display(),
-        same + 1,
-        want.lines().nth(same).unwrap_or("<end of file>"),
-        got.lines().nth(same).unwrap_or("<end of file>"),
     );
 }
 

@@ -20,7 +20,6 @@ fn tiny_system(seed: u64) -> skipit::System {
             rpq_depth: 2,
             flush_queue_depth: 2,
             fshrs: 2,
-            hit_latency: 3,
             skip_it: seed.is_multiple_of(2),
             cross_kind_coalescing: seed.is_multiple_of(3),
         })

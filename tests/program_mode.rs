@@ -2,7 +2,7 @@
 //! property.
 
 use proptest::prelude::*;
-use skipit::core::asm;
+use skipit::core::{asm, DramConfig, L2Config, RUN_WATCHDOG_CYCLES};
 use skipit::prelude::*;
 
 #[test]
@@ -73,6 +73,52 @@ fn stq_saturation_makes_progress() {
     prog.push(Op::Fence);
     sys.run(Programs(vec![prog]));
     assert_eq!(sys.dram().read_word_direct(0x3000), 499);
+}
+
+/// Every configurable latency is bounded by the run watchdog: each field
+/// at `u64::MAX` and one past the bound is rejected by name with a typed
+/// error, and each field at the bound builds.
+#[test]
+fn latencies_past_the_run_watchdog_are_typed_errors() {
+    let dram = |dram| SystemBuilder::new().dram(dram);
+    let cases: [(&str, &dyn Fn(u64) -> SystemBuilder); 4] = [
+        ("dram.read_latency", &|v| {
+            dram(DramConfig {
+                read_latency: v,
+                ..DramConfig::default()
+            })
+        }),
+        ("dram.write_latency", &|v| {
+            dram(DramConfig {
+                write_latency: v,
+                ..DramConfig::default()
+            })
+        }),
+        ("dram.issue_interval", &|v| {
+            dram(DramConfig {
+                issue_interval: v,
+                ..DramConfig::default()
+            })
+        }),
+        ("l2.access_latency", &|v| {
+            SystemBuilder::new().l2(L2Config {
+                access_latency: v,
+                ..L2Config::default()
+            })
+        }),
+    ];
+    let max = RUN_WATCHDOG_CYCLES;
+    for (what, builder) in cases {
+        for got in [u64::MAX, max + 1] {
+            let err = builder(got).try_build().err();
+            assert_eq!(
+                err,
+                Some(ConfigError::LatencyTooLong { what, max, got }),
+                "{what} = {got}"
+            );
+        }
+        assert!(builder(max).try_build().is_ok(), "{what} at the bound");
+    }
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {

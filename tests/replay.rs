@@ -262,6 +262,55 @@ fn corrupt_traces_decode_to_typed_errors() {
     ));
 }
 
+/// A load, store or AMO at an address that is not 8-byte aligned is a
+/// typed decode error naming the core and the address, in text and binary
+/// form; `CBO.X` ops may name any byte of their line.
+#[test]
+fn unaligned_word_addresses_decode_to_typed_errors() {
+    for op in [
+        "load 0x1003",
+        "store 0x1003 1",
+        "cas 0x1003 0 1",
+        "fetch_add 0x1003 1",
+        "swap 0x1003 1",
+    ] {
+        let text = format!("cores 2\n1 {op}\n0 load 0x1000\n");
+        match MemTrace::from_text(&text).unwrap_err() {
+            TraceError::Text { line: 2, msg } => {
+                let want = TraceError::Unaligned {
+                    core: 1,
+                    addr: 0x1003,
+                };
+                assert_eq!(msg, want.to_string(), "{op}");
+            }
+            err => panic!("{op}: unexpected error {err}"),
+        }
+    }
+    for op in ["clean", "flush", "inval"] {
+        let text = format!("cores 1\n0 {op} 0x1003\n");
+        assert!(MemTrace::from_text(&text).is_ok(), "{op} at a line byte");
+    }
+
+    // Binary form: patch the low bits of an aligned store address. The
+    // first byte where the encodings of 0x1000 and 0x1008 differ is the
+    // low byte of the address varint.
+    let bytes = |addr: u64| {
+        MemTrace::from_text(&format!("cores 1\n0 store {addr:#x} 1\n0 load 0x1000\n"))
+            .unwrap()
+            .to_bytes()
+    };
+    let (mut bad, other) = (bytes(0x1000), bytes(0x1008));
+    let low = bad.iter().zip(&other).position(|(a, b)| a != b).unwrap();
+    bad[low] |= 3;
+    assert_eq!(
+        MemTrace::from_bytes(&bad).unwrap_err(),
+        TraceError::Unaligned {
+            core: 0,
+            addr: 0x1003
+        }
+    );
+}
+
 /// A hand-written text trace means exactly what its binary encoding means:
 /// parse → encode → decode → render is the identity (modulo comments), and
 /// both forms replay identically.
