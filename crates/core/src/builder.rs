@@ -114,12 +114,14 @@ fn validate(cfg: &SystemConfig) -> Result<(), ConfigError> {
             return Err(ConfigError::Zero { what });
         }
     }
-    if cfg.l2.mshrs > L2Config::MAX_MSHRS {
-        return Err(ConfigError::TooMany {
-            what: "l2.mshrs",
-            max: L2Config::MAX_MSHRS,
-            got: cfg.l2.mshrs,
-        });
+    for (what, max, got) in [
+        ("l1.mshrs", L1Config::MAX_MSHRS, cfg.l1.mshrs),
+        ("l1.fshrs", L1Config::MAX_FSHRS, cfg.l1.fshrs),
+        ("l2.mshrs", L2Config::MAX_MSHRS, cfg.l2.mshrs),
+    ] {
+        if got > max {
+            return Err(ConfigError::TooMany { what, max, got });
+        }
     }
     for (what, got) in [
         ("dram.read_latency", cfg.dram.read_latency),
@@ -354,6 +356,30 @@ mod tests {
         assert_eq!(
             SystemBuilder::new().l1(l1).try_build().unwrap_err(),
             ConfigError::Zero { what: "l1.fshrs" }
+        );
+        let l1 = L1Config {
+            mshrs: 65,
+            ..L1Config::default()
+        };
+        assert_eq!(
+            SystemBuilder::new().l1(l1).try_build().unwrap_err(),
+            ConfigError::TooMany {
+                what: "l1.mshrs",
+                max: 64,
+                got: 65
+            }
+        );
+        let l1 = L1Config {
+            fshrs: 65,
+            ..L1Config::default()
+        };
+        assert_eq!(
+            SystemBuilder::new().l1(l1).try_build().unwrap_err(),
+            ConfigError::TooMany {
+                what: "l1.fshrs",
+                max: 64,
+                got: 65
+            }
         );
         let l2 = L2Config {
             mshrs: 65,

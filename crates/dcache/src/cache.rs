@@ -20,6 +20,7 @@ use crate::flush::{FlushEntry, FlushUnit};
 use crate::meta::CacheArrays;
 use crate::req::{AmoOp, DcReq, DcReqKind, DcResp, ReqOutcome};
 use crate::stats::L1Stats;
+use skipit_tilelink::slots::{first_free, set_bit, Slots};
 use skipit_tilelink::{
     AgentId, ChannelA, ChannelB, ChannelC, ChannelD, ChannelE, ClientState, GrantFlavor, Grow,
     LineAddr, LineData, Link, Shrink,
@@ -82,12 +83,6 @@ struct Mshr {
     /// Primary request needs write (Trunk) permission.
     write: bool,
     rpq: VecDeque<DcReq>,
-}
-
-impl Mshr {
-    fn active_on(&self, addr: LineAddr) -> bool {
-        self.state != MshrState::Free && self.addr == addr
-    }
 }
 
 #[derive(Debug)]
@@ -178,6 +173,12 @@ pub struct DataCache {
     core: AgentId,
     arrays: CacheArrays,
     mshrs: Vec<Mshr>,
+    /// MSHR state masks, bit `i` for `mshrs[i]`: `live` (not `Free`) and
+    /// `acting` (not `Free` or `WaitGrant`: a state the MSHR step advances
+    /// on its own). Kept in step by [`DataCache::set_mshr_state`]; rebuilt
+    /// on decode, never serialized.
+    live: u64,
+    acting: u64,
     wbu: Wbu,
     probe: ProbePhase,
     flush: FlushUnit,
@@ -208,6 +209,8 @@ impl DataCache {
             core,
             arrays: CacheArrays::new(&cfg),
             mshrs: (0..cfg.mshrs).map(|_| Mshr::default()).collect(),
+            live: 0,
+            acting: 0,
             wbu: Wbu::default(),
             probe: ProbePhase::Idle,
             flush: FlushUnit::new(cfg.flush_queue_depth, cfg.fshrs),
@@ -257,10 +260,7 @@ impl DataCache {
 
     /// MSHRs currently mid-transaction (telemetry gauge).
     pub fn mshr_occupancy(&self) -> usize {
-        self.mshrs
-            .iter()
-            .filter(|m| m.state != MshrState::Free)
-            .count()
+        self.live.count_ones() as usize
     }
 
     /// FSHRs currently executing a writeback (telemetry gauge).
@@ -280,7 +280,7 @@ impl DataCache {
 
     /// Whether the cache has no in-flight work (tests / quiesce detection).
     pub fn is_quiescent(&self) -> bool {
-        self.mshrs.iter().all(|m| m.state == MshrState::Free)
+        self.live == 0
             && self.wbu.ready()
             && matches!(self.probe, ProbePhase::Idle)
             && !self.flush.is_flushing()
@@ -351,9 +351,10 @@ impl DataCache {
         let probe_rdy = matches!(self.probe, ProbePhase::Idle);
         let wb_rdy = self.wbu.ready();
         let flush_rdy = self.flush.flush_rdy();
-        for m in &self.mshrs {
+        for i in Slots(self.acting) {
+            let m = &self.mshrs[i];
             match m.state {
-                MshrState::Free | MshrState::WaitGrant => {}
+                MshrState::Free | MshrState::WaitGrant => unreachable!("MSHR {i} not acting"),
                 MshrState::EvictWait => {
                     // Held by the §5.4.2 interlocks; while they are low the
                     // unit holding them low reports its own work below.
@@ -429,7 +430,7 @@ impl DataCache {
             DcReqKind::Writeback { kind, .. } => {
                 // See module docs: metadata snapshots cannot be kept
                 // consistent across an in-flight MSHR refill for the line.
-                if self.mshrs.iter().any(|m| m.active_on(line)) {
+                if self.mshrs_on(line).next().is_some() {
                     return Admit::Refuse;
                 }
                 let (hit, dirty, skip) = match self.arrays.lookup(line) {
@@ -469,9 +470,8 @@ impl DataCache {
                 // load must order behind it through the replay queue (§3.3's
                 // stronger-than-RVWMO same-line ordering).
                 if self
-                    .mshrs
-                    .iter()
-                    .any(|m| m.active_on(line) && m.write && m.state != MshrState::SendGrantAck)
+                    .mshrs_on(line)
+                    .any(|m| m.write && m.state != MshrState::SendGrantAck)
                 {
                     return self.admit_miss(line, false);
                 }
@@ -531,7 +531,7 @@ impl DataCache {
         // primary's — "if the MSHR was allocated as a result of a load, it
         // is unable to accept a store as a secondary request" — and the
         // replay queue must have room.
-        if let Some(slot) = self.mshrs.iter().position(|m| m.active_on(line)) {
+        if let Some(slot) = Slots(self.live).find(|&i| self.mshrs[i].addr == line) {
             let m = &self.mshrs[slot];
             return if (write && !m.write) || m.rpq.len() >= self.cfg.rpq_depth {
                 Admit::Refuse
@@ -539,7 +539,7 @@ impl DataCache {
                 Admit::Secondary(slot)
             };
         }
-        let slot = self.mshrs.iter().position(|m| m.state == MshrState::Free);
+        let slot = first_free(self.live, self.mshrs.len(), 0);
         // Upgrade in place if the line is already resident (Shared); fresh
         // victim otherwise.
         let way = self
@@ -672,9 +672,27 @@ impl DataCache {
     /// through its replay queue, or a held young op could slip ahead of an
     /// older buffered one.
     fn mshr_orders_line(&self, line: LineAddr) -> bool {
-        self.mshrs
-            .iter()
-            .any(|m| m.active_on(line) && m.state != MshrState::SendGrantAck)
+        self.mshrs_on(line)
+            .any(|m| m.state != MshrState::SendGrantAck)
+    }
+
+    /// The live MSHRs holding `line`, lowest slot first.
+    fn mshrs_on(&self, line: LineAddr) -> impl Iterator<Item = &Mshr> {
+        Slots(self.live)
+            .map(|i| &self.mshrs[i])
+            .filter(move |m| m.addr == line)
+    }
+
+    /// Moves MSHR `i` to `state`: the one state setter, which keeps `live`
+    /// and `acting` in step.
+    fn set_mshr_state(&mut self, i: usize, state: MshrState) {
+        self.mshrs[i].state = state;
+        set_bit(&mut self.live, i, state != MshrState::Free);
+        set_bit(
+            &mut self.acting,
+            i,
+            !matches!(state, MshrState::Free | MshrState::WaitGrant),
+        );
     }
 
     /// Applies an AMO to a resident, writable line; returns the old value.
@@ -741,11 +759,14 @@ impl DataCache {
         m.write = req.kind.needs_write();
         m.rpq.clear();
         m.rpq.push_back(req);
-        m.state = if victim_valid {
-            MshrState::EvictWait
-        } else {
-            MshrState::SendAcquire
-        };
+        self.set_mshr_state(
+            slot,
+            if victim_valid {
+                MshrState::EvictWait
+            } else {
+                MshrState::SendAcquire
+            },
+        );
         self.stats.mshr_allocs += 1;
         skipit_trace::trace!(
             self.sink,
@@ -783,15 +804,13 @@ impl DataCache {
                     flavor,
                     ..
                 } => {
-                    let Some(m) = self
-                        .mshrs
-                        .iter_mut()
-                        .find(|m| m.state == MshrState::WaitGrant && m.addr == addr)
+                    let Some(i) =
+                        Slots(self.live & !self.acting).find(|&i| self.mshrs[i].addr == addr)
                     else {
                         panic!("Grant for {addr:?} without a waiting MSHR");
                     };
-                    let way = m.way;
-                    m.state = MshrState::Replay;
+                    let way = self.mshrs[i].way;
+                    self.set_mshr_state(i, MshrState::Replay);
                     let state = if is_trunk {
                         ClientState::Exclusive
                     } else {
@@ -839,9 +858,12 @@ impl DataCache {
     }
 
     fn step_mshrs(&mut self, now: u64, ports: &mut L1Ports<'_>) {
-        for i in 0..self.mshrs.len() {
+        // Nothing allocates an MSHR in this phase and only the visited one
+        // changes state, so the mask as it stood on entry names exactly the
+        // MSHRs a full scan would advance.
+        for i in Slots(self.acting) {
             match self.mshrs[i].state {
-                MshrState::Free | MshrState::WaitGrant => {}
+                MshrState::Free | MshrState::WaitGrant => unreachable!("MSHR {i} not acting"),
                 MshrState::EvictWait => {
                     // §5.4.2: evictions wait for flush_rdy (no FSHR between
                     // allocation and release) and a free WBU.
@@ -856,7 +878,7 @@ impl DataCache {
                     let old = self.arrays.meta(set, way).state;
                     if old == ClientState::Invalid {
                         // Victim vanished (probed away) while we waited.
-                        self.mshrs[i].state = MshrState::SendAcquire;
+                        self.set_mshr_state(i, MshrState::SendAcquire);
                         continue;
                     }
                     let dirty = old.is_dirty();
@@ -903,7 +925,7 @@ impl DataCache {
                         shrink: Shrink::from_transition(old, ClientState::Invalid),
                         sent: false,
                     });
-                    self.mshrs[i].state = MshrState::SendAcquire;
+                    self.set_mshr_state(i, MshrState::SendAcquire);
                 }
                 MshrState::SendAcquire => {
                     if ports.a.can_push() {
@@ -917,7 +939,7 @@ impl DataCache {
                                 grow,
                             },
                         );
-                        self.mshrs[i].state = MshrState::WaitGrant;
+                        self.set_mshr_state(i, MshrState::WaitGrant);
                     }
                 }
                 MshrState::Replay => {
@@ -927,14 +949,14 @@ impl DataCache {
                         self.replay(now, addr, way, req);
                     }
                     if self.mshrs[i].rpq.is_empty() {
-                        self.mshrs[i].state = MshrState::SendGrantAck;
+                        self.set_mshr_state(i, MshrState::SendGrantAck);
                     }
                 }
                 MshrState::SendGrantAck => {
                     // A secondary request may have slipped in after the RPQ
                     // drained; serve it before retiring.
                     if !self.mshrs[i].rpq.is_empty() {
-                        self.mshrs[i].state = MshrState::Replay;
+                        self.set_mshr_state(i, MshrState::Replay);
                         continue;
                     }
                     if ports.e.can_push() {
@@ -959,6 +981,7 @@ impl DataCache {
                             }
                         );
                         self.mshrs[i] = Mshr::default();
+                        self.set_mshr_state(i, MshrState::Free);
                     }
                 }
             }
@@ -1034,9 +1057,9 @@ impl DataCache {
         c_rdy
             && self.flush.flush_rdy()
             && self.wbu.ready()
-            && !self.mshrs.iter().any(|m| {
-                m.active_on(addr) && matches!(m.state, MshrState::Replay | MshrState::SendGrantAck)
-            })
+            && !self
+                .mshrs_on(addr)
+                .any(|m| matches!(m.state, MshrState::Replay | MshrState::SendGrantAck))
     }
 
     fn step_probe(&mut self, now: u64, ports: &mut L1Ports<'_>) {
@@ -1210,8 +1233,9 @@ impl DataCache {
         if n != self.mshrs.len() {
             return Err(SnapError::ConfigMismatch);
         }
-        for m in &mut self.mshrs {
-            *m = Mshr::decode(r)?;
+        for i in 0..self.mshrs.len() {
+            self.mshrs[i] = Mshr::decode(r)?;
+            self.set_mshr_state(i, self.mshrs[i].state);
         }
         self.wbu.job = Option::decode(r)?;
         self.probe = ProbePhase::decode(r)?;
@@ -1226,6 +1250,26 @@ impl DataCache {
 mod tests {
     use super::*;
     use skipit_tilelink::{Cap, WritebackKind};
+
+    /// Every L1 MSHR and FSHR state mask equals a scan of its slot states.
+    fn assert_masks_mirror_states(l1: &DataCache) {
+        for (i, m) in l1.mshrs.iter().enumerate() {
+            let bit = |mask: u64| mask & (1 << i) != 0;
+            assert_eq!(bit(l1.live), m.state != MshrState::Free, "live bit {i}");
+            assert_eq!(
+                bit(l1.acting),
+                !matches!(m.state, MshrState::Free | MshrState::WaitGrant),
+                "acting bit {i}"
+            );
+        }
+        let past_file = !skipit_tilelink::slots::file_mask(l1.mshrs.len());
+        assert_eq!(
+            (l1.live | l1.acting) & past_file,
+            0,
+            "bit set past the file"
+        );
+        l1.flush.assert_masks_mirror_states();
+    }
 
     struct Harness {
         l1: DataCache,
@@ -1265,6 +1309,7 @@ mod tests {
                 e: &mut self.e,
             };
             self.l1.step(self.now, &mut ports);
+            assert_masks_mirror_states(&self.l1);
             self.now += 1;
         }
 
@@ -1758,6 +1803,66 @@ mod tests {
         }
         assert_eq!(h.l1.stats().evictions, 1);
         assert_eq!(h.l1.stats().dirty_evictions, 1);
+    }
+
+    #[test]
+    fn decoded_state_rebuilds_the_mshr_masks() {
+        let mut h = Harness::new(false);
+        let load = |id, addr| DcReq {
+            id,
+            kind: DcReqKind::Load { addr },
+        };
+        for (id, addr) in [(1, 0x1000), (2, 0x2000), (3, 0x3000)] {
+            assert_eq!(
+                h.l1.try_request(h.now, load(id, addr)),
+                ReqOutcome::Accepted
+            );
+        }
+        h.step();
+        // Grant only the first Acquire: its MSHR replays and waits to send
+        // the GrantAck while the other two wait for their Grants.
+        let Some(ChannelA::AcquireBlock { addr, .. }) = h.a.pop(h.now) else {
+            panic!("no Acquire sent");
+        };
+        h.d.push(
+            h.now,
+            ChannelD::Grant {
+                target: 0,
+                addr,
+                is_trunk: false,
+                data: LineData::zeroed(),
+                flavor: GrantFlavor::Clean,
+            },
+        );
+        while h.l1.mshrs[0].state == MshrState::WaitGrant {
+            assert!(h.now < 20, "Grant never arrived");
+            h.step();
+        }
+        assert_eq!(
+            h.l1.try_request(h.now, load(4, 0x4000)),
+            ReqOutcome::Accepted
+        );
+        let states: Vec<_> = h.l1.mshrs.iter().take(5).map(|m| m.state).collect();
+        assert_eq!(
+            states,
+            [
+                MshrState::SendGrantAck,
+                MshrState::WaitGrant,
+                MshrState::WaitGrant,
+                MshrState::SendAcquire,
+                MshrState::Free
+            ]
+        );
+        assert_masks_mirror_states(&h.l1);
+
+        let mut w = SnapWriter::new();
+        h.l1.encode_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut fresh = DataCache::new(0, L1Config::default());
+        fresh.decode_state(&mut SnapReader::new(&bytes)).unwrap();
+        assert_masks_mirror_states(&fresh);
+        assert_eq!((fresh.live, fresh.acting), (h.l1.live, h.l1.acting));
+        assert_eq!((fresh.live, fresh.acting), (0b1111, 0b1001));
     }
 
     #[test]

@@ -45,6 +45,14 @@ impl Default for L1Config {
 }
 
 impl L1Config {
+    /// Largest supported MSHR file: the cache tracks MSHR states in `u64`
+    /// masks, one bit per MSHR.
+    pub const MAX_MSHRS: usize = 64;
+
+    /// Largest supported FSHR file: the flush unit tracks FSHR states in
+    /// `u64` masks, one bit per FSHR.
+    pub const MAX_FSHRS: usize = 64;
+
     /// Total capacity in bytes.
     pub fn capacity_bytes(&self) -> usize {
         self.sets * self.ways * skipit_tilelink::LINE_BYTES
@@ -54,7 +62,9 @@ impl L1Config {
     ///
     /// # Panics
     ///
-    /// Panics if any field is zero or `sets` is not a power of two.
+    /// Panics if any field is zero, `sets` is not a power of two, or
+    /// `mshrs` or `fshrs` exceeds [`L1Config::MAX_MSHRS`] /
+    /// [`L1Config::MAX_FSHRS`].
     pub fn validate(&self) {
         assert!(self.sets.is_power_of_two(), "sets must be a power of two");
         assert!(self.ways > 0, "ways must be nonzero");
@@ -65,6 +75,16 @@ impl L1Config {
             "flush_queue_depth must be nonzero"
         );
         assert!(self.fshrs > 0, "fshrs must be nonzero");
+        assert!(
+            self.mshrs <= Self::MAX_MSHRS,
+            "mshrs must be at most {}",
+            Self::MAX_MSHRS
+        );
+        assert!(
+            self.fshrs <= Self::MAX_FSHRS,
+            "fshrs must be at most {}",
+            Self::MAX_FSHRS
+        );
     }
 }
 

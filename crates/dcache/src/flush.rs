@@ -15,6 +15,7 @@
 
 use crate::meta::CacheArrays;
 use crate::stats::L1Stats;
+use skipit_tilelink::slots::{file_mask, first_free, set_bit, Slots};
 use skipit_tilelink::{
     AgentId, Cap, ChannelC, ClientState, LineAddr, LineData, Link, PerturbConfig, WritebackKind,
 };
@@ -107,19 +108,18 @@ impl Default for FlushEntry {
     }
 }
 
-impl Fshr {
-    /// Whether this FSHR is executing a request for `addr`.
-    pub fn active_on(&self, addr: LineAddr) -> bool {
-        self.state != FshrState::Free && self.entry.addr == addr
-    }
-}
-
 /// The flush unit. See [module docs](self).
 #[derive(Debug)]
 pub struct FlushUnit {
     queue: VecDeque<FlushEntry>,
     depth: usize,
     fshrs: Vec<Fshr>,
+    /// FSHR state masks, bit `i` for `fshrs[i]`: `busy` (not `Free`),
+    /// `wait_ack` (`WaitAck`) and `sending` (`SendRelease*`). Kept in step
+    /// by [`FlushUnit::set_state`]; rebuilt on decode, never serialized.
+    busy: u64,
+    wait_ack: u64,
+    sending: u64,
     /// Round-robin allocation pointer (§5.2).
     next_fshr: usize,
     /// The flush counter (§5.2): pending requests in the queue or in FSHRs.
@@ -149,6 +149,9 @@ impl FlushUnit {
             queue: VecDeque::with_capacity(depth),
             depth,
             fshrs: vec![Fshr::default(); fshrs],
+            busy: 0,
+            wait_ack: 0,
+            sending: 0,
             next_fshr: 0,
             counter: 0,
             sink: None,
@@ -190,9 +193,25 @@ impl FlushUnit {
     /// allocation and reaching `root_release_ack`. Probes and MSHR evictions
     /// are held while low.
     pub fn flush_rdy(&self) -> bool {
-        self.fshrs
-            .iter()
-            .all(|f| matches!(f.state, FshrState::Free | FshrState::WaitAck))
+        self.busy & !self.wait_ack == 0
+    }
+
+    /// Moves FSHR `i` to `state`: the one state setter, which keeps the
+    /// state masks in step.
+    fn set_state(&mut self, i: usize, state: FshrState) {
+        self.fshrs[i].state = state;
+        set_bit(&mut self.busy, i, state != FshrState::Free);
+        set_bit(&mut self.wait_ack, i, state == FshrState::WaitAck);
+        set_bit(
+            &mut self.sending,
+            i,
+            matches!(state, FshrState::SendReleaseData | FshrState::SendRelease),
+        );
+    }
+
+    /// The busy FSHRs, lowest slot first.
+    fn busy_fshrs(&self) -> impl Iterator<Item = &Fshr> {
+        Slots(self.busy).map(|i| &self.fshrs[i])
     }
 
     /// Whether the queue has no free slot.
@@ -207,10 +226,7 @@ impl FlushUnit {
 
     /// FSHRs currently executing a writeback (telemetry gauge).
     pub fn fshr_occupancy(&self) -> usize {
-        self.fshrs
-            .iter()
-            .filter(|f| f.state != FshrState::Free)
-            .count()
+        self.busy.count_ones() as usize
     }
 
     /// The queued entry for `addr`, if any.
@@ -220,7 +236,7 @@ impl FlushUnit {
 
     /// The FSHR handling `addr`, if any.
     pub fn fshr_for(&self, addr: LineAddr) -> Option<&Fshr> {
-        self.fshrs.iter().find(|f| f.active_on(addr))
+        self.busy_fshrs().find(|f| f.entry.addr == addr)
     }
 
     /// The §5.3 store-admission test against *all* FSHRs active on `addr`:
@@ -234,13 +250,16 @@ impl FlushUnit {
     /// acks must not set the skip bit (§6.2). Clears the per-FSHR
     /// `skip_ok` eligibility flag.
     pub fn note_line_touched(&mut self, addr: LineAddr) {
-        for f in self.fshrs.iter_mut().filter(|f| f.active_on(addr)) {
-            f.skip_ok = false;
+        for i in Slots(self.busy) {
+            let f = &mut self.fshrs[i];
+            if f.entry.addr == addr {
+                f.skip_ok = false;
+            }
         }
     }
 
     pub fn fshr_blocks_store(&self, addr: LineAddr) -> bool {
-        self.fshrs.iter().filter(|f| f.active_on(addr)).any(|f| {
+        self.busy_fshrs().filter(|f| f.entry.addr == addr).any(|f| {
             !(f.entry.kind == WritebackKind::Clean && (!f.entry.is_dirty || f.buffer.is_some()))
         })
     }
@@ -354,51 +373,49 @@ impl FlushUnit {
         // lets a burst of redundant writebacks each take a full round trip
         // on the baseline — the cost Skip It removes (§7.4).
         let n = self.fshrs.len();
-        for i in 0..n {
-            let idx = (self.next_fshr + i) % n;
-            if self.fshrs[idx].state == FshrState::Free {
-                // Adversarial hold-off (set_perturb): the first cycle the
-                // dispatch becomes possible anchors a drawn delay; until it
-                // elapses the dispatch loses arbitration. `has_work` keeps
-                // reporting the pending dispatch, so every engine keeps
-                // stepping the cache here and observes the same hold.
-                if let Some((site, cfg)) = self.perturb {
-                    let until = *self.hold_until.get_or_insert_with(|| {
-                        now + cfg.draw(site, self.dispatch_seq, cfg.dispatch_jitter)
-                    });
-                    if now < until {
-                        return false;
-                    }
-                    self.hold_until = None;
-                    self.dispatch_seq += 1;
-                }
-                let entry = self.queue.pop_front().expect("nonempty");
-                let state = Self::initial_state(&entry);
-                skipit_trace::trace!(
-                    self.sink,
-                    now,
-                    TraceEvent::FshrTransition {
-                        core,
-                        fshr: idx,
-                        addr: entry.addr.base(),
-                        from: FshrState::Free.name(),
-                        to: state.name(),
-                    }
-                );
-                self.fshrs[idx] = Fshr {
-                    entry,
-                    state,
-                    buffer: None,
-                    slot: None,
-                    skip_ok: true,
-                    seq: self.alloc_seq,
-                };
-                self.alloc_seq += 1;
-                self.next_fshr = (idx + 1) % n;
-                return true;
+        let Some(idx) = first_free(self.busy, n, self.next_fshr as u32) else {
+            return false;
+        };
+        // Adversarial hold-off (set_perturb): the first cycle the dispatch
+        // becomes possible anchors a drawn delay; until it elapses the
+        // dispatch loses arbitration. `has_work` keeps reporting the
+        // pending dispatch, so every engine keeps stepping the cache here
+        // and observes the same hold.
+        if let Some((site, cfg)) = self.perturb {
+            let until = *self.hold_until.get_or_insert_with(|| {
+                now + cfg.draw(site, self.dispatch_seq, cfg.dispatch_jitter)
+            });
+            if now < until {
+                return false;
             }
+            self.hold_until = None;
+            self.dispatch_seq += 1;
         }
-        false
+        let entry = self.queue.pop_front().expect("nonempty");
+        let state = Self::initial_state(&entry);
+        skipit_trace::trace!(
+            self.sink,
+            now,
+            TraceEvent::FshrTransition {
+                core,
+                fshr: idx,
+                addr: entry.addr.base(),
+                from: FshrState::Free.name(),
+                to: state.name(),
+            }
+        );
+        self.fshrs[idx] = Fshr {
+            entry,
+            state: FshrState::Free,
+            buffer: None,
+            slot: None,
+            skip_ok: true,
+            seq: self.alloc_seq,
+        };
+        self.set_state(idx, state);
+        self.alloc_seq += 1;
+        self.next_fshr = (idx + 1) % n;
+        true
     }
 
     /// The first state after `invalid` per Fig. 7: a miss goes straight to
@@ -415,7 +432,8 @@ impl FlushUnit {
         }
     }
 
-    /// Advances every active FSHR by one state transition (one cycle).
+    /// Advances every FSHR that is busy and not in `WaitAck` by one state
+    /// transition (one cycle).
     ///
     /// `core` is this cache's agent id for outgoing messages; `arrays` is the
     /// L1 metadata/data array the FSHR reads and writes.
@@ -428,11 +446,14 @@ impl FlushUnit {
         c: &mut Link<ChannelC>,
         stats: &mut L1Stats,
     ) {
-        for i in 0..self.fshrs.len() {
+        // Nothing allocates or frees an FSHR in this phase and only the
+        // visited one changes state, so the mask as it stood on entry names
+        // exactly the FSHRs a full scan would step.
+        for i in Slots(self.busy & !self.wait_ack) {
             let state = self.fshrs[i].state;
             let entry = self.fshrs[i].entry;
             match state {
-                FshrState::Free | FshrState::WaitAck => {}
+                FshrState::Free | FshrState::WaitAck => unreachable!("FSHR {i} not stepping"),
                 FshrState::MetaWrite => {
                     let way = arrays.lookup(entry.addr).unwrap_or_else(|| {
                         panic!(
@@ -495,7 +516,7 @@ impl FlushUnit {
                             to: next.name(),
                         }
                     );
-                    self.fshrs[i].state = next;
+                    self.set_state(i, next);
                 }
                 FshrState::FillBuffer => {
                     // The widened data array serves the whole line in one
@@ -517,7 +538,7 @@ impl FlushUnit {
                             to: FshrState::SendReleaseData.name(),
                         }
                     );
-                    self.fshrs[i].state = FshrState::SendReleaseData;
+                    self.set_state(i, FshrState::SendReleaseData);
                 }
                 FshrState::SendReleaseData | FshrState::SendRelease => {
                     if c.can_push() {
@@ -550,7 +571,7 @@ impl FlushUnit {
                                 to: FshrState::WaitAck.name(),
                             }
                         );
-                        self.fshrs[i].state = FshrState::WaitAck;
+                        self.set_state(i, FshrState::WaitAck);
                     }
                 }
             }
@@ -580,13 +601,9 @@ impl FlushUnit {
         // dropping the store interlock while the flush's RootRelease is
         // still queued at the L2 (an inclusion violation once a refill
         // races the deferred invalidation).
-        let Some(i) = self
-            .fshrs
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.state == FshrState::WaitAck && f.entry.addr == addr)
-            .min_by_key(|(_, f)| f.seq)
-            .map(|(i, _)| i)
+        let Some(i) = Slots(self.wait_ack)
+            .filter(|&i| self.fshrs[i].entry.addr == addr)
+            .min_by_key(|&i| self.fshrs[i].seq)
         else {
             return false;
         };
@@ -604,6 +621,7 @@ impl FlushUnit {
             }
         );
         self.fshrs[i] = Fshr::default();
+        self.set_state(i, FshrState::Free);
         debug_assert!(self.counter > 0, "flush counter underflow");
         self.counter -= 1;
         // §6.2: the skip bit asserts "this line's current data is persisted".
@@ -621,10 +639,7 @@ impl FlushUnit {
         //
         // Setting skip in either case would let a later CBO drop a
         // writeback whose data the persistence domain does not yet hold.
-        let line_still_flushing = self
-            .fshrs
-            .iter()
-            .any(|f| f.state != FshrState::Free && f.entry.addr == addr);
+        let line_still_flushing = self.busy_fshrs().any(|f| f.entry.addr == addr);
         if skip_it && kind == WritebackKind::Clean && skip_ok && !line_still_flushing {
             if let Some(way) = arrays.lookup(addr) {
                 let set = arrays.set_index(addr);
@@ -653,20 +668,11 @@ impl FlushUnit {
     /// a full channel C by the L2's drain of that channel — both evented
     /// separately by the scheduler, so they contribute no work here.
     pub fn has_work(&self, probe_rdy: bool, wb_rdy: bool, c_rdy: bool) -> bool {
-        let mut free = false;
-        for f in &self.fshrs {
-            match f.state {
-                FshrState::MetaWrite | FshrState::FillBuffer => return true,
-                FshrState::SendReleaseData | FshrState::SendRelease => {
-                    if c_rdy {
-                        return true;
-                    }
-                }
-                FshrState::Free => free = true,
-                FshrState::WaitAck => {}
-            }
-        }
-        !self.queue.is_empty() && probe_rdy && wb_rdy && free
+        let advancing = self.busy & !self.wait_ack & !self.sending;
+        let free = self.busy != file_mask(self.fshrs.len());
+        advancing != 0
+            || (c_rdy && self.sending != 0)
+            || (!self.queue.is_empty() && probe_rdy && wb_rdy && free)
     }
 
     /// The flush counter (§5.2): `CBO.X` requests queued or executing in an
@@ -679,6 +685,34 @@ impl FlushUnit {
     /// View of all FSHRs (tests and forwarding logic).
     pub fn fshrs(&self) -> &[Fshr] {
         &self.fshrs
+    }
+}
+
+#[cfg(test)]
+impl FlushUnit {
+    /// Test-side check that every state mask equals a scan of the FSHR
+    /// states.
+    pub(crate) fn assert_masks_mirror_states(&self) {
+        for (i, f) in self.fshrs.iter().enumerate() {
+            let bit = |mask: u64| mask & (1 << i) != 0;
+            assert_eq!(bit(self.busy), f.state != FshrState::Free, "busy bit {i}");
+            assert_eq!(
+                bit(self.wait_ack),
+                f.state == FshrState::WaitAck,
+                "wait_ack bit {i}"
+            );
+            assert_eq!(
+                bit(self.sending),
+                matches!(f.state, FshrState::SendReleaseData | FshrState::SendRelease),
+                "sending bit {i}"
+            );
+        }
+        let past_file = !file_mask(self.fshrs.len());
+        assert_eq!(
+            (self.busy | self.wait_ack | self.sending) & past_file,
+            0,
+            "bit set past the file"
+        );
     }
 }
 
@@ -905,7 +939,10 @@ mod tests {
         for now in 5..8 {
             fu.step_fshrs(now, 0, &mut arrays, &mut c, &mut stats);
         }
-        let waiting = fu.fshrs().iter().filter(|f| f.active_on(addr));
+        let waiting = fu
+            .fshrs()
+            .iter()
+            .filter(|f| f.state != FshrState::Free && f.entry.addr == addr);
         assert!(waiting.clone().all(|f| f.state == FshrState::WaitAck));
         assert_eq!(waiting.count(), 2);
 
@@ -1009,6 +1046,71 @@ mod tests {
         arrays.meta_mut(set, way).state = ClientState::Modified;
         assert!(fu.complete_ack(99, 0, addr, &mut arrays, true));
         assert!(!arrays.meta(set, way).skip);
+    }
+}
+
+#[cfg(test)]
+mod decode_tests {
+    use super::*;
+    use crate::config::L1Config;
+    use skipit_snap::{SnapReader, SnapWriter};
+
+    #[test]
+    fn decoded_state_rebuilds_the_fshr_masks() {
+        let cfg = L1Config::default();
+        let mut arrays = CacheArrays::new(&cfg);
+        for (n, way) in [(1, 0), (3, 1)] {
+            arrays.install(
+                LineAddr::new(0x40 * n),
+                way,
+                ClientState::Modified,
+                false,
+                LineData::zeroed(),
+            );
+        }
+        let mut fu = FlushUnit::new(4, 4);
+        let mut c: Link<ChannelC> = Link::new(0, 8);
+        let mut stats = L1Stats::default();
+        let entry = |n: u64, hit| FlushEntry {
+            addr: LineAddr::new(0x40 * n),
+            is_hit: hit,
+            is_dirty: hit,
+            kind: WritebackKind::Clean,
+        };
+        fu.enqueue(entry(1, true));
+        fu.try_allocate(0, 0, true, true);
+        fu.step_fshrs(0, 0, &mut arrays, &mut c, &mut stats);
+        fu.enqueue(entry(2, false));
+        fu.try_allocate(1, 0, true, true);
+        fu.step_fshrs(1, 0, &mut arrays, &mut c, &mut stats);
+        fu.enqueue(entry(3, true));
+        fu.try_allocate(2, 0, true, true);
+        fu.assert_masks_mirror_states();
+        let states: Vec<_> = fu.fshrs().iter().map(|f| f.state).collect();
+        assert_eq!(
+            states,
+            [
+                FshrState::SendReleaseData,
+                FshrState::WaitAck,
+                FshrState::MetaWrite,
+                FshrState::Free
+            ]
+        );
+
+        let mut w = SnapWriter::new();
+        fu.encode_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut fresh = FlushUnit::new(4, 4);
+        fresh.decode_state(&mut SnapReader::new(&bytes)).unwrap();
+        fresh.assert_masks_mirror_states();
+        assert_eq!(
+            (fresh.busy, fresh.wait_ack, fresh.sending),
+            (fu.busy, fu.wait_ack, fu.sending)
+        );
+        assert_eq!(
+            (fresh.busy, fresh.wait_ack, fresh.sending),
+            (0b111, 0b010, 0b001)
+        );
     }
 }
 
@@ -1161,6 +1263,9 @@ impl FlushUnit {
         }
         self.queue = queue;
         self.fshrs = fshrs;
+        for i in 0..self.fshrs.len() {
+            self.set_state(i, self.fshrs[i].state);
+        }
         self.next_fshr = next_fshr;
         self.counter = u64::decode(r)?;
         self.dispatch_seq = u64::decode(r)?;

@@ -11,6 +11,7 @@ use crate::config::L2Config;
 use crate::stats::L2Stats;
 use skipit_mem::{Dram, MemReq, MemResp};
 use skipit_tilelink::perturb::L2_MSHR_SITE;
+use skipit_tilelink::slots::{first_free, set_bit, Slots};
 use skipit_tilelink::{
     AgentId, Cap, ChannelA, ChannelB, ChannelC, ChannelD, ChannelE, GrantFlavor, Grow, LineAddr,
     LineData, Link, PerturbConfig, Shrink, WritebackKind,
@@ -77,6 +78,20 @@ enum L2MshrState {
     WaitGrantAck,
 }
 
+impl L2MshrState {
+    /// Whether only an arrival (a memory response or a GrantAck) can
+    /// advance this state: the MSHR step and `next_event` skip it.
+    fn parked(self) -> bool {
+        matches!(
+            self,
+            L2MshrState::VictimWriteWait
+                | L2MshrState::MemReadWait
+                | L2MshrState::DramWriteWait
+                | L2MshrState::WaitGrantAck
+        )
+    }
+}
+
 #[derive(Clone, Copy, Debug)]
 struct L2Mshr {
     addr: LineAddr,
@@ -100,34 +115,6 @@ struct L2Mshr {
     wrote: Option<LineData>,
 }
 
-/// Indices of the set bits of an MSHR occupancy mask, lowest first. Holds
-/// a copy of the mask, so the walk borrows nothing and a caller may mutate
-/// the cache (including freeing the slot it is visiting) while walking.
-struct Slots(u64);
-
-impl Iterator for Slots {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        if self.0 == 0 {
-            return None;
-        }
-        let idx = self.0.trailing_zeros() as usize;
-        self.0 &= self.0 - 1;
-        Some(idx)
-    }
-}
-
-/// The first free slot of an `n`-slot file with occupancy `occupied`,
-/// scanning upward from `start` and wrapping: the rotation scan
-/// `(start..n).chain(0..start)`, computed on the mask.
-fn first_free(occupied: u64, n: usize, start: u32) -> Option<usize> {
-    let free = !occupied & (u64::MAX >> (64 - n));
-    let at_or_after = free & (u64::MAX << start);
-    let pick = if at_or_after != 0 { at_or_after } else { free };
-    (pick != 0).then(|| pick.trailing_zeros() as usize)
-}
-
 /// A TL-C request deferred because of an MSHR conflict or MSHR exhaustion
 /// (the ListBuffer of §3.4).
 #[derive(Clone, Copy, Debug)]
@@ -148,6 +135,12 @@ pub struct InclusiveCache {
     /// `Some`. Every walk over live transactions ([`Self::live`]) and the
     /// free-slot pick read it instead of touching the slots themselves.
     occupied: u64,
+    /// Bitmask of live slots in a [parked](L2MshrState::parked) state,
+    /// a subset of `occupied`. The MSHR step and `next_event` walk
+    /// `occupied & !parked`; the memory-token and GrantAck matches walk
+    /// `parked`. Kept in step by [`Self::set_state`], [`Self::occupy`] and
+    /// [`Self::release`]; rebuilt on decode, never serialized.
+    parked: u64,
     list_buffer: VecDeque<Deferred>,
     next_token: u64,
     stats: L2Stats,
@@ -182,6 +175,7 @@ impl InclusiveCache {
             arrays: L2Arrays::new(&cfg),
             mshrs: vec![None; cfg.mshrs],
             occupied: 0,
+            parked: 0,
             list_buffer: VecDeque::with_capacity(cfg.list_buffer_depth),
             next_token: 0,
             stats: L2Stats::default(),
@@ -240,6 +234,59 @@ impl InclusiveCache {
     /// The live MSHR in slot `idx`.
     fn mshr(&self, idx: usize) -> &L2Mshr {
         self.mshrs[idx].as_ref().expect("occupied slot is live")
+    }
+
+    /// The live MSHR in slot `idx`, mutably. Its state changes only
+    /// through [`Self::set_state`].
+    fn mshr_mut(&mut self, idx: usize) -> &mut L2Mshr {
+        self.mshrs[idx].as_mut().expect("occupied slot is live")
+    }
+
+    /// Moves live slot `idx` to `state`: the one state setter, which keeps
+    /// `parked` in step.
+    fn set_state(&mut self, idx: usize, state: L2MshrState) {
+        self.mshr_mut(idx).state = state;
+        set_bit(&mut self.parked, idx, state.parked());
+    }
+
+    /// Allocates free slot `slot` to `req` for `addr`, starting in its
+    /// (unparked) `Access` state.
+    fn occupy(&mut self, now: u64, slot: usize, addr: LineAddr, req: L2Req) {
+        self.occupied |= 1 << slot;
+        self.alloc_seq += 1;
+        skipit_trace::trace!(
+            self.sink,
+            now,
+            TraceEvent::L2MshrAlloc {
+                slot,
+                addr: addr.base(),
+                op: match req {
+                    L2Req::Acquire { .. } => "Acquire",
+                    L2Req::RootRelease { .. } => "RootRelease",
+                },
+            }
+        );
+        self.mshrs[slot] = Some(L2Mshr {
+            addr,
+            req,
+            state: L2MshrState::Access {
+                until: now + self.cfg.access_latency,
+            },
+            pending_acks: 0,
+            to_probe: 0,
+            probe_cap: Cap::ToN,
+            way: None,
+            victim: None,
+            token: u64::MAX,
+            wrote: None,
+        });
+    }
+
+    /// Retires live slot `idx`.
+    fn release(&mut self, idx: usize) {
+        self.mshrs[idx] = None;
+        self.occupied &= !(1 << idx);
+        self.parked &= !(1 << idx);
     }
 
     /// Dirty bit of a resident line (`false` if absent) — test/debug helper.
@@ -325,7 +372,7 @@ impl InclusiveCache {
     ) -> Option<u64> {
         let mut next: Option<u64> = None;
         let mut merge = |t: u64| next = Some(next.map_or(t, |n| n.min(t)));
-        for idx in self.live() {
+        for idx in Slots(self.occupied & !self.parked) {
             let m = self.mshr(idx);
             match m.state {
                 L2MshrState::Access { until } => {
@@ -366,7 +413,7 @@ impl InclusiveCache {
                 L2MshrState::VictimWriteWait
                 | L2MshrState::MemReadWait
                 | L2MshrState::DramWriteWait
-                | L2MshrState::WaitGrantAck => {}
+                | L2MshrState::WaitGrantAck => unreachable!("parked slots are not walked"),
             }
         }
         if self
@@ -393,30 +440,22 @@ impl InclusiveCache {
         ports.mem.step(now);
         while let Some(resp) = ports.mem.pop_response() {
             let token = resp.token();
-            let Some(idx) = self.live().find(|&idx| {
+            let Some(idx) = Slots(self.parked).find(|&idx| {
                 let m = self.mshr(idx);
-                m.token == token
-                    && matches!(
-                        m.state,
-                        L2MshrState::MemReadWait
-                            | L2MshrState::VictimWriteWait
-                            | L2MshrState::DramWriteWait
-                    )
+                m.token == token && m.state != L2MshrState::WaitGrantAck
             }) else {
                 panic!("memory response with unknown token {token}");
             };
-            let m = self.mshrs[idx].as_mut().expect("checked");
-            match (resp, m.state) {
+            let m = self.mshrs[idx].as_ref().expect("parked slot is live");
+            let next = match (resp, m.state) {
                 (MemResp::ReadDone { data, .. }, L2MshrState::MemReadWait) => {
                     let way = m.way.expect("fill way reserved");
                     self.arrays.install(m.addr, way, data);
                     self.stats.mem_fills += 1;
                     // A fresh fill has no owners to probe.
-                    self.mshrs[idx].as_mut().expect("checked").state = L2MshrState::SendResp;
+                    L2MshrState::SendResp
                 }
-                (MemResp::WriteDone { .. }, L2MshrState::VictimWriteWait) => {
-                    m.state = L2MshrState::MemRead;
-                }
+                (MemResp::WriteDone { .. }, L2MshrState::VictimWriteWait) => L2MshrState::MemRead,
                 (MemResp::WriteDone { .. }, L2MshrState::DramWriteWait) => {
                     // The written snapshot is durable; clear the dirty bit
                     // (§5.5) — unless newer dirty data was merged into the
@@ -429,17 +468,18 @@ impl InclusiveCache {
                             self.arrays.dir_mut(set, w).dirty = false;
                         }
                     }
-                    m.state = L2MshrState::SendResp;
+                    L2MshrState::SendResp
                 }
                 (resp, state) => panic!("memory response {resp:?} in state {state:?}"),
-            }
+            };
+            self.set_state(idx, next);
         }
     }
 
     fn drain_grant_acks(&mut self, now: u64, ports: &mut L2Ports<'_>) {
         for core in 0..self.cores {
             while let Some(ChannelE::GrantAck { addr, .. }) = ports.e[core].pop(now) {
-                let Some(idx) = self.live().find(|&idx| {
+                let Some(idx) = Slots(self.parked).find(|&idx| {
                     let m = self.mshr(idx);
                     m.addr == addr && m.state == L2MshrState::WaitGrantAck
                 }) else {
@@ -453,8 +493,7 @@ impl InclusiveCache {
                         addr: addr.base(),
                     }
                 );
-                self.mshrs[idx] = None;
-                self.occupied &= !(1 << idx);
+                self.release(idx);
             }
         }
     }
@@ -641,31 +680,7 @@ impl InclusiveCache {
                 continue;
             };
             ports.a[core].pop(now);
-            self.occupied |= 1 << slot;
-            self.alloc_seq += 1;
-            skipit_trace::trace!(
-                self.sink,
-                now,
-                TraceEvent::L2MshrAlloc {
-                    slot,
-                    addr: addr.base(),
-                    op: "Acquire",
-                }
-            );
-            self.mshrs[slot] = Some(L2Mshr {
-                addr,
-                req: L2Req::Acquire { source, grow },
-                state: L2MshrState::Access {
-                    until: now + self.cfg.access_latency,
-                },
-                pending_acks: 0,
-                to_probe: 0,
-                probe_cap: Cap::ToN,
-                way: None,
-                victim: None,
-                token: u64::MAX,
-                wrote: None,
-            });
+            self.occupy(now, slot, addr, L2Req::Acquire { source, grow });
         }
     }
 
@@ -679,38 +694,15 @@ impl InclusiveCache {
         else {
             panic!("ListBuffer held a non-RootRelease message: {msg:?}");
         };
-        self.occupied |= 1 << slot;
-        self.alloc_seq += 1;
-        skipit_trace::trace!(
-            self.sink,
-            now,
-            TraceEvent::L2MshrAlloc {
-                slot,
-                addr: addr.base(),
-                op: "RootRelease",
-            }
-        );
-        self.mshrs[slot] = Some(L2Mshr {
-            addr,
-            req: L2Req::RootRelease { source, kind, data },
-            state: L2MshrState::Access {
-                until: now + self.cfg.access_latency,
-            },
-            pending_acks: 0,
-            to_probe: 0,
-            probe_cap: Cap::ToN,
-            way: None,
-            victim: None,
-            token: u64::MAX,
-            wrote: None,
-        });
+        self.occupy(now, slot, addr, L2Req::RootRelease { source, kind, data });
     }
 
     fn step_mshrs(&mut self, now: u64, ports: &mut L2Ports<'_>) {
         // Nothing allocates a slot in this phase and only the visited slot
-        // can retire, so walking the mask as it stood on entry visits
-        // exactly the slots a full scan would find live.
-        for idx in self.live() {
+        // can change state or retire, so walking the mask as it stood on
+        // entry visits exactly the slots a full scan would find live and
+        // unparked; a parked slot has nothing to do until an arrival.
+        for idx in Slots(self.occupied & !self.parked) {
             match self.mshr(idx).state {
                 L2MshrState::Access { until } => {
                     if now >= until {
@@ -732,14 +724,14 @@ impl InclusiveCache {
                         let Some(w) = self.arrays.lookup(victim) else {
                             // Vanished between VictimProbe and here (another
                             // transaction wrote it out): skip to the fill.
-                            m.state = L2MshrState::MemRead;
+                            self.set_state(idx, L2MshrState::MemRead);
                             continue;
                         };
                         let data = self.arrays.line(set, w);
                         let token = self.next_token;
                         self.next_token += 1;
                         m.token = token;
-                        m.state = L2MshrState::VictimWriteWait;
+                        self.set_state(idx, L2MshrState::VictimWriteWait);
                         ports.mem.request(
                             now,
                             MemReq::Write {
@@ -769,14 +761,9 @@ impl InclusiveCache {
                         let token = self.next_token;
                         self.next_token += 1;
                         m.token = token;
-                        m.state = L2MshrState::MemReadWait;
-                        ports.mem.request(
-                            now,
-                            MemReq::Read {
-                                addr: m.addr,
-                                token,
-                            },
-                        );
+                        let addr = m.addr;
+                        self.set_state(idx, L2MshrState::MemReadWait);
+                        ports.mem.request(now, MemReq::Read { addr, token });
                     }
                 }
                 L2MshrState::DramWrite => {
@@ -795,15 +782,9 @@ impl InclusiveCache {
                         self.next_token += 1;
                         m.token = token;
                         m.wrote = Some(data);
-                        m.state = L2MshrState::DramWriteWait;
-                        ports.mem.request(
-                            now,
-                            MemReq::Write {
-                                addr: m.addr,
-                                data,
-                                token,
-                            },
-                        );
+                        let addr = m.addr;
+                        self.set_state(idx, L2MshrState::DramWriteWait);
+                        ports.mem.request(now, MemReq::Write { addr, data, token });
                         self.stats.root_release_dram_writes += 1;
                     }
                 }
@@ -811,7 +792,7 @@ impl InclusiveCache {
                 L2MshrState::VictimWriteWait
                 | L2MshrState::MemReadWait
                 | L2MshrState::DramWriteWait
-                | L2MshrState::WaitGrantAck => {}
+                | L2MshrState::WaitGrantAck => unreachable!("parked slots are not walked"),
             }
         }
     }
@@ -840,7 +821,7 @@ impl InclusiveCache {
                     };
                     mm.to_probe = targets;
                     mm.probe_cap = cap;
-                    mm.state = L2MshrState::OwnerProbe;
+                    self.set_state(idx, L2MshrState::OwnerProbe);
                 } else {
                     // Miss: reserve a way, evicting inclusively if needed.
                     let Some(w) = self.arrays.victim_way(addr) else {
@@ -862,10 +843,10 @@ impl InclusiveCache {
                         mm.victim = Some(victim);
                         mm.to_probe = victim_entry.owners;
                         mm.probe_cap = Cap::ToN;
-                        mm.state = L2MshrState::VictimProbe;
+                        self.set_state(idx, L2MshrState::VictimProbe);
                         self.stats.evictions += 1;
                     } else {
-                        mm.state = L2MshrState::MemRead;
+                        self.set_state(idx, L2MshrState::MemRead);
                     }
                 }
             }
@@ -901,17 +882,17 @@ impl InclusiveCache {
                             }
                         }
                     };
-                    let mm = self.mshrs[idx].as_mut().expect("active");
+                    let mm = self.mshr_mut(idx);
                     mm.to_probe = targets;
                     mm.probe_cap = cap;
-                    mm.state = L2MshrState::OwnerProbe;
+                    self.set_state(idx, L2MshrState::OwnerProbe);
                 } else if data.is_some() {
                     // Not resident but carrying dirty data: the L2 evicted
                     // the line while this RootRelease was in flight (the
                     // victim probe crossed it on the wire). The carried data
                     // is newer than the eviction's writeback — send it
                     // straight to DRAM.
-                    self.mshrs[idx].as_mut().expect("active").state = L2MshrState::DramWrite;
+                    self.set_state(idx, L2MshrState::DramWrite);
                 } else {
                     // Not resident, no data ⇒ (inclusion) no L1 holds it
                     // dirty ⇒ memory is already up to date: trivially
@@ -922,7 +903,7 @@ impl InclusiveCache {
                         now,
                         TraceEvent::DramWriteSkipped { addr: addr.base() }
                     );
-                    self.mshrs[idx].as_mut().expect("active").state = L2MshrState::SendResp;
+                    self.set_state(idx, L2MshrState::SendResp);
                 }
             }
         }
@@ -954,8 +935,8 @@ impl InclusiveCache {
 
     /// All probes for the current phase acknowledged.
     fn probes_complete(&mut self, now: u64, idx: usize) {
-        let m = self.mshrs[idx].as_mut().expect("active");
-        match m.state {
+        let m = self.mshr(idx);
+        let next = match m.state {
             L2MshrState::VictimProbe => {
                 let victim = m.victim.expect("victim set");
                 // The victim may have been removed by a concurrent
@@ -964,43 +945,41 @@ impl InclusiveCache {
                     .arrays
                     .lookup(victim)
                     .is_some_and(|w| self.arrays.dir(self.arrays.set_index(victim), w).dirty);
-                m.state = if dirty {
+                if dirty {
                     L2MshrState::VictimWrite
                 } else {
                     L2MshrState::MemRead
-                };
-            }
-            L2MshrState::OwnerProbe => {
-                match m.req {
-                    L2Req::Acquire { .. } => m.state = L2MshrState::SendResp,
-                    L2Req::RootRelease { kind, .. } => {
-                        let set = self.arrays.set_index(m.addr);
-                        let w = self.arrays.lookup(m.addr).expect("resident");
-                        let dirty = self.arrays.dir(set, w).dirty;
-                        // "The last level cache already catches and
-                        // eliminates unnecessary writebacks by trivially
-                        // checking its dirty bit" (§5.5). CBO.INVAL never
-                        // writes back — collected dirty data is discarded.
-                        if dirty && kind.writes_back() {
-                            m.state = L2MshrState::DramWrite;
-                        } else {
-                            if kind.writes_back() {
-                                self.stats.root_release_dram_skipped += 1;
-                                skipit_trace::trace!(
-                                    self.sink,
-                                    now,
-                                    TraceEvent::DramWriteSkipped {
-                                        addr: m.addr.base()
-                                    }
-                                );
-                            }
-                            m.state = L2MshrState::SendResp;
-                        }
-                    }
                 }
             }
+            L2MshrState::OwnerProbe => match m.req {
+                L2Req::Acquire { .. } => L2MshrState::SendResp,
+                L2Req::RootRelease { kind, .. } => {
+                    let addr = m.addr;
+                    let set = self.arrays.set_index(addr);
+                    let w = self.arrays.lookup(addr).expect("resident");
+                    let dirty = self.arrays.dir(set, w).dirty;
+                    // "The last level cache already catches and eliminates
+                    // unnecessary writebacks by trivially checking its dirty
+                    // bit" (§5.5). CBO.INVAL never writes back — collected
+                    // dirty data is discarded.
+                    if dirty && kind.writes_back() {
+                        L2MshrState::DramWrite
+                    } else {
+                        if kind.writes_back() {
+                            self.stats.root_release_dram_skipped += 1;
+                            skipit_trace::trace!(
+                                self.sink,
+                                now,
+                                TraceEvent::DramWriteSkipped { addr: addr.base() }
+                            );
+                        }
+                        L2MshrState::SendResp
+                    }
+                }
+            },
             other => panic!("probes_complete in state {other:?}"),
-        }
+        };
+        self.set_state(idx, next);
     }
 
     fn send_response(&mut self, now: u64, idx: usize, ports: &mut L2Ports<'_>) {
@@ -1044,7 +1023,7 @@ impl InclusiveCache {
                     GrantFlavor::Clean => self.stats.grants_clean += 1,
                     GrantFlavor::Dirty => self.stats.grants_dirty += 1,
                 }
-                self.mshrs[idx].as_mut().expect("active").state = L2MshrState::WaitGrantAck;
+                self.set_state(idx, L2MshrState::WaitGrantAck);
             }
             L2Req::RootRelease { source, kind, .. } => {
                 if !ports.d[source].can_push() {
@@ -1090,8 +1069,7 @@ impl InclusiveCache {
                         addr: addr.base(),
                     }
                 );
-                self.mshrs[idx] = None;
-                self.occupied &= !(1 << idx);
+                self.release(idx);
             }
         }
     }
@@ -1137,8 +1115,8 @@ codec!(Deferred { 0 });
 
 impl InclusiveCache {
     /// Encodes the L2's complete simulated state: directory/data/LRU
-    /// arrays, every live MSHR (the occupancy bitmask is re-derived on
-    /// decode), the §3.4 list buffer, the memory-request token counter, the
+    /// arrays, every live MSHR (the occupancy and parked bitmasks are
+    /// re-derived on decode), the §3.4 list buffer, the memory-request token counter, the
     /// statistics, and the MSHR-allocation stamp that keys adversarial
     /// rotation draws. Configuration, trace sink and perturbation
     /// installation are host-side and excluded.
@@ -1165,14 +1143,18 @@ impl InclusiveCache {
         if n != self.mshrs.len() {
             return Err(SnapError::ConfigMismatch);
         }
-        let mut occupied = 0u64;
+        let (mut occupied, mut parked) = (0u64, 0u64);
         for (i, slot) in self.mshrs.iter_mut().enumerate() {
             *slot = Option::decode(r)?;
-            if slot.is_some() {
+            if let Some(m) = slot {
                 occupied |= 1 << i;
+                if m.state.parked() {
+                    parked |= 1 << i;
+                }
             }
         }
         self.occupied = occupied;
+        self.parked = parked;
         self.list_buffer = VecDeque::decode(r)?;
         self.next_token = u64::decode(r)?;
         self.stats = L2Stats::decode(r)?;
@@ -1318,55 +1300,36 @@ mod tests {
                 slot.is_some(),
                 "occupancy bit {i} disagrees with its slot"
             );
+            assert_eq!(
+                l2.parked & (1 << i) != 0,
+                slot.is_some_and(|m| m.state.parked()),
+                "parked bit {i} disagrees with its slot"
+            );
         }
         let live = l2.mshrs.iter().flatten().count();
         assert_eq!(l2.mshr_occupancy(), live, "bit set past the file");
-    }
-
-    /// The free-slot pick as a linear scan: start at `start`, wrap once.
-    fn reference_rotation_scan(occupied: u64, n: usize, start: usize) -> Option<usize> {
-        (0..n)
-            .map(|k| (start + k) % n)
-            .find(|&i| occupied & (1 << i) == 0)
+        assert_eq!(l2.parked & !l2.occupied, 0, "parked bit on a free slot");
     }
 
     #[test]
-    fn first_free_matches_the_rotation_scan() {
-        let mut x = 0x5eed_u64;
-        let mut rand = || {
-            x = skipit_tilelink::perturb::splitmix64(x);
-            x
-        };
-        for n in [1usize, 7, 64] {
-            let file = u64::MAX >> (64 - n);
-            let mut masks = vec![0, file];
-            masks.extend((0..n).map(|i| file & !(1 << i)));
-            for _ in 0..64 {
-                let (a, b) = (rand(), rand());
-                masks.extend([a, a | b, a & b, a | b | rand()].map(|m| m & file));
-            }
-            for &occupied in &masks {
-                for start in 0..n {
-                    assert_eq!(
-                        first_free(occupied, n, start as u32),
-                        reference_rotation_scan(occupied, n, start),
-                        "n={n} start={start} occupied={occupied:#x}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn decoded_state_rebuilds_the_occupancy_mask() {
+    fn decoded_state_rebuilds_the_occupancy_and_parked_masks() {
         let mut h = Harness::new(2);
         h.acquire(0, line(6), Grow::NtoT);
-        // Leave an Acquire waiting on a probe and a RootRelease in flight.
+        // An Acquire held on an unanswered probe (unparked), a fill waiting
+        // on DRAM and a RootRelease waiting on its DRAM write (parked).
         h.a[1].push(
             h.now,
             ChannelA::AcquireBlock {
                 source: 1,
                 addr: line(6),
+                grow: Grow::NtoB,
+            },
+        );
+        h.a[0].push(
+            h.now,
+            ChannelA::AcquireBlock {
+                source: 0,
+                addr: line(9),
                 grow: Grow::NtoB,
             },
         );
@@ -1379,17 +1342,26 @@ mod tests {
                 data: Some(data(3)),
             },
         );
-        for _ in 0..12 {
+        for _ in 0..14 {
             h.step();
         }
-        assert_eq!(h.l2.mshr_occupancy(), 2, "both transactions in flight");
+        let states: Vec<_> = h.l2.mshrs.iter().flatten().map(|m| m.state).collect();
+        assert_eq!(
+            states,
+            [
+                L2MshrState::MemReadWait,
+                L2MshrState::OwnerProbe,
+                L2MshrState::DramWriteWait
+            ]
+        );
         let mut w = SnapWriter::new();
         h.l2.encode_state(&mut w);
         let bytes = w.into_bytes();
         let mut fresh = InclusiveCache::new(2, L2Config::default());
         fresh.decode_state(&mut SnapReader::new(&bytes)).unwrap();
         assert_occupancy_mirrors_slots(&fresh);
-        assert_eq!(fresh.occupied, h.l2.occupied);
+        assert_eq!((fresh.occupied, fresh.parked), (h.l2.occupied, h.l2.parked));
+        assert_eq!((fresh.occupied, fresh.parked), (0b111, 0b101));
     }
 
     fn line(n: u64) -> LineAddr {

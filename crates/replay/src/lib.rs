@@ -116,6 +116,14 @@ pub enum TraceError {
         /// The unaligned byte address.
         addr: u64,
     },
+    /// The trace declares more cores than the system it is replayed on
+    /// has; nothing is run.
+    WiderThanSystem {
+        /// Cores the trace declares.
+        cores: u32,
+        /// Cores the system has.
+        system_cores: usize,
+    },
     /// A text-form parse failure, with the 1-based source line.
     Text {
         /// 1-based line number.
@@ -150,6 +158,13 @@ impl fmt::Display for TraceError {
                 f,
                 "core {core}'s word access at {addr:#x} is not 8-byte aligned"
             ),
+            TraceError::WiderThanSystem {
+                cores,
+                system_cores,
+            } => write!(
+                f,
+                "trace declares {cores} cores, but the system has {system_cores}"
+            ),
             TraceError::Text { line, msg } => write!(f, "trace text line {line}: {msg}"),
             TraceError::Io(msg) => write!(f, "trace file i/o: {msg}"),
         }
@@ -176,8 +191,9 @@ impl From<SnapError> for TraceError {
 /// `skipit_boom::workload::ReplaySchedule`).
 ///
 /// The trace may declare fewer cores than the target system (the extra
-/// cores idle); declaring more is a panic when run, mirroring
-/// `Programs`.
+/// cores idle). A trace that declares more is outside input the system
+/// cannot run: the output is [`TraceError::WiderThanSystem`] and no cycle
+/// runs.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceReplay {
     trace: MemTrace,
@@ -196,9 +212,26 @@ impl TraceReplay {
 }
 
 impl Workload for TraceReplay {
-    type Output = ();
+    type Output = Result<(), TraceError>;
 
-    fn run(self, sys: &mut System) -> RunReport {
-        sys.run(self.trace.schedule())
+    fn run(self, sys: &mut System) -> RunReport<Self::Output> {
+        let system_cores = sys.config().cores;
+        let cores = self.trace.cores();
+        if cores as usize > system_cores {
+            return RunReport {
+                cycles: 0,
+                output: Err(TraceError::WiderThanSystem {
+                    cores,
+                    system_cores,
+                }),
+                budget_expired: false,
+            };
+        }
+        let report = sys.run(self.trace.schedule());
+        RunReport {
+            cycles: report.cycles,
+            output: Ok(()),
+            budget_expired: report.budget_expired,
+        }
     }
 }

@@ -39,6 +39,7 @@ pub mod link;
 pub mod msg;
 pub mod perm;
 pub mod perturb;
+pub mod slots;
 pub mod snap;
 
 pub use line::{LineAddr, LineData, LINE_BYTES, WORDS_PER_LINE};

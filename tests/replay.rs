@@ -311,6 +311,32 @@ fn unaligned_word_addresses_decode_to_typed_errors() {
     );
 }
 
+/// A decoded trace that declares more cores than the system has replays to
+/// a typed error naming both counts, before any cycle runs; a narrower one
+/// runs with the extra cores idle.
+#[test]
+fn trace_wider_than_the_system_is_a_typed_error() {
+    let trace = MemTrace::from_text("cores 4\n3 store 0x1000 1\n0 load 0x1000\n").unwrap();
+    let decoded = MemTrace::from_bytes(&trace.to_bytes()).unwrap();
+    let mut sys = SystemBuilder::new().cores(2).build();
+    let report = sys.run(TraceReplay::new(decoded.clone()));
+    assert_eq!(
+        report.output,
+        Err(TraceError::WiderThanSystem {
+            cores: 4,
+            system_cores: 2
+        })
+    );
+    assert_eq!(report.cycles, 0);
+    assert_eq!(sys.now(), 0, "no cycle ran");
+    assert!(report.output.unwrap_err().to_string().contains("4 cores"));
+
+    let mut wide = SystemBuilder::new().cores(4).build();
+    let report = wide.run(TraceReplay::new(decoded));
+    assert_eq!(report.output, Ok(()));
+    assert!(report.cycles > 0);
+}
+
 /// A hand-written text trace means exactly what its binary encoding means:
 /// parse → encode → decode → render is the identity (modulo comments), and
 /// both forms replay identically.
