@@ -7,7 +7,7 @@
 use skipit::prelude::*;
 use skipit_bench::commercial::Machine;
 use skipit_bench::figures::Figures;
-use skipit_bench::micro::fig9_serialized_sample;
+use skipit_bench::micro::{fig9_sample, fig9_serialized_sample};
 use std::sync::OnceLock;
 
 /// The quick-sized figure table, run by whichever test asks first.
@@ -69,6 +69,31 @@ fn lockstep_oracle_accepts_serialized_fig9() {
     let (ref_cycles, ref_stats, _) = run(false);
     assert_eq!(cycles, ref_cycles, "oracle changed the Fig. 9 cycles");
     assert_eq!(stats, ref_stats, "oracle changed the Fig. 9 statistics");
+}
+
+/// The wheel's work on the dense 8-core Fig. 9 shape (the `fig09_flush_8c`
+/// benchmark's inputs): two samples on one system, pinned as exact cycles
+/// and engine counters. A host-speed change to a component must leave the
+/// schedule alone, so each field is compared on its own and a failure names
+/// the one that moved.
+#[test]
+fn fig9_engine_work_is_pinned() {
+    let mut sys = SystemBuilder::new().cores(8).build();
+    let cycles: Vec<u64> = (0..2)
+        .map(|_| fig9_sample(&mut sys, 8, 128 * 1024, false))
+        .collect();
+    let engine = sys.engine_stats();
+    let pins = [
+        ("first sample cycles", cycles[0], 2469),
+        ("second sample cycles", cycles[1], 2469),
+        ("component_steps", engine.component_steps, 42_472),
+        ("component_slots", engine.component_slots, 86_922),
+        ("jumps", engine.jumps, 0),
+        ("skipped_cycles", engine.skipped_cycles, 0),
+    ];
+    for (field, got, pinned) in pins {
+        assert_eq!(got, pinned, "fig9 engine work moved: {field}");
+    }
 }
 
 /// Fig. 10: the flush variant is substantially slower than clean.
