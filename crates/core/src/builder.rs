@@ -34,13 +34,15 @@ pub enum ConfigError {
         /// Which field (e.g. `"l1.fshrs"`).
         what: &'static str,
     },
-    /// A resource pool is larger than the model can track.
+    /// A resource pool, queue or cache is larger than the model supports.
     TooMany {
-        /// Which field (e.g. `"l2.mshrs"`).
+        /// Which field (e.g. `"l2.mshrs"`), or `"l1.lines"` / `"l2.lines"`
+        /// for a cache's `sets * ways`.
         what: &'static str,
         /// The largest supported size.
         max: usize,
-        /// The rejected size.
+        /// The rejected size (a line count past `usize::MAX` reads
+        /// `usize::MAX`).
         got: usize,
     },
     /// A latency is longer than [`RUN_WATCHDOG_CYCLES`]: one request that
@@ -114,10 +116,33 @@ fn validate(cfg: &SystemConfig) -> Result<(), ConfigError> {
             return Err(ConfigError::Zero { what });
         }
     }
+    // A line count past `usize` saturates, so it is rejected rather than
+    // wrapped to a small array.
     for (what, max, got) in [
         ("l1.mshrs", L1Config::MAX_MSHRS, cfg.l1.mshrs),
         ("l1.fshrs", L1Config::MAX_FSHRS, cfg.l1.fshrs),
+        ("l1.rpq_depth", L1Config::MAX_QUEUE_DEPTH, cfg.l1.rpq_depth),
+        (
+            "l1.flush_queue_depth",
+            L1Config::MAX_QUEUE_DEPTH,
+            cfg.l1.flush_queue_depth,
+        ),
+        (
+            "l1.lines",
+            L1Config::MAX_LINES,
+            cfg.l1.sets.saturating_mul(cfg.l1.ways),
+        ),
         ("l2.mshrs", L2Config::MAX_MSHRS, cfg.l2.mshrs),
+        (
+            "l2.list_buffer_depth",
+            L2Config::MAX_LIST_BUFFER_DEPTH,
+            cfg.l2.list_buffer_depth,
+        ),
+        (
+            "l2.lines",
+            L2Config::MAX_LINES,
+            cfg.l2.sets.saturating_mul(cfg.l2.ways),
+        ),
     ] {
         if got > max {
             return Err(ConfigError::TooMany { what, max, got });
@@ -261,8 +286,9 @@ impl SystemBuilder {
     ///
     /// The fallible twin of [`SystemBuilder::build`]: every invariant the
     /// component constructors would assert (power-of-two set counts,
-    /// nonzero resource pools, the supported core range, latencies no longer
-    /// than a run, the component wheel under the lockstep oracle) is checked
+    /// nonzero and bounded resource pools, queues and caches, the supported
+    /// core range, latencies no longer than a run, the component wheel
+    /// under the lockstep oracle) is checked
     /// up front and reported as a typed [`ConfigError`] instead of a panic.
     ///
     /// # Example
@@ -357,42 +383,97 @@ mod tests {
             SystemBuilder::new().l1(l1).try_build().unwrap_err(),
             ConfigError::Zero { what: "l1.fshrs" }
         );
-        let l1 = L1Config {
-            mshrs: 65,
-            ..L1Config::default()
-        };
-        assert_eq!(
-            SystemBuilder::new().l1(l1).try_build().unwrap_err(),
-            ConfigError::TooMany {
-                what: "l1.mshrs",
-                max: 64,
-                got: 65
-            }
-        );
-        let l1 = L1Config {
-            fshrs: 65,
-            ..L1Config::default()
-        };
-        assert_eq!(
-            SystemBuilder::new().l1(l1).try_build().unwrap_err(),
-            ConfigError::TooMany {
-                what: "l1.fshrs",
-                max: 64,
-                got: 65
-            }
-        );
-        let l2 = L2Config {
-            mshrs: 65,
-            ..L2Config::default()
-        };
-        assert_eq!(
-            SystemBuilder::new().l2(l2).try_build().unwrap_err(),
-            ConfigError::TooMany {
-                what: "l2.mshrs",
-                max: 64,
-                got: 65
-            }
-        );
+        // Oversized slot files, queues and caches are refused before
+        // anything is allocated; a line count that overflows `usize`
+        // saturates instead of wrapping to an empty array.
+        let big = usize::MAX;
+        let cases = [
+            (
+                SystemBuilder::new().l1(L1Config {
+                    mshrs: 65,
+                    ..L1Config::default()
+                }),
+                "l1.mshrs",
+                64,
+                65,
+            ),
+            (
+                SystemBuilder::new().l1(L1Config {
+                    fshrs: 65,
+                    ..L1Config::default()
+                }),
+                "l1.fshrs",
+                64,
+                65,
+            ),
+            (
+                SystemBuilder::new().l2(L2Config {
+                    mshrs: 65,
+                    ..L2Config::default()
+                }),
+                "l2.mshrs",
+                64,
+                65,
+            ),
+            (
+                SystemBuilder::new().flush_queue_depth(big),
+                "l1.flush_queue_depth",
+                4096,
+                big,
+            ),
+            (
+                SystemBuilder::new().l1(L1Config {
+                    rpq_depth: 4097,
+                    ..L1Config::default()
+                }),
+                "l1.rpq_depth",
+                4096,
+                4097,
+            ),
+            (
+                SystemBuilder::new().l1(L1Config {
+                    sets: 1 << 62,
+                    ..L1Config::default()
+                }),
+                "l1.lines",
+                1 << 20,
+                big,
+            ),
+            (
+                SystemBuilder::new().l1(L1Config {
+                    sets: 1 << 18,
+                    ..L1Config::default()
+                }),
+                "l1.lines",
+                1 << 20,
+                1 << 21,
+            ),
+            (
+                SystemBuilder::new().l2(L2Config {
+                    list_buffer_depth: big,
+                    ..L2Config::default()
+                }),
+                "l2.list_buffer_depth",
+                4096,
+                big,
+            ),
+            (
+                SystemBuilder::new().l2(L2Config {
+                    sets: 1 << 62,
+                    ..L2Config::default()
+                }),
+                "l2.lines",
+                1 << 20,
+                big,
+            ),
+        ];
+        for (builder, what, max, got) in cases {
+            assert_eq!(
+                builder.try_build().unwrap_err(),
+                ConfigError::TooMany { what, max, got },
+                "{what}"
+            );
+        }
         assert_eq!(
             SystemBuilder::new()
                 .engine(EngineKind::Naive)

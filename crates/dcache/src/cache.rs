@@ -539,16 +539,20 @@ impl DataCache {
                 Admit::Secondary(slot)
             };
         }
-        let slot = first_free(self.live, self.mshrs.len(), 0);
+        // No free MSHR refuses before any array access: a held LSU head
+        // asks this every cycle while the file is full.
+        let Some(slot) = first_free(self.live, self.mshrs.len(), 0) else {
+            return Admit::Refuse;
+        };
         // Upgrade in place if the line is already resident (Shared); fresh
         // victim otherwise.
-        let way = self
+        match self
             .arrays
             .lookup(line)
-            .or_else(|| self.arrays.victim_way(line));
-        match (slot, way) {
-            (Some(slot), Some(way)) => Admit::Primary { slot, way },
-            _ => Admit::Refuse,
+            .or_else(|| self.arrays.victim_way(line))
+        {
+            Some(way) => Admit::Primary { slot, way },
+            None => Admit::Refuse,
         }
     }
 

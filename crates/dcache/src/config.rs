@@ -53,6 +53,15 @@ impl L1Config {
     /// `u64` masks, one bit per FSHR.
     pub const MAX_FSHRS: usize = 64;
 
+    /// Largest supported replay-queue and flush-queue depth: far above
+    /// any modelled design, and small enough that the flush queue's
+    /// per-bucket entry counts fit a `u16`.
+    pub const MAX_QUEUE_DEPTH: usize = 4096;
+
+    /// Largest supported cache, in lines (`sets * ways`): 64 MiB of data,
+    /// far above any modelled L1.
+    pub const MAX_LINES: usize = 1 << 20;
+
     /// Total capacity in bytes.
     pub fn capacity_bytes(&self) -> usize {
         self.sets * self.ways * skipit_tilelink::LINE_BYTES
@@ -62,9 +71,11 @@ impl L1Config {
     ///
     /// # Panics
     ///
-    /// Panics if any field is zero, `sets` is not a power of two, or
-    /// `mshrs` or `fshrs` exceeds [`L1Config::MAX_MSHRS`] /
-    /// [`L1Config::MAX_FSHRS`].
+    /// Panics if any field is zero, `sets` is not a power of two, or a
+    /// size exceeds its bound: `mshrs` [`L1Config::MAX_MSHRS`], `fshrs`
+    /// [`L1Config::MAX_FSHRS`], either queue depth
+    /// [`L1Config::MAX_QUEUE_DEPTH`], `sets * ways`
+    /// [`L1Config::MAX_LINES`].
     pub fn validate(&self) {
         assert!(self.sets.is_power_of_two(), "sets must be a power of two");
         assert!(self.ways > 0, "ways must be nonzero");
@@ -84,6 +95,17 @@ impl L1Config {
             self.fshrs <= Self::MAX_FSHRS,
             "fshrs must be at most {}",
             Self::MAX_FSHRS
+        );
+        assert!(
+            self.rpq_depth <= Self::MAX_QUEUE_DEPTH
+                && self.flush_queue_depth <= Self::MAX_QUEUE_DEPTH,
+            "queue depths must be at most {}",
+            Self::MAX_QUEUE_DEPTH
+        );
+        assert!(
+            self.sets.saturating_mul(self.ways) <= Self::MAX_LINES,
+            "sets * ways must be at most {}",
+            Self::MAX_LINES
         );
     }
 }

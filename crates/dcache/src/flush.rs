@@ -13,14 +13,28 @@
 //! ([`FlushUnit::evict_invalidate`], §5.4.2), while dependent loads/stores
 //! are blocked by the cache front-end (§5.3).
 
+use crate::config::L1Config;
 use crate::meta::CacheArrays;
 use crate::stats::L1Stats;
 use skipit_tilelink::slots::{file_mask, first_free, set_bit, Slots};
 use skipit_tilelink::{
     AgentId, Cap, ChannelC, ClientState, LineAddr, LineData, Link, PerturbConfig, WritebackKind,
+    LINE_BYTES,
 };
 use skipit_trace::{TraceEvent, TraceSink};
 use std::collections::VecDeque;
+
+/// Line buckets the flush queue counts its entries in.
+const BUCKETS: usize = 64;
+
+/// The count bucket of `addr`: its line number mod [`BUCKETS`], which is
+/// its L1 set at the default geometry.
+fn bucket(addr: LineAddr) -> usize {
+    (addr.base() / LINE_BYTES as u64) as usize % BUCKETS
+}
+
+// A full queue of one line must fit its bucket's count.
+const _: () = assert!(L1Config::MAX_QUEUE_DEPTH <= u16::MAX as usize);
 
 /// One buffered `CBO.X` request (§5.2: "relevant fields of a flush request").
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -112,6 +126,11 @@ impl Default for FlushEntry {
 #[derive(Debug)]
 pub struct FlushUnit {
     queue: VecDeque<FlushEntry>,
+    /// Queued entries per line [`bucket`], so a walk of the queue for one
+    /// line returns at once when that line's bucket is empty. Kept in step
+    /// by [`FlushUnit::enqueue`] and the dispatch in
+    /// [`FlushUnit::try_allocate`]; rebuilt on decode, never serialized.
+    queued: [u16; BUCKETS],
     depth: usize,
     fshrs: Vec<Fshr>,
     /// FSHR state masks, bit `i` for `fshrs[i]`: `busy` (not `Free`),
@@ -144,9 +163,19 @@ pub struct FlushUnit {
 
 impl FlushUnit {
     /// Creates a flush unit with the given queue depth and FSHR count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `depth` exceeds [`L1Config::MAX_QUEUE_DEPTH`].
     pub fn new(depth: usize, fshrs: usize) -> Self {
+        assert!(
+            depth <= L1Config::MAX_QUEUE_DEPTH,
+            "flush queue depth must be at most {}",
+            L1Config::MAX_QUEUE_DEPTH
+        );
         FlushUnit {
             queue: VecDeque::with_capacity(depth),
+            queued: [0; BUCKETS],
             depth,
             fshrs: vec![Fshr::default(); fshrs],
             busy: 0,
@@ -229,9 +258,32 @@ impl FlushUnit {
         self.busy.count_ones() as usize
     }
 
+    /// How much of the queue, from the head, a walk for `addr`'s entries
+    /// must read: all of it, or none when `addr`'s bucket is empty.
+    fn scan_len(&self, addr: LineAddr) -> usize {
+        if self.queued[bucket(addr)] == 0 {
+            0
+        } else {
+            self.queue.len()
+        }
+    }
+
+    /// The queued entries for `addr`, oldest first.
+    fn queued_on(&self, addr: LineAddr) -> impl Iterator<Item = &FlushEntry> {
+        self.queue
+            .range(..self.scan_len(addr))
+            .filter(move |e| e.addr == addr)
+    }
+
+    /// The queued entries for `addr`, oldest first, mutably.
+    fn queued_on_mut(&mut self, addr: LineAddr) -> impl Iterator<Item = &mut FlushEntry> {
+        let scan = self.scan_len(addr);
+        self.queue.range_mut(..scan).filter(move |e| e.addr == addr)
+    }
+
     /// The queued entry for `addr`, if any.
     pub fn queued_entry(&self, addr: LineAddr) -> Option<&FlushEntry> {
-        self.queue.iter().find(|e| e.addr == addr)
+        self.queued_on(addr).next()
     }
 
     /// The FSHR handling `addr`, if any.
@@ -272,7 +324,7 @@ impl FlushUnit {
     /// have released the line, so a later writeback must take its own trip —
     /// which is exactly the redundancy Skip It eliminates (§7.4).
     pub fn can_coalesce(&self, addr: LineAddr, kind: WritebackKind) -> bool {
-        self.queue.iter().any(|e| e.addr == addr && e.kind == kind)
+        self.queued_on(addr).any(|e| e.kind == kind)
     }
 
     /// The §5.3 future-work optimization: the queue index of a queued entry
@@ -290,7 +342,7 @@ impl FlushUnit {
             return None;
         }
         self.queue
-            .iter()
+            .range(..self.scan_len(addr))
             .position(|e| e.addr == addr && e.kind != kind && e.kind != WritebackKind::Inval)
     }
 
@@ -311,6 +363,7 @@ impl FlushUnit {
     /// [`FlushUnit::queue_full`] and refuse the request instead (§5.2).
     pub fn enqueue(&mut self, entry: FlushEntry) {
         assert!(!self.queue_full(), "flush queue overflow");
+        self.queued[bucket(entry.addr)] += 1;
         self.queue.push_back(entry);
         self.counter += 1;
     }
@@ -321,7 +374,7 @@ impl FlushUnit {
     /// of entries adjusted.
     pub fn probe_invalidate(&mut self, addr: LineAddr, cap: Cap) -> u64 {
         let mut n = 0;
-        for e in self.queue.iter_mut().filter(|e| e.addr == addr) {
+        for e in self.queued_on_mut(addr) {
             match cap {
                 Cap::ToN => {
                     if e.is_hit || e.is_dirty {
@@ -348,7 +401,7 @@ impl FlushUnit {
     /// matching queued entries no longer hit. Returns entries adjusted.
     pub fn evict_invalidate(&mut self, addr: LineAddr) -> u64 {
         let mut n = 0;
-        for e in self.queue.iter_mut().filter(|e| e.addr == addr) {
+        for e in self.queued_on_mut(addr) {
             if e.is_hit || e.is_dirty {
                 e.is_hit = false;
                 e.is_dirty = false;
@@ -392,6 +445,7 @@ impl FlushUnit {
             self.dispatch_seq += 1;
         }
         let entry = self.queue.pop_front().expect("nonempty");
+        self.queued[bucket(entry.addr)] -= 1;
         let state = Self::initial_state(&entry);
         skipit_trace::trace!(
             self.sink,
@@ -490,7 +544,7 @@ impl FlushUnit {
                     // Keep later queued same-line entries (necessarily of
                     // the *other* kind — same-kind ones coalesced, §5.3)
                     // consistent with the metadata we just changed.
-                    for e in self.queue.iter_mut().filter(|e| e.addr == entry.addr) {
+                    for e in self.queued_on_mut(entry.addr) {
                         match entry.kind {
                             WritebackKind::Flush | WritebackKind::Inval => {
                                 e.is_hit = false;
@@ -713,13 +767,17 @@ impl FlushUnit {
             0,
             "bit set past the file"
         );
+        let mut scan = [0u16; BUCKETS];
+        for e in &self.queue {
+            scan[bucket(e.addr)] += 1;
+        }
+        assert_eq!(self.queued, scan, "bucket counts disagree with the queue");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::L1Config;
 
     fn unit() -> FlushUnit {
         FlushUnit::new(4, 2)
@@ -1052,7 +1110,6 @@ mod tests {
 #[cfg(test)]
 mod decode_tests {
     use super::*;
-    use crate::config::L1Config;
     use skipit_snap::{SnapReader, SnapWriter};
 
     #[test]
@@ -1085,6 +1142,9 @@ mod decode_tests {
         fu.step_fshrs(1, 0, &mut arrays, &mut c, &mut stats);
         fu.enqueue(entry(3, true));
         fu.try_allocate(2, 0, true, true);
+        // Two entries stay queued, lines 5 and 69 sharing a bucket.
+        fu.enqueue(entry(5, false));
+        fu.enqueue(entry(69, false));
         fu.assert_masks_mirror_states();
         let states: Vec<_> = fu.fshrs().iter().map(|f| f.state).collect();
         assert_eq!(
@@ -1111,13 +1171,16 @@ mod decode_tests {
             (fresh.busy, fresh.wait_ack, fresh.sending),
             (0b111, 0b010, 0b001)
         );
+        assert_eq!(fresh.queued, fu.queued);
+        assert_eq!((fresh.queued[5], fresh.queued.iter().sum::<u16>()), (2, 2));
+        assert!(fresh.queued_entry(LineAddr::new(0x40 * 69)).is_some());
+        assert!(fresh.queued_entry(LineAddr::new(0x40 * 6)).is_none());
     }
 }
 
 #[cfg(test)]
 mod inval_tests {
     use super::*;
-    use crate::config::L1Config;
     use crate::stats::L1Stats;
     use skipit_tilelink::{ChannelC, ClientState, LineAddr, LineData, Link};
 
@@ -1249,7 +1312,7 @@ impl FlushUnit {
     /// match the configured geometry.
     pub fn decode_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.expect_tag(0x46, "flush unit section")?;
-        let queue = std::collections::VecDeque::decode(r)?;
+        let queue: VecDeque<FlushEntry> = VecDeque::decode(r)?;
         if queue.len() > self.depth {
             return Err(SnapError::Corrupt("flush queue exceeds depth"));
         }
@@ -1260,6 +1323,10 @@ impl FlushUnit {
         let next_fshr = usize::decode(r)?;
         if next_fshr >= fshrs.len().max(1) {
             return Err(SnapError::Corrupt("fshr pointer out of range"));
+        }
+        self.queued = [0; BUCKETS];
+        for e in &queue {
+            self.queued[bucket(e.addr)] += 1;
         }
         self.queue = queue;
         self.fshrs = fshrs;

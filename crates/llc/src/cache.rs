@@ -132,8 +132,7 @@ pub struct InclusiveCache {
     arrays: L2Arrays,
     mshrs: Vec<Option<L2Mshr>>,
     /// Bitmask of occupied `mshrs` slots: bit `i` is set iff `mshrs[i]` is
-    /// `Some`. Every walk over live transactions ([`Self::live`]) and the
-    /// free-slot pick read it instead of touching the slots themselves.
+    /// `Some`. The free-slot pick reads it instead of touching the slots.
     occupied: u64,
     /// Bitmask of live slots in a [parked](L2MshrState::parked) state,
     /// a subset of `occupied`. The MSHR step and `next_event` walk
@@ -141,6 +140,13 @@ pub struct InclusiveCache {
     /// `parked`. Kept in step by [`Self::set_state`], [`Self::occupy`] and
     /// [`Self::release`]; rebuilt on decode, never serialized.
     parked: u64,
+    /// One mask per L2 set: bit `i` of `set_claims[s]` is set iff live
+    /// slot `i`'s line maps to set `s`. A slot's victim is always taken
+    /// from its own line's set ([`Self::plan`]), so the one bit covers
+    /// both addresses the slot can claim, and every per-line match walks
+    /// only its set's bits. Kept in step by [`Self::occupy`] and
+    /// [`Self::release`]; rebuilt on decode, never serialized.
+    set_claims: Vec<u64>,
     list_buffer: VecDeque<Deferred>,
     next_token: u64,
     stats: L2Stats,
@@ -176,6 +182,7 @@ impl InclusiveCache {
             mshrs: vec![None; cfg.mshrs],
             occupied: 0,
             parked: 0,
+            set_claims: vec![0; cfg.sets],
             list_buffer: VecDeque::with_capacity(cfg.list_buffer_depth),
             next_token: 0,
             stats: L2Stats::default(),
@@ -226,9 +233,10 @@ impl InclusiveCache {
         self.occupied == 0 && self.list_buffer.is_empty()
     }
 
-    /// Live MSHR slot indices, lowest first.
-    fn live(&self) -> Slots {
-        Slots(self.occupied)
+    /// The live slots whose line (and so whose victim) maps to `addr`'s
+    /// set: a superset of the slots that can hold `addr`.
+    fn claims(&self, addr: LineAddr) -> u64 {
+        self.set_claims[self.arrays.set_index(addr)]
     }
 
     /// The live MSHR in slot `idx`.
@@ -253,6 +261,7 @@ impl InclusiveCache {
     /// (unparked) `Access` state.
     fn occupy(&mut self, now: u64, slot: usize, addr: LineAddr, req: L2Req) {
         self.occupied |= 1 << slot;
+        self.set_claims[self.arrays.set_index(addr)] |= 1 << slot;
         self.alloc_seq += 1;
         skipit_trace::trace!(
             self.sink,
@@ -284,6 +293,8 @@ impl InclusiveCache {
 
     /// Retires live slot `idx`.
     fn release(&mut self, idx: usize) {
+        let set = self.arrays.set_index(self.mshr(idx).addr);
+        self.set_claims[set] &= !(1 << idx);
         self.mshrs[idx] = None;
         self.occupied &= !(1 << idx);
         self.parked &= !(1 << idx);
@@ -313,7 +324,7 @@ impl InclusiveCache {
     }
 
     fn mshr_conflict(&self, addr: LineAddr) -> bool {
-        self.live().any(|idx| {
+        Slots(self.claims(addr)).any(|idx| {
             let m = self.mshr(idx);
             m.addr == addr || m.victim == Some(addr)
         })
@@ -479,7 +490,7 @@ impl InclusiveCache {
     fn drain_grant_acks(&mut self, now: u64, ports: &mut L2Ports<'_>) {
         for core in 0..self.cores {
             while let Some(ChannelE::GrantAck { addr, .. }) = ports.e[core].pop(now) {
-                let Some(idx) = Slots(self.parked).find(|&idx| {
+                let Some(idx) = Slots(self.claims(addr) & self.parked).find(|&idx| {
                     let m = self.mshr(idx);
                     m.addr == addr && m.state == L2MshrState::WaitGrantAck
                 }) else {
@@ -613,7 +624,7 @@ impl InclusiveCache {
         }
         // Route to the waiting MSHR: probes for a line come from exactly one
         // MSHR (per-line conflict serialization).
-        let Some(idx) = self.live().find(|&idx| {
+        let Some(idx) = Slots(self.claims(addr)).find(|&idx| {
             let m = self.mshr(idx);
             (m.addr == addr || m.victim == Some(addr)) && m.pending_acks > 0
         }) else {
@@ -1115,10 +1126,10 @@ codec!(Deferred { 0 });
 
 impl InclusiveCache {
     /// Encodes the L2's complete simulated state: directory/data/LRU
-    /// arrays, every live MSHR (the occupancy and parked bitmasks are
-    /// re-derived on decode), the §3.4 list buffer, the memory-request token counter, the
-    /// statistics, and the MSHR-allocation stamp that keys adversarial
-    /// rotation draws. Configuration, trace sink and perturbation
+    /// arrays, every live MSHR (the occupancy, parked and set-claim masks
+    /// are re-derived on decode), the §3.4 list buffer, the memory-request
+    /// token counter, the statistics, and the MSHR-allocation stamp that
+    /// keys adversarial rotation draws. Configuration, trace sink and perturbation
     /// installation are host-side and excluded.
     pub fn encode_state(&self, w: &mut SnapWriter) {
         w.tag(0x4d);
@@ -1144,13 +1155,19 @@ impl InclusiveCache {
             return Err(SnapError::ConfigMismatch);
         }
         let (mut occupied, mut parked) = (0u64, 0u64);
+        self.set_claims.fill(0);
         for (i, slot) in self.mshrs.iter_mut().enumerate() {
             *slot = Option::decode(r)?;
             if let Some(m) = slot {
+                let set = self.arrays.set_index(m.addr);
+                if m.victim.is_some_and(|v| self.arrays.set_index(v) != set) {
+                    return Err(SnapError::Corrupt("l2 mshr victim outside its line's set"));
+                }
                 occupied |= 1 << i;
                 if m.state.parked() {
                     parked |= 1 << i;
                 }
+                self.set_claims[set] |= 1 << i;
             }
         }
         self.occupied = occupied;
@@ -1309,14 +1326,40 @@ mod tests {
         let live = l2.mshrs.iter().flatten().count();
         assert_eq!(l2.mshr_occupancy(), live, "bit set past the file");
         assert_eq!(l2.parked & !l2.occupied, 0, "parked bit on a free slot");
+        let mut scan = vec![0u64; l2.set_claims.len()];
+        for (i, m) in l2.mshrs.iter().enumerate() {
+            let Some(m) = m else { continue };
+            let set = l2.arrays.set_index(m.addr);
+            scan[set] |= 1 << i;
+            if let Some(victim) = m.victim {
+                assert_eq!(
+                    l2.arrays.set_index(victim),
+                    set,
+                    "victim {victim:?} of slot {i} lies outside its line's set"
+                );
+            }
+        }
+        for (set, (&claims, &scanned)) in l2.set_claims.iter().zip(&scan).enumerate() {
+            assert_eq!(
+                claims, scanned,
+                "claim mask of set {set} disagrees with the slots"
+            );
+        }
     }
 
     #[test]
     fn decoded_state_rebuilds_the_occupancy_and_parked_masks() {
         let mut h = Harness::new(2);
         h.acquire(0, line(6), Grow::NtoT);
-        // An Acquire held on an unanswered probe (unparked), a fill waiting
-        // on DRAM and a RootRelease waiting on its DRAM write (parked).
+        // Fill every way of line 100's set with lines core 0 holds.
+        let sets = L2Config::default().sets as u64;
+        for k in 0..8 {
+            h.acquire(0, line(100 + k * sets), Grow::NtoT);
+        }
+        // An Acquire held on an unanswered probe and a miss evicting one of
+        // those lines, its victim probe unanswered (both unparked), a fill
+        // waiting on DRAM and a RootRelease waiting on its DRAM write
+        // (parked).
         h.a[1].push(
             h.now,
             ChannelA::AcquireBlock {
@@ -1330,6 +1373,14 @@ mod tests {
             ChannelA::AcquireBlock {
                 source: 0,
                 addr: line(9),
+                grow: Grow::NtoB,
+            },
+        );
+        h.a[0].push(
+            h.now,
+            ChannelA::AcquireBlock {
+                source: 0,
+                addr: line(100 + 8 * sets),
                 grow: Grow::NtoB,
             },
         );
@@ -1351,6 +1402,7 @@ mod tests {
             [
                 L2MshrState::MemReadWait,
                 L2MshrState::OwnerProbe,
+                L2MshrState::VictimProbe,
                 L2MshrState::DramWriteWait
             ]
         );
@@ -1361,7 +1413,35 @@ mod tests {
         fresh.decode_state(&mut SnapReader::new(&bytes)).unwrap();
         assert_occupancy_mirrors_slots(&fresh);
         assert_eq!((fresh.occupied, fresh.parked), (h.l2.occupied, h.l2.parked));
-        assert_eq!((fresh.occupied, fresh.parked), (0b111, 0b101));
+        assert_eq!((fresh.occupied, fresh.parked), (0b1111, 0b1001));
+        assert_eq!(fresh.set_claims, h.l2.set_claims);
+        assert_eq!(fresh.claims(line(100)), 0b0100);
+    }
+
+    /// The set-claim masks rely on a slot's victim sharing its line's set,
+    /// so a snapshot that breaks the rule is refused, not decoded into
+    /// masks that miss the victim.
+    #[test]
+    fn decode_rejects_a_victim_outside_its_lines_set() {
+        let mut l2 = InclusiveCache::new(1, L2Config::default());
+        l2.occupy(
+            0,
+            0,
+            line(1),
+            L2Req::Acquire {
+                source: 0,
+                grow: Grow::NtoB,
+            },
+        );
+        l2.mshr_mut(0).victim = Some(line(2));
+        let mut w = SnapWriter::new();
+        l2.encode_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut fresh = InclusiveCache::new(1, L2Config::default());
+        assert_eq!(
+            fresh.decode_state(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Corrupt("l2 mshr victim outside its line's set"))
+        );
     }
 
     fn line(n: u64) -> LineAddr {

@@ -36,6 +36,13 @@ impl L2Config {
     /// occupancy mask.
     pub const MAX_MSHRS: usize = 64;
 
+    /// Largest supported ListBuffer: far above any modelled design.
+    pub const MAX_LIST_BUFFER_DEPTH: usize = 4096;
+
+    /// Largest supported cache, in lines (`sets * ways`): 64 MiB of data,
+    /// far above any modelled L2.
+    pub const MAX_LINES: usize = 1 << 20;
+
     /// Total capacity in bytes.
     pub fn capacity_bytes(&self) -> usize {
         self.sets * self.ways * skipit_tilelink::LINE_BYTES
@@ -45,8 +52,10 @@ impl L2Config {
     ///
     /// # Panics
     ///
-    /// Panics if any field is zero, `sets` is not a power of two, or
-    /// `mshrs` exceeds [`L2Config::MAX_MSHRS`].
+    /// Panics if any field is zero, `sets` is not a power of two, or a
+    /// size exceeds its bound: `mshrs` [`L2Config::MAX_MSHRS`],
+    /// `list_buffer_depth` [`L2Config::MAX_LIST_BUFFER_DEPTH`],
+    /// `sets * ways` [`L2Config::MAX_LINES`].
     pub fn validate(&self) {
         assert!(self.sets.is_power_of_two(), "sets must be a power of two");
         assert!(self.ways > 0, "ways must be nonzero");
@@ -59,6 +68,16 @@ impl L2Config {
         assert!(
             self.list_buffer_depth > 0,
             "list_buffer_depth must be nonzero"
+        );
+        assert!(
+            self.list_buffer_depth <= Self::MAX_LIST_BUFFER_DEPTH,
+            "list_buffer_depth must be at most {}",
+            Self::MAX_LIST_BUFFER_DEPTH
+        );
+        assert!(
+            self.sets.saturating_mul(self.ways) <= Self::MAX_LINES,
+            "sets * ways must be at most {}",
+            Self::MAX_LINES
         );
     }
 }
