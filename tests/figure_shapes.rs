@@ -71,11 +71,13 @@ fn lockstep_oracle_accepts_serialized_fig9() {
     assert_eq!(stats, ref_stats, "oracle changed the Fig. 9 statistics");
 }
 
-/// The wheel's work on the dense 8-core Fig. 9 shape (the `fig09_flush_8c`
-/// benchmark's inputs): two samples on one system, pinned as exact cycles
-/// and engine counters. A host-speed change to a component must leave the
-/// schedule alone, so each field is compared on its own and a failure names
-/// the one that moved.
+/// The wheel's work on two 8-core Fig. 9 shapes, pinned as exact cycles
+/// and engine counters: the dense one (the `fig09_flush_8c` benchmark's
+/// inputs, two samples on one system), where every core is due almost
+/// every cycle and the wheel never jumps, and the serialized 4 KiB one,
+/// where most of each round trip is quiescent and the wheel jumps. A
+/// host-speed change to a component must leave the schedule alone, so each
+/// field is compared on its own and a failure names the one that moved.
 #[test]
 fn fig9_engine_work_is_pinned() {
     let mut sys = SystemBuilder::new().cores(8).build();
@@ -83,6 +85,9 @@ fn fig9_engine_work_is_pinned() {
         .map(|_| fig9_sample(&mut sys, 8, 128 * 1024, false))
         .collect();
     let engine = sys.engine_stats();
+    let mut serial_sys = SystemBuilder::new().cores(8).build();
+    let serial_cycles = fig9_serialized_sample(&mut serial_sys, 8, 4 * 1024);
+    let serial = serial_sys.engine_stats();
     let pins = [
         ("first sample cycles", cycles[0], 2469),
         ("second sample cycles", cycles[1], 2469),
@@ -90,6 +95,11 @@ fn fig9_engine_work_is_pinned() {
         ("component_slots", engine.component_slots, 86_922),
         ("jumps", engine.jumps, 0),
         ("skipped_cycles", engine.skipped_cycles, 0),
+        ("serialized cycles", serial_cycles, 1216),
+        ("serialized component_steps", serial.component_steps, 1256),
+        ("serialized component_slots", serial.component_slots, 10_944),
+        ("serialized jumps", serial.jumps, 16),
+        ("serialized skipped_cycles", serial.skipped_cycles, 791),
     ];
     for (field, got, pinned) in pins {
         assert_eq!(got, pinned, "fig9 engine work moved: {field}");
