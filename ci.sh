@@ -10,11 +10,12 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 # Vendored deps are neither fmt- nor doc-clean (and must stay pristine), so
-# fmt/doc enumerate the first-party crates.
-FIRST_PARTY=(-p skipit -p skipit-core -p skipit-boom -p skipit-dcache -p skipit-llc
-  -p skipit-mem -p skipit-tilelink -p skipit-trace -p skipit-pds -p skipit-bench
-  -p skipit-sweep -p skipit-explore -p skipit-snap -p skipit-replay
-  -p skipit-service)
+# fmt/doc enumerate the first-party packages: the root `skipit` and the
+# package of each `crates/*/Cargo.toml` (its first `name =` line).
+FIRST_PARTY=(-p skipit)
+for manifest in crates/*/Cargo.toml; do
+  FIRST_PARTY+=(-p "$(awk -F'"' '/^name = /{print $2; exit}' "$manifest")")
+done
 
 cargo fmt --check "${FIRST_PARTY[@]}"
 cargo build --release

@@ -17,9 +17,10 @@
 
 use crate::config::L1Config;
 use crate::flush::{FlushEntry, FlushUnit};
-use crate::meta::CacheArrays;
+use crate::meta::MetaEntry;
 use crate::req::{AmoOp, DcReq, DcReqKind, DcResp, ReqOutcome};
 use crate::stats::L1Stats;
+use skipit_tilelink::array::SetAssocArray;
 use skipit_tilelink::slots::{first_free, set_bit, Slots};
 use skipit_tilelink::{
     AgentId, ChannelA, ChannelB, ChannelC, ChannelD, ChannelE, ClientState, GrantFlavor, Grow,
@@ -171,7 +172,7 @@ enum Admit {
 pub struct DataCache {
     cfg: L1Config,
     core: AgentId,
-    arrays: CacheArrays,
+    arrays: SetAssocArray<MetaEntry>,
     mshrs: Vec<Mshr>,
     /// MSHR state masks, bit `i` for `mshrs[i]`: `live` (not `Free`) and
     /// `acting` (not `Free` or `WaitGrant`: a state the MSHR step advances
@@ -207,7 +208,7 @@ impl DataCache {
         cfg.validate();
         DataCache {
             core,
-            arrays: CacheArrays::new(&cfg),
+            arrays: SetAssocArray::new(cfg.sets, cfg.ways),
             mshrs: (0..cfg.mshrs).map(|_| Mshr::default()).collect(),
             live: 0,
             acting: 0,
@@ -308,7 +309,7 @@ impl DataCache {
     pub fn resident_lines(&self) -> Vec<(LineAddr, ClientState, bool)> {
         self.arrays
             .iter_valid()
-            .map(|(set, way, addr, state)| (addr, state, self.arrays.meta(set, way).skip))
+            .map(|(_, _, addr, m)| (addr, m.state, m.skip))
             .collect()
     }
 
@@ -823,7 +824,8 @@ impl DataCache {
                     // Skip It (§6.1): GrantData sets the skip bit,
                     // GrantDataDirty clears it.
                     let skip = self.cfg.skip_it && flavor == GrantFlavor::Clean;
-                    self.arrays.install(addr, way, state, skip, data);
+                    self.arrays
+                        .install(addr, way, MetaEntry::filled(state, skip), data);
                     if skip {
                         skipit_trace::trace!(
                             self.sink,

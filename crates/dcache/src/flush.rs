@@ -14,8 +14,9 @@
 //! are blocked by the cache front-end (§5.3).
 
 use crate::config::L1Config;
-use crate::meta::CacheArrays;
+use crate::meta::MetaEntry;
 use crate::stats::L1Stats;
+use skipit_tilelink::array::SetAssocArray;
 use skipit_tilelink::slots::{file_mask, first_free, set_bit, Slots};
 use skipit_tilelink::{
     AgentId, Cap, ChannelC, ClientState, LineAddr, LineData, Link, PerturbConfig, WritebackKind,
@@ -496,7 +497,7 @@ impl FlushUnit {
         &mut self,
         now: u64,
         core: AgentId,
-        arrays: &mut CacheArrays,
+        arrays: &mut SetAssocArray<MetaEntry>,
         c: &mut Link<ChannelC>,
         stats: &mut L1Stats,
     ) {
@@ -643,7 +644,7 @@ impl FlushUnit {
         now: u64,
         core: AgentId,
         addr: LineAddr,
-        arrays: &mut CacheArrays,
+        arrays: &mut SetAssocArray<MetaEntry>,
         skip_it: bool,
     ) -> bool {
         // When several FSHRs for the same line are in `WaitAck` (§5.2
@@ -774,6 +775,10 @@ impl FlushUnit {
         assert_eq!(self.queued, scan, "bucket counts disagree with the queue");
     }
 }
+
+/// A dirty, unreserved way, as the unit tests below install their lines.
+#[cfg(test)]
+const DIRTY: MetaEntry = MetaEntry::filled(ClientState::Modified, false);
 
 #[cfg(test)]
 mod tests {
@@ -922,11 +927,11 @@ mod tests {
     #[test]
     fn fshr_full_dirty_clean_path_and_ack_sets_skip() {
         let cfg = L1Config::default();
-        let mut arrays = CacheArrays::new(&cfg);
+        let mut arrays = SetAssocArray::new(cfg.sets, cfg.ways);
         let addr = LineAddr::new(0x40);
         let mut data = LineData::zeroed();
         data.set_word(0, 0xabcd);
-        arrays.install(addr, 0, ClientState::Modified, false, data);
+        arrays.install(addr, 0, DIRTY, data);
 
         let mut fu = FlushUnit::new(4, 2);
         let mut c: Link<ChannelC> = Link::new(0, 8);
@@ -970,10 +975,10 @@ mod tests {
     #[test]
     fn ack_completes_oldest_same_line_fshr() {
         let cfg = L1Config::default();
-        let mut arrays = CacheArrays::new(&cfg);
+        let mut arrays = SetAssocArray::new(cfg.sets, cfg.ways);
         let addr = LineAddr::new(0x40);
         let other = LineAddr::new(0x80);
-        arrays.install(addr, 0, ClientState::Modified, false, LineData::zeroed());
+        arrays.install(addr, 0, DIRTY, LineData::zeroed());
 
         let mut fu = FlushUnit::new(4, 2);
         let mut c: Link<ChannelC> = Link::new(0, 8);
@@ -1016,9 +1021,9 @@ mod tests {
     #[test]
     fn touched_line_ack_does_not_set_skip() {
         let cfg = L1Config::default();
-        let mut arrays = CacheArrays::new(&cfg);
+        let mut arrays = SetAssocArray::new(cfg.sets, cfg.ways);
         let addr = LineAddr::new(0x40);
-        arrays.install(addr, 0, ClientState::Modified, false, LineData::zeroed());
+        arrays.install(addr, 0, DIRTY, LineData::zeroed());
 
         let mut fu = FlushUnit::new(4, 2);
         let mut c: Link<ChannelC> = Link::new(0, 8);
@@ -1042,9 +1047,9 @@ mod tests {
     #[test]
     fn fshr_flush_invalidates_metadata() {
         let cfg = L1Config::default();
-        let mut arrays = CacheArrays::new(&cfg);
+        let mut arrays = SetAssocArray::new(cfg.sets, cfg.ways);
         let addr = LineAddr::new(0x80);
-        arrays.install(addr, 1, ClientState::Modified, false, LineData::zeroed());
+        arrays.install(addr, 1, DIRTY, LineData::zeroed());
 
         let mut fu = FlushUnit::new(4, 2);
         let mut c: Link<ChannelC> = Link::new(0, 8);
@@ -1069,7 +1074,7 @@ mod tests {
     #[test]
     fn miss_sends_release_without_data() {
         let cfg = L1Config::default();
-        let mut arrays = CacheArrays::new(&cfg);
+        let mut arrays = SetAssocArray::new(cfg.sets, cfg.ways);
         let mut fu = FlushUnit::new(4, 2);
         let mut c: Link<ChannelC> = Link::new(0, 8);
         let mut stats = L1Stats::default();
@@ -1087,9 +1092,9 @@ mod tests {
         // A store allowed through (§5.3 conditions) re-dirties the line
         // before the ack arrives: skip must stay unset.
         let cfg = L1Config::default();
-        let mut arrays = CacheArrays::new(&cfg);
+        let mut arrays = SetAssocArray::new(cfg.sets, cfg.ways);
         let addr = LineAddr::new(0x40);
-        arrays.install(addr, 0, ClientState::Modified, false, LineData::zeroed());
+        arrays.install(addr, 0, DIRTY, LineData::zeroed());
         let mut fu = FlushUnit::new(4, 2);
         let mut c: Link<ChannelC> = Link::new(0, 8);
         let mut stats = L1Stats::default();
@@ -1115,15 +1120,9 @@ mod decode_tests {
     #[test]
     fn decoded_state_rebuilds_the_fshr_masks() {
         let cfg = L1Config::default();
-        let mut arrays = CacheArrays::new(&cfg);
+        let mut arrays = SetAssocArray::new(cfg.sets, cfg.ways);
         for (n, way) in [(1, 0), (3, 1)] {
-            arrays.install(
-                LineAddr::new(0x40 * n),
-                way,
-                ClientState::Modified,
-                false,
-                LineData::zeroed(),
-            );
+            arrays.install(LineAddr::new(0x40 * n), way, DIRTY, LineData::zeroed());
         }
         let mut fu = FlushUnit::new(4, 4);
         let mut c: Link<ChannelC> = Link::new(0, 8);
@@ -1182,7 +1181,7 @@ mod decode_tests {
 mod inval_tests {
     use super::*;
     use crate::stats::L1Stats;
-    use skipit_tilelink::{ChannelC, ClientState, LineAddr, LineData, Link};
+    use skipit_tilelink::{ChannelC, LineAddr, LineData, Link};
 
     fn entry(addr: u64, hit: bool, dirty: bool) -> FlushEntry {
         FlushEntry {
@@ -1196,11 +1195,11 @@ mod inval_tests {
     #[test]
     fn inval_hit_dirty_invalidates_without_filling_buffer() {
         let cfg = L1Config::default();
-        let mut arrays = CacheArrays::new(&cfg);
+        let mut arrays = SetAssocArray::new(cfg.sets, cfg.ways);
         let addr = LineAddr::new(0x40);
         let mut data = LineData::zeroed();
         data.set_word(0, 0xdead);
-        arrays.install(addr, 0, ClientState::Modified, false, data);
+        arrays.install(addr, 0, DIRTY, data);
 
         let mut fu = FlushUnit::new(4, 2);
         let mut c: Link<ChannelC> = Link::new(0, 8);
@@ -1226,7 +1225,7 @@ mod inval_tests {
     #[test]
     fn inval_miss_still_sends_release() {
         let cfg = L1Config::default();
-        let mut arrays = CacheArrays::new(&cfg);
+        let mut arrays = SetAssocArray::new(cfg.sets, cfg.ways);
         let mut fu = FlushUnit::new(4, 2);
         let mut c: Link<ChannelC> = Link::new(0, 8);
         let mut stats = L1Stats::default();

@@ -6,10 +6,11 @@
 //! probes go out on channel B; responses leave through *SourceD* (channel D);
 //! DRAM traffic leaves through *SourceC* (the [`skipit_mem::Dram`] port).
 
-use crate::arrays::L2Arrays;
+use crate::arrays::DirEntry;
 use crate::config::L2Config;
 use crate::stats::L2Stats;
 use skipit_mem::{Dram, MemReq, MemResp};
+use skipit_tilelink::array::SetAssocArray;
 use skipit_tilelink::perturb::L2_MSHR_SITE;
 use skipit_tilelink::slots::{first_free, set_bit, Slots};
 use skipit_tilelink::{
@@ -129,7 +130,7 @@ struct Deferred(ChannelC);
 #[derive(Debug)]
 pub struct InclusiveCache {
     cfg: L2Config,
-    arrays: L2Arrays,
+    arrays: SetAssocArray<DirEntry>,
     mshrs: Vec<Option<L2Mshr>>,
     /// Bitmask of occupied `mshrs` slots: bit `i` is set iff `mshrs[i]` is
     /// `Some`. The free-slot pick reads it instead of touching the slots.
@@ -178,7 +179,7 @@ impl InclusiveCache {
         cfg.validate();
         assert!((1..=32).contains(&cores), "1..=32 cores supported");
         InclusiveCache {
-            arrays: L2Arrays::new(&cfg),
+            arrays: SetAssocArray::new(cfg.sets, cfg.ways),
             mshrs: vec![None; cfg.mshrs],
             occupied: 0,
             parked: 0,
@@ -304,7 +305,7 @@ impl InclusiveCache {
     pub fn peek_dirty(&self, addr: LineAddr) -> bool {
         self.arrays
             .lookup(addr)
-            .map(|w| self.arrays.dir(self.arrays.set_index(addr), w).dirty)
+            .map(|w| self.arrays.meta(self.arrays.set_index(addr), w).dirty)
             .unwrap_or(false)
     }
 
@@ -461,7 +462,10 @@ impl InclusiveCache {
             let next = match (resp, m.state) {
                 (MemResp::ReadDone { data, .. }, L2MshrState::MemReadWait) => {
                     let way = m.way.expect("fill way reserved");
-                    self.arrays.install(m.addr, way, data);
+                    let set = self.arrays.set_index(m.addr);
+                    let reserved = self.arrays.meta(set, way).reserved;
+                    self.arrays
+                        .install(m.addr, way, DirEntry::filled(reserved), data);
                     self.stats.mem_fills += 1;
                     // A fresh fill has no owners to probe.
                     L2MshrState::SendResp
@@ -476,7 +480,7 @@ impl InclusiveCache {
                     if let Some(w) = self.arrays.lookup(m.addr) {
                         let set = self.arrays.set_index(m.addr);
                         if m.wrote == Some(self.arrays.line(set, w)) {
-                            self.arrays.dir_mut(set, w).dirty = false;
+                            self.arrays.meta_mut(set, w).dirty = false;
                         }
                     }
                     L2MshrState::SendResp
@@ -564,8 +568,8 @@ impl InclusiveCache {
                         if let Some(w) = self.arrays.lookup(addr) {
                             let set = self.arrays.set_index(addr);
                             if let Some(d) = data {
-                                self.arrays.set_line(set, w, d);
-                                self.arrays.dir_mut(set, w).dirty = true;
+                                *self.arrays.line_mut(set, w) = d;
+                                self.arrays.meta_mut(set, w).dirty = true;
                                 msg = ChannelC::RootRelease {
                                     source,
                                     addr,
@@ -574,7 +578,7 @@ impl InclusiveCache {
                                 };
                             }
                             if kind.invalidates() {
-                                self.arrays.dir_mut(set, w).remove_owner(source);
+                                self.arrays.meta_mut(set, w).remove_owner(source);
                             } else if data.is_some() {
                                 // Clean with data: the requester's copy is
                                 // now clean; it keeps ownership.
@@ -670,10 +674,10 @@ impl InclusiveCache {
     ) {
         let set = self.arrays.set_index(addr);
         if let Some(d) = data {
-            self.arrays.set_line(set, w, d);
-            self.arrays.dir_mut(set, w).dirty = true;
+            *self.arrays.line_mut(set, w) = d;
+            self.arrays.meta_mut(set, w).dirty = true;
         }
-        let e = self.arrays.dir_mut(set, w);
+        let e = self.arrays.meta_mut(set, w);
         if !shrink.keeps_copy() {
             e.remove_owner(source);
         } else if !shrink.keeps_trunk() && e.trunk == Some(source) {
@@ -761,7 +765,7 @@ impl InclusiveCache {
                     if let Some(victim) = m.victim.take() {
                         if let Some(w) = self.arrays.lookup(victim) {
                             let set = self.arrays.set_index(victim);
-                            let e = self.arrays.dir_mut(set, w);
+                            let e = self.arrays.meta_mut(set, w);
                             e.valid = false;
                             e.dirty = false;
                             e.owners = 0;
@@ -816,9 +820,9 @@ impl InclusiveCache {
             L2Req::Acquire { source, grow } => {
                 if let Some(w) = self.arrays.lookup(addr) {
                     let set = self.arrays.set_index(addr);
-                    self.arrays.dir_mut(set, w).reserved = true;
+                    self.arrays.meta_mut(set, w).reserved = true;
                     self.arrays.touch(set, w);
-                    let e = *self.arrays.dir(set, w);
+                    let e = *self.arrays.meta(set, w);
                     let mm = self.mshrs[idx].as_mut().expect("active");
                     mm.way = Some(w);
                     // Probe strategy (§2.2): writes revoke every other copy;
@@ -839,14 +843,14 @@ impl InclusiveCache {
                         return; // every way reserved; retry next cycle
                     };
                     let set = self.arrays.set_index(addr);
-                    let victim_entry = *self.arrays.dir(set, w);
+                    let victim_entry = *self.arrays.meta(set, w);
                     if victim_entry.valid && self.mshr_conflict(self.arrays.addr_of(set, w)) {
                         // The candidate victim is mid-transaction in another
                         // MSHR (e.g. a RootRelease about to invalidate it);
                         // retry once that transaction completes.
                         return;
                     }
-                    self.arrays.dir_mut(set, w).reserved = true;
+                    self.arrays.meta_mut(set, w).reserved = true;
                     let mm = self.mshrs[idx].as_mut().expect("active");
                     mm.way = Some(w);
                     if victim_entry.valid {
@@ -868,18 +872,18 @@ impl InclusiveCache {
                     if let Some(d) = data {
                         // Dirty data travels with the request and is written
                         // to the BankedStore (§5.5).
-                        self.arrays.set_line(set, w, d);
-                        self.arrays.dir_mut(set, w).dirty = true;
+                        *self.arrays.line_mut(set, w) = d;
+                        self.arrays.meta_mut(set, w).dirty = true;
                     }
                     if kind == WritebackKind::Flush {
                         // The requester invalidated its own copy before
                         // sending (§5.2 meta_write).
-                        self.arrays.dir_mut(set, w).remove_owner(source);
+                        self.arrays.meta_mut(set, w).remove_owner(source);
                     } else if data.is_some() {
                         // Clean: the requester keeps the (now clean) copy;
                         // it no longer holds dirty data but retains Trunk.
                     }
-                    let e = *self.arrays.dir(set, w);
+                    let e = *self.arrays.meta(set, w);
                     // Probe strategy of §5.5: flush revokes every remaining
                     // owner; clean only downgrades a *foreign* write-
                     // permission owner.
@@ -955,7 +959,7 @@ impl InclusiveCache {
                 let dirty = self
                     .arrays
                     .lookup(victim)
-                    .is_some_and(|w| self.arrays.dir(self.arrays.set_index(victim), w).dirty);
+                    .is_some_and(|w| self.arrays.meta(self.arrays.set_index(victim), w).dirty);
                 if dirty {
                     L2MshrState::VictimWrite
                 } else {
@@ -968,7 +972,7 @@ impl InclusiveCache {
                     let addr = m.addr;
                     let set = self.arrays.set_index(addr);
                     let w = self.arrays.lookup(addr).expect("resident");
-                    let dirty = self.arrays.dir(set, w).dirty;
+                    let dirty = self.arrays.meta(set, w).dirty;
                     // "The last level cache already catches and eliminates
                     // unnecessary writebacks by trivially checking its dirty
                     // bit" (§5.5). CBO.INVAL never writes back — collected
@@ -1003,7 +1007,7 @@ impl InclusiveCache {
                 }
                 let set = self.arrays.set_index(addr);
                 let w = way.expect("way reserved");
-                let e = *self.arrays.dir(set, w);
+                let e = *self.arrays.meta(set, w);
                 let others = e.owners & !(1 << source);
                 // Grant Trunk for writes, and opportunistically for sole
                 // readers (MESI Exclusive).
@@ -1023,7 +1027,7 @@ impl InclusiveCache {
                         flavor,
                     },
                 );
-                let e = self.arrays.dir_mut(set, w);
+                let e = self.arrays.meta_mut(set, w);
                 e.add_owner(source, is_trunk);
                 if !is_trunk && e.trunk == Some(source) {
                     e.trunk = None;
@@ -1049,9 +1053,9 @@ impl InclusiveCache {
                 if kind.invalidates() {
                     if let Some(w) = self.arrays.lookup(addr) {
                         let set = self.arrays.set_index(addr);
-                        let keep_dirty = kind.writes_back() && self.arrays.dir(set, w).dirty;
+                        let keep_dirty = kind.writes_back() && self.arrays.meta(set, w).dirty;
                         if !keep_dirty {
-                            let e = self.arrays.dir_mut(set, w);
+                            let e = self.arrays.meta_mut(set, w);
                             debug_assert_eq!(e.owners, 0, "flush left owners behind");
                             e.valid = false;
                             e.dirty = false;
@@ -1150,6 +1154,15 @@ impl InclusiveCache {
     pub fn decode_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.expect_tag(0x4d, "l2 section")?;
         self.arrays.decode_state(r)?;
+        // Probe masks are `u32` shifts walked over `0..cores`: an owner or
+        // Trunk agent at or past `cores` would overflow the shift or never
+        // be probed, leaving its MSHR undrainable.
+        let out_of_range = |e: &DirEntry| {
+            u64::from(e.owners) >> self.cores != 0 || e.trunk.is_some_and(|t| t >= self.cores)
+        };
+        if self.arrays.iter_valid().any(|(_, _, _, e)| out_of_range(e)) {
+            return Err(SnapError::Corrupt("l2 directory agent out of range"));
+        }
         let n = r.get_count(L2Config::MAX_MSHRS, "l2 mshr count")?;
         if n != self.mshrs.len() {
             return Err(SnapError::ConfigMismatch);
@@ -1441,6 +1454,50 @@ mod tests {
         assert_eq!(
             fresh.decode_state(&mut SnapReader::new(&bytes)),
             Err(SnapError::Corrupt("l2 mshr victim outside its line's set"))
+        );
+    }
+
+    /// Decodes into a fresh 2-core L2 the snapshot of one whose line 1
+    /// has the directory entry `dir` leaves it with.
+    fn decode_directory(dir: impl FnOnce(&mut DirEntry)) -> Result<(), SnapError> {
+        let mut l2 = InclusiveCache::new(2, L2Config::default());
+        let set = l2.arrays.set_index(line(1));
+        l2.arrays
+            .install(line(1), 0, DirEntry::filled(false), LineData::zeroed());
+        dir(l2.arrays.meta_mut(set, 0));
+        let mut w = SnapWriter::new();
+        l2.encode_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut fresh = InclusiveCache::new(2, L2Config::default());
+        fresh.decode_state(&mut SnapReader::new(&bytes))
+    }
+
+    #[test]
+    fn decode_accepts_directory_agents_in_range() {
+        let both = |e: &mut DirEntry| {
+            e.add_owner(0, false);
+            e.add_owner(1, true);
+        };
+        assert_eq!(decode_directory(both), Ok(()));
+    }
+
+    /// A Trunk agent past the cores would overflow the read-Acquire and
+    /// clean-RootRelease probe shift.
+    #[test]
+    fn decode_rejects_a_trunk_agent_out_of_range() {
+        assert_eq!(
+            decode_directory(|e| e.trunk = Some(40)),
+            Err(SnapError::Corrupt("l2 directory agent out of range"))
+        );
+    }
+
+    /// An owner bit past the cores would enter a probe mask that no probe
+    /// walk sends, so its MSHR would never drain.
+    #[test]
+    fn decode_rejects_an_owner_bit_out_of_range() {
+        assert_eq!(
+            decode_directory(|e| e.owners |= 1 << 5),
+            Err(SnapError::Corrupt("l2 directory agent out of range"))
         );
     }
 

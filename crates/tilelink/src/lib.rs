@@ -34,6 +34,7 @@
 //! assert!(a.pop(2).is_some());
 //! ```
 
+pub mod array;
 pub mod line;
 pub mod link;
 pub mod msg;
