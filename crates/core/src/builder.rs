@@ -4,6 +4,7 @@ use skipit_boom::{EngineKind, System, SystemConfig, RUN_WATCHDOG_CYCLES};
 use skipit_dcache::L1Config;
 use skipit_llc::L2Config;
 use skipit_mem::DramConfig;
+use skipit_tilelink::slots::MAX_SLOTS;
 use skipit_tilelink::PerturbConfig;
 
 /// A reason a [`SystemConfig`] cannot be built into a [`System`].
@@ -119,8 +120,8 @@ fn validate(cfg: &SystemConfig) -> Result<(), ConfigError> {
     // A line count past `usize` saturates, so it is rejected rather than
     // wrapped to a small array.
     for (what, max, got) in [
-        ("l1.mshrs", L1Config::MAX_MSHRS, cfg.l1.mshrs),
-        ("l1.fshrs", L1Config::MAX_FSHRS, cfg.l1.fshrs),
+        ("l1.mshrs", MAX_SLOTS, cfg.l1.mshrs),
+        ("l1.fshrs", MAX_SLOTS, cfg.l1.fshrs),
         ("l1.rpq_depth", L1Config::MAX_QUEUE_DEPTH, cfg.l1.rpq_depth),
         (
             "l1.flush_queue_depth",
@@ -132,7 +133,7 @@ fn validate(cfg: &SystemConfig) -> Result<(), ConfigError> {
             L1Config::MAX_LINES,
             cfg.l1.sets.saturating_mul(cfg.l1.ways),
         ),
-        ("l2.mshrs", L2Config::MAX_MSHRS, cfg.l2.mshrs),
+        ("l2.mshrs", MAX_SLOTS, cfg.l2.mshrs),
         (
             "l2.list_buffer_depth",
             L2Config::MAX_LIST_BUFFER_DEPTH,

@@ -21,7 +21,7 @@ use crate::meta::MetaEntry;
 use crate::req::{AmoOp, DcReq, DcReqKind, DcResp, ReqOutcome};
 use crate::stats::L1Stats;
 use skipit_tilelink::array::SetAssocArray;
-use skipit_tilelink::slots::{first_free, set_bit, Slots};
+use skipit_tilelink::slots::{SlotFile, SlotState, Slots};
 use skipit_tilelink::{
     AgentId, ChannelA, ChannelB, ChannelC, ChannelD, ChannelE, ClientState, GrantFlavor, Grow,
     LineAddr, LineData, Link, Shrink,
@@ -38,6 +38,21 @@ fn wb_kind_name(kind: skipit_tilelink::WritebackKind) -> &'static str {
         skipit_tilelink::WritebackKind::Clean => "clean",
         skipit_tilelink::WritebackKind::Flush => "flush",
         skipit_tilelink::WritebackKind::Inval => "inval",
+    }
+}
+
+/// Clears `m`'s skip bit (§6.2) and traces the clear, if it was set.
+pub(crate) fn clear_skip(
+    sink: &mut Option<TraceSink>,
+    now: u64,
+    core: AgentId,
+    addr: LineAddr,
+    m: &mut MetaEntry,
+    why: &'static str,
+) {
+    if std::mem::take(&mut m.skip) {
+        let addr = addr.base();
+        skipit_trace::trace!(sink, now, TraceEvent::SkipBitClear { core, addr, why });
     }
 }
 
@@ -84,6 +99,21 @@ struct Mshr {
     /// Primary request needs write (Trunk) permission.
     write: bool,
     rpq: VecDeque<DcReq>,
+}
+
+/// MSHR class `acting`: not `Free` or `WaitGrant` (class 0, `live`: not `Free`).
+const ACTING: usize = 1;
+
+impl SlotState for Mshr {
+    type State = MshrState;
+    const CLASSES: &'static [&'static str] = &["l1 mshr live", "l1 mshr acting"];
+    fn classes(&self) -> u32 {
+        let acting = !matches!(self.state, MshrState::Free | MshrState::WaitGrant);
+        u32::from(self.state != MshrState::Free) | u32::from(acting) << ACTING
+    }
+    fn set_state(&mut self, state: MshrState) {
+        self.state = state;
+    }
 }
 
 #[derive(Debug)]
@@ -173,13 +203,7 @@ pub struct DataCache {
     cfg: L1Config,
     core: AgentId,
     arrays: SetAssocArray<MetaEntry>,
-    mshrs: Vec<Mshr>,
-    /// MSHR state masks, bit `i` for `mshrs[i]`: `live` (not `Free`) and
-    /// `acting` (not `Free` or `WaitGrant`: a state the MSHR step advances
-    /// on its own). Kept in step by [`DataCache::set_mshr_state`]; rebuilt
-    /// on decode, never serialized.
-    live: u64,
-    acting: u64,
+    mshrs: SlotFile<Mshr>,
     wbu: Wbu,
     probe: ProbePhase,
     flush: FlushUnit,
@@ -209,9 +233,7 @@ impl DataCache {
         DataCache {
             core,
             arrays: SetAssocArray::new(cfg.sets, cfg.ways),
-            mshrs: (0..cfg.mshrs).map(|_| Mshr::default()).collect(),
-            live: 0,
-            acting: 0,
+            mshrs: SlotFile::new(cfg.mshrs),
             wbu: Wbu::default(),
             probe: ProbePhase::Idle,
             flush: FlushUnit::new(cfg.flush_queue_depth, cfg.fshrs),
@@ -261,7 +283,7 @@ impl DataCache {
 
     /// MSHRs currently mid-transaction (telemetry gauge).
     pub fn mshr_occupancy(&self) -> usize {
-        self.live.count_ones() as usize
+        self.mshrs.occupancy()
     }
 
     /// FSHRs currently executing a writeback (telemetry gauge).
@@ -281,10 +303,17 @@ impl DataCache {
 
     /// Whether the cache has no in-flight work (tests / quiesce detection).
     pub fn is_quiescent(&self) -> bool {
-        self.live == 0
+        self.mshrs.occupancy() == 0
             && self.wbu.ready()
             && matches!(self.probe, ProbePhase::Idle)
             && !self.flush.is_flushing()
+    }
+
+    /// Checks the MSHR and FSHR masks and the flush queue's line index
+    /// against scans (the invariant oracle's `slot_masks` rule).
+    pub fn check_slot_masks(&self) -> Result<(), String> {
+        self.mshrs.check_masks()?;
+        self.flush.check_slot_masks()
     }
 
     /// Direct read of a resident word (test/debug helper; `None` on miss).
@@ -352,7 +381,7 @@ impl DataCache {
         let probe_rdy = matches!(self.probe, ProbePhase::Idle);
         let wb_rdy = self.wbu.ready();
         let flush_rdy = self.flush.flush_rdy();
-        for i in Slots(self.acting) {
+        for i in Slots(self.mshrs.mask(ACTING)) {
             let m = &self.mshrs[i];
             match m.state {
                 MshrState::Free | MshrState::WaitGrant => unreachable!("MSHR {i} not acting"),
@@ -532,7 +561,7 @@ impl DataCache {
         // primary's — "if the MSHR was allocated as a result of a load, it
         // is unable to accept a store as a secondary request" — and the
         // replay queue must have room.
-        if let Some(slot) = Slots(self.live).find(|&i| self.mshrs[i].addr == line) {
+        if let Some(slot) = Slots(self.mshrs.occupied()).find(|&i| self.mshrs[i].addr == line) {
             let m = &self.mshrs[slot];
             return if (write && !m.write) || m.rpq.len() >= self.cfg.rpq_depth {
                 Admit::Refuse
@@ -542,7 +571,7 @@ impl DataCache {
         }
         // No free MSHR refuses before any array access: a held LSU head
         // asks this every cycle while the file is full.
-        let Some(slot) = first_free(self.live, self.mshrs.len(), 0) else {
+        let Some(slot) = self.mshrs.first_free(0) else {
             return Admit::Refuse;
         };
         // Upgrade in place if the line is already resident (Shared); fresh
@@ -630,25 +659,8 @@ impl DataCache {
                 self.respond(now + HIT_LATENCY, DcResp::LoadDone { id, value });
             }
             (Admit::WriteHit(way), DcReqKind::Store { addr, value }) => {
-                self.arrays
-                    .line_mut(set, way)
-                    .set_word(LineAddr::word_index(addr), value);
-                let m = self.arrays.meta_mut(set, way);
-                m.state = ClientState::Modified;
-                if m.skip {
-                    m.skip = false;
-                    skipit_trace::trace!(
-                        self.sink,
-                        now,
-                        TraceEvent::SkipBitClear {
-                            core: self.core,
-                            addr: line.base(),
-                            why: "store",
-                        }
-                    );
-                }
+                self.write_word(now, way, addr, value, "store");
                 self.arrays.touch(set, way);
-                self.flush.note_line_touched(line);
                 self.stats.stores += 1;
                 self.stats.store_hits += 1;
                 self.respond(now + HIT_LATENCY, DcResp::StoreDone { id });
@@ -659,7 +671,7 @@ impl DataCache {
                 self.respond(now + HIT_LATENCY, DcResp::AmoDone { id, old });
             }
             (Admit::Secondary(slot), _) => {
-                self.mshrs[slot].rpq.push_back(req);
+                self.mshrs.slot_mut(slot).rpq.push_back(req);
                 self.stats.mshr_secondaries += 1;
                 self.count_buffered(now, req);
             }
@@ -683,21 +695,20 @@ impl DataCache {
 
     /// The live MSHRs holding `line`, lowest slot first.
     fn mshrs_on(&self, line: LineAddr) -> impl Iterator<Item = &Mshr> {
-        Slots(self.live)
-            .map(|i| &self.mshrs[i])
-            .filter(move |m| m.addr == line)
+        self.mshrs.live().filter(move |m| m.addr == line)
     }
 
-    /// Moves MSHR `i` to `state`: the one state setter, which keeps `live`
-    /// and `acting` in step.
-    fn set_mshr_state(&mut self, i: usize, state: MshrState) {
-        self.mshrs[i].state = state;
-        set_bit(&mut self.live, i, state != MshrState::Free);
-        set_bit(
-            &mut self.acting,
-            i,
-            !matches!(state, MshrState::Free | MshrState::WaitGrant),
-        );
+    /// Traces `n` flush-queue entries for `addr` invalidated by a probe or
+    /// an eviction (`by`), if any were.
+    fn note_invalidated(&mut self, now: u64, addr: LineAddr, n: u64, by: &'static str) {
+        if n > 0 {
+            let (core, addr) = (self.core, addr.base());
+            skipit_trace::trace!(
+                self.sink,
+                now,
+                TraceEvent::FlushInvalidate { core, addr, by }
+            );
+        }
     }
 
     /// Applies an AMO to a resident, writable line; returns the old value.
@@ -714,25 +725,23 @@ impl DataCache {
             AmoOp::Swap => Some(operand),
         };
         if let Some(new) = new {
-            self.arrays.line_mut(set, way).set_word(word, new);
-            let m = self.arrays.meta_mut(set, way);
-            m.state = ClientState::Modified;
-            if m.skip {
-                m.skip = false;
-                skipit_trace::trace!(
-                    self.sink,
-                    now,
-                    TraceEvent::SkipBitClear {
-                        core: self.core,
-                        addr: line.base(),
-                        why: "amo",
-                    }
-                );
-            }
-            self.flush.note_line_touched(line);
+            self.write_word(now, way, addr, new, "amo");
         }
         self.arrays.touch(set, way);
         old
+    }
+
+    /// Writes `value` to the word at `addr` in way `way`: the line turns
+    /// Modified, loses its skip bit (`why`) and taints in-flight FSHRs.
+    fn write_word(&mut self, now: u64, way: usize, addr: u64, value: u64, why: &'static str) {
+        let line = LineAddr::containing(addr);
+        let set = self.arrays.set_index(line);
+        let word = LineAddr::word_index(addr);
+        self.arrays.line_mut(set, way).set_word(word, value);
+        let m = self.arrays.meta_mut(set, way);
+        m.state = ClientState::Modified;
+        clear_skip(&mut self.sink, now, self.core, line, m, why);
+        self.flush.note_line_touched(line);
     }
 
     /// Accounting for a request buffered in an MSHR: a store is complete
@@ -758,13 +767,13 @@ impl DataCache {
             m.state != ClientState::Invalid && self.arrays.addr_of(set, way) != line
         };
         self.arrays.meta_mut(set, way).reserved = true;
-        let m = &mut self.mshrs[slot];
+        let m = self.mshrs.slot_mut(slot);
         m.addr = line;
         m.way = way;
         m.write = req.kind.needs_write();
         m.rpq.clear();
         m.rpq.push_back(req);
-        self.set_mshr_state(
+        self.mshrs.set_state(
             slot,
             if victim_valid {
                 MshrState::EvictWait
@@ -809,13 +818,12 @@ impl DataCache {
                     flavor,
                     ..
                 } => {
-                    let Some(i) =
-                        Slots(self.live & !self.acting).find(|&i| self.mshrs[i].addr == addr)
-                    else {
+                    let waiting = self.mshrs.occupied() & !self.mshrs.mask(ACTING);
+                    let Some(i) = Slots(waiting).find(|&i| self.mshrs[i].addr == addr) else {
                         panic!("Grant for {addr:?} without a waiting MSHR");
                     };
                     let way = self.mshrs[i].way;
-                    self.set_mshr_state(i, MshrState::Replay);
+                    self.mshrs.set_state(i, MshrState::Replay);
                     let state = if is_trunk {
                         ClientState::Exclusive
                     } else {
@@ -867,7 +875,7 @@ impl DataCache {
         // Nothing allocates an MSHR in this phase and only the visited one
         // changes state, so the mask as it stood on entry names exactly the
         // MSHRs a full scan would advance.
-        for i in Slots(self.acting) {
+        for i in Slots(self.mshrs.mask(ACTING)) {
             match self.mshrs[i].state {
                 MshrState::Free | MshrState::WaitGrant => unreachable!("MSHR {i} not acting"),
                 MshrState::EvictWait => {
@@ -876,15 +884,12 @@ impl DataCache {
                     if !self.flush.flush_rdy() || !self.wbu.ready() {
                         continue;
                     }
-                    let (set, way) = {
-                        let m = &self.mshrs[i];
-                        (self.arrays.set_index(m.addr), m.way)
-                    };
+                    let (set, way) = (self.arrays.set_index(self.mshrs[i].addr), self.mshrs[i].way);
                     let victim = self.arrays.addr_of(set, way);
                     let old = self.arrays.meta(set, way).state;
                     if old == ClientState::Invalid {
                         // Victim vanished (probed away) while we waited.
-                        self.set_mshr_state(i, MshrState::SendAcquire);
+                        self.mshrs.set_state(i, MshrState::SendAcquire);
                         continue;
                     }
                     let dirty = old.is_dirty();
@@ -892,34 +897,13 @@ impl DataCache {
                     {
                         let m = self.arrays.meta_mut(set, way);
                         m.state = ClientState::Invalid;
-                        if m.skip {
-                            m.skip = false;
-                            skipit_trace::trace!(
-                                self.sink,
-                                now,
-                                TraceEvent::SkipBitClear {
-                                    core: self.core,
-                                    addr: victim.base(),
-                                    why: "evict",
-                                }
-                            );
-                        }
+                        clear_skip(&mut self.sink, now, self.core, victim, m, "evict");
                     }
                     // §5.4.2: the WBU invalidates flush-queue entries for
                     // evicted lines.
                     self.flush.note_line_touched(victim);
                     let invalidated = self.flush.evict_invalidate(victim);
-                    if invalidated > 0 {
-                        skipit_trace::trace!(
-                            self.sink,
-                            now,
-                            TraceEvent::FlushInvalidate {
-                                core: self.core,
-                                addr: victim.base(),
-                                by: "evict",
-                            }
-                        );
-                    }
+                    self.note_invalidated(now, victim, invalidated, "evict");
                     self.stats.flush_entries_evict_invalidated += invalidated;
                     self.stats.evictions += 1;
                     if dirty {
@@ -931,7 +915,7 @@ impl DataCache {
                         shrink: Shrink::from_transition(old, ClientState::Invalid),
                         sent: false,
                     });
-                    self.set_mshr_state(i, MshrState::SendAcquire);
+                    self.mshrs.set_state(i, MshrState::SendAcquire);
                 }
                 MshrState::SendAcquire => {
                     if ports.a.can_push() {
@@ -945,24 +929,24 @@ impl DataCache {
                                 grow,
                             },
                         );
-                        self.set_mshr_state(i, MshrState::WaitGrant);
+                        self.mshrs.set_state(i, MshrState::WaitGrant);
                     }
                 }
                 MshrState::Replay => {
                     let addr = self.mshrs[i].addr;
                     let way = self.mshrs[i].way;
-                    if let Some(req) = self.mshrs[i].rpq.pop_front() {
+                    if let Some(req) = self.mshrs.slot_mut(i).rpq.pop_front() {
                         self.replay(now, addr, way, req);
                     }
                     if self.mshrs[i].rpq.is_empty() {
-                        self.set_mshr_state(i, MshrState::SendGrantAck);
+                        self.mshrs.set_state(i, MshrState::SendGrantAck);
                     }
                 }
                 MshrState::SendGrantAck => {
                     // A secondary request may have slipped in after the RPQ
                     // drained; serve it before retiring.
                     if !self.mshrs[i].rpq.is_empty() {
-                        self.set_mshr_state(i, MshrState::Replay);
+                        self.mshrs.set_state(i, MshrState::Replay);
                         continue;
                     }
                     if ports.e.can_push() {
@@ -986,8 +970,7 @@ impl DataCache {
                                 addr: addr.base(),
                             }
                         );
-                        self.mshrs[i] = Mshr::default();
-                        self.set_mshr_state(i, MshrState::Free);
+                        self.mshrs.free(i);
                     }
                 }
             }
@@ -1007,25 +990,8 @@ impl DataCache {
             }
             DcReqKind::Store { addr, value } => {
                 // StoreDone was already delivered at acceptance (§3.3).
-                self.arrays
-                    .line_mut(set, way)
-                    .set_word(LineAddr::word_index(addr), value);
-                let m = self.arrays.meta_mut(set, way);
-                m.state = ClientState::Modified;
-                if m.skip {
-                    m.skip = false;
-                    skipit_trace::trace!(
-                        self.sink,
-                        now,
-                        TraceEvent::SkipBitClear {
-                            core: self.core,
-                            addr: line.base(),
-                            why: "store",
-                        }
-                    );
-                }
+                self.write_word(now, way, addr, value, "store");
                 self.arrays.touch(set, way);
-                self.flush.note_line_touched(line);
                 self.stats.store_hits += 1;
             }
             DcReqKind::Amo { .. } => {
@@ -1082,17 +1048,7 @@ impl DataCache {
             ProbePhase::Invalidate(p) => {
                 let ChannelB::Probe { addr, cap, .. } = p;
                 let invalidated = self.flush.probe_invalidate(addr, cap);
-                if invalidated > 0 {
-                    skipit_trace::trace!(
-                        self.sink,
-                        now,
-                        TraceEvent::FlushInvalidate {
-                            core: self.core,
-                            addr: addr.base(),
-                            by: "probe",
-                        }
-                    );
-                }
+                self.note_invalidated(now, addr, invalidated, "probe");
                 self.stats.flush_entries_probe_invalidated += invalidated;
                 self.probe = ProbePhase::Waiting(p);
             }
@@ -1106,17 +1062,7 @@ impl DataCache {
                 // this downgrade would otherwise snapshot stale metadata —
                 // re-run the invalidation at the downgrade point.
                 let invalidated = self.flush.probe_invalidate(addr, cap);
-                if invalidated > 0 {
-                    skipit_trace::trace!(
-                        self.sink,
-                        now,
-                        TraceEvent::FlushInvalidate {
-                            core: self.core,
-                            addr: addr.base(),
-                            by: "probe",
-                        }
-                    );
-                }
+                self.note_invalidated(now, addr, invalidated, "probe");
                 self.stats.flush_entries_probe_invalidated += invalidated;
                 let (old, slot) = match self.arrays.lookup(addr) {
                     Some(way) => {
@@ -1137,17 +1083,8 @@ impl DataCache {
                     // downgrade clears it because our data just moved into
                     // the L2: the line is now dirty *there*, hence not
                     // persisted (§6.2).
-                    if (new == ClientState::Invalid || data.is_some()) && m.skip {
-                        m.skip = false;
-                        skipit_trace::trace!(
-                            self.sink,
-                            now,
-                            TraceEvent::SkipBitClear {
-                                core: self.core,
-                                addr: addr.base(),
-                                why: "probe",
-                            }
-                        );
+                    if new == ClientState::Invalid || data.is_some() {
+                        clear_skip(&mut self.sink, now, self.core, addr, m, "probe");
                     }
                 }
                 if new == ClientState::Invalid || data.is_some() {
@@ -1218,10 +1155,7 @@ impl DataCache {
     pub fn encode_state(&self, w: &mut SnapWriter) {
         w.tag(0x43);
         self.arrays.encode_state(w);
-        w.put_u64(self.mshrs.len() as u64);
-        for m in &self.mshrs {
-            m.encode(w);
-        }
+        self.mshrs.encode_state(w);
         self.wbu.job.encode(w);
         self.probe.encode(w);
         self.flush.encode_state(w);
@@ -1235,17 +1169,15 @@ impl DataCache {
     pub fn decode_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.expect_tag(0x43, "l1 section")?;
         self.arrays.decode_state(r)?;
-        let n = r.get_count(skipit_snap::MAX_ELEMS, "l1 mshr count")?;
-        if n != self.mshrs.len() {
-            return Err(SnapError::ConfigMismatch);
-        }
-        for i in 0..self.mshrs.len() {
-            self.mshrs[i] = Mshr::decode(r)?;
-            self.set_mshr_state(i, self.mshrs[i].state);
+        self.mshrs.decode_state(r, "l1 mshr count")?;
+        for m in self.mshrs.iter() {
+            let set = self.arrays.set_index(m.addr);
+            self.arrays
+                .check_way(set, m.way, "l1 mshr way out of range")?;
         }
         self.wbu.job = Option::decode(r)?;
         self.probe = ProbePhase::decode(r)?;
-        self.flush.decode_state(r)?;
+        self.flush.decode_state(r, &self.arrays)?;
         self.resp = VecDeque::decode(r)?;
         self.stats = L1Stats::decode(r)?;
         Ok(())
@@ -1256,26 +1188,6 @@ impl DataCache {
 mod tests {
     use super::*;
     use skipit_tilelink::{Cap, WritebackKind};
-
-    /// Every L1 MSHR and FSHR state mask equals a scan of its slot states.
-    fn assert_masks_mirror_states(l1: &DataCache) {
-        for (i, m) in l1.mshrs.iter().enumerate() {
-            let bit = |mask: u64| mask & (1 << i) != 0;
-            assert_eq!(bit(l1.live), m.state != MshrState::Free, "live bit {i}");
-            assert_eq!(
-                bit(l1.acting),
-                !matches!(m.state, MshrState::Free | MshrState::WaitGrant),
-                "acting bit {i}"
-            );
-        }
-        let past_file = !skipit_tilelink::slots::file_mask(l1.mshrs.len());
-        assert_eq!(
-            (l1.live | l1.acting) & past_file,
-            0,
-            "bit set past the file"
-        );
-        l1.flush.assert_masks_mirror_states();
-    }
 
     struct Harness {
         l1: DataCache,
@@ -1315,7 +1227,7 @@ mod tests {
                 e: &mut self.e,
             };
             self.l1.step(self.now, &mut ports);
-            assert_masks_mirror_states(&self.l1);
+            self.l1.check_slot_masks().unwrap();
             self.now += 1;
         }
 
@@ -1848,7 +1760,7 @@ mod tests {
             h.l1.try_request(h.now, load(4, 0x4000)),
             ReqOutcome::Accepted
         );
-        let states: Vec<_> = h.l1.mshrs.iter().take(5).map(|m| m.state).collect();
+        let states: Vec<_> = h.l1.mshrs[..5].iter().map(|m| m.state).collect();
         assert_eq!(
             states,
             [
@@ -1859,16 +1771,41 @@ mod tests {
                 MshrState::Free
             ]
         );
-        assert_masks_mirror_states(&h.l1);
+        h.l1.check_slot_masks().unwrap();
 
         let mut w = SnapWriter::new();
         h.l1.encode_state(&mut w);
         let bytes = w.into_bytes();
         let mut fresh = DataCache::new(0, L1Config::default());
         fresh.decode_state(&mut SnapReader::new(&bytes)).unwrap();
-        assert_masks_mirror_states(&fresh);
-        assert_eq!((fresh.live, fresh.acting), (h.l1.live, h.l1.acting));
-        assert_eq!((fresh.live, fresh.acting), (0b1111, 0b1001));
+        fresh.check_slot_masks().unwrap();
+        let masks = |l1: &DataCache| (l1.mshrs.occupied(), l1.mshrs.mask(ACTING));
+        assert_eq!(masks(&fresh), masks(&h.l1));
+        assert_eq!(masks(&fresh), (0b1111, 0b1001));
+    }
+
+    /// A live MSHR's way past the array's ways would alias another set's
+    /// way when its Grant installs.
+    #[test]
+    fn decode_rejects_an_mshr_way_out_of_range() {
+        let mut l1 = DataCache::new(0, L1Config::default());
+        let load = DcReq {
+            id: 1,
+            kind: DcReqKind::Load { addr: 0x1000 },
+        };
+        assert_eq!(l1.try_request(0, load), ReqOutcome::Accepted);
+        let decode = |l1: &DataCache| {
+            let mut w = SnapWriter::new();
+            l1.encode_state(&mut w);
+            let bytes = w.into_bytes();
+            DataCache::new(0, L1Config::default()).decode_state(&mut SnapReader::new(&bytes))
+        };
+        assert_eq!(decode(&l1), Ok(()));
+        l1.mshrs.slot_mut(0).way = L1Config::default().ways;
+        assert_eq!(
+            decode(&l1),
+            Err(SnapError::Corrupt("l1 mshr way out of range"))
+        );
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! L1 data-cache configuration.
 
+use skipit_tilelink::slots::MAX_SLOTS;
+
 /// Geometry and timing of one L1 data cache.
 ///
 /// The default matches the SonicBOOM configuration the paper evaluates
@@ -45,14 +47,6 @@ impl Default for L1Config {
 }
 
 impl L1Config {
-    /// Largest supported MSHR file: the cache tracks MSHR states in `u64`
-    /// masks, one bit per MSHR.
-    pub const MAX_MSHRS: usize = 64;
-
-    /// Largest supported FSHR file: the flush unit tracks FSHR states in
-    /// `u64` masks, one bit per FSHR.
-    pub const MAX_FSHRS: usize = 64;
-
     /// Largest supported replay-queue and flush-queue depth: far above
     /// any modelled design, and small enough that the flush queue's
     /// per-bucket entry counts fit a `u16`.
@@ -72,8 +66,8 @@ impl L1Config {
     /// # Panics
     ///
     /// Panics if any field is zero, `sets` is not a power of two, or a
-    /// size exceeds its bound: `mshrs` [`L1Config::MAX_MSHRS`], `fshrs`
-    /// [`L1Config::MAX_FSHRS`], either queue depth
+    /// size exceeds its bound: `mshrs` and `fshrs` [`MAX_SLOTS`], either
+    /// queue depth
     /// [`L1Config::MAX_QUEUE_DEPTH`], `sets * ways`
     /// [`L1Config::MAX_LINES`].
     pub fn validate(&self) {
@@ -86,16 +80,8 @@ impl L1Config {
             "flush_queue_depth must be nonzero"
         );
         assert!(self.fshrs > 0, "fshrs must be nonzero");
-        assert!(
-            self.mshrs <= Self::MAX_MSHRS,
-            "mshrs must be at most {}",
-            Self::MAX_MSHRS
-        );
-        assert!(
-            self.fshrs <= Self::MAX_FSHRS,
-            "fshrs must be at most {}",
-            Self::MAX_FSHRS
-        );
+        assert!(self.mshrs <= MAX_SLOTS, "mshrs must be at most {MAX_SLOTS}");
+        assert!(self.fshrs <= MAX_SLOTS, "fshrs must be at most {MAX_SLOTS}");
         assert!(
             self.rpq_depth <= Self::MAX_QUEUE_DEPTH
                 && self.flush_queue_depth <= Self::MAX_QUEUE_DEPTH,

@@ -13,11 +13,12 @@
 //! ([`FlushUnit::evict_invalidate`], §5.4.2), while dependent loads/stores
 //! are blocked by the cache front-end (§5.3).
 
+use crate::cache::clear_skip;
 use crate::config::L1Config;
 use crate::meta::MetaEntry;
 use crate::stats::L1Stats;
 use skipit_tilelink::array::SetAssocArray;
-use skipit_tilelink::slots::{file_mask, first_free, set_bit, Slots};
+use skipit_tilelink::slots::{SlotFile, SlotState, Slots};
 use skipit_tilelink::{
     AgentId, Cap, ChannelC, ClientState, LineAddr, LineData, Link, PerturbConfig, WritebackKind,
     LINE_BYTES,
@@ -112,6 +113,25 @@ pub struct Fshr {
     seq: u64,
 }
 
+/// FSHR classes `WaitAck` and `SendRelease*` (class 0, `busy`: not `Free`).
+const WAIT_ACK: usize = 1;
+const SENDING: usize = 2;
+
+impl SlotState for Fshr {
+    type State = FshrState;
+    const CLASSES: &'static [&'static str] = &["fshr busy", "fshr wait_ack", "fshr sending"];
+    fn classes(&self) -> u32 {
+        use FshrState::*;
+        let sending = matches!(self.state, SendReleaseData | SendRelease);
+        u32::from(self.state != Free)
+            | u32::from(self.state == WaitAck) << WAIT_ACK
+            | u32::from(sending) << SENDING
+    }
+    fn set_state(&mut self, state: FshrState) {
+        self.state = state;
+    }
+}
+
 impl Default for FlushEntry {
     fn default() -> Self {
         FlushEntry {
@@ -133,13 +153,7 @@ pub struct FlushUnit {
     /// [`FlushUnit::try_allocate`]; rebuilt on decode, never serialized.
     queued: [u16; BUCKETS],
     depth: usize,
-    fshrs: Vec<Fshr>,
-    /// FSHR state masks, bit `i` for `fshrs[i]`: `busy` (not `Free`),
-    /// `wait_ack` (`WaitAck`) and `sending` (`SendRelease*`). Kept in step
-    /// by [`FlushUnit::set_state`]; rebuilt on decode, never serialized.
-    busy: u64,
-    wait_ack: u64,
-    sending: u64,
+    fshrs: SlotFile<Fshr>,
     /// Round-robin allocation pointer (§5.2).
     next_fshr: usize,
     /// The flush counter (§5.2): pending requests in the queue or in FSHRs.
@@ -178,10 +192,7 @@ impl FlushUnit {
             queue: VecDeque::with_capacity(depth),
             queued: [0; BUCKETS],
             depth,
-            fshrs: vec![Fshr::default(); fshrs],
-            busy: 0,
-            wait_ack: 0,
-            sending: 0,
+            fshrs: SlotFile::new(fshrs),
             next_fshr: 0,
             counter: 0,
             sink: None,
@@ -223,25 +234,23 @@ impl FlushUnit {
     /// allocation and reaching `root_release_ack`. Probes and MSHR evictions
     /// are held while low.
     pub fn flush_rdy(&self) -> bool {
-        self.busy & !self.wait_ack == 0
+        self.fshrs.occupied() & !self.fshrs.mask(WAIT_ACK) == 0
     }
 
-    /// Moves FSHR `i` to `state`: the one state setter, which keeps the
-    /// state masks in step.
-    fn set_state(&mut self, i: usize, state: FshrState) {
-        self.fshrs[i].state = state;
-        set_bit(&mut self.busy, i, state != FshrState::Free);
-        set_bit(&mut self.wait_ack, i, state == FshrState::WaitAck);
-        set_bit(
-            &mut self.sending,
-            i,
-            matches!(state, FshrState::SendReleaseData | FshrState::SendRelease),
-        );
-    }
-
-    /// The busy FSHRs, lowest slot first.
-    fn busy_fshrs(&self) -> impl Iterator<Item = &Fshr> {
-        Slots(self.busy).map(|i| &self.fshrs[i])
+    /// Moves FSHR `i` to `to`, tracing the Fig. 7 transition.
+    fn transition(&mut self, now: u64, core: AgentId, i: usize, to: FshrState) {
+        let Fshr { entry, state, .. } = self.fshrs[i];
+        let (addr, from) = (entry.addr.base(), state.name());
+        let (fshr, to_name) = (i, to.name());
+        let event = TraceEvent::FshrTransition {
+            core,
+            fshr,
+            addr,
+            from,
+            to: to_name,
+        };
+        skipit_trace::trace!(self.sink, now, event);
+        self.fshrs.set_state(i, to);
     }
 
     /// Whether the queue has no free slot.
@@ -256,7 +265,7 @@ impl FlushUnit {
 
     /// FSHRs currently executing a writeback (telemetry gauge).
     pub fn fshr_occupancy(&self) -> usize {
-        self.busy.count_ones() as usize
+        self.fshrs.occupancy()
     }
 
     /// How much of the queue, from the head, a walk for `addr`'s entries
@@ -289,7 +298,7 @@ impl FlushUnit {
 
     /// The FSHR handling `addr`, if any.
     pub fn fshr_for(&self, addr: LineAddr) -> Option<&Fshr> {
-        self.busy_fshrs().find(|f| f.entry.addr == addr)
+        self.fshrs.live().find(|f| f.entry.addr == addr)
     }
 
     /// The §5.3 store-admission test against *all* FSHRs active on `addr`:
@@ -303,8 +312,8 @@ impl FlushUnit {
     /// acks must not set the skip bit (§6.2). Clears the per-FSHR
     /// `skip_ok` eligibility flag.
     pub fn note_line_touched(&mut self, addr: LineAddr) {
-        for i in Slots(self.busy) {
-            let f = &mut self.fshrs[i];
+        for i in Slots(self.fshrs.occupied()) {
+            let f = self.fshrs.slot_mut(i);
             if f.entry.addr == addr {
                 f.skip_ok = false;
             }
@@ -312,7 +321,7 @@ impl FlushUnit {
     }
 
     pub fn fshr_blocks_store(&self, addr: LineAddr) -> bool {
-        self.busy_fshrs().filter(|f| f.entry.addr == addr).any(|f| {
+        self.fshrs.live().filter(|f| f.entry.addr == addr).any(|f| {
             !(f.entry.kind == WritebackKind::Clean && (!f.entry.is_dirty || f.buffer.is_some()))
         })
     }
@@ -426,8 +435,7 @@ impl FlushUnit {
         // re-checks line state before touching the skip bit. This is what
         // lets a burst of redundant writebacks each take a full round trip
         // on the baseline — the cost Skip It removes (§7.4).
-        let n = self.fshrs.len();
-        let Some(idx) = first_free(self.busy, n, self.next_fshr as u32) else {
+        let Some(idx) = self.fshrs.first_free(self.next_fshr as u32) else {
             return false;
         };
         // Adversarial hold-off (set_perturb): the first cycle the dispatch
@@ -448,28 +456,20 @@ impl FlushUnit {
         let entry = self.queue.pop_front().expect("nonempty");
         self.queued[bucket(entry.addr)] -= 1;
         let state = Self::initial_state(&entry);
-        skipit_trace::trace!(
-            self.sink,
-            now,
-            TraceEvent::FshrTransition {
-                core,
-                fshr: idx,
-                addr: entry.addr.base(),
-                from: FshrState::Free.name(),
-                to: state.name(),
-            }
+        self.fshrs.put(
+            idx,
+            Fshr {
+                entry,
+                state: FshrState::Free,
+                buffer: None,
+                slot: None,
+                skip_ok: true,
+                seq: self.alloc_seq,
+            },
         );
-        self.fshrs[idx] = Fshr {
-            entry,
-            state: FshrState::Free,
-            buffer: None,
-            slot: None,
-            skip_ok: true,
-            seq: self.alloc_seq,
-        };
-        self.set_state(idx, state);
+        self.transition(now, core, idx, state);
         self.alloc_seq += 1;
-        self.next_fshr = (idx + 1) % n;
+        self.next_fshr = (idx + 1) % self.fshrs.len();
         true
     }
 
@@ -504,7 +504,7 @@ impl FlushUnit {
         // Nothing allocates or frees an FSHR in this phase and only the
         // visited one changes state, so the mask as it stood on entry names
         // exactly the FSHRs a full scan would step.
-        for i in Slots(self.busy & !self.wait_ack) {
+        for i in Slots(self.fshrs.occupied() & !self.fshrs.mask(WAIT_ACK)) {
             let state = self.fshrs[i].state;
             let entry = self.fshrs[i].entry;
             match state {
@@ -518,23 +518,12 @@ impl FlushUnit {
                         )
                     });
                     let set = arrays.set_index(entry.addr);
-                    self.fshrs[i].slot = Some((set, way));
+                    self.fshrs.slot_mut(i).slot = Some((set, way));
                     let m = arrays.meta_mut(set, way);
                     match entry.kind {
                         WritebackKind::Flush | WritebackKind::Inval => {
                             m.state = ClientState::Invalid;
-                            if m.skip {
-                                m.skip = false;
-                                skipit_trace::trace!(
-                                    self.sink,
-                                    now,
-                                    TraceEvent::SkipBitClear {
-                                        core,
-                                        addr: entry.addr.base(),
-                                        why: "flush",
-                                    }
-                                );
-                            }
+                            clear_skip(&mut self.sink, now, core, entry.addr, m, "flush");
                         }
                         WritebackKind::Clean => {
                             if m.state == ClientState::Modified {
@@ -560,18 +549,7 @@ impl FlushUnit {
                     } else {
                         FshrState::SendRelease
                     };
-                    skipit_trace::trace!(
-                        self.sink,
-                        now,
-                        TraceEvent::FshrTransition {
-                            core,
-                            fshr: i,
-                            addr: entry.addr.base(),
-                            from: state.name(),
-                            to: next.name(),
-                        }
-                    );
-                    self.set_state(i, next);
+                    self.transition(now, core, i, next);
                 }
                 FshrState::FillBuffer => {
                     // The widened data array serves the whole line in one
@@ -581,19 +559,8 @@ impl FlushUnit {
                     let (set, way) = self.fshrs[i]
                         .slot
                         .expect("fill_buffer without a latched slot");
-                    self.fshrs[i].buffer = Some(arrays.line(set, way));
-                    skipit_trace::trace!(
-                        self.sink,
-                        now,
-                        TraceEvent::FshrTransition {
-                            core,
-                            fshr: i,
-                            addr: entry.addr.base(),
-                            from: state.name(),
-                            to: FshrState::SendReleaseData.name(),
-                        }
-                    );
-                    self.set_state(i, FshrState::SendReleaseData);
+                    self.fshrs.slot_mut(i).buffer = Some(arrays.line(set, way));
+                    self.transition(now, core, i, FshrState::SendReleaseData);
                 }
                 FshrState::SendReleaseData | FshrState::SendRelease => {
                     if c.can_push() {
@@ -615,18 +582,7 @@ impl FlushUnit {
                         if data.is_some() {
                             stats.root_releases_with_data += 1;
                         }
-                        skipit_trace::trace!(
-                            self.sink,
-                            now,
-                            TraceEvent::FshrTransition {
-                                core,
-                                fshr: i,
-                                addr: entry.addr.base(),
-                                from: state.name(),
-                                to: FshrState::WaitAck.name(),
-                            }
-                        );
-                        self.set_state(i, FshrState::WaitAck);
+                        self.transition(now, core, i, FshrState::WaitAck);
                     }
                 }
             }
@@ -656,7 +612,7 @@ impl FlushUnit {
         // dropping the store interlock while the flush's RootRelease is
         // still queued at the L2 (an inclusion violation once a refill
         // races the deferred invalidation).
-        let Some(i) = Slots(self.wait_ack)
+        let Some(i) = Slots(self.fshrs.mask(WAIT_ACK))
             .filter(|&i| self.fshrs[i].entry.addr == addr)
             .min_by_key(|&i| self.fshrs[i].seq)
         else {
@@ -664,19 +620,8 @@ impl FlushUnit {
         };
         let kind = self.fshrs[i].entry.kind;
         let skip_ok = self.fshrs[i].skip_ok;
-        skipit_trace::trace!(
-            self.sink,
-            now,
-            TraceEvent::FshrTransition {
-                core,
-                fshr: i,
-                addr: addr.base(),
-                from: FshrState::WaitAck.name(),
-                to: FshrState::Free.name(),
-            }
-        );
-        self.fshrs[i] = Fshr::default();
-        self.set_state(i, FshrState::Free);
+        self.transition(now, core, i, FshrState::Free);
+        self.fshrs.free(i);
         debug_assert!(self.counter > 0, "flush counter underflow");
         self.counter -= 1;
         // §6.2: the skip bit asserts "this line's current data is persisted".
@@ -694,7 +639,7 @@ impl FlushUnit {
         //
         // Setting skip in either case would let a later CBO drop a
         // writeback whose data the persistence domain does not yet hold.
-        let line_still_flushing = self.busy_fshrs().any(|f| f.entry.addr == addr);
+        let line_still_flushing = self.fshrs.live().any(|f| f.entry.addr == addr);
         if skip_it && kind == WritebackKind::Clean && skip_ok && !line_still_flushing {
             if let Some(way) = arrays.lookup(addr) {
                 let set = arrays.set_index(addr);
@@ -723,10 +668,11 @@ impl FlushUnit {
     /// a full channel C by the L2's drain of that channel — both evented
     /// separately by the scheduler, so they contribute no work here.
     pub fn has_work(&self, probe_rdy: bool, wb_rdy: bool, c_rdy: bool) -> bool {
-        let advancing = self.busy & !self.wait_ack & !self.sending;
-        let free = self.busy != file_mask(self.fshrs.len());
+        let sending = self.fshrs.mask(SENDING);
+        let advancing = self.fshrs.occupied() & !self.fshrs.mask(WAIT_ACK) & !sending;
+        let free = self.fshrs.first_free(0).is_some();
         advancing != 0
-            || (c_rdy && self.sending != 0)
+            || (c_rdy && sending != 0)
             || (!self.queue.is_empty() && probe_rdy && wb_rdy && free)
     }
 
@@ -741,38 +687,21 @@ impl FlushUnit {
     pub fn fshrs(&self) -> &[Fshr] {
         &self.fshrs
     }
-}
 
-#[cfg(test)]
-impl FlushUnit {
-    /// Test-side check that every state mask equals a scan of the FSHR
-    /// states.
-    pub(crate) fn assert_masks_mirror_states(&self) {
-        for (i, f) in self.fshrs.iter().enumerate() {
-            let bit = |mask: u64| mask & (1 << i) != 0;
-            assert_eq!(bit(self.busy), f.state != FshrState::Free, "busy bit {i}");
-            assert_eq!(
-                bit(self.wait_ack),
-                f.state == FshrState::WaitAck,
-                "wait_ack bit {i}"
-            );
-            assert_eq!(
-                bit(self.sending),
-                matches!(f.state, FshrState::SendReleaseData | FshrState::SendRelease),
-                "sending bit {i}"
-            );
-        }
-        let past_file = !file_mask(self.fshrs.len());
-        assert_eq!(
-            (self.busy | self.wait_ack | self.sending) & past_file,
-            0,
-            "bit set past the file"
-        );
-        let mut scan = [0u16; BUCKETS];
-        for e in &self.queue {
-            scan[bucket(e.addr)] += 1;
-        }
-        assert_eq!(self.queued, scan, "bucket counts disagree with the queue");
+    /// Queued entries per line bucket, counted from the queue.
+    fn bucket_counts(&self) -> [u16; BUCKETS] {
+        let mut counts = [0; BUCKETS];
+        self.queue.iter().for_each(|e| counts[bucket(e.addr)] += 1);
+        counts
+    }
+
+    /// Checks the FSHR state masks against a scan of the FSHRs and the
+    /// bucket counts against the queue.
+    pub fn check_slot_masks(&self) -> Result<(), String> {
+        self.fshrs.check_masks()?;
+        (self.queued == self.bucket_counts())
+            .then_some(())
+            .ok_or_else(|| "flush queue bucket counts disagree with the queue".into())
     }
 }
 
@@ -1144,7 +1073,7 @@ mod decode_tests {
         // Two entries stay queued, lines 5 and 69 sharing a bucket.
         fu.enqueue(entry(5, false));
         fu.enqueue(entry(69, false));
-        fu.assert_masks_mirror_states();
+        fu.check_slot_masks().unwrap();
         let states: Vec<_> = fu.fshrs().iter().map(|f| f.state).collect();
         assert_eq!(
             states,
@@ -1160,20 +1089,47 @@ mod decode_tests {
         fu.encode_state(&mut w);
         let bytes = w.into_bytes();
         let mut fresh = FlushUnit::new(4, 4);
-        fresh.decode_state(&mut SnapReader::new(&bytes)).unwrap();
-        fresh.assert_masks_mirror_states();
-        assert_eq!(
-            (fresh.busy, fresh.wait_ack, fresh.sending),
-            (fu.busy, fu.wait_ack, fu.sending)
-        );
-        assert_eq!(
-            (fresh.busy, fresh.wait_ack, fresh.sending),
-            (0b111, 0b010, 0b001)
-        );
+        fresh
+            .decode_state(&mut SnapReader::new(&bytes), &arrays)
+            .unwrap();
+        fresh.check_slot_masks().unwrap();
+        let masks = |fu: &FlushUnit| {
+            let f = &fu.fshrs;
+            (f.occupied(), f.mask(WAIT_ACK), f.mask(SENDING))
+        };
+        assert_eq!(masks(&fresh), masks(&fu));
+        assert_eq!(masks(&fresh), (0b111, 0b010, 0b001));
         assert_eq!(fresh.queued, fu.queued);
         assert_eq!((fresh.queued[5], fresh.queued.iter().sum::<u16>()), (2, 2));
         assert!(fresh.queued_entry(LineAddr::new(0x40 * 69)).is_some());
         assert!(fresh.queued_entry(LineAddr::new(0x40 * 6)).is_none());
+    }
+
+    /// A latched `(set, way)` past the array would make `fill_buffer` read
+    /// another set's line or index past the array.
+    #[test]
+    fn decode_rejects_a_latched_way_out_of_range() {
+        let cfg = L1Config::default();
+        let arrays = SetAssocArray::new(cfg.sets, cfg.ways);
+        let mut fu = FlushUnit::new(4, 2);
+        fu.enqueue(FlushEntry {
+            addr: LineAddr::new(0x40),
+            is_hit: true,
+            is_dirty: true,
+            kind: WritebackKind::Flush,
+        });
+        fu.try_allocate(0, 0, true, true);
+        let mut decode = |slot| {
+            fu.fshrs.slot_mut(0).slot = Some(slot);
+            let mut w = SnapWriter::new();
+            fu.encode_state(&mut w);
+            let bytes = w.into_bytes();
+            FlushUnit::new(4, 2).decode_state(&mut SnapReader::new(&bytes), &arrays)
+        };
+        assert_eq!(decode((cfg.sets - 1, cfg.ways - 1)), Ok(()));
+        let corrupt = Err(SnapError::Corrupt("fshr way out of range"));
+        assert_eq!(decode((0, cfg.ways)), corrupt);
+        assert_eq!(decode((cfg.sets, 0)), corrupt);
     }
 }
 
@@ -1298,7 +1254,7 @@ impl FlushUnit {
     pub fn encode_state(&self, w: &mut SnapWriter) {
         w.tag(0x46);
         self.queue.encode(w);
-        self.fshrs.encode(w);
+        self.fshrs.encode_state(w);
         self.next_fshr.encode(w);
         self.counter.encode(w);
         self.dispatch_seq.encode(w);
@@ -1308,31 +1264,26 @@ impl FlushUnit {
 
     /// Overwrites the flush unit's simulated state from `r` (the inverse
     /// of [`FlushUnit::encode_state`]); queue depth and FSHR count must
-    /// match the configured geometry.
-    pub fn decode_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    /// match the configured geometry, and every latched `(set, way)` must
+    /// lie inside `arrays`, the cache's decoded array.
+    pub fn decode_state(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        arrays: &SetAssocArray<MetaEntry>,
+    ) -> Result<(), SnapError> {
         r.expect_tag(0x46, "flush unit section")?;
         let queue: VecDeque<FlushEntry> = VecDeque::decode(r)?;
         if queue.len() > self.depth {
             return Err(SnapError::Corrupt("flush queue exceeds depth"));
         }
-        let fshrs: Vec<Fshr> = Vec::decode(r)?;
-        if fshrs.len() != self.fshrs.len() {
-            return Err(SnapError::ConfigMismatch);
+        self.fshrs.decode_state(r, "fshr count")?;
+        for &(set, way) in self.fshrs.iter().filter_map(|f| f.slot.as_ref()) {
+            arrays.check_way(set, way, "fshr way out of range")?;
         }
-        let next_fshr = usize::decode(r)?;
-        if next_fshr >= fshrs.len().max(1) {
-            return Err(SnapError::Corrupt("fshr pointer out of range"));
-        }
-        self.queued = [0; BUCKETS];
-        for e in &queue {
-            self.queued[bucket(e.addr)] += 1;
-        }
+        let next = usize::decode(r)?;
+        self.next_fshr = self.fshrs.check_index(next, "fshr pointer out of range")?;
         self.queue = queue;
-        self.fshrs = fshrs;
-        for i in 0..self.fshrs.len() {
-            self.set_state(i, self.fshrs[i].state);
-        }
-        self.next_fshr = next_fshr;
+        self.queued = self.bucket_counts();
         self.counter = u64::decode(r)?;
         self.dispatch_seq = u64::decode(r)?;
         self.hold_until = Option::decode(r)?;

@@ -15,7 +15,8 @@ use skipit_core::{ClientState, FshrState, System};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
     /// Stable rule identifier (`"skip_bit"`, `"single_writer"`,
-    /// `"inclusion"`, `"fshr_legality"`, `"flush_counter"`).
+    /// `"inclusion"`, `"fshr_legality"`, `"flush_counter"`,
+    /// `"slot_masks"`).
     pub rule: &'static str,
     /// Cycle at which the violating state was observed.
     pub cycle: u64,
@@ -156,6 +157,27 @@ impl InvariantOracle {
                     ),
                 });
             }
+        }
+
+        // Slot masks: every L1 MSHR, FSHR and L2 MSHR state mask equals a
+        // scan of its slot file, and the owner indices beside them (the
+        // flush queue's bucket counts, the L2's per-set claims) match what
+        // they index. A stale bit would hide a slot from every walk.
+        for core in 0..cores {
+            if let Err(e) = s.l1(core).check_slot_masks() {
+                return Err(Violation {
+                    rule: "slot_masks",
+                    cycle: now,
+                    detail: format!("core {core}: {e}"),
+                });
+            }
+        }
+        if let Err(detail) = s.l2().check_slot_masks() {
+            return Err(Violation {
+                rule: "slot_masks",
+                cycle: now,
+                detail,
+            });
         }
 
         // Fig. 7 FSHR transition legality between consecutive observations.

@@ -12,7 +12,7 @@ use crate::stats::L2Stats;
 use skipit_mem::{Dram, MemReq, MemResp};
 use skipit_tilelink::array::SetAssocArray;
 use skipit_tilelink::perturb::L2_MSHR_SITE;
-use skipit_tilelink::slots::{first_free, set_bit, Slots};
+use skipit_tilelink::slots::{SlotFile, SlotState, Slots};
 use skipit_tilelink::{
     AgentId, Cap, ChannelA, ChannelB, ChannelC, ChannelD, ChannelE, GrantFlavor, Grow, LineAddr,
     LineData, Link, PerturbConfig, Shrink, WritebackKind,
@@ -116,6 +116,36 @@ struct L2Mshr {
     wrote: Option<LineData>,
 }
 
+/// An L2 MSHR slot: free (`None`) or live. Its codec writes the bytes of
+/// the `Option<L2Mshr>` it wraps.
+#[derive(Clone, Copy, Debug, Default)]
+struct L2Slot(Option<L2Mshr>);
+
+impl L2Slot {
+    fn mshr(&self) -> &L2Mshr {
+        self.0.as_ref().expect("occupied slot is live")
+    }
+
+    fn mshr_mut(&mut self) -> &mut L2Mshr {
+        self.0.as_mut().expect("occupied slot is live")
+    }
+}
+
+/// Slot class of a [parked](L2MshrState::parked) MSHR (class 0: live).
+const PARKED: usize = 1;
+
+impl SlotState for L2Slot {
+    type State = L2MshrState;
+    const CLASSES: &'static [&'static str] = &["l2 mshr occupied", "l2 mshr parked"];
+    fn classes(&self) -> u32 {
+        let parked = self.0.as_ref().is_some_and(|m| m.state.parked());
+        u32::from(self.0.is_some()) | u32::from(parked) << PARKED
+    }
+    fn set_state(&mut self, state: L2MshrState) {
+        self.mshr_mut().state = state;
+    }
+}
+
 /// A TL-C request deferred because of an MSHR conflict or MSHR exhaustion
 /// (the ListBuffer of §3.4).
 #[derive(Clone, Copy, Debug)]
@@ -131,16 +161,9 @@ struct Deferred(ChannelC);
 pub struct InclusiveCache {
     cfg: L2Config,
     arrays: SetAssocArray<DirEntry>,
-    mshrs: Vec<Option<L2Mshr>>,
-    /// Bitmask of occupied `mshrs` slots: bit `i` is set iff `mshrs[i]` is
-    /// `Some`. The free-slot pick reads it instead of touching the slots.
-    occupied: u64,
-    /// Bitmask of live slots in a [parked](L2MshrState::parked) state,
-    /// a subset of `occupied`. The MSHR step and `next_event` walk
-    /// `occupied & !parked`; the memory-token and GrantAck matches walk
-    /// `parked`. Kept in step by [`Self::set_state`], [`Self::occupy`] and
-    /// [`Self::release`]; rebuilt on decode, never serialized.
-    parked: u64,
+    /// Stepped unparked; [`PARKED`] slots wait for a memory response or a
+    /// GrantAck.
+    mshrs: SlotFile<L2Slot>,
     /// One mask per L2 set: bit `i` of `set_claims[s]` is set iff live
     /// slot `i`'s line maps to set `s`. A slot's victim is always taken
     /// from its own line's set ([`Self::plan`]), so the one bit covers
@@ -180,9 +203,7 @@ impl InclusiveCache {
         assert!((1..=32).contains(&cores), "1..=32 cores supported");
         InclusiveCache {
             arrays: SetAssocArray::new(cfg.sets, cfg.ways),
-            mshrs: vec![None; cfg.mshrs],
-            occupied: 0,
-            parked: 0,
+            mshrs: SlotFile::new(cfg.mshrs),
             set_claims: vec![0; cfg.sets],
             list_buffer: VecDeque::with_capacity(cfg.list_buffer_depth),
             next_token: 0,
@@ -221,7 +242,7 @@ impl InclusiveCache {
 
     /// MSHRs currently live (telemetry gauge).
     pub fn mshr_occupancy(&self) -> usize {
-        self.occupied.count_ones() as usize
+        self.mshrs.occupancy()
     }
 
     /// Configuration.
@@ -231,7 +252,7 @@ impl InclusiveCache {
 
     /// Whether no transaction is in flight (tests / quiesce detection).
     pub fn is_quiescent(&self) -> bool {
-        self.occupied == 0 && self.list_buffer.is_empty()
+        self.mshrs.occupancy() == 0 && self.list_buffer.is_empty()
     }
 
     /// The live slots whose line (and so whose victim) maps to `addr`'s
@@ -240,28 +261,9 @@ impl InclusiveCache {
         self.set_claims[self.arrays.set_index(addr)]
     }
 
-    /// The live MSHR in slot `idx`.
-    fn mshr(&self, idx: usize) -> &L2Mshr {
-        self.mshrs[idx].as_ref().expect("occupied slot is live")
-    }
-
-    /// The live MSHR in slot `idx`, mutably. Its state changes only
-    /// through [`Self::set_state`].
-    fn mshr_mut(&mut self, idx: usize) -> &mut L2Mshr {
-        self.mshrs[idx].as_mut().expect("occupied slot is live")
-    }
-
-    /// Moves live slot `idx` to `state`: the one state setter, which keeps
-    /// `parked` in step.
-    fn set_state(&mut self, idx: usize, state: L2MshrState) {
-        self.mshr_mut(idx).state = state;
-        set_bit(&mut self.parked, idx, state.parked());
-    }
-
     /// Allocates free slot `slot` to `req` for `addr`, starting in its
     /// (unparked) `Access` state.
     fn occupy(&mut self, now: u64, slot: usize, addr: LineAddr, req: L2Req) {
-        self.occupied |= 1 << slot;
         self.set_claims[self.arrays.set_index(addr)] |= 1 << slot;
         self.alloc_seq += 1;
         skipit_trace::trace!(
@@ -276,29 +278,57 @@ impl InclusiveCache {
                 },
             }
         );
-        self.mshrs[slot] = Some(L2Mshr {
-            addr,
-            req,
-            state: L2MshrState::Access {
-                until: now + self.cfg.access_latency,
-            },
-            pending_acks: 0,
-            to_probe: 0,
-            probe_cap: Cap::ToN,
-            way: None,
-            victim: None,
-            token: u64::MAX,
-            wrote: None,
-        });
+        let until = now + self.cfg.access_latency;
+        self.mshrs.put(
+            slot,
+            L2Slot(Some(L2Mshr {
+                addr,
+                req,
+                state: L2MshrState::Access { until },
+                pending_acks: 0,
+                to_probe: 0,
+                probe_cap: Cap::ToN,
+                way: None,
+                victim: None,
+                token: u64::MAX,
+                wrote: None,
+            })),
+        );
     }
 
     /// Retires live slot `idx`.
-    fn release(&mut self, idx: usize) {
-        let set = self.arrays.set_index(self.mshr(idx).addr);
+    fn release(&mut self, now: u64, idx: usize) {
+        let addr = self.mshrs[idx].mshr().addr;
+        let event = TraceEvent::L2MshrFree {
+            slot: idx,
+            addr: addr.base(),
+        };
+        skipit_trace::trace!(self.sink, now, event);
+        let set = self.arrays.set_index(addr);
         self.set_claims[set] &= !(1 << idx);
-        self.mshrs[idx] = None;
-        self.occupied &= !(1 << idx);
-        self.parked &= !(1 << idx);
+        self.mshrs.free(idx);
+    }
+
+    /// The set claims a scan of the live slots derives: each slot's bit in
+    /// its line's set and in its victim's (the same set, see `plan`).
+    fn scan_claims(&self) -> Vec<u64> {
+        let mut claims = vec![0; self.set_claims.len()];
+        for i in Slots(self.mshrs.occupied()) {
+            let m = self.mshrs[i].mshr();
+            for addr in std::iter::once(m.addr).chain(m.victim) {
+                claims[self.arrays.set_index(addr)] |= 1 << i;
+            }
+        }
+        claims
+    }
+
+    /// Checks the MSHR state masks against a scan of the slots, and the
+    /// set claims against the live slots' lines.
+    pub fn check_slot_masks(&self) -> Result<(), String> {
+        self.mshrs.check_masks()?;
+        (self.set_claims == self.scan_claims())
+            .then_some(())
+            .ok_or_else(|| "l2 set claims disagree with the live mshrs".into())
     }
 
     /// Dirty bit of a resident line (`false` if absent) — test/debug helper.
@@ -326,7 +356,7 @@ impl InclusiveCache {
 
     fn mshr_conflict(&self, addr: LineAddr) -> bool {
         Slots(self.claims(addr)).any(|idx| {
-            let m = self.mshr(idx);
+            let m = self.mshrs[idx].mshr();
             m.addr == addr || m.victim == Some(addr)
         })
     }
@@ -336,12 +366,11 @@ impl InclusiveCache {
     /// allocated), so repeated calls within a cycle — including the
     /// [`Self::can_accept_acquire`] pre-check — agree on the answer.
     fn free_mshr(&self) -> Option<usize> {
-        let n = self.mshrs.len();
         let start = match self.perturb {
-            Some(cfg) => cfg.draw(L2_MSHR_SITE, self.alloc_seq, n as u64 - 1) as u32,
+            Some(cfg) => cfg.draw(L2_MSHR_SITE, self.alloc_seq, self.mshrs.len() as u64 - 1) as u32,
             None => 0,
         };
-        first_free(self.occupied, n, start)
+        self.mshrs.first_free(start)
     }
 
     /// Whether an Acquire for `addr` arriving this cycle would be sunk into
@@ -384,8 +413,8 @@ impl InclusiveCache {
     ) -> Option<u64> {
         let mut next: Option<u64> = None;
         let mut merge = |t: u64| next = Some(next.map_or(t, |n| n.min(t)));
-        for idx in Slots(self.occupied & !self.parked) {
-            let m = self.mshr(idx);
+        for idx in Slots(self.mshrs.occupied() & !self.mshrs.mask(PARKED)) {
+            let m = self.mshrs[idx].mshr();
             match m.state {
                 L2MshrState::Access { until } => {
                     if until <= now {
@@ -401,7 +430,7 @@ impl InclusiveCache {
                     if m.to_probe == 0 && m.pending_acks == 0 {
                         return Some(now);
                     }
-                    if (0..self.cores).any(|a| m.to_probe & (1 << a) != 0 && b[a].can_push()) {
+                    if Slots(u64::from(m.to_probe)).any(|a| b[a].can_push()) {
                         return Some(now);
                     }
                 }
@@ -452,13 +481,13 @@ impl InclusiveCache {
         ports.mem.step(now);
         while let Some(resp) = ports.mem.pop_response() {
             let token = resp.token();
-            let Some(idx) = Slots(self.parked).find(|&idx| {
-                let m = self.mshr(idx);
+            let Some(idx) = Slots(self.mshrs.mask(PARKED)).find(|&idx| {
+                let m = self.mshrs[idx].mshr();
                 m.token == token && m.state != L2MshrState::WaitGrantAck
             }) else {
                 panic!("memory response with unknown token {token}");
             };
-            let m = self.mshrs[idx].as_ref().expect("parked slot is live");
+            let m = self.mshrs[idx].mshr();
             let next = match (resp, m.state) {
                 (MemResp::ReadDone { data, .. }, L2MshrState::MemReadWait) => {
                     let way = m.way.expect("fill way reserved");
@@ -487,28 +516,20 @@ impl InclusiveCache {
                 }
                 (resp, state) => panic!("memory response {resp:?} in state {state:?}"),
             };
-            self.set_state(idx, next);
+            self.mshrs.set_state(idx, next);
         }
     }
 
     fn drain_grant_acks(&mut self, now: u64, ports: &mut L2Ports<'_>) {
         for core in 0..self.cores {
             while let Some(ChannelE::GrantAck { addr, .. }) = ports.e[core].pop(now) {
-                let Some(idx) = Slots(self.claims(addr) & self.parked).find(|&idx| {
-                    let m = self.mshr(idx);
+                let Some(idx) = Slots(self.claims(addr) & self.mshrs.mask(PARKED)).find(|&idx| {
+                    let m = self.mshrs[idx].mshr();
                     m.addr == addr && m.state == L2MshrState::WaitGrantAck
                 }) else {
                     panic!("GrantAck for {addr:?} without a waiting MSHR");
                 };
-                skipit_trace::trace!(
-                    self.sink,
-                    now,
-                    TraceEvent::L2MshrFree {
-                        slot: idx,
-                        addr: addr.base(),
-                    }
-                );
-                self.release(idx);
+                self.release(now, idx);
             }
         }
     }
@@ -629,12 +650,12 @@ impl InclusiveCache {
         // Route to the waiting MSHR: probes for a line come from exactly one
         // MSHR (per-line conflict serialization).
         let Some(idx) = Slots(self.claims(addr)).find(|&idx| {
-            let m = self.mshr(idx);
+            let m = self.mshrs[idx].mshr();
             (m.addr == addr || m.victim == Some(addr)) && m.pending_acks > 0
         }) else {
             panic!("ProbeAck for {addr:?} with no probing MSHR");
         };
-        self.mshrs[idx].as_mut().expect("active").pending_acks -= 1;
+        self.mshrs.slot_mut(idx).mshr_mut().pending_acks -= 1;
     }
 
     fn handle_release(
@@ -717,8 +738,8 @@ impl InclusiveCache {
         // can change state or retire, so walking the mask as it stood on
         // entry visits exactly the slots a full scan would find live and
         // unparked; a parked slot has nothing to do until an arrival.
-        for idx in Slots(self.occupied & !self.parked) {
-            match self.mshr(idx).state {
+        for idx in Slots(self.mshrs.occupied() & !self.mshrs.mask(PARKED)) {
+            match self.mshrs[idx].mshr().state {
                 L2MshrState::Access { until } => {
                     if now >= until {
                         self.plan(now, idx);
@@ -726,27 +747,27 @@ impl InclusiveCache {
                 }
                 L2MshrState::VictimProbe | L2MshrState::OwnerProbe => {
                     self.send_probes(now, idx, ports);
-                    let m = self.mshrs[idx].as_mut().expect("active");
+                    let m = self.mshrs.slot_mut(idx).mshr_mut();
                     if m.to_probe == 0 && m.pending_acks == 0 {
                         self.probes_complete(now, idx);
                     }
                 }
                 L2MshrState::VictimWrite => {
                     if ports.mem.can_accept(now) {
-                        let m = self.mshrs[idx].as_mut().expect("active");
+                        let m = self.mshrs.slot_mut(idx).mshr_mut();
                         let victim = m.victim.expect("victim set");
                         let set = self.arrays.set_index(victim);
                         let Some(w) = self.arrays.lookup(victim) else {
                             // Vanished between VictimProbe and here (another
                             // transaction wrote it out): skip to the fill.
-                            self.set_state(idx, L2MshrState::MemRead);
+                            self.mshrs.set_state(idx, L2MshrState::MemRead);
                             continue;
                         };
                         let data = self.arrays.line(set, w);
                         let token = self.next_token;
                         self.next_token += 1;
                         m.token = token;
-                        self.set_state(idx, L2MshrState::VictimWriteWait);
+                        self.mshrs.set_state(idx, L2MshrState::VictimWriteWait);
                         ports.mem.request(
                             now,
                             MemReq::Write {
@@ -759,7 +780,7 @@ impl InclusiveCache {
                     }
                 }
                 L2MshrState::MemRead => {
-                    let m = self.mshrs[idx].as_mut().expect("active");
+                    let m = self.mshrs.slot_mut(idx).mshr_mut();
                     // The victim (if any) is finished with: invalidate it so
                     // the fill can take the way.
                     if let Some(victim) = m.victim.take() {
@@ -777,13 +798,13 @@ impl InclusiveCache {
                         self.next_token += 1;
                         m.token = token;
                         let addr = m.addr;
-                        self.set_state(idx, L2MshrState::MemReadWait);
+                        self.mshrs.set_state(idx, L2MshrState::MemReadWait);
                         ports.mem.request(now, MemReq::Read { addr, token });
                     }
                 }
                 L2MshrState::DramWrite => {
                     if ports.mem.can_accept(now) {
-                        let m = self.mshrs[idx].as_mut().expect("active");
+                        let m = self.mshrs.slot_mut(idx).mshr_mut();
                         // Resident: banked-store contents. Not resident (the
                         // eviction race): the data carried by the request.
                         let data = match self.arrays.lookup(m.addr) {
@@ -798,7 +819,7 @@ impl InclusiveCache {
                         m.token = token;
                         m.wrote = Some(data);
                         let addr = m.addr;
-                        self.set_state(idx, L2MshrState::DramWriteWait);
+                        self.mshrs.set_state(idx, L2MshrState::DramWriteWait);
                         ports.mem.request(now, MemReq::Write { addr, data, token });
                         self.stats.root_release_dram_writes += 1;
                     }
@@ -814,7 +835,7 @@ impl InclusiveCache {
 
     /// First directory decision after the access latency.
     fn plan(&mut self, now: u64, idx: usize) {
-        let m = self.mshr(idx);
+        let m = self.mshrs[idx].mshr();
         let addr = m.addr;
         match m.req {
             L2Req::Acquire { source, grow } => {
@@ -823,7 +844,7 @@ impl InclusiveCache {
                     self.arrays.meta_mut(set, w).reserved = true;
                     self.arrays.touch(set, w);
                     let e = *self.arrays.meta(set, w);
-                    let mm = self.mshrs[idx].as_mut().expect("active");
+                    let mm = self.mshrs.slot_mut(idx).mshr_mut();
                     mm.way = Some(w);
                     // Probe strategy (§2.2): writes revoke every other copy;
                     // reads only downgrade a foreign Trunk owner.
@@ -836,7 +857,7 @@ impl InclusiveCache {
                     };
                     mm.to_probe = targets;
                     mm.probe_cap = cap;
-                    self.set_state(idx, L2MshrState::OwnerProbe);
+                    self.mshrs.set_state(idx, L2MshrState::OwnerProbe);
                 } else {
                     // Miss: reserve a way, evicting inclusively if needed.
                     let Some(w) = self.arrays.victim_way(addr) else {
@@ -851,17 +872,17 @@ impl InclusiveCache {
                         return;
                     }
                     self.arrays.meta_mut(set, w).reserved = true;
-                    let mm = self.mshrs[idx].as_mut().expect("active");
+                    let mm = self.mshrs.slot_mut(idx).mshr_mut();
                     mm.way = Some(w);
                     if victim_entry.valid {
                         let victim = self.arrays.addr_of(set, w);
                         mm.victim = Some(victim);
                         mm.to_probe = victim_entry.owners;
                         mm.probe_cap = Cap::ToN;
-                        self.set_state(idx, L2MshrState::VictimProbe);
+                        self.mshrs.set_state(idx, L2MshrState::VictimProbe);
                         self.stats.evictions += 1;
                     } else {
-                        self.set_state(idx, L2MshrState::MemRead);
+                        self.mshrs.set_state(idx, L2MshrState::MemRead);
                     }
                 }
             }
@@ -897,40 +918,42 @@ impl InclusiveCache {
                             }
                         }
                     };
-                    let mm = self.mshr_mut(idx);
+                    let mm = self.mshrs.slot_mut(idx).mshr_mut();
                     mm.to_probe = targets;
                     mm.probe_cap = cap;
-                    self.set_state(idx, L2MshrState::OwnerProbe);
+                    self.mshrs.set_state(idx, L2MshrState::OwnerProbe);
                 } else if data.is_some() {
                     // Not resident but carrying dirty data: the L2 evicted
                     // the line while this RootRelease was in flight (the
                     // victim probe crossed it on the wire). The carried data
                     // is newer than the eviction's writeback — send it
                     // straight to DRAM.
-                    self.set_state(idx, L2MshrState::DramWrite);
+                    self.mshrs.set_state(idx, L2MshrState::DramWrite);
                 } else {
                     // Not resident, no data ⇒ (inclusion) no L1 holds it
                     // dirty ⇒ memory is already up to date: trivially
                     // complete (§5.5).
-                    self.stats.root_release_dram_skipped += 1;
-                    skipit_trace::trace!(
-                        self.sink,
-                        now,
-                        TraceEvent::DramWriteSkipped { addr: addr.base() }
-                    );
-                    self.set_state(idx, L2MshrState::SendResp);
+                    self.skip_dram_write(now, addr);
+                    self.mshrs.set_state(idx, L2MshrState::SendResp);
                 }
             }
         }
     }
 
+    /// Completes a RootRelease for `addr` without its DRAM write (§5.5).
+    fn skip_dram_write(&mut self, now: u64, addr: LineAddr) {
+        self.stats.root_release_dram_skipped += 1;
+        skipit_trace::trace!(
+            self.sink,
+            now,
+            TraceEvent::DramWriteSkipped { addr: addr.base() }
+        );
+    }
+
     fn send_probes(&mut self, now: u64, idx: usize, ports: &mut L2Ports<'_>) {
-        let m = self.mshrs[idx].as_mut().expect("active");
+        let m = self.mshrs.slot_mut(idx).mshr_mut();
         let addr = m.victim.unwrap_or(m.addr);
-        for a in 0..self.cores {
-            if m.to_probe & (1 << a) == 0 {
-                continue;
-            }
+        for a in Slots(u64::from(m.to_probe)) {
             if !ports.b[a].can_push() {
                 continue;
             }
@@ -950,7 +973,7 @@ impl InclusiveCache {
 
     /// All probes for the current phase acknowledged.
     fn probes_complete(&mut self, now: u64, idx: usize) {
-        let m = self.mshr(idx);
+        let m = self.mshrs[idx].mshr();
         let next = match m.state {
             L2MshrState::VictimProbe => {
                 let victim = m.victim.expect("victim set");
@@ -981,12 +1004,7 @@ impl InclusiveCache {
                         L2MshrState::DramWrite
                     } else {
                         if kind.writes_back() {
-                            self.stats.root_release_dram_skipped += 1;
-                            skipit_trace::trace!(
-                                self.sink,
-                                now,
-                                TraceEvent::DramWriteSkipped { addr: addr.base() }
-                            );
+                            self.skip_dram_write(now, addr);
                         }
                         L2MshrState::SendResp
                     }
@@ -994,11 +1012,11 @@ impl InclusiveCache {
             },
             other => panic!("probes_complete in state {other:?}"),
         };
-        self.set_state(idx, next);
+        self.mshrs.set_state(idx, next);
     }
 
     fn send_response(&mut self, now: u64, idx: usize, ports: &mut L2Ports<'_>) {
-        let m = self.mshr(idx);
+        let m = self.mshrs[idx].mshr();
         let (addr, way) = (m.addr, m.way);
         match m.req {
             L2Req::Acquire { source, grow } => {
@@ -1038,7 +1056,7 @@ impl InclusiveCache {
                     GrantFlavor::Clean => self.stats.grants_clean += 1,
                     GrantFlavor::Dirty => self.stats.grants_dirty += 1,
                 }
-                self.set_state(idx, L2MshrState::WaitGrantAck);
+                self.mshrs.set_state(idx, L2MshrState::WaitGrantAck);
             }
             L2Req::RootRelease { source, kind, .. } => {
                 if !ports.d[source].can_push() {
@@ -1076,15 +1094,7 @@ impl InclusiveCache {
                     WritebackKind::Clean => self.stats.root_release_clean += 1,
                     WritebackKind::Inval => self.stats.root_release_inval += 1,
                 }
-                skipit_trace::trace!(
-                    self.sink,
-                    now,
-                    TraceEvent::L2MshrFree {
-                        slot: idx,
-                        addr: addr.base(),
-                    }
-                );
-                self.release(idx);
+                self.release(now, idx);
             }
         }
     }
@@ -1126,6 +1136,8 @@ codec!(L2Mshr {
     wrote,
 });
 
+codec!(L2Slot { 0 });
+
 codec!(Deferred { 0 });
 
 impl InclusiveCache {
@@ -1138,10 +1150,7 @@ impl InclusiveCache {
     pub fn encode_state(&self, w: &mut SnapWriter) {
         w.tag(0x4d);
         self.arrays.encode_state(w);
-        w.put_u64(self.mshrs.len() as u64);
-        for m in &self.mshrs {
-            m.encode(w);
-        }
+        self.mshrs.encode_state(w);
         self.list_buffer.encode(w);
         self.next_token.encode(w);
         self.stats.encode(w);
@@ -1154,38 +1163,35 @@ impl InclusiveCache {
     pub fn decode_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.expect_tag(0x4d, "l2 section")?;
         self.arrays.decode_state(r)?;
-        // Probe masks are `u32` shifts walked over `0..cores`: an owner or
-        // Trunk agent at or past `cores` would overflow the shift or never
-        // be probed, leaving its MSHR undrainable.
+        // An agent id indexes the per-core links and is shifted into the
+        // `u32` probe masks: one at or past `cores` would index past the
+        // links or overflow the shift.
         let out_of_range = |e: &DirEntry| {
             u64::from(e.owners) >> self.cores != 0 || e.trunk.is_some_and(|t| t >= self.cores)
         };
         if self.arrays.iter_valid().any(|(_, _, _, e)| out_of_range(e)) {
             return Err(SnapError::Corrupt("l2 directory agent out of range"));
         }
-        let n = r.get_count(L2Config::MAX_MSHRS, "l2 mshr count")?;
-        if n != self.mshrs.len() {
-            return Err(SnapError::ConfigMismatch);
-        }
-        let (mut occupied, mut parked) = (0u64, 0u64);
-        self.set_claims.fill(0);
-        for (i, slot) in self.mshrs.iter_mut().enumerate() {
-            *slot = Option::decode(r)?;
-            if let Some(m) = slot {
-                let set = self.arrays.set_index(m.addr);
-                if m.victim.is_some_and(|v| self.arrays.set_index(v) != set) {
-                    return Err(SnapError::Corrupt("l2 mshr victim outside its line's set"));
-                }
-                occupied |= 1 << i;
-                if m.state.parked() {
-                    parked |= 1 << i;
-                }
-                self.set_claims[set] |= 1 << i;
+        self.mshrs.decode_state(r, "l2 mshr count")?;
+        for m in self.mshrs.iter().flat_map(|s| &s.0) {
+            let set = self.arrays.set_index(m.addr);
+            if m.victim.is_some_and(|v| self.arrays.set_index(v) != set) {
+                return Err(SnapError::Corrupt("l2 mshr victim outside its line's set"));
+            }
+            if let Some(way) = m.way {
+                self.arrays
+                    .check_way(set, way, "l2 mshr way out of range")?;
+            }
+            let (L2Req::Acquire { source, .. } | L2Req::RootRelease { source, .. }) = m.req;
+            if source >= self.cores || u64::from(m.to_probe) >> self.cores != 0 {
+                return Err(SnapError::Corrupt("l2 mshr agent out of range"));
             }
         }
-        self.occupied = occupied;
-        self.parked = parked;
+        self.set_claims = self.scan_claims();
         self.list_buffer = VecDeque::decode(r)?;
+        if self.list_buffer.iter().any(|d| d.0.source() >= self.cores) {
+            return Err(SnapError::Corrupt("l2 list buffer agent out of range"));
+        }
         self.next_token = u64::decode(r)?;
         self.stats = L2Stats::decode(r)?;
         self.alloc_seq = u64::decode(r)?;
@@ -1237,7 +1243,7 @@ mod tests {
                 mem: &mut self.mem,
             };
             self.l2.step(self.now, &mut ports);
-            assert_occupancy_mirrors_slots(&self.l2);
+            self.l2.check_slot_masks().unwrap();
             self.now += 1;
         }
 
@@ -1323,43 +1329,6 @@ mod tests {
         }
     }
 
-    fn assert_occupancy_mirrors_slots(l2: &InclusiveCache) {
-        for (i, slot) in l2.mshrs.iter().enumerate() {
-            assert_eq!(
-                l2.occupied & (1 << i) != 0,
-                slot.is_some(),
-                "occupancy bit {i} disagrees with its slot"
-            );
-            assert_eq!(
-                l2.parked & (1 << i) != 0,
-                slot.is_some_and(|m| m.state.parked()),
-                "parked bit {i} disagrees with its slot"
-            );
-        }
-        let live = l2.mshrs.iter().flatten().count();
-        assert_eq!(l2.mshr_occupancy(), live, "bit set past the file");
-        assert_eq!(l2.parked & !l2.occupied, 0, "parked bit on a free slot");
-        let mut scan = vec![0u64; l2.set_claims.len()];
-        for (i, m) in l2.mshrs.iter().enumerate() {
-            let Some(m) = m else { continue };
-            let set = l2.arrays.set_index(m.addr);
-            scan[set] |= 1 << i;
-            if let Some(victim) = m.victim {
-                assert_eq!(
-                    l2.arrays.set_index(victim),
-                    set,
-                    "victim {victim:?} of slot {i} lies outside its line's set"
-                );
-            }
-        }
-        for (set, (&claims, &scanned)) in l2.set_claims.iter().zip(&scan).enumerate() {
-            assert_eq!(
-                claims, scanned,
-                "claim mask of set {set} disagrees with the slots"
-            );
-        }
-    }
-
     #[test]
     fn decoded_state_rebuilds_the_occupancy_and_parked_masks() {
         let mut h = Harness::new(2);
@@ -1409,7 +1378,12 @@ mod tests {
         for _ in 0..14 {
             h.step();
         }
-        let states: Vec<_> = h.l2.mshrs.iter().flatten().map(|m| m.state).collect();
+        let states: Vec<_> =
+            h.l2.mshrs
+                .iter()
+                .flat_map(|s| s.0)
+                .map(|m| m.state)
+                .collect();
         assert_eq!(
             states,
             [
@@ -1424,9 +1398,10 @@ mod tests {
         let bytes = w.into_bytes();
         let mut fresh = InclusiveCache::new(2, L2Config::default());
         fresh.decode_state(&mut SnapReader::new(&bytes)).unwrap();
-        assert_occupancy_mirrors_slots(&fresh);
-        assert_eq!((fresh.occupied, fresh.parked), (h.l2.occupied, h.l2.parked));
-        assert_eq!((fresh.occupied, fresh.parked), (0b1111, 0b1001));
+        fresh.check_slot_masks().unwrap();
+        let masks = |l2: &InclusiveCache| (l2.mshrs.occupied(), l2.mshrs.mask(PARKED));
+        assert_eq!(masks(&fresh), masks(&h.l2));
+        assert_eq!(masks(&fresh), (0b1111, 0b1001));
         assert_eq!(fresh.set_claims, h.l2.set_claims);
         assert_eq!(fresh.claims(line(100)), 0b0100);
     }
@@ -1446,7 +1421,7 @@ mod tests {
                 grow: Grow::NtoB,
             },
         );
-        l2.mshr_mut(0).victim = Some(line(2));
+        l2.mshrs.slot_mut(0).mshr_mut().victim = Some(line(2));
         let mut w = SnapWriter::new();
         l2.encode_state(&mut w);
         let bytes = w.into_bytes();
@@ -1455,6 +1430,37 @@ mod tests {
             fresh.decode_state(&mut SnapReader::new(&bytes)),
             Err(SnapError::Corrupt("l2 mshr victim outside its line's set"))
         );
+    }
+
+    /// Probe targets and deferred requests naming a core past the L2 are
+    /// refused as an MSHR's own source is (tier-1 `tests/snapshot.rs`).
+    #[test]
+    fn decode_rejects_probe_targets_and_deferred_sources_out_of_range() {
+        let decode = |l2: &InclusiveCache| {
+            let mut w = SnapWriter::new();
+            l2.encode_state(&mut w);
+            let bytes = w.into_bytes();
+            InclusiveCache::new(2, L2Config::default()).decode_state(&mut SnapReader::new(&bytes))
+        };
+        let mut l2 = InclusiveCache::new(2, L2Config::default());
+        let req = L2Req::Acquire {
+            source: 1,
+            grow: Grow::NtoB,
+        };
+        l2.occupy(0, 0, line(1), req);
+        l2.mshrs.slot_mut(0).mshr_mut().to_probe = 0b11;
+        assert_eq!(decode(&l2), Ok(()));
+        l2.mshrs.slot_mut(0).mshr_mut().to_probe = 0b100;
+        let corrupt = |site| Err(SnapError::Corrupt(site));
+        assert_eq!(decode(&l2), corrupt("l2 mshr agent out of range"));
+        l2.release(0, 0);
+        l2.list_buffer.push_back(Deferred(ChannelC::RootRelease {
+            source: 2,
+            addr: line(3),
+            kind: WritebackKind::Flush,
+            data: None,
+        }));
+        assert_eq!(decode(&l2), corrupt("l2 list buffer agent out of range"));
     }
 
     /// Decodes into a fresh 2-core L2 the snapshot of one whose line 1

@@ -1,5 +1,7 @@
 //! L2 configuration.
 
+use skipit_tilelink::slots::MAX_SLOTS;
+
 /// Geometry and timing of the inclusive L2.
 ///
 /// The default matches the evaluation platform of §7.1: a 512 KiB shared
@@ -32,10 +34,6 @@ impl Default for L2Config {
 }
 
 impl L2Config {
-    /// Largest supported MSHR file: the L2 tracks live MSHRs in one `u64`
-    /// occupancy mask.
-    pub const MAX_MSHRS: usize = 64;
-
     /// Largest supported ListBuffer: far above any modelled design.
     pub const MAX_LIST_BUFFER_DEPTH: usize = 4096;
 
@@ -53,18 +51,14 @@ impl L2Config {
     /// # Panics
     ///
     /// Panics if any field is zero, `sets` is not a power of two, or a
-    /// size exceeds its bound: `mshrs` [`L2Config::MAX_MSHRS`],
+    /// size exceeds its bound: `mshrs` [`MAX_SLOTS`],
     /// `list_buffer_depth` [`L2Config::MAX_LIST_BUFFER_DEPTH`],
     /// `sets * ways` [`L2Config::MAX_LINES`].
     pub fn validate(&self) {
         assert!(self.sets.is_power_of_two(), "sets must be a power of two");
         assert!(self.ways > 0, "ways must be nonzero");
         assert!(self.mshrs > 0, "mshrs must be nonzero");
-        assert!(
-            self.mshrs <= Self::MAX_MSHRS,
-            "mshrs must be at most {}",
-            Self::MAX_MSHRS
-        );
+        assert!(self.mshrs <= MAX_SLOTS, "mshrs must be at most {MAX_SLOTS}");
         assert!(
             self.list_buffer_depth > 0,
             "list_buffer_depth must be nonzero"

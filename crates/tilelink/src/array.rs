@@ -158,6 +158,16 @@ impl<M: WayMeta> SetAssocArray<M> {
         self.touch(set, way);
     }
 
+    /// A decoded `(set, way)` reference, checked against the geometry: past
+    /// it, a way would alias another set's way or lie outside the array.
+    pub fn check_way(&self, set: usize, way: usize, site: &'static str) -> Result<(), SnapError> {
+        if set < self.sets && way < self.ways {
+            Ok(())
+        } else {
+            Err(SnapError::Corrupt(site))
+        }
+    }
+
     /// Iterates over all valid `(set, way, addr, metadata)` tuples.
     pub fn iter_valid(&self) -> impl Iterator<Item = (usize, usize, LineAddr, &M)> + '_ {
         (0..self.sets).flat_map(move |set| {

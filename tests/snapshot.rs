@@ -2,7 +2,8 @@
 //! traced mid-run restore finishes as the uninterrupted run does (event
 //! stream included), a warm-started sweep equals its cold twin, and the
 //! bytes of every snapshot of a small perturbed run match pinned
-//! constants.
+//! constants. An L2 snapshot that names a core or a way past the L2 it is
+//! decoded into is refused as corrupt.
 
 use skipit::prelude::*;
 use skipit::{prefill_snapshot, run_set_benchmark, run_set_benchmark_warm, warm_key};
@@ -232,5 +233,107 @@ fn snapshot_wire_format_is_pinned() {
         (count, total, hash),
         (5325, 52_109_115, 0xe206_b266_66b2_72e7),
         "snapshot wire format changed: bump SNAPSHOT_VERSION and re-pin"
+    );
+}
+
+/// The L2 section of a `cores`-core L2 whose MSHR 0 serves a read Acquire
+/// of line 0x1000 from `source`, stepped until its fill waits on DRAM
+/// (way 0 of the line's set reserved).
+fn l2_awaiting_a_fill(cores: usize, source: usize) -> Vec<u8> {
+    use skipit::core::{Dram, DramConfig, L2Config};
+    use skipit_llc::{InclusiveCache, L2Ports};
+    use skipit_snap::SnapWriter;
+    use skipit_tilelink::{ChannelA, ChannelB, ChannelC, ChannelD, ChannelE, Grow, LineAddr, Link};
+
+    let mut a: Vec<Link<ChannelA>> = (0..cores).map(|_| Link::new(1, 8)).collect();
+    let mut b: Vec<Link<ChannelB>> = (0..cores).map(|_| Link::new(1, 8)).collect();
+    let mut c: Vec<Link<ChannelC>> = (0..cores).map(|_| Link::new(1, 8)).collect();
+    let mut d: Vec<Link<ChannelD>> = (0..cores).map(|_| Link::new(1, 8)).collect();
+    let mut e: Vec<Link<ChannelE>> = (0..cores).map(|_| Link::new(1, 8)).collect();
+    let mut mem = Dram::new(DramConfig {
+        read_latency: 1000,
+        ..DramConfig::default()
+    });
+    let mut l2 = InclusiveCache::new(cores, L2Config::default());
+    a[source].push(
+        0,
+        ChannelA::AcquireBlock {
+            source,
+            addr: LineAddr::new(0x1000),
+            grow: Grow::NtoB,
+        },
+    );
+    for now in 0..20 {
+        let mut ports = L2Ports {
+            a: &mut a,
+            b: &mut b,
+            c: &mut c,
+            d: &mut d,
+            e: &mut e,
+            mem: &mut mem,
+        };
+        l2.step(now, &mut ports);
+    }
+    assert_eq!(l2.mshr_occupancy(), 1);
+    let mut w = SnapWriter::new();
+    l2.encode_state(&mut w);
+    w.into_bytes()
+}
+
+/// Decodes an L2 section into a fresh `cores`-core L2 of the default
+/// configuration.
+fn decode_l2(cores: usize, bytes: &[u8]) -> Result<(), skipit_snap::SnapError> {
+    let mut l2 = skipit_llc::InclusiveCache::new(cores, skipit::core::L2Config::default());
+    l2.decode_state(&mut skipit_snap::SnapReader::new(bytes))
+}
+
+/// An 8-core L2's MSHR serving core 5, restored into a 2-core L2 with the
+/// same configuration, would send its Grant down a channel D link that
+/// does not exist.
+#[test]
+fn l2_snapshot_naming_a_core_past_the_l2_is_corrupt() {
+    let bytes = l2_awaiting_a_fill(8, 5);
+    assert_eq!(decode_l2(8, &bytes), Ok(()));
+    assert_eq!(
+        decode_l2(2, &bytes),
+        Err(skipit_snap::SnapError::Corrupt(
+            "l2 mshr agent out of range"
+        ))
+    );
+}
+
+/// An L2 MSHR's reserved way past the L2's ways would alias a way of the
+/// next set (or index past the array) when the fill installs.
+#[test]
+fn l2_snapshot_naming_a_way_past_the_array_is_corrupt() {
+    use skipit_snap::{Codec, SnapWriter};
+    use skipit_tilelink::{Grow, LineAddr};
+
+    let mut bytes = l2_awaiting_a_fill(1, 0);
+    assert_eq!(decode_l2(1, &bytes), Ok(()));
+    // MSHR 0 as the wire format lays it out: the slot count (64), `Some`,
+    // the line, `Acquire { source: 0, grow: NtoB }`, `MemReadWait` (5),
+    // then no pending acks, no probe targets and the probe cap, then the
+    // reserved way, `Some(0)`.
+    let mut w = SnapWriter::new();
+    w.put_u64(64);
+    w.put_u8(1);
+    LineAddr::new(0x1000).encode(&mut w);
+    w.put_u8(0);
+    w.put_u64(0);
+    Grow::NtoB.encode(&mut w);
+    w.put_u8(5);
+    let slot = w.into_bytes();
+    let starts: Vec<usize> = (0..bytes.len() - slot.len())
+        .filter(|&i| bytes[i..].starts_with(&slot))
+        .collect();
+    assert_eq!(starts.len(), 1, "MSHR 0 not found in the snapshot");
+    let way = starts[0] + slot.len() + 3;
+    assert_eq!(bytes[way..way + 2], [1, 0], "MSHR 0 reserves way 0");
+    // Way 1000, a two-byte varint.
+    bytes.splice(way + 1..way + 2, [0xe8, 0x07]);
+    assert_eq!(
+        decode_l2(1, &bytes),
+        Err(skipit_snap::SnapError::Corrupt("l2 mshr way out of range"))
     );
 }
