@@ -71,6 +71,30 @@ fn lockstep_oracle_accepts_serialized_fig9() {
     assert_eq!(stats, ref_stats, "oracle changed the Fig. 9 statistics");
 }
 
+/// The lockstep oracle on the dense 8-core Fig. 9 shape (the
+/// `fig09_flush_8c` benchmark's inputs, two samples on one system). Every
+/// core is due almost every cycle, so the wheel rarely jumps, but each
+/// executed cycle recomputes every skipped slot's bound: a wake edge that
+/// the L2 or a core failed to raise panics at the cycle it is missed.
+#[test]
+fn lockstep_oracle_accepts_dense_fig9() {
+    let run = |oracle: bool| {
+        let mut sys = SystemBuilder::new()
+            .cores(8)
+            .lockstep_oracle(oracle)
+            .build();
+        let cycles: Vec<u64> = (0..2)
+            .map(|_| fig9_sample(&mut sys, 8, 128 * 1024, false))
+            .collect();
+        (cycles, sys.stats())
+    };
+    let (cycles, stats) = run(true);
+    assert_eq!(cycles, [2469, 2469], "oracle changed the Fig. 9 cycles");
+    let (ref_cycles, ref_stats) = run(false);
+    assert_eq!(cycles, ref_cycles, "oracle changed the Fig. 9 cycles");
+    assert_eq!(stats, ref_stats, "oracle changed the Fig. 9 statistics");
+}
+
 /// The wheel's work on two 8-core Fig. 9 shapes, pinned as exact cycles
 /// and engine counters: the dense one (the `fig09_flush_8c` benchmark's
 /// inputs, two samples on one system), where every core is due almost
