@@ -7,13 +7,14 @@
 //! * A fence blocks younger loads, completes only after all older memory
 //!   operations are done **and** the L1 flush counter is zero (§5.3).
 //! * Where the L1 would refuse a request (a nack, §3.3), the request is
-//!   held in its queue until [`DataCache::would_accept`] turns true, so a
-//!   fired request is never refused.
+//!   held in its queue: the LSU fires through [`DataCache::offer`], which
+//!   decides admission once and changes nothing on a refusal, and offers
+//!   it again on a later cycle.
 
 use crate::op::{Op, OpToken};
 use crate::trace::{TraceLog, TraceRecord};
-use skipit_dcache::req::DcReqKind;
-use skipit_dcache::{DataCache, DcReq, DcResp, ReqId, ReqOutcome};
+use skipit_dcache::{DataCache, DcReq, DcResp, ReqId};
+use skipit_snap::HostOnly;
 use skipit_tilelink::LineAddr;
 use skipit_trace::{TraceEvent, TraceSink};
 use std::collections::VecDeque;
@@ -57,6 +58,13 @@ pub struct Lsu {
     trace: Option<TraceLog>,
     /// Event sink for fence-stall begin/end events (see [`skipit_trace`]).
     events: Option<TraceSink>,
+    /// The STQ head's last refusal, `(seq, L1 mutations)`: while neither
+    /// moves, the L1 would refuse it again (see [`Lsu::next_event`]).
+    /// Host-only, cleared on decode.
+    held: HostOnly<Option<(u64, u64)>>,
+    /// Whether an entry became done since the last retire; while false
+    /// there is nothing to retire. Host-only, rebuilt on decode.
+    retire_due: HostOnly<bool>,
 }
 
 impl Lsu {
@@ -71,6 +79,8 @@ impl Lsu {
             core,
             trace: None,
             events: None,
+            held: HostOnly(None),
+            retire_due: HostOnly(false),
         }
     }
 
@@ -180,14 +190,16 @@ impl Lsu {
         self.finished.clear();
     }
 
-    /// Advances the LSU one cycle against its L1 cache.
-    pub fn step(&mut self, now: u64, l1: &mut DataCache) {
+    /// Advances the LSU one cycle against its L1 cache. Returns whether an
+    /// op retired: only a retire frees queue room or adds a result, the two
+    /// things a frontend reads.
+    pub fn step(&mut self, now: u64, l1: &mut DataCache) -> bool {
         self.collect_responses(now, l1);
-        self.retire(now);
+        let retired = self.retire(now);
         self.commit_fence(now, l1);
         self.fire_stq_head(now, l1);
         self.fire_loads(now, l1);
-        self.retire(now);
+        self.retire(now) || retired
     }
 
     fn collect_responses(&mut self, now: u64, l1: &mut DataCache) {
@@ -210,12 +222,20 @@ impl Lsu {
                     e.done = true;
                 }
             }
+            self.retire_due.0 = true;
         }
     }
 
     /// Pops completed entries: the STQ retires in order from the head; loads
-    /// retire as they complete.
-    fn retire(&mut self, now: u64) {
+    /// retire as they complete. Only the STQ head ever fires, so after a
+    /// retire no entry is done until the next `retire_due`. Returns whether
+    /// any entry retired.
+    fn retire(&mut self, now: u64) -> bool {
+        if !self.retire_due.0 {
+            return false;
+        }
+        self.retire_due.0 = false;
+        let before = self.finished.len();
         while self.stq.front().is_some_and(|e| e.done) {
             let e = self.stq.pop_front().expect("nonempty");
             self.record(&e, now);
@@ -231,6 +251,7 @@ impl Lsu {
                 i += 1;
             }
         }
+        self.finished.len() > before
     }
 
     fn record(&mut self, e: &Entry, now: u64) {
@@ -249,12 +270,13 @@ impl Lsu {
     /// and the flush counter at zero (§5.3).
     fn commit_fence(&mut self, now: u64, l1: &DataCache) {
         let Some(head) = self.stq.front() else { return };
-        if head.op != Op::Fence || head.done {
+        if !matches!(head.op, Op::Fence) || head.done {
             return;
         }
         let token = head.token;
         if self.fence_may_commit(head.seq, l1) {
             self.stq.front_mut().expect("nonempty").done = true;
+            self.retire_due.0 = true;
             skipit_trace::trace!(
                 self.events,
                 now,
@@ -276,18 +298,22 @@ impl Lsu {
         let Some(head) = self.stq.front_mut() else {
             return;
         };
-        if head.fired || head.done || head.op == Op::Fence {
+        if head.fired || head.done || matches!(head.op, Op::Fence) {
+            return;
+        }
+        // Hold the head while the cache refuses it: the request stays
+        // pending at zero cost and fires on the exact cycle the blocking
+        // condition clears. Admission is a function of L1 state alone, so a
+        // refusal stands until the L1 changes.
+        if self.held.0 == Some((head.seq, l1.mutations())) {
             return;
         }
         let kind = head.op.to_dcache().expect("STQ op lowers to a request");
-        // Hold the head while the cache would refuse it instead of firing
-        // into a nack: the request stays pending at zero cost and fires on
-        // the exact cycle the blocking condition clears.
-        if !l1.would_accept(kind) {
-            return;
+        if l1.offer(now, DcReq { id: head.req_id, kind }) {
+            head.fired = true;
+        } else {
+            self.held.0 = Some((head.seq, l1.mutations()));
         }
-        fire(self.core, now, l1, head, kind);
-        head.fired = true;
     }
 
     fn fire_loads(&mut self, now: u64, l1: &mut DataCache) {
@@ -306,16 +332,16 @@ impl Lsu {
                     let le = &mut self.ldq[i];
                     le.value = value;
                     le.done = true;
+                    self.retire_due.0 = true;
                     fired += 1;
                 }
                 LoadDep::Clear => {
                     let kind = e.op.to_dcache().expect("load lowers");
-                    // Hold the load while the cache would refuse it (see
+                    // Hold the load while the cache refuses it (see
                     // fire_stq_head); a held load consumes no fire slot.
-                    if !l1.would_accept(kind) {
+                    if !l1.offer(now, DcReq { id: e.req_id, kind }) {
                         continue;
                     }
-                    fire(self.core, now, l1, &e, kind);
                     self.ldq[i].fired = true;
                     fired += 1;
                 }
@@ -332,21 +358,22 @@ impl Lsu {
     /// progress is evented through the head (stores retire strictly in
     /// order, so every unblocking transition happens at an evented tick).
     pub fn next_event(&self, now: u64, l1: &DataCache) -> Option<u64> {
-        if self.ldq.iter().any(|e| e.done) {
+        if self.retire_due.0 {
             return Some(now); // retire work pending
         }
         if let Some(head) = self.stq.front() {
-            if head.done {
-                return Some(now); // retire work pending
-            }
-            if head.op == Op::Fence {
+            if matches!(head.op, Op::Fence) {
                 // A fence that could commit this cycle is an event; a
                 // blocked one is woken by the evented load completions /
                 // flush-counter drain.
                 if self.fence_may_commit(head.seq, l1) {
                     return Some(now);
                 }
-            } else if !head.fired && l1.would_accept(head.op.to_dcache().expect("STQ op lowers")) {
+            } else if !head.fired
+                && self.held.0 != Some((head.seq, l1.mutations()))
+                && l1.would_accept(head.op.to_dcache().expect("STQ op lowers"))
+            {
+                // (A refusal the L1 has not mutated since is not re-asked.)
                 return Some(now); // fire_stq_head fires this cycle
             }
             // Otherwise the head is held; the L1 transition that flips
@@ -397,20 +424,6 @@ impl Lsu {
     }
 }
 
-/// Fires entry `e` (lowered to `kind`) into core `core`'s L1. The LSU fires
-/// only what [`DataCache::would_accept`] admits, and that answer comes from
-/// the decision [`DataCache::try_request`] acts on, so a refusal here is an
-/// interlock bug and panics, like the run watchdog.
-fn fire(core: usize, now: u64, l1: &mut DataCache, e: &Entry, kind: DcReqKind) {
-    let outcome = l1.try_request(now, DcReq { id: e.req_id, kind });
-    assert_eq!(
-        outcome,
-        ReqOutcome::Accepted,
-        "core {core}: the L1 refused {:?}, which would_accept admitted",
-        e.op
-    );
-}
-
 enum LoadDep {
     Blocked,
     Forward(u64),
@@ -459,6 +472,8 @@ impl Lsu {
         self.seq = u64::decode(r)?;
         self.next_req = ReqId::decode(r)?;
         self.finished = VecDeque::decode(r)?;
+        self.held.0 = None;
+        self.retire_due.0 = self.stq.iter().chain(&self.ldq).any(|e| e.done);
         Ok(())
     }
 }

@@ -207,10 +207,6 @@ struct Wheel {
     /// worker-paced frontend does not force its whole core slot — and
     /// the L1 `next_event` walk that re-arms it — every executed cycle).
     due_fe: Vec<u64>,
-    /// Reusable per-core scratch for the L2 phase's link-condition
-    /// snapshots (`[b_empty, d_empty, a_can_push, c_can_push,
-    /// e_can_push]`).
-    scratch: Vec<[bool; 5]>,
     /// Consecutive executed steps of each core slot since it last slept or
     /// was woken; drives the [`WHEEL_PROBE_PERIOD`] bound-walk hysteresis.
     streak_comp: Vec<u32>,
@@ -918,7 +914,7 @@ impl System {
             self.l1s[i].step(now, &mut ports);
             self.lsus[i].step(now, &mut self.l1s[i]);
         }
-        self.step_frontends(workers);
+        self.step_frontends(workers, u64::MAX);
         self.now += 1;
     }
 
@@ -1036,8 +1032,13 @@ impl System {
     /// usable the same cycle; a core's A/C/E push arms the L2 at head
     /// arrival and its B/D pop at the next cycle (the L2 steps first, so it
     /// cannot observe either before then); a frontend enqueue arms its core
-    /// for the next cycle. Frontends run every executed cycle: they are
-    /// cheap, and a worker's next command must not be deferred.
+    /// for the next cycle. The link edges come from the links' own stamps
+    /// ([`Link::filled_at`], [`Link::freed_at`]). A frontend runs when its
+    /// own slot is due or its LSU retired an op this cycle (only a retire
+    /// can finish its op or free room for its next one); any other
+    /// frontend's step would change nothing. Each frontend that ran with a
+    /// stepped core, or changed state, is re-armed once, after the
+    /// frontend phase.
     fn tick_wheel(&mut self, workers: &mut [WorkerLane<'_>]) {
         self.poll_telemetry();
         let mut lap = crate::prof::Timer::start();
@@ -1045,30 +1046,6 @@ impl System {
         let cores = self.cfg.cores;
         self.engine.component_slots += 1 + cores as u64;
         if self.wheel.due_l2 <= now {
-            // Snapshot the receiver-facing link conditions whose *edge
-            // transitions* are wake edges: an empty→non-empty B/D means a
-            // new head the core's bound has never seen; a full→non-full
-            // A/C/E re-opens a slot a blocked sender's bound ignored.
-            // (A push behind an existing head leaves the head — and thus
-            // the receiver's bound — unchanged; a pop from a non-full link
-            // leaves `can_push` true, which the sender's bound already
-            // assumed.) A core already due this cycle needs no wake edge —
-            // it steps regardless and re-arms from full current state — so
-            // its links are not snapshotted at all.
-            self.wheel.scratch.clear();
-            for i in 0..cores {
-                self.wheel.scratch.push(if self.wheel.due_comp[i] > now {
-                    [
-                        self.b[i].is_empty(),
-                        self.d[i].is_empty(),
-                        self.a[i].can_push(),
-                        self.c[i].can_push(),
-                        self.e[i].can_push(),
-                    ]
-                } else {
-                    [false; 5]
-                });
-            }
             {
                 let mut ports = L2Ports {
                     a: &mut self.a,
@@ -1081,26 +1058,33 @@ impl System {
                 self.l2.step(now, &mut ports);
             }
             self.engine.component_steps += 1;
+            // The L2's link edges this cycle are wake edges (the L2 is the
+            // only B/D pusher and A/C/E popper, and it steps first, so each
+            // link's stamp for `now` is an edge of this step): a B/D that
+            // went non-empty has a head the core's bound never saw; an
+            // A/C/E that went non-full re-opens a slot a blocked sender's
+            // bound ignored. (A push behind an existing head leaves the
+            // head, and thus the receiver's bound, unchanged; a pop from a
+            // non-full link leaves `can_push` true, which the sender's
+            // bound already assumed.) A core already due this cycle needs
+            // no wake edge: it steps regardless and re-arms from full
+            // current state.
             for i in 0..cores {
                 if self.wheel.due_comp[i] <= now {
                     continue;
                 }
-                let [b_empty, d_empty, a_can, c_can, e_can] = self.wheel.scratch[i];
                 let mut wake = NEVER;
-                if b_empty {
+                if self.b[i].filled_at(now) {
                     if let Some(t) = self.b[i].next_ready() {
                         wake = wake.min(t);
                     }
                 }
-                if d_empty {
+                if self.d[i].filled_at(now) {
                     if let Some(t) = self.d[i].next_ready() {
                         wake = wake.min(t);
                     }
                 }
-                if (!a_can && self.a[i].can_push())
-                    || (!c_can && self.c[i].can_push())
-                    || (!e_can && self.e[i].can_push())
-                {
+                if self.a[i].freed_at(now) || self.c[i].freed_at(now) || self.e[i].freed_at(now) {
                     // The freed slot is usable this very cycle: the L2
                     // steps before the L1s, matching naive tick order.
                     wake = now;
@@ -1138,11 +1122,14 @@ impl System {
         // then the edge scan below is skipped entirely.
         let l2_sleeping = self.wheel.due_l2 > now + 1;
         let mut l2_wake = NEVER;
+        let (mut stepped, mut retired) = (0u64, 0u64);
         for i in 0..cores {
             if self.wheel.due_comp[i] <= now {
-                l2_wake = l2_wake.min(self.step_core_slot(i, now, l2_sleeping));
+                let (wake, retire) = self.step_core_slot(i, now, l2_sleeping);
+                l2_wake = l2_wake.min(wake);
                 self.engine.component_steps += 1;
-                self.wheel.due_fe[i] = self.fe_due(i).max(now + 1);
+                stepped |= 1 << i;
+                retired |= u64::from(retire) << i;
             }
         }
         if l2_wake != NEVER {
@@ -1153,8 +1140,16 @@ impl System {
             }
         }
         lap.lap(&mut self.engine.phase.core_ns);
-        let (enqueued, active) = self.step_frontends(workers);
-        let mut m = active;
+        let mut run = retired;
+        for (i, &t) in self.wheel.due_fe.iter().enumerate() {
+            if t <= now {
+                run |= 1 << i;
+            }
+        }
+        let (enqueued, active) = self.step_frontends(workers, run);
+        // A frontend that did not run kept its state, and so did its LSU
+        // as far as it reads (nothing retired): its bound stands.
+        let mut m = active | (stepped & run);
         while m != 0 {
             let i = m.trailing_zeros() as usize;
             m &= m - 1;
@@ -1175,13 +1170,8 @@ impl System {
 
     /// Steps one due core slot (L1 + LSU + the five per-core link
     /// endpoints) and re-arms its due bound; returns the slot's wake edge
-    /// toward the L2 ([`NEVER`] when none).
-    fn step_core_slot(&mut self, i: usize, now: u64, l2_sleeping: bool) -> u64 {
-        let a_empty = l2_sleeping && self.a[i].is_empty();
-        let c_empty = l2_sleeping && self.c[i].is_empty();
-        let e_empty = l2_sleeping && self.e[i].is_empty();
-        let b_can = !l2_sleeping || self.b[i].can_push();
-        let d_can = !l2_sleeping || self.d[i].can_push();
+    /// toward the L2 ([`NEVER`] when none) and whether an op retired.
+    fn step_core_slot(&mut self, i: usize, now: u64, l2_sleeping: bool) -> (u64, bool) {
         {
             let mut ports = skipit_dcache::L1Ports {
                 a: &mut self.a[i],
@@ -1192,27 +1182,31 @@ impl System {
             };
             self.l1s[i].step(now, &mut ports);
         }
-        self.lsus[i].step(now, &mut self.l1s[i]);
-        // Mirror image of the L2 phase's edges; the L2 cannot act on either
-        // before the next cycle (it steps first).
+        let retired = self.lsus[i].step(now, &mut self.l1s[i]);
+        // Mirror image of the L2 phase's edges (the core is the only A/C/E
+        // pusher and B/D popper of its links); the L2 cannot act on either
+        // before the next cycle (it steps first), so an L2 already due by
+        // then needs none.
         let mut wake = NEVER;
-        if a_empty {
-            if let Some(t) = self.a[i].next_ready() {
-                wake = wake.min(t);
+        if l2_sleeping {
+            if self.a[i].filled_at(now) {
+                if let Some(t) = self.a[i].next_ready() {
+                    wake = wake.min(t);
+                }
             }
-        }
-        if c_empty {
-            if let Some(t) = self.c[i].next_ready() {
-                wake = wake.min(t);
+            if self.c[i].filled_at(now) {
+                if let Some(t) = self.c[i].next_ready() {
+                    wake = wake.min(t);
+                }
             }
-        }
-        if e_empty {
-            if let Some(t) = self.e[i].next_ready() {
-                wake = wake.min(t);
+            if self.e[i].filled_at(now) {
+                if let Some(t) = self.e[i].next_ready() {
+                    wake = wake.min(t);
+                }
             }
-        }
-        if (!b_can && self.b[i].can_push()) || (!d_can && self.d[i].can_push()) {
-            wake = wake.min(now + 1);
+            if self.b[i].freed_at(now) || self.d[i].freed_at(now) {
+                wake = wake.min(now + 1);
+            }
         }
         self.wheel.streak_comp[i] += 1;
         let streak = self.wheel.streak_comp[i];
@@ -1226,7 +1220,7 @@ impl System {
             } else {
                 now + 1
             };
-        wake
+        (wake, retired)
     }
 
     /// One step of the [`EngineKind::ComponentWheel`] engine: jump the
@@ -1432,14 +1426,14 @@ impl System {
         }
     }
 
-    /// Steps every frontend (they run each executed cycle regardless of
-    /// wheel slots). Returns two per-core bitmasks for the wheel's wake
-    /// edges: `enqueued` — cores whose LSU received an op this cycle (the
-    /// core slot must run next cycle); `active` — cores whose frontend
+    /// Steps the frontends of the cores set in `which` (the naive engine
+    /// passes every core). Returns two per-core bitmasks for the wheel's
+    /// wake edges: `enqueued` — cores whose LSU received an op this cycle
+    /// (the core slot must run next cycle); `active` — cores whose frontend
     /// changed state at all (its due bound must be recomputed). The naive
     /// engine ignores both. `workers` holds the live worker futures of a
     /// worker-mode run (empty otherwise).
-    fn step_frontends(&mut self, workers: &mut [WorkerLane<'_>]) -> (u64, u64) {
+    fn step_frontends(&mut self, workers: &mut [WorkerLane<'_>], which: u64) -> (u64, u64) {
         let now = self.now;
         // A worker's response, flagged once its run's budget expired.
         let deadline = self.deadline;
@@ -1471,6 +1465,9 @@ impl System {
         };
         for (i, fe) in frontends.iter_mut().enumerate() {
             let bit = 1u64 << i;
+            if which & bit == 0 {
+                continue;
+            }
             match fe {
                 Frontend::Idle => {}
                 Frontend::Replay {
@@ -1523,6 +1520,7 @@ impl System {
                     // unwound; its frontend reads as finished.
                     let Some(lane) = workers.get_mut(i) else {
                         *finished = true;
+                        active |= bit;
                         continue;
                     };
                     // Deliver a completed op's or think time's result.
@@ -2157,7 +2155,7 @@ mod tests {
             let l2_ns = t0.elapsed().as_nanos() as f64 / N as f64;
             let t0 = Instant::now();
             for _ in 0..N {
-                s.step_frontends(&mut []);
+                s.step_frontends(&mut [], u64::MAX);
             }
             let fe_ns = t0.elapsed().as_nanos() as f64 / N as f64;
             eprintln!(

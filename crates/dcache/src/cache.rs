@@ -449,10 +449,22 @@ impl DataCache {
         !matches!(self.admit(kind), Admit::Refuse)
     }
 
+    /// A count that moves whenever the answer of
+    /// [`DataCache::would_accept`] may have changed: a refusal seen at one
+    /// value holds for the same request while the count stays put.
+    /// Admission reads only the configuration, the array's tags, metadata
+    /// and LRU stamps, the MSHRs and the flush unit's queue and FSHRs, and
+    /// each of those counts its own writes, so their sum moves on every
+    /// write that can matter. Not simulated state: no snapshot carries it
+    /// and its value means nothing across caches.
+    pub fn mutations(&self) -> u64 {
+        self.arrays.changes() + self.mshrs.changes() + self.flush.changes()
+    }
+
     /// The one admission decision: the path `kind` takes this cycle, or
     /// [`Admit::Refuse`]. It emits no trace event and changes no stat, so
     /// [`DataCache::would_accept`] can ask it for the LSU and the wheel's
-    /// due bounds (DESIGN.md §8); [`DataCache::try_request`] acts on it.
+    /// due bounds (DESIGN.md §8); [`DataCache::offer`] acts on it.
     fn admit(&self, kind: DcReqKind) -> Admit {
         let line = LineAddr::containing(kind.addr());
         let set = self.arrays.set_index(line);
@@ -588,17 +600,31 @@ impl DataCache {
 
     /// Presents one LSU request to the cache. See [`ReqOutcome`] for the
     /// accept/nack contract; accepted requests answer through
-    /// [`DataCache::pop_response`].
+    /// [`DataCache::pop_response`]. A refusal counts a nack.
     pub fn try_request(&mut self, now: u64, req: DcReq) -> ReqOutcome {
+        if self.offer(now, req) {
+            ReqOutcome::Accepted
+        } else {
+            self.stats.nacks += 1;
+            ReqOutcome::Nack
+        }
+    }
+
+    /// Decides admission once and acts on it: an accepted request takes
+    /// its path and answers through [`DataCache::pop_response`] (returns
+    /// `true`); a refused one changes nothing, not even the nack count
+    /// (returns `false`). The LSU fires through this, so the decision it
+    /// holds a request on and the one the cache acts on are the same call.
+    pub fn offer(&mut self, now: u64, req: DcReq) -> bool {
+        let path = self.admit(req.kind);
+        if matches!(path, Admit::Refuse) {
+            return false;
+        }
         let id = req.id;
         let line = LineAddr::containing(req.kind.addr());
         let set = self.arrays.set_index(line);
-        let path = self.admit(req.kind);
         match (path, req.kind) {
-            (Admit::Refuse, _) => {
-                self.stats.nacks += 1;
-                return ReqOutcome::Nack;
-            }
+            (Admit::Refuse, _) => unreachable!("refusals return above"),
             (Admit::SkipDrop, _) => {
                 self.stats.writebacks_skipped += 1;
                 skipit_trace::trace!(
@@ -681,7 +707,7 @@ impl DataCache {
             }
             (path, kind) => unreachable!("admission path {path:?} for {kind:?}"),
         }
-        ReqOutcome::Accepted
+        true
     }
 
     /// Whether an MSHR on `line` may still hold buffered (unreplayed)

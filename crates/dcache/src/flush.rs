@@ -23,6 +23,7 @@ use skipit_tilelink::{
     AgentId, Cap, ChannelC, ClientState, LineAddr, LineData, Link, PerturbConfig, WritebackKind,
     LINE_BYTES,
 };
+use skipit_snap::HostOnly;
 use skipit_trace::{TraceEvent, TraceSink};
 use std::collections::VecDeque;
 
@@ -174,6 +175,8 @@ pub struct FlushUnit {
     /// stamp (always incremented, unlike the perturbation-only
     /// `dispatch_seq`).
     alloc_seq: u64,
+    /// Writes of the queue so far (see [`FlushUnit::changes`]). Host-only.
+    queue_changes: HostOnly<u64>,
 }
 
 impl FlushUnit {
@@ -200,6 +203,7 @@ impl FlushUnit {
             dispatch_seq: 0,
             hold_until: None,
             alloc_seq: 0,
+            queue_changes: HostOnly(0),
         }
     }
 
@@ -258,6 +262,13 @@ impl FlushUnit {
         self.queue.len() >= self.depth
     }
 
+    /// A count that moves on every write of the queue or of an FSHR: while
+    /// it stays put, so does everything the cache's admission reads here.
+    /// Not simulated state.
+    pub fn changes(&self) -> u64 {
+        self.queue_changes.0 + self.fshrs.changes()
+    }
+
     /// Number of requests currently buffered in the queue.
     pub fn queue_len(&self) -> usize {
         self.queue.len()
@@ -287,6 +298,7 @@ impl FlushUnit {
 
     /// The queued entries for `addr`, oldest first, mutably.
     fn queued_on_mut(&mut self, addr: LineAddr) -> impl Iterator<Item = &mut FlushEntry> {
+        self.queue_changes.0 += 1;
         let scan = self.scan_len(addr);
         self.queue.range_mut(..scan).filter(move |e| e.addr == addr)
     }
@@ -360,6 +372,7 @@ impl FlushUnit {
     /// [`FlushUnit::cross_kind_partner`]: a `CBO.FLUSH` upgrades the queued
     /// clean to a flush.
     pub(crate) fn cross_kind_absorb(&mut self, idx: usize, kind: WritebackKind) {
+        self.queue_changes.0 += 1;
         if kind == WritebackKind::Flush {
             self.queue[idx].kind = WritebackKind::Flush;
         }
@@ -373,6 +386,7 @@ impl FlushUnit {
     /// [`FlushUnit::queue_full`] and refuse the request instead (§5.2).
     pub fn enqueue(&mut self, entry: FlushEntry) {
         assert!(!self.queue_full(), "flush queue overflow");
+        self.queue_changes.0 += 1;
         self.queued[bucket(entry.addr)] += 1;
         self.queue.push_back(entry);
         self.counter += 1;
@@ -453,6 +467,7 @@ impl FlushUnit {
             self.hold_until = None;
             self.dispatch_seq += 1;
         }
+        self.queue_changes.0 += 1;
         let entry = self.queue.pop_front().expect("nonempty");
         self.queued[bucket(entry.addr)] -= 1;
         let state = Self::initial_state(&entry);
@@ -1283,6 +1298,7 @@ impl FlushUnit {
         let next = usize::decode(r)?;
         self.next_fshr = self.fshrs.check_index(next, "fshr pointer out of range")?;
         self.queue = queue;
+        self.queue_changes.0 += 1;
         self.queued = self.bucket_counts();
         self.counter = u64::decode(r)?;
         self.dispatch_seq = u64::decode(r)?;

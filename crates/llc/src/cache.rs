@@ -17,6 +17,7 @@ use skipit_tilelink::{
     AgentId, Cap, ChannelA, ChannelB, ChannelC, ChannelD, ChannelE, GrantFlavor, Grow, LineAddr,
     LineData, Link, PerturbConfig, Shrink, WritebackKind,
 };
+use skipit_snap::HostOnly;
 use skipit_trace::{TraceEvent, TraceSink};
 use std::collections::VecDeque;
 
@@ -171,6 +172,19 @@ pub struct InclusiveCache {
     /// only its set's bits. Kept in step by [`Self::occupy`] and
     /// [`Self::release`]; rebuilt on decode, never serialized.
     set_claims: Vec<u64>,
+    /// The slots in `Access`, as `(until, slot)` in allocation order, which
+    /// with one fixed latency is `until` order. A slot leaves the queue
+    /// when its access is due; until then it is `waiting` and neither the
+    /// MSHR walk nor [`Self::next_event`] visits it. Host-only, rebuilt on
+    /// decode.
+    access: HostOnly<VecDeque<(u64, usize)>>,
+    /// The slots queued in `access` (host-only).
+    waiting: HostOnly<u64>,
+    /// The slots waiting for a memory response, in request order: the
+    /// memory completes requests in acceptance order, so the front is the
+    /// next response's slot. Host-only, rebuilt on decode (request order is
+    /// token order).
+    mem_order: HostOnly<VecDeque<usize>>,
     list_buffer: VecDeque<Deferred>,
     next_token: u64,
     stats: L2Stats,
@@ -205,6 +219,9 @@ impl InclusiveCache {
             arrays: SetAssocArray::new(cfg.sets, cfg.ways),
             mshrs: SlotFile::new(cfg.mshrs),
             set_claims: vec![0; cfg.sets],
+            access: HostOnly(VecDeque::with_capacity(cfg.mshrs)),
+            waiting: HostOnly(0),
+            mem_order: HostOnly(VecDeque::with_capacity(cfg.mshrs)),
             list_buffer: VecDeque::with_capacity(cfg.list_buffer_depth),
             next_token: 0,
             stats: L2Stats::default(),
@@ -279,6 +296,8 @@ impl InclusiveCache {
             }
         );
         let until = now + self.cfg.access_latency;
+        self.access.0.push_back((until, slot));
+        self.waiting.0 |= 1 << slot;
         self.mshrs.put(
             slot,
             L2Slot(Some(L2Mshr {
@@ -322,13 +341,64 @@ impl InclusiveCache {
         claims
     }
 
-    /// Checks the MSHR state masks against a scan of the slots, and the
-    /// set claims against the live slots' lines.
+    /// The access queue a scan of the slots derives: every slot in
+    /// `Access`, by `(until, slot)`.
+    fn scan_access(&self) -> VecDeque<(u64, usize)> {
+        let mut queue: Vec<(u64, usize)> = Slots(self.mshrs.occupied())
+            .filter_map(|i| match self.mshrs[i].mshr().state {
+                L2MshrState::Access { until } => Some((until, i)),
+                _ => None,
+            })
+            .collect();
+        queue.sort_unstable();
+        queue.into()
+    }
+
+    /// The memory-response order a scan of the slots derives: every slot
+    /// waiting for memory, by token.
+    fn scan_mem_order(&self) -> VecDeque<usize> {
+        let mut waiting: Vec<(u64, usize)> = Slots(self.mshrs.mask(PARKED))
+            .filter_map(|i| {
+                let m = self.mshrs[i].mshr();
+                (m.state != L2MshrState::WaitGrantAck).then_some((m.token, i))
+            })
+            .collect();
+        waiting.sort_unstable();
+        waiting.into_iter().map(|(_, i)| i).collect()
+    }
+
+    /// Checks the MSHR state masks against a scan of the slots, the set
+    /// claims against the live slots' lines, the memory-response order
+    /// against the slots waiting for memory, and the access queue against
+    /// the slots: sorted by `until`, each entry an `Access` slot with that
+    /// `until`, and `waiting` exactly the queued slots.
     pub fn check_slot_masks(&self) -> Result<(), String> {
         self.mshrs.check_masks()?;
-        (self.set_claims == self.scan_claims())
-            .then_some(())
-            .ok_or_else(|| "l2 set claims disagree with the live mshrs".into())
+        if self.set_claims != self.scan_claims() {
+            return Err("l2 set claims disagree with the live mshrs".into());
+        }
+        if self.mem_order.0 != self.scan_mem_order() {
+            return Err("l2 memory order disagrees with the slots waiting for memory".into());
+        }
+        let queue = &self.access.0;
+        if queue.iter().zip(queue.iter().skip(1)).any(|(a, b)| a.0 > b.0) {
+            return Err("l2 access queue out of until order".into());
+        }
+        let mut queued = 0u64;
+        for &(until, i) in queue {
+            let state = self.mshrs.get(i).and_then(|s| s.0).map(|m| m.state);
+            if state != Some(L2MshrState::Access { until }) {
+                return Err(format!("l2 access queue names slot {i} at {until}, which is {state:?}"));
+            }
+            queued |= 1 << i;
+        }
+        if self.waiting.0 != queued {
+            return Err(format!(
+                "l2 waiting mask {:#x} is not the queued slots {queued:#x}",
+                self.waiting.0
+            ));
+        }
+        Ok(())
     }
 
     /// Dirty bit of a resident line (`false` if absent) — test/debug helper.
@@ -413,7 +483,15 @@ impl InclusiveCache {
     ) -> Option<u64> {
         let mut next: Option<u64> = None;
         let mut merge = |t: u64| next = Some(next.map_or(t, |n| n.min(t)));
-        for idx in Slots(self.mshrs.occupied() & !self.mshrs.mask(PARKED)) {
+        // The queue's head is its earliest access; the slots behind it are
+        // no earlier.
+        if let Some(&(until, _)) = self.access.0.front() {
+            if until <= now {
+                return Some(now);
+            }
+            merge(until);
+        }
+        for idx in Slots(self.mshrs.occupied() & !self.mshrs.mask(PARKED) & !self.waiting.0) {
             let m = self.mshrs[idx].mshr();
             match m.state {
                 L2MshrState::Access { until } => {
@@ -481,11 +559,9 @@ impl InclusiveCache {
         ports.mem.step(now);
         while let Some(resp) = ports.mem.pop_response() {
             let token = resp.token();
-            let Some(idx) = Slots(self.mshrs.mask(PARKED)).find(|&idx| {
-                let m = self.mshrs[idx].mshr();
-                m.token == token && m.state != L2MshrState::WaitGrantAck
-            }) else {
-                panic!("memory response with unknown token {token}");
+            let idx = match self.mem_order.0.pop_front() {
+                Some(idx) if self.mshrs[idx].0.is_some_and(|m| m.token == token) => idx,
+                _ => panic!("memory response with unknown token {token}"),
             };
             let m = self.mshrs[idx].mshr();
             let next = match (resp, m.state) {
@@ -734,11 +810,22 @@ impl InclusiveCache {
     }
 
     fn step_mshrs(&mut self, now: u64, ports: &mut L2Ports<'_>) {
+        // Accesses due by now leave the queue and join the walk.
+        while let Some(&(until, slot)) = self.access.0.front() {
+            if until > now {
+                break;
+            }
+            self.access.0.pop_front();
+            self.waiting.0 &= !(1 << slot);
+        }
         // Nothing allocates a slot in this phase and only the visited slot
         // can change state or retire, so walking the mask as it stood on
-        // entry visits exactly the slots a full scan would find live and
-        // unparked; a parked slot has nothing to do until an arrival.
-        for idx in Slots(self.mshrs.occupied() & !self.mshrs.mask(PARKED)) {
+        // entry visits exactly the slots a full scan would find live,
+        // unparked and not waiting for their access; a parked slot has
+        // nothing to do until an arrival, a waiting one until its `until`.
+        // (A due access whose plan cannot proceed stays in `Access`, out of
+        // the queue, and is walked again next cycle.)
+        for idx in Slots(self.mshrs.occupied() & !self.mshrs.mask(PARKED) & !self.waiting.0) {
             match self.mshrs[idx].mshr().state {
                 L2MshrState::Access { until } => {
                     if now >= until {
@@ -764,18 +851,12 @@ impl InclusiveCache {
                             continue;
                         };
                         let data = self.arrays.line(set, w);
-                        let token = self.next_token;
-                        self.next_token += 1;
-                        m.token = token;
-                        self.mshrs.set_state(idx, L2MshrState::VictimWriteWait);
-                        ports.mem.request(
-                            now,
-                            MemReq::Write {
-                                addr: victim,
-                                data,
-                                token,
-                            },
-                        );
+                        let wait = L2MshrState::VictimWriteWait;
+                        self.request_mem(now, idx, ports.mem, wait, |token| MemReq::Write {
+                            addr: victim,
+                            data,
+                            token,
+                        });
                         self.stats.dirty_evictions += 1;
                     }
                 }
@@ -794,12 +875,12 @@ impl InclusiveCache {
                         }
                     }
                     if ports.mem.can_accept(now) {
-                        let token = self.next_token;
-                        self.next_token += 1;
-                        m.token = token;
                         let addr = m.addr;
-                        self.mshrs.set_state(idx, L2MshrState::MemReadWait);
-                        ports.mem.request(now, MemReq::Read { addr, token });
+                        let wait = L2MshrState::MemReadWait;
+                        self.request_mem(now, idx, ports.mem, wait, |token| MemReq::Read {
+                            addr,
+                            token,
+                        });
                     }
                 }
                 L2MshrState::DramWrite => {
@@ -814,13 +895,14 @@ impl InclusiveCache {
                                 _ => panic!("DramWrite for non-resident {:?} without data", m.addr),
                             },
                         };
-                        let token = self.next_token;
-                        self.next_token += 1;
-                        m.token = token;
                         m.wrote = Some(data);
                         let addr = m.addr;
-                        self.mshrs.set_state(idx, L2MshrState::DramWriteWait);
-                        ports.mem.request(now, MemReq::Write { addr, data, token });
+                        let wait = L2MshrState::DramWriteWait;
+                        self.request_mem(now, idx, ports.mem, wait, |token| MemReq::Write {
+                            addr,
+                            data,
+                            token,
+                        });
                         self.stats.root_release_dram_writes += 1;
                     }
                 }
@@ -831,6 +913,24 @@ impl InclusiveCache {
                 | L2MshrState::WaitGrantAck => unreachable!("parked slots are not walked"),
             }
         }
+    }
+
+    /// Issues slot `idx`'s memory request (`req` of its token) under the
+    /// next token and parks the slot in `wait` until the response.
+    fn request_mem(
+        &mut self,
+        now: u64,
+        idx: usize,
+        mem: &mut Dram,
+        wait: L2MshrState,
+        req: impl FnOnce(u64) -> MemReq,
+    ) {
+        let token = self.next_token;
+        self.next_token += 1;
+        self.mshrs.slot_mut(idx).mshr_mut().token = token;
+        self.mshrs.set_state(idx, wait);
+        self.mem_order.0.push_back(idx);
+        mem.request(now, req(token));
     }
 
     /// First directory decision after the access latency.
@@ -1188,6 +1288,9 @@ impl InclusiveCache {
             }
         }
         self.set_claims = self.scan_claims();
+        self.access.0 = self.scan_access();
+        self.mem_order.0 = self.scan_mem_order();
+        self.waiting.0 = self.access.0.iter().fold(0, |m, &(_, i)| m | 1 << i);
         self.list_buffer = VecDeque::decode(r)?;
         if self.list_buffer.iter().any(|d| d.0.source() >= self.cores) {
             return Err(SnapError::Corrupt("l2 list buffer agent out of range"));

@@ -15,6 +15,7 @@
 
 use skipit_tilelink::{LineAddr, LineData};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Opaque request token used by the caller (the L2) to match responses to
 /// its MSHRs.
@@ -114,10 +115,39 @@ skipit_snap::counters! {
     }
 }
 
+/// Hashes a line's base address with one multiply. Every walk over the
+/// line map sorts by address first, so its iteration order (the only thing
+/// a hasher changes) reaches no output, and the map's keys are local line
+/// addresses, not adversarial input.
+#[derive(Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        // The product's high bits mix every key bit; the rotation brings
+        // them down to the bucket index (a line base's own low six bits are
+        // always zero).
+        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(26);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The line map: line base address → persisted contents.
+type LineMap = HashMap<u64, LineData, BuildHasherDefault<LineHasher>>;
+
 /// The main-memory model. See the [crate docs](crate) for semantics.
 pub struct Dram {
     cfg: DramConfig,
-    lines: HashMap<u64, LineData>,
+    lines: LineMap,
     inflight: VecDeque<(u64, MemReq)>,
     ready: VecDeque<MemResp>,
     next_issue: u64,
@@ -167,7 +197,7 @@ impl Dram {
     pub fn new(cfg: DramConfig) -> Self {
         Dram {
             cfg,
-            lines: HashMap::new(),
+            lines: LineMap::default(),
             inflight: VecDeque::new(),
             ready: VecDeque::new(),
             next_issue: 0,

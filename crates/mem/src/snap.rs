@@ -8,10 +8,10 @@
 //! All-zero lines collapse to two bytes via the [`LineData`] word mask.
 //! The trace sink is host-side and excluded.
 
-use crate::{Dram, MemReq, MemResp, MemStats};
+use crate::{Dram, LineMap, MemReq, MemResp, MemStats};
 use skipit_snap::{codec, Codec, SnapError, SnapReader, SnapWriter, MAX_ELEMS};
 use skipit_tilelink::LineData;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 codec!(MemReq, "mem request opcode" {
     0 => Read { addr, token },
@@ -48,7 +48,7 @@ impl Dram {
     pub fn decode_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.expect_tag(0x44, "dram section")?;
         let n = r.get_count(MAX_ELEMS, "dram line count")?;
-        let mut lines = HashMap::with_capacity(n.min(1 << 16));
+        let mut lines = LineMap::with_capacity_and_hasher(n.min(1 << 16), Default::default());
         for _ in 0..n {
             let addr = u64::decode(r)?;
             if addr % skipit_tilelink::LINE_BYTES as u64 != 0 {

@@ -269,6 +269,20 @@ impl<'a> SnapReader<'a> {
 /// allocation that could hurt the host.
 pub const MAX_ELEMS: usize = 1 << 28;
 
+/// Host-side bookkeeping kept beside simulated state: a memo, stamp or
+/// queue a component derives from its state only to step faster. It has
+/// no [`Codec`], so no snapshot carries it; its owner resets or rebuilds it
+/// on decode; and its `Debug` prints `_`, so two components that hold the
+/// same simulated state format identically whatever their histories.
+#[derive(Clone, Copy, Default)]
+pub struct HostOnly<T>(pub T);
+
+impl<T> fmt::Debug for HostOnly<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("_")
+    }
+}
+
 /// Symmetric encode/decode of one value. Implemented by every simulator
 /// crate for its own state types (the trait lives here, below all of them,
 /// so private fields stay private).

@@ -7,7 +7,7 @@
 //! and the snapshot section exist once, here.
 
 use crate::line::{LineAddr, LineData, LINE_BYTES};
-use skipit_snap::{Codec, SnapError, SnapReader, SnapWriter};
+use skipit_snap::{Codec, HostOnly, SnapError, SnapReader, SnapWriter};
 
 /// One way's metadata, as the array reads it.
 pub trait WayMeta: Codec + Copy + Default + PartialEq {
@@ -46,6 +46,9 @@ pub struct SetAssocArray<M> {
     /// Monotonic last-use stamps for LRU victim selection.
     lru: Vec<u64>,
     tick: u64,
+    /// Calls that may have changed a tag, metadata or LRU stamp (see
+    /// [`SetAssocArray::changes`]). Host-only.
+    changes: HostOnly<u64>,
 }
 
 impl<M: WayMeta> SetAssocArray<M> {
@@ -61,6 +64,7 @@ impl<M: WayMeta> SetAssocArray<M> {
             data: vec![LineData::zeroed(); n],
             lru: vec![0; n],
             tick: 0,
+            changes: HostOnly(0),
         }
     }
 
@@ -101,8 +105,17 @@ impl<M: WayMeta> SetAssocArray<M> {
 
     /// Mutable metadata of `(set, way)`.
     pub fn meta_mut(&mut self, set: usize, way: usize) -> &mut M {
+        self.changes.0 += 1;
         let s = self.slot(set, way);
         &mut self.meta[s]
+    }
+
+    /// A count that moves on every call that may change what `lookup`,
+    /// `meta` or `victim_way` answer (metadata, install, LRU touch,
+    /// decode); line data writes leave it. Not simulated state: its value
+    /// means nothing across arrays or snapshots.
+    pub fn changes(&self) -> u64 {
+        self.changes.0
     }
 
     /// Reads a full line from the data array.
@@ -118,6 +131,7 @@ impl<M: WayMeta> SetAssocArray<M> {
 
     /// Marks `(set, way)` as most recently used.
     pub fn touch(&mut self, set: usize, way: usize) {
+        self.changes.0 += 1;
         self.tick += 1;
         let s = self.slot(set, way);
         self.lru[s] = self.tick;
@@ -214,6 +228,7 @@ impl<M: WayMeta> SetAssocArray<M> {
     /// [`SetAssocArray::encode_state`]); geometry must match.
     pub fn decode_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.expect_tag(M::SECTION_TAG, M::SECTION_SITE)?;
+        self.changes.0 += 1;
         if usize::decode(r)? != self.sets || usize::decode(r)? != self.ways {
             return Err(SnapError::ConfigMismatch);
         }

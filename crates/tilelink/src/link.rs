@@ -7,6 +7,7 @@
 //! observation that releasing a 64 B line over the 16 B system bus takes four
 //! cycles (§5.2).
 
+use skipit_snap::HostOnly;
 use skipit_trace::{MsgDesc, TraceEvent, TraceSink};
 use std::collections::VecDeque;
 use std::fmt;
@@ -149,6 +150,12 @@ pub struct Link<T> {
     /// [`crate::perturb`]). `None` (the default) adds zero overhead and
     /// leaves timing bit-identical to an unperturbed link.
     perturb: Option<(u64, crate::perturb::PerturbConfig)>,
+    /// The cycle a push last found the queue empty (see
+    /// [`Link::filled_at`]); host-only, reset on restore.
+    filled: HostOnly<u64>,
+    /// The cycle a pop last found the queue full (see [`Link::freed_at`]);
+    /// host-only, reset on restore.
+    freed: HostOnly<u64>,
 }
 
 /// A link must be movable to whichever host thread owns its system.
@@ -181,6 +188,8 @@ impl<T: Beats + fmt::Debug> Link<T> {
             core: 0,
             trace: None,
             perturb: None,
+            filled: HostOnly(u64::MAX),
+            freed: HostOnly(u64::MAX),
         }
     }
 
@@ -234,6 +243,21 @@ impl<T: Beats + fmt::Debug> Link<T> {
         self.queue.len() < self.capacity
     }
 
+    /// Whether a push at cycle `now` found the queue empty: the receiver
+    /// has a head its due bound has never seen. With one pusher per link
+    /// that steps before the receiver, this is the "empty before, not empty
+    /// after" edge of the pusher's step, without a snapshot of the queue.
+    pub fn filled_at(&self, now: u64) -> bool {
+        self.filled.0 == now
+    }
+
+    /// Whether a pop at cycle `now` found the queue full: a sender blocked
+    /// on [`Link::can_push`] may push again. The mirror of
+    /// [`Link::filled_at`] for the popping side.
+    pub fn freed_at(&self, now: u64) -> bool {
+        self.freed.0 == now
+    }
+
     /// Enqueues `msg` at cycle `now`.
     ///
     /// # Panics
@@ -262,12 +286,18 @@ impl<T: Beats + fmt::Debug> Link<T> {
         }
         let ready = start + msg.beats() - 1;
         self.next_free = ready + 1;
+        if self.queue.is_empty() {
+            self.filled.0 = now;
+        }
         self.queue.push_back((ready, msg));
     }
 
     /// Removes and returns the head message if it has fully arrived by `now`.
     pub fn pop(&mut self, now: u64) -> Option<T> {
         if self.queue.front().is_some_and(|&(ready, _)| ready <= now) {
+            if self.queue.len() == self.capacity {
+                self.freed.0 = now;
+            }
             let msg = self.queue.pop_front().map(|(_, m)| m);
             self.popped += 1;
             if let (Some(m), Some(sink)) = (msg.as_ref(), self.trace.as_mut()) {
@@ -329,7 +359,8 @@ impl<T: Beats + fmt::Debug> Link<T> {
     }
 
     /// Overwrites the simulated state from decoded parts, keeping the
-    /// host-side configuration (latency, capacity, trace, perturbation).
+    /// host-side configuration (latency, capacity, trace, perturbation) and
+    /// clearing the edge stamps.
     pub(crate) fn snap_restore(
         &mut self,
         queue: VecDeque<(u64, T)>,
@@ -346,6 +377,8 @@ impl<T: Beats + fmt::Debug> Link<T> {
         self.next_free = next_free;
         self.pushed = pushed;
         self.popped = popped;
+        self.filled.0 = u64::MAX;
+        self.freed.0 = u64::MAX;
         Ok(())
     }
 }
@@ -447,6 +480,25 @@ mod tests {
         assert_eq!(l.next_ready(), Some(8), "head governs the bound");
         assert!(l.pop(8).is_some());
         assert_eq!(l.next_ready(), Some(9));
+    }
+
+    #[test]
+    fn edge_stamps_mark_fill_of_empty_and_pop_of_full() {
+        let mut l: Link<ChannelE> = Link::new(1, 2);
+        l.push(3, ack(0));
+        assert!(l.filled_at(3), "a push onto an empty queue fills it");
+        l.push(4, ack(1));
+        assert!(l.filled_at(3) && !l.filled_at(4), "a push behind a head is no edge");
+        assert!(l.pop(5).is_some());
+        assert!(l.freed_at(5), "a pop from a full queue frees it");
+        assert!(l.pop(6).is_some());
+        assert!(!l.freed_at(6), "a pop from a non-full queue is no edge");
+        let (queue, next_free, pushed, popped) = l.snap_parts();
+        let (queue, next_free, pushed, popped) = (queue.clone(), next_free, pushed, popped);
+        let mut r: Link<ChannelE> = Link::new(1, 2);
+        r.snap_restore(queue, next_free, pushed, popped).unwrap();
+        assert_eq!(format!("{r:?}"), format!("{l:?}"), "stamps stay out of Debug");
+        assert!(!r.freed_at(5), "restore clears the stamps");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! [`SlotState`]. Every walk is lowest slot first, the order a linear scan
 //! of the file visits them in.
 
-use skipit_snap::{Codec, SnapError, SnapReader, SnapWriter};
+use skipit_snap::{Codec, HostOnly, SnapError, SnapReader, SnapWriter};
 
 /// Largest slot file: one bit per slot in a `u64` mask.
 pub const MAX_SLOTS: usize = 64;
@@ -62,6 +62,8 @@ pub struct SlotFile<S> {
     /// Bit `i` of `masks[k]` is set iff `slots[i]` is in class `k`. Kept in
     /// step by every write of a slot; rebuilt on decode, never serialized.
     masks: [u64; 3],
+    /// Writes of any slot so far (see [`SlotFile::changes`]). Host-only.
+    changes: HostOnly<u64>,
 }
 
 /// Reading the slots: `file[i]`, `file.len()`, `file.iter()`.
@@ -83,12 +85,21 @@ impl<S: SlotState> SlotFile<S> {
         SlotFile {
             slots,
             masks: [0; 3],
+            changes: HostOnly(0),
         }
     }
 
     /// Slot `i`, to change what its class bits do not depend on.
     pub fn slot_mut(&mut self, i: usize) -> &mut S {
+        self.changes.0 += 1;
         &mut self.slots[i]
+    }
+
+    /// A count that moves on every write of a slot (setter, put, free,
+    /// `slot_mut`, decode): while it stays put, so does every slot. Not
+    /// simulated state: its value means nothing across files or snapshots.
+    pub fn changes(&self) -> u64 {
+        self.changes.0
     }
 
     /// The mask of class `k`.
@@ -135,6 +146,7 @@ impl<S: SlotState> SlotFile<S> {
 
     /// Re-derives slot `i`'s bit in every mask, without a branch.
     fn refresh(&mut self, i: usize) {
+        self.changes.0 += 1;
         let classes = self.slots[i].classes();
         for (k, mask) in self.masks.iter_mut().enumerate() {
             *mask = *mask & !(1 << i) | u64::from(classes >> k & 1) << i;
