@@ -40,7 +40,10 @@
 //!   previously committed `BENCH_simspeed.json` and exits nonzero if any
 //!   workload's speedup falls below 0.8× its baseline value (the CI
 //!   regression gate; 20 % headroom absorbs host noise), or if the file
-//!   is a quick run's output.
+//!   is a quick run's output. With `SKIPIT_BENCH_QUICK=1` the bench runs
+//!   its measurement three times, in child processes of itself that do not
+//!   get the variable, and gates each row's median: a single quick process
+//!   failed the gate about once in ten runs on a 2-vCPU host.
 
 use skipit_bench::micro::{fig9_sample, fig9_serialized_sample};
 use skipit_bench::quick;
@@ -411,6 +414,9 @@ impl WarmWall {
 /// timings swung past the gate's floor on a 2-vCPU host.
 const WARM_WALL_PAIRS: usize = 9;
 
+/// The warm-start sweep's name in the JSON and the gate's messages.
+const WARM_WALL_NAME: &str = "fig15_sweep_16pt";
+
 /// Times the 16-point reduced Fig. 15 grid cold vs warm-started, both under
 /// `SweepRunner::serial()` so the comparison isolates fill sharing from
 /// host parallelism. Same protocol as `sweep_wall`, with
@@ -447,7 +453,7 @@ fn warm_wall() -> WarmWall {
     cold_b.sort_by(f64::total_cmp);
     warm_b.sort_by(f64::total_cmp);
     WarmWall {
-        name: "fig15_sweep_16pt",
+        name: WARM_WALL_NAME,
         points: fig15_reduced_sweep(false).len(),
         fills,
         host_cpus: host_cpus(),
@@ -606,11 +612,70 @@ fn baseline_warm_wall(text: &str) -> Option<f64> {
     num.parse().ok()
 }
 
+/// Quick runs measured for one gate: each row's median is gated.
+const GATED_QUICK_RUNS: usize = 3;
+
+/// Runs the quick measurement [`GATED_QUICK_RUNS`] times, each in a child
+/// process of this bench (same arguments, `SKIPIT_BENCH_BASELINE` removed,
+/// JSON to `<SKIPIT_BENCH_OUT or a temp file>.<k>`), then gates the median
+/// of each row's speedup and of the warm-start wall ratio against
+/// `baseline`.
+fn gate_quick_median(baseline: &str) {
+    let exe = std::env::current_exe().expect("bench executable path");
+    let stem = std::env::var_os("SKIPIT_BENCH_OUT").map_or_else(
+        || std::env::temp_dir().join(format!("simspeed-quick-{}.json", std::process::id())),
+        Into::into,
+    );
+    let mut runs = Vec::new();
+    for k in 1..=GATED_QUICK_RUNS {
+        let mut out = stem.clone().into_os_string();
+        out.push(format!(".{k}"));
+        println!("# gated quick run {k} of {GATED_QUICK_RUNS}");
+        let status = std::process::Command::new(&exe)
+            .args(std::env::args_os().skip(1))
+            .env_remove("SKIPIT_BENCH_BASELINE")
+            .env("SKIPIT_BENCH_OUT", &out)
+            .status()
+            .expect("spawn a quick simspeed run");
+        assert!(status.success(), "quick simspeed run {k} failed: {status}");
+        let text = std::fs::read_to_string(&out).expect("read a quick run's JSON");
+        if std::env::var_os("SKIPIT_BENCH_OUT").is_none() {
+            let _ = std::fs::remove_file(&out);
+        }
+        let warm = baseline_warm_wall(&text).expect("a quick run's warm-start wall ratio");
+        runs.push((baseline_speedups(&text), warm));
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let speedups: Vec<(String, f64)> = runs[0]
+        .0
+        .iter()
+        .map(|(name, _)| {
+            let of_run = |run: &[(String, f64)]| {
+                run.iter()
+                    .find(|(n, _)| n == name)
+                    .map(|&(_, v)| v)
+                    .expect("every quick run reports every row")
+            };
+            (
+                name.clone(),
+                median(runs.iter().map(|r| of_run(&r.0)).collect()),
+            )
+        })
+        .collect();
+    let warm = median(runs.iter().map(|r| r.1).collect());
+    println!("# gating the median of {GATED_QUICK_RUNS} quick runs");
+    check_against_baseline(&speedups, (WARM_WALL_NAME, warm), baseline);
+}
+
 /// The CI regression gate: fails the run if any workload's speedup, or the
-/// warm-start wall ratio, dropped more than 20 % below the committed
-/// baseline. The warm-start ratio is host-parallelism-independent (both
-/// sides run serially), so it is gated on every host.
-fn check_against_baseline(rows: &[Row], warm: &WarmWall, path: &str) {
+/// warm-start wall ratio (`warm`: its name and value), dropped more than
+/// 20 % below the committed baseline. The warm-start ratio is
+/// host-parallelism-independent (both sides run serially), so it is gated
+/// on every host.
+fn check_against_baseline(speedups: &[(String, f64)], warm: (&str, f64), path: &str) {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("SKIPIT_BENCH_BASELINE {path}: {e}"));
     if text.contains("\"quick\": true") {
@@ -623,39 +688,34 @@ fn check_against_baseline(rows: &[Row], warm: &WarmWall, path: &str) {
         None => println!("# baseline: no warm-start wall ratio committed, skipping"),
         Some(base) => {
             let floor = base * 0.8;
-            let got = warm.wall_ratio();
+            let (name, got) = warm;
             if got < floor {
                 eprintln!(
-                    "FAIL {}: warm-start wall ratio {got:.2} is below 0.8x the \
-                     baseline {base:.2} (floor {floor:.2})",
-                    warm.name
+                    "FAIL {name}: warm-start wall ratio {got:.2} is below 0.8x the \
+                     baseline {base:.2} (floor {floor:.2})"
                 );
                 failed = true;
             } else {
                 println!(
-                    "# baseline ok {}: warm-start wall ratio {got:.2} vs committed {base:.2}",
-                    warm.name
+                    "# baseline ok {name}: warm-start wall ratio {got:.2} vs committed {base:.2}"
                 );
             }
         }
     }
-    for r in rows {
-        let Some((_, base)) = baseline.iter().find(|(n, _)| n == r.name) else {
-            println!("# baseline: {} not in {path}, skipping", r.name);
+    for (name, got) in speedups {
+        let Some((_, base)) = baseline.iter().find(|(n, _)| n == name) else {
+            println!("# baseline: {name} not in {path}, skipping");
             continue;
         };
         let floor = base * 0.8;
-        let got = r.speedup();
-        if got < floor {
+        if *got < floor {
             eprintln!(
-                "FAIL {}: speedup {got:.2} is below 0.8x the baseline {base:.2} (floor {floor:.2})",
-                r.name
+                "FAIL {name}: speedup {got:.2} is below 0.8x the baseline {base:.2} (floor {floor:.2})"
             );
             failed = true;
         } else {
             println!(
-                "# baseline ok {}: speedup {got:.2} vs committed {base:.2} (floor {floor:.2})",
-                r.name
+                "# baseline ok {name}: speedup {got:.2} vs committed {base:.2} (floor {floor:.2})"
             );
         }
     }
@@ -667,6 +727,12 @@ fn check_against_baseline(rows: &[Row], warm: &WarmWall, path: &str) {
 
 fn main() {
     let quick = quick();
+    if quick {
+        if let Ok(path) = std::env::var("SKIPIT_BENCH_BASELINE") {
+            gate_quick_median(&path);
+            return;
+        }
+    }
     let reps = if quick { 3 } else { 10 };
     let rows = vec![
         fig09_shaped("fig09_1t_32k", 1, 32 * 1024, reps, false),
@@ -894,7 +960,11 @@ fn main() {
         entries.join(",\n")
     );
     if let Ok(path) = std::env::var("SKIPIT_BENCH_BASELINE") {
-        check_against_baseline(&rows, &ww, &path);
+        let speedups: Vec<(String, f64)> = rows
+            .iter()
+            .map(|r| (r.name.to_string(), r.speedup()))
+            .collect();
+        check_against_baseline(&speedups, (ww.name, ww.wall_ratio()), &path);
     }
     if quick && std::env::var_os("SKIPIT_BENCH_OUT").is_none() {
         println!("# quick run: no JSON written (set SKIPIT_BENCH_OUT to keep it)");

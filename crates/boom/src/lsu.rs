@@ -309,7 +309,13 @@ impl Lsu {
             return;
         }
         let kind = head.op.to_dcache().expect("STQ op lowers to a request");
-        if l1.offer(now, DcReq { id: head.req_id, kind }) {
+        if l1.offer(
+            now,
+            DcReq {
+                id: head.req_id,
+                kind,
+            },
+        ) {
             head.fired = true;
         } else {
             self.held.0 = Some((head.seq, l1.mutations()));

@@ -1258,9 +1258,13 @@ mod tests {
         }
 
         /// Acts as a trivial L2: answers every Acquire with a Grant and every
-        /// Release/RootRelease with the matching ack.
+        /// Release/RootRelease with the matching ack, while channel D has
+        /// room.
         fn serve_l2(&mut self, flavor: GrantFlavor) {
-            while let Some(msg) = self.a.pop(self.now) {
+            while self.d.can_push() {
+                let Some(msg) = self.a.pop(self.now) else {
+                    break;
+                };
                 let ChannelA::AcquireBlock { addr, grow, .. } = msg;
                 self.d.push(
                     self.now,
@@ -1273,7 +1277,10 @@ mod tests {
                     },
                 );
             }
-            while let Some(msg) = self.c.pop(self.now) {
+            while self.d.can_push() {
+                let Some(msg) = self.c.pop(self.now) else {
+                    break;
+                };
                 match msg {
                     ChannelC::Release { addr, .. } => self.d.push(
                         self.now,
@@ -1331,6 +1338,152 @@ mod tests {
             }
             out
         }
+    }
+
+    fn state_bytes(l1: &DataCache) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        l1.encode_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// A store whose refill is in flight and a `CBO.CLEAN` of the same
+    /// line, which the cache refuses (see the module docs).
+    fn refused_clean() -> (Harness, DcReq) {
+        let mut h = Harness::new(false);
+        let store = DcReqKind::Store {
+            addr: 0x9000,
+            value: 1,
+        };
+        assert!(h.l1.offer(0, DcReq { id: 1, kind: store }));
+        let clean = DcReqKind::Writeback {
+            addr: 0x9000,
+            kind: WritebackKind::Clean,
+        };
+        (h, DcReq { id: 2, kind: clean })
+    }
+
+    #[test]
+    fn refused_offer_changes_nothing() {
+        let (mut h, clean) = refused_clean();
+        let (stats, bytes, mutations) = (h.l1.stats(), state_bytes(&h.l1), h.l1.mutations());
+        assert!(!h.l1.offer(0, clean));
+        assert_eq!(
+            h.l1.stats(),
+            stats,
+            "a refusal counts nothing, not even a nack"
+        );
+        assert_eq!(state_bytes(&h.l1), bytes);
+        assert_eq!(h.l1.mutations(), mutations);
+        assert!(h.l1.pop_response(100).is_some_and(|r| r.id() == 1));
+        assert!(
+            h.l1.pop_response(100).is_none(),
+            "the refused clean never answers"
+        );
+    }
+
+    #[test]
+    fn try_request_counts_a_nack() {
+        let (mut h, clean) = refused_clean();
+        let stats = h.l1.stats();
+        assert_eq!(h.l1.try_request(0, clean), ReqOutcome::Nack);
+        assert_eq!(
+            h.l1.stats(),
+            L1Stats {
+                nacks: stats.nacks + 1,
+                ..stats
+            }
+        );
+    }
+
+    /// A scripted stream of loads, stores, AMOs and writebacks over a few
+    /// conflicting sets, offered three per cycle to two caches: one asks
+    /// `would_accept` and then calls `try_request`, the other calls `offer`
+    /// once. Both take the same decisions, answer the same responses and
+    /// end with the same state and stats. While the second cache's
+    /// mutation count stays where a refusal saw it, the refusal holds.
+    #[test]
+    fn offer_matches_would_accept_then_try_request() {
+        let (mut asked, mut offered) = (Harness::new(true), Harness::new(true));
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut rand = move |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        let mut pending: VecDeque<DcReq> = (1..=400)
+            .map(|id| {
+                let k = rand(40);
+                let addr = 0x4_0000 + (k % 4) * 64 + (k / 4) * 4096 + rand(8) * 8;
+                let kind = match rand(6) {
+                    0 | 1 => DcReqKind::Load { addr },
+                    2 => DcReqKind::Store { addr, value: id },
+                    3 => DcReqKind::Amo {
+                        addr,
+                        op: AmoOp::Add,
+                        operand: id,
+                    },
+                    4 => DcReqKind::Writeback {
+                        addr,
+                        kind: WritebackKind::Clean,
+                    },
+                    _ => DcReqKind::Writeback {
+                        addr,
+                        kind: WritebackKind::Flush,
+                    },
+                };
+                DcReq { id, kind }
+            })
+            .collect();
+        let (mut responses, mut refusals, mut held) = (Vec::new(), 0, Vec::new());
+        let mut unchanged = 0;
+        while !pending.is_empty() {
+            assert!(asked.now < 20_000, "script stalled");
+            for (kind, mutations) in held.drain(..) {
+                if offered.l1.mutations() == mutations {
+                    assert!(!offered.l1.would_accept(kind), "a held refusal flipped");
+                    unchanged += 1;
+                }
+            }
+            let mut i = 0;
+            while i < pending.len().min(3) {
+                let req = pending[i];
+                let accept = asked.l1.would_accept(req.kind);
+                if accept {
+                    assert_eq!(asked.l1.try_request(asked.now, req), ReqOutcome::Accepted);
+                }
+                assert_eq!(offered.l1.offer(offered.now, req), accept, "{req:?}");
+                if accept {
+                    pending.remove(i);
+                } else {
+                    refusals += 1;
+                    held.push((req.kind, offered.l1.mutations()));
+                    i += 1;
+                }
+            }
+            for h in [&mut asked, &mut offered] {
+                h.step();
+                h.serve_l2(GrantFlavor::Clean);
+            }
+            let now = asked.now;
+            while let Some(r) = asked.l1.pop_response(now) {
+                assert_eq!(offered.l1.pop_response(now), Some(r));
+                responses.push(r);
+            }
+            assert_eq!(offered.l1.pop_response(now), None);
+            assert_eq!(state_bytes(&offered.l1), state_bytes(&asked.l1));
+        }
+        assert!(
+            refusals > 100,
+            "the script must exercise refusals: {refusals}"
+        );
+        assert!(
+            unchanged > 10,
+            "the script must hold refusals over idle cycles: {unchanged}"
+        );
+        assert!(responses.len() > 300, "{} responses", responses.len());
+        assert_eq!(offered.l1.stats(), asked.l1.stats());
+        assert_eq!(asked.l1.stats().nacks, 0);
     }
 
     #[test]

@@ -17,13 +17,13 @@ use crate::cache::clear_skip;
 use crate::config::L1Config;
 use crate::meta::MetaEntry;
 use crate::stats::L1Stats;
+use skipit_snap::HostOnly;
 use skipit_tilelink::array::SetAssocArray;
 use skipit_tilelink::slots::{SlotFile, SlotState, Slots};
 use skipit_tilelink::{
     AgentId, Cap, ChannelC, ClientState, LineAddr, LineData, Link, PerturbConfig, WritebackKind,
     LINE_BYTES,
 };
-use skipit_snap::HostOnly;
 use skipit_trace::{TraceEvent, TraceSink};
 use std::collections::VecDeque;
 

@@ -10,6 +10,7 @@ use crate::arrays::DirEntry;
 use crate::config::L2Config;
 use crate::stats::L2Stats;
 use skipit_mem::{Dram, MemReq, MemResp};
+use skipit_snap::HostOnly;
 use skipit_tilelink::array::SetAssocArray;
 use skipit_tilelink::perturb::L2_MSHR_SITE;
 use skipit_tilelink::slots::{SlotFile, SlotState, Slots};
@@ -17,7 +18,6 @@ use skipit_tilelink::{
     AgentId, Cap, ChannelA, ChannelB, ChannelC, ChannelD, ChannelE, GrantFlavor, Grow, LineAddr,
     LineData, Link, PerturbConfig, Shrink, WritebackKind,
 };
-use skipit_snap::HostOnly;
 use skipit_trace::{TraceEvent, TraceSink};
 use std::collections::VecDeque;
 
@@ -381,14 +381,20 @@ impl InclusiveCache {
             return Err("l2 memory order disagrees with the slots waiting for memory".into());
         }
         let queue = &self.access.0;
-        if queue.iter().zip(queue.iter().skip(1)).any(|(a, b)| a.0 > b.0) {
+        if queue
+            .iter()
+            .zip(queue.iter().skip(1))
+            .any(|(a, b)| a.0 > b.0)
+        {
             return Err("l2 access queue out of until order".into());
         }
         let mut queued = 0u64;
         for &(until, i) in queue {
             let state = self.mshrs.get(i).and_then(|s| s.0).map(|m| m.state);
             if state != Some(L2MshrState::Access { until }) {
-                return Err(format!("l2 access queue names slot {i} at {until}, which is {state:?}"));
+                return Err(format!(
+                    "l2 access queue names slot {i} at {until}, which is {state:?}"
+                ));
             }
             queued |= 1 << i;
         }
@@ -1507,6 +1513,112 @@ mod tests {
         assert_eq!(masks(&fresh), (0b1111, 0b1001));
         assert_eq!(fresh.set_claims, h.l2.set_claims);
         assert_eq!(fresh.claims(line(100)), 0b0100);
+    }
+
+    /// Runs a script that leaves one slot waiting on a DRAM read and three
+    /// part-way through their access latency: two Acquires and, between
+    /// them, a RootRelease whose data took four beats on channel C.
+    fn mid_access_harness() -> Harness {
+        let mut h = Harness::new(2);
+        let acquire = |h: &mut Harness, core: usize, n: u64| {
+            let msg = ChannelA::AcquireBlock {
+                source: core,
+                addr: line(n),
+                grow: Grow::NtoT,
+            };
+            h.a[core].push(h.now, msg);
+        };
+        acquire(&mut h, 0, 1);
+        for _ in 0..8 {
+            h.step();
+        }
+        acquire(&mut h, 1, 2);
+        h.c[0].push(
+            h.now,
+            ChannelC::RootRelease {
+                source: 0,
+                addr: line(3),
+                kind: WritebackKind::Flush,
+                data: Some(data(3)),
+            },
+        );
+        for _ in 0..4 {
+            h.step();
+        }
+        acquire(&mut h, 0, 4);
+        for _ in 0..2 {
+            h.step();
+        }
+        h
+    }
+
+    /// A snapshot taken while slots wait out their access latency decodes
+    /// into the same access queue and memory order, and the decoded L2
+    /// then steps exactly like the original.
+    #[test]
+    fn decoded_access_queue_steps_alongside_the_original() {
+        let mut h = mid_access_harness();
+        assert_eq!(h.l2.access.0, [(15, 1), (18, 2), (19, 3)]);
+        assert_eq!(h.l2.waiting.0, 0b1110);
+        assert_eq!(h.l2.mem_order.0, [0]);
+        let mut w = SnapWriter::new();
+        h.l2.encode_state(&mut w);
+        let mut twin = mid_access_harness();
+        twin.l2 = InclusiveCache::new(2, L2Config::default());
+        twin.l2
+            .decode_state(&mut SnapReader::new(&w.into_bytes()))
+            .unwrap();
+        twin.l2.check_slot_masks().unwrap();
+        assert_eq!(twin.l2.access.0, h.l2.access.0);
+        assert_eq!(twin.l2.waiting.0, h.l2.waiting.0);
+        assert_eq!(twin.l2.mem_order.0, h.l2.mem_order.0);
+        let state = |h: &Harness| {
+            let mut w = SnapWriter::new();
+            h.l2.encode_state(&mut w);
+            (w.into_bytes(), format!("{:?}{:?}{:?}", h.b, h.d, h.mem))
+        };
+        for _ in 0..40 {
+            let next = h.l2.next_event(h.now, &h.mem, &h.b, &h.d);
+            assert_eq!(
+                twin.l2.next_event(twin.now, &twin.mem, &twin.b, &twin.d),
+                next
+            );
+            h.step();
+            twin.step();
+            assert_eq!(state(&twin), state(&h), "decoded L2 diverged at {}", h.now);
+        }
+        assert!(h.l2.access.0.is_empty(), "every queued access came due");
+    }
+
+    /// The access queue's mirror check names a queue that disagrees with
+    /// the slots.
+    #[test]
+    fn check_slot_masks_catches_a_stale_access_queue() {
+        let fresh = mid_access_harness;
+        let mut h = fresh();
+        h.l2.access.0.swap(0, 2);
+        assert!(h.l2.check_slot_masks().unwrap_err().contains("until order"));
+        let mut h = fresh();
+        h.l2.access.0[0].0 = 14;
+        assert!(h
+            .l2
+            .check_slot_masks()
+            .unwrap_err()
+            .contains("access queue names slot 1"));
+        let mut h = fresh();
+        h.l2.waiting.0 &= !0b10;
+        assert!(h
+            .l2
+            .check_slot_masks()
+            .unwrap_err()
+            .contains("waiting mask"));
+        let mut h = fresh();
+        h.l2.mem_order.0.clear();
+        assert!(h
+            .l2
+            .check_slot_masks()
+            .unwrap_err()
+            .contains("memory order"));
     }
 
     /// The set-claim masks rely on a slot's victim sharing its line's set,

@@ -488,7 +488,10 @@ mod tests {
         l.push(3, ack(0));
         assert!(l.filled_at(3), "a push onto an empty queue fills it");
         l.push(4, ack(1));
-        assert!(l.filled_at(3) && !l.filled_at(4), "a push behind a head is no edge");
+        assert!(
+            l.filled_at(3) && !l.filled_at(4),
+            "a push behind a head is no edge"
+        );
         assert!(l.pop(5).is_some());
         assert!(l.freed_at(5), "a pop from a full queue frees it");
         assert!(l.pop(6).is_some());
@@ -497,7 +500,11 @@ mod tests {
         let (queue, next_free, pushed, popped) = (queue.clone(), next_free, pushed, popped);
         let mut r: Link<ChannelE> = Link::new(1, 2);
         r.snap_restore(queue, next_free, pushed, popped).unwrap();
-        assert_eq!(format!("{r:?}"), format!("{l:?}"), "stamps stay out of Debug");
+        assert_eq!(
+            format!("{r:?}"),
+            format!("{l:?}"),
+            "stamps stay out of Debug"
+        );
         assert!(!r.freed_at(5), "restore clears the stamps");
     }
 
