@@ -31,12 +31,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${FIRST_PARTY[@]}"
 #    (the ignored test `full_table_matches_committed_json` in
 #    tests/figure_shapes.rs).
 #  - the simspeed host-time gate: smoke-runs the simspeed benchmark
-#    (reduced workloads) and fails if any workload's engine speedup
-#    regresses more than 20 % below the committed BENCH_simspeed.json,
-#    including the warm-started sweep's wall-clock ratio. The JSON written
-#    by the smoke run goes to a temp file so the committed full-size
-#    numbers are never clobbered; its phase section is carried over from
-#    the committed file.
+#    (reduced workloads) three times, in child processes of the bench,
+#    and fails if any workload's median engine speedup regresses more
+#    than 20 % below the committed BENCH_simspeed.json, including the
+#    warm-started sweep's wall-clock ratio. The JSON written by the smoke
+#    runs goes to temp files so the committed full-size numbers are never
+#    clobbered.
 if [[ "${1:-}" == "--quick" ]]; then
   cargo test --release -q --test figure_shapes -- --ignored
   SKIPIT_BENCH_QUICK=1 \
