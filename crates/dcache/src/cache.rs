@@ -624,7 +624,6 @@ impl DataCache {
         let line = LineAddr::containing(req.kind.addr());
         let set = self.arrays.set_index(line);
         match (path, req.kind) {
-            (Admit::Refuse, _) => unreachable!("refusals return above"),
             (Admit::SkipDrop, _) => {
                 self.stats.writebacks_skipped += 1;
                 skipit_trace::trace!(
