@@ -34,13 +34,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${FIRST_PARTY[@]}"
 #    (reduced workloads) three times, in child processes of the bench,
 #    and fails if any workload's median engine speedup regresses more
 #    than 20 % below the committed BENCH_simspeed.json, including the
-#    warm-started sweep's wall-clock ratio. The JSON written by the smoke
-#    runs goes to temp files so the committed full-size numbers are never
-#    clobbered.
+#    warm-started sweep's wall-clock ratio. The smoke runs write their
+#    JSON to temp files, which the gate deletes once read, so the committed
+#    full-size numbers are never clobbered.
 if [[ "${1:-}" == "--quick" ]]; then
   cargo test --release -q --test figure_shapes -- --ignored
   SKIPIT_BENCH_QUICK=1 \
   SKIPIT_BENCH_BASELINE="$PWD/BENCH_simspeed.json" \
-  SKIPIT_BENCH_OUT="$(mktemp)" \
     cargo bench -p skipit-bench --bench simspeed
 fi

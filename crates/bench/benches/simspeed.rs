@@ -43,7 +43,9 @@
 //!   is a quick run's output. With `SKIPIT_BENCH_QUICK=1` the bench runs
 //!   its measurement three times, in child processes of itself that do not
 //!   get the variable, and gates each row's median: a single quick process
-//!   failed the gate about once in ten runs on a 2-vCPU host.
+//!   failed the gate about once in ten runs on a 2-vCPU host. The children
+//!   write their JSON to temp files, which the gate reads and deletes;
+//!   `SKIPIT_BENCH_OUT` does not apply to a gated quick run.
 
 use skipit_bench::micro::{fig9_sample, fig9_serialized_sample};
 use skipit_bench::quick;
@@ -599,33 +601,56 @@ fn baseline_speedups(text: &str) -> Vec<(String, f64)> {
     out
 }
 
+/// The number after the first `"key": ` in `text`.
+fn num_after(text: &str, key: &str) -> Option<f64> {
+    let pat = format!("\"{key}\": ");
+    let rest = &text[text.find(&pat)? + pat.len()..];
+    let len = rest
+        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
+        .unwrap_or(rest.len());
+    rest[..len].parse().ok()
+}
+
 /// Extracts the committed warm-start wall ratio from a previous
 /// `BENCH_simspeed.json`, if it has a `warm_sweep` section.
 fn baseline_warm_wall(text: &str) -> Option<f64> {
-    let i = text.find("\"warm_sweep\": {")?;
-    let rest = &text[i..];
-    let j = rest.find("\"warm_wall_ratio\": ")?;
-    let num: String = rest[j + "\"warm_wall_ratio\": ".len()..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-        .collect();
-    num.parse().ok()
+    num_after(&text[text.find("\"warm_sweep\": {")?..], "warm_wall_ratio")
 }
 
 /// Quick runs measured for one gate: each row's median is gated.
 const GATED_QUICK_RUNS: usize = 3;
 
+/// A quick run's gated values, each recomputed from the JSON's finer
+/// fields rather than read from its one-decimal ratios: every engine row's
+/// `(workload, fast / naive)` from the two throughputs (written to
+/// 0.1 kcycles/s), and the warm-start wall ratio from `cold_secs /
+/// warm_secs` (written to 1 ms).
+fn quick_run_ratios(text: &str) -> (Vec<(String, f64)>, f64) {
+    let rows = &text[text.find("\"workloads\": [").expect("a workloads section")..];
+    let speedups = rows
+        .lines()
+        .filter_map(|row| {
+            let name = row.split("\"workload\": \"").nth(1)?.split('"').next()?;
+            let naive = num_after(row, "naive_kcycles_per_sec")?;
+            let fast = num_after(row, "fast_kcycles_per_sec")?;
+            Some((name.to_string(), fast / naive.max(1e-9)))
+        })
+        .collect();
+    let warm = &text[text
+        .find("\"warm_sweep\": {")
+        .expect("a warm_sweep section")..];
+    let cold_secs = num_after(warm, "cold_secs").expect("a quick run's cold_secs");
+    let warm_secs = num_after(warm, "warm_secs").expect("a quick run's warm_secs");
+    (speedups, cold_secs / warm_secs.max(1e-9))
+}
+
 /// Runs the quick measurement [`GATED_QUICK_RUNS`] times, each in a child
 /// process of this bench (same arguments, `SKIPIT_BENCH_BASELINE` removed,
-/// JSON to `<SKIPIT_BENCH_OUT or a temp file>.<k>`), then gates the median
-/// of each row's speedup and of the warm-start wall ratio against
-/// `baseline`.
+/// JSON to a temp file it deletes once read), then gates the median of
+/// each row's speedup and of the warm-start wall ratio against `baseline`.
 fn gate_quick_median(baseline: &str) {
     let exe = std::env::current_exe().expect("bench executable path");
-    let stem = std::env::var_os("SKIPIT_BENCH_OUT").map_or_else(
-        || std::env::temp_dir().join(format!("simspeed-quick-{}.json", std::process::id())),
-        Into::into,
-    );
+    let stem = std::env::temp_dir().join(format!("simspeed-quick-{}.json", std::process::id()));
     let mut runs = Vec::new();
     for k in 1..=GATED_QUICK_RUNS {
         let mut out = stem.clone().into_os_string();
@@ -637,13 +662,10 @@ fn gate_quick_median(baseline: &str) {
             .env("SKIPIT_BENCH_OUT", &out)
             .status()
             .expect("spawn a quick simspeed run");
+        let text = std::fs::read_to_string(&out);
+        let _ = std::fs::remove_file(&out);
         assert!(status.success(), "quick simspeed run {k} failed: {status}");
-        let text = std::fs::read_to_string(&out).expect("read a quick run's JSON");
-        if std::env::var_os("SKIPIT_BENCH_OUT").is_none() {
-            let _ = std::fs::remove_file(&out);
-        }
-        let warm = baseline_warm_wall(&text).expect("a quick run's warm-start wall ratio");
-        runs.push((baseline_speedups(&text), warm));
+        runs.push(quick_run_ratios(&text.expect("read a quick run's JSON")));
     }
     let median = |mut v: Vec<f64>| {
         v.sort_by(f64::total_cmp);

@@ -306,6 +306,10 @@ impl Lsu {
         // condition clears. Admission is a function of L1 state alone, so a
         // refusal stands until the L1 changes.
         if self.held.0 == Some((head.seq, l1.mutations())) {
+            debug_assert!(
+                !l1.would_accept(head.op.to_dcache().expect("STQ op lowers")),
+                "held refusal flipped"
+            );
             return;
         }
         let kind = head.op.to_dcache().expect("STQ op lowers to a request");

@@ -442,7 +442,7 @@ impl DataCache {
 
     /// Whether [`DataCache::try_request`] would accept `kind` this cycle.
     /// The LSU holds a request at its queue head while this is false
-    /// instead of firing into a nack: every transition that can flip the
+    /// instead of re-offering it: every transition that can flip the
     /// answer is an L1 state change, which the event-driven scheduler
     /// already observes, so a held head needs no self-event.
     pub fn would_accept(&self, kind: DcReqKind) -> bool {

@@ -172,14 +172,6 @@ pub struct InclusiveCache {
     /// only its set's bits. Kept in step by [`Self::occupy`] and
     /// [`Self::release`]; rebuilt on decode, never serialized.
     set_claims: Vec<u64>,
-    /// The slots in `Access`, as `(until, slot)` in allocation order, which
-    /// with one fixed latency is `until` order. A slot leaves the queue
-    /// when its access is due; until then it is `waiting` and neither the
-    /// MSHR walk nor [`Self::next_event`] visits it. Host-only, rebuilt on
-    /// decode.
-    access: HostOnly<VecDeque<(u64, usize)>>,
-    /// The slots queued in `access` (host-only).
-    waiting: HostOnly<u64>,
     /// The slots waiting for a memory response, in request order: the
     /// memory completes requests in acceptance order, so the front is the
     /// next response's slot. Host-only, rebuilt on decode (request order is
@@ -219,8 +211,6 @@ impl InclusiveCache {
             arrays: SetAssocArray::new(cfg.sets, cfg.ways),
             mshrs: SlotFile::new(cfg.mshrs),
             set_claims: vec![0; cfg.sets],
-            access: HostOnly(VecDeque::with_capacity(cfg.mshrs)),
-            waiting: HostOnly(0),
             mem_order: HostOnly(VecDeque::with_capacity(cfg.mshrs)),
             list_buffer: VecDeque::with_capacity(cfg.list_buffer_depth),
             next_token: 0,
@@ -296,8 +286,6 @@ impl InclusiveCache {
             }
         );
         let until = now + self.cfg.access_latency;
-        self.access.0.push_back((until, slot));
-        self.waiting.0 |= 1 << slot;
         self.mshrs.put(
             slot,
             L2Slot(Some(L2Mshr {
@@ -341,19 +329,6 @@ impl InclusiveCache {
         claims
     }
 
-    /// The access queue a scan of the slots derives: every slot in
-    /// `Access`, by `(until, slot)`.
-    fn scan_access(&self) -> VecDeque<(u64, usize)> {
-        let mut queue: Vec<(u64, usize)> = Slots(self.mshrs.occupied())
-            .filter_map(|i| match self.mshrs[i].mshr().state {
-                L2MshrState::Access { until } => Some((until, i)),
-                _ => None,
-            })
-            .collect();
-        queue.sort_unstable();
-        queue.into()
-    }
-
     /// The memory-response order a scan of the slots derives: every slot
     /// waiting for memory, by token.
     fn scan_mem_order(&self) -> VecDeque<usize> {
@@ -368,10 +343,8 @@ impl InclusiveCache {
     }
 
     /// Checks the MSHR state masks against a scan of the slots, the set
-    /// claims against the live slots' lines, the memory-response order
-    /// against the slots waiting for memory, and the access queue against
-    /// the slots: sorted by `until`, each entry an `Access` slot with that
-    /// `until`, and `waiting` exactly the queued slots.
+    /// claims against the live slots' lines, and the memory-response order
+    /// against the slots waiting for memory.
     pub fn check_slot_masks(&self) -> Result<(), String> {
         self.mshrs.check_masks()?;
         if self.set_claims != self.scan_claims() {
@@ -379,30 +352,6 @@ impl InclusiveCache {
         }
         if self.mem_order.0 != self.scan_mem_order() {
             return Err("l2 memory order disagrees with the slots waiting for memory".into());
-        }
-        let queue = &self.access.0;
-        if queue
-            .iter()
-            .zip(queue.iter().skip(1))
-            .any(|(a, b)| a.0 > b.0)
-        {
-            return Err("l2 access queue out of until order".into());
-        }
-        let mut queued = 0u64;
-        for &(until, i) in queue {
-            let state = self.mshrs.get(i).and_then(|s| s.0).map(|m| m.state);
-            if state != Some(L2MshrState::Access { until }) {
-                return Err(format!(
-                    "l2 access queue names slot {i} at {until}, which is {state:?}"
-                ));
-            }
-            queued |= 1 << i;
-        }
-        if self.waiting.0 != queued {
-            return Err(format!(
-                "l2 waiting mask {:#x} is not the queued slots {queued:#x}",
-                self.waiting.0
-            ));
         }
         Ok(())
     }
@@ -489,15 +438,7 @@ impl InclusiveCache {
     ) -> Option<u64> {
         let mut next: Option<u64> = None;
         let mut merge = |t: u64| next = Some(next.map_or(t, |n| n.min(t)));
-        // The queue's head is its earliest access; the slots behind it are
-        // no earlier.
-        if let Some(&(until, _)) = self.access.0.front() {
-            if until <= now {
-                return Some(now);
-            }
-            merge(until);
-        }
-        for idx in Slots(self.mshrs.occupied() & !self.mshrs.mask(PARKED) & !self.waiting.0) {
+        for idx in Slots(self.mshrs.occupied() & !self.mshrs.mask(PARKED)) {
             let m = self.mshrs[idx].mshr();
             match m.state {
                 L2MshrState::Access { until } => {
@@ -816,22 +757,11 @@ impl InclusiveCache {
     }
 
     fn step_mshrs(&mut self, now: u64, ports: &mut L2Ports<'_>) {
-        // Accesses due by now leave the queue and join the walk.
-        while let Some(&(until, slot)) = self.access.0.front() {
-            if until > now {
-                break;
-            }
-            self.access.0.pop_front();
-            self.waiting.0 &= !(1 << slot);
-        }
         // Nothing allocates a slot in this phase and only the visited slot
         // can change state or retire, so walking the mask as it stood on
-        // entry visits exactly the slots a full scan would find live,
-        // unparked and not waiting for their access; a parked slot has
-        // nothing to do until an arrival, a waiting one until its `until`.
-        // (A due access whose plan cannot proceed stays in `Access`, out of
-        // the queue, and is walked again next cycle.)
-        for idx in Slots(self.mshrs.occupied() & !self.mshrs.mask(PARKED) & !self.waiting.0) {
+        // entry visits exactly the slots a full scan would find live and
+        // unparked; a parked slot has nothing to do until an arrival.
+        for idx in Slots(self.mshrs.occupied() & !self.mshrs.mask(PARKED)) {
             match self.mshrs[idx].mshr().state {
                 L2MshrState::Access { until } => {
                     if now >= until {
@@ -1294,9 +1224,7 @@ impl InclusiveCache {
             }
         }
         self.set_claims = self.scan_claims();
-        self.access.0 = self.scan_access();
         self.mem_order.0 = self.scan_mem_order();
-        self.waiting.0 = self.access.0.iter().fold(0, |m, &(_, i)| m | 1 << i);
         self.list_buffer = VecDeque::decode(r)?;
         if self.list_buffer.iter().any(|d| d.0.source() >= self.cores) {
             return Err(SnapError::Corrupt("l2 list buffer agent out of range"));
@@ -1553,13 +1481,20 @@ mod tests {
     }
 
     /// A snapshot taken while slots wait out their access latency decodes
-    /// into the same access queue and memory order, and the decoded L2
-    /// then steps exactly like the original.
+    /// into the same memory order, and the decoded L2 then steps exactly
+    /// like the original.
     #[test]
-    fn decoded_access_queue_steps_alongside_the_original() {
+    fn decoded_mid_access_l2_steps_alongside_the_original() {
         let mut h = mid_access_harness();
-        assert_eq!(h.l2.access.0, [(15, 1), (18, 2), (19, 3)]);
-        assert_eq!(h.l2.waiting.0, 0b1110);
+        let access = |l2: &InclusiveCache| {
+            Slots(l2.mshrs.occupied())
+                .filter_map(|i| match l2.mshrs[i].mshr().state {
+                    L2MshrState::Access { until } => Some((until, i)),
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(access(&h.l2), [(15, 1), (18, 2), (19, 3)]);
         assert_eq!(h.l2.mem_order.0, [0]);
         let mut w = SnapWriter::new();
         h.l2.encode_state(&mut w);
@@ -1569,8 +1504,7 @@ mod tests {
             .decode_state(&mut SnapReader::new(&w.into_bytes()))
             .unwrap();
         twin.l2.check_slot_masks().unwrap();
-        assert_eq!(twin.l2.access.0, h.l2.access.0);
-        assert_eq!(twin.l2.waiting.0, h.l2.waiting.0);
+        assert_eq!(access(&twin.l2), access(&h.l2));
         assert_eq!(twin.l2.mem_order.0, h.l2.mem_order.0);
         let state = |h: &Harness| {
             let mut w = SnapWriter::new();
@@ -1587,32 +1521,14 @@ mod tests {
             twin.step();
             assert_eq!(state(&twin), state(&h), "decoded L2 diverged at {}", h.now);
         }
-        assert!(h.l2.access.0.is_empty(), "every queued access came due");
+        assert!(access(&h.l2).is_empty(), "every access came due");
     }
 
-    /// The access queue's mirror check names a queue that disagrees with
-    /// the slots.
+    /// The memory order's mirror check names an order that disagrees with
+    /// the slots waiting for memory.
     #[test]
-    fn check_slot_masks_catches_a_stale_access_queue() {
-        let fresh = mid_access_harness;
-        let mut h = fresh();
-        h.l2.access.0.swap(0, 2);
-        assert!(h.l2.check_slot_masks().unwrap_err().contains("until order"));
-        let mut h = fresh();
-        h.l2.access.0[0].0 = 14;
-        assert!(h
-            .l2
-            .check_slot_masks()
-            .unwrap_err()
-            .contains("access queue names slot 1"));
-        let mut h = fresh();
-        h.l2.waiting.0 &= !0b10;
-        assert!(h
-            .l2
-            .check_slot_masks()
-            .unwrap_err()
-            .contains("waiting mask"));
-        let mut h = fresh();
+    fn check_slot_masks_catches_a_stale_memory_order() {
+        let mut h = mid_access_harness();
         h.l2.mem_order.0.clear();
         assert!(h
             .l2

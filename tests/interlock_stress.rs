@@ -77,8 +77,10 @@ fn tiny_geometry_survives_random_storms() {
             st.l2.root_release_flush + st.l2.root_release_clean + st.l2.root_release_inval,
             "L2 must account for every RootRelease"
         );
-        // The LSU holds what the L1 would refuse, so no fired request is
-        // ever nacked, even where the queues are this small.
+        // The LSU fires through `DataCache::offer`, which never counts a
+        // nack, so this holds by construction. What these tiny queues do
+        // exercise is the LSU's held-refusal memo: a debug build checks on
+        // every held step that the L1 still refuses the head.
         for (core, l1) in st.l1.iter().enumerate() {
             assert_eq!(l1.nacks, 0, "seed {seed}: core {core} was nacked");
         }
